@@ -12,22 +12,22 @@ from .errors import (
     MultipleSingularClasps,
     NotAPermutation,
     OracleMismatch,
+    ParityViolation,
     ParseError,
     SameComponent,
     ScriptStepError,
     SharedCell,
     SizeMismatch,
+    TripleDrift,
     UnequalDegrees,
     UnknownComponent,
 )
 from .grid import (
     Component,
     Convention,
-    Crossing,
     CuspCounts,
     FrontData,
     GridDiagram,
-    components,
     grid_to_json,
     grid_to_text,
     linking_number,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import ledger as ledger_mod
@@ -30,6 +31,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option looks like a number, so a value such as "-5,3,0" (a
+        # comma-separated list starting with a negative entry) is read as
+        # a value, not as an unknown option.
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -40,7 +48,7 @@ def parse_grid_file(path) -> GridDiagram:
         return parse_grid(handle.read())
 
 
-def _emit(payload, pretty):
+def _emit(payload):
     print(json.dumps(payload))
 
 
@@ -90,7 +98,7 @@ def _cmd_inv(args):
         headers = ["component", "tb", "r", "sl_pos", "sl_neg"]
         print(_table([[rec[h] for h in headers] for rec in records], headers))
     else:
-        _emit(payload, args.pretty)
+        _emit(payload)
     return 0
 
 
@@ -115,7 +123,7 @@ def _cmd_rel(args):
         row = [f"({k},{j})", record["tb_rel"], record["r_rel"], record["sl_rel"]]
         print(_table([row], headers))
     else:
-        _emit(record, args.pretty)
+        _emit(record)
     return 0
 
 
@@ -153,7 +161,7 @@ def _cmd_moves(args):
         print(_table(rows, headers))
         print(f"final: n={result.final.n} X={list(result.final.xs)} O={list(result.final.os)}")
     else:
-        _emit({"final": _grid_record(result.final), "trace": trace}, args.pretty)
+        _emit({"final": _grid_record(result.final), "trace": trace})
     return 0
 
 
@@ -188,7 +196,7 @@ def _cmd_ledger(args):
     if args.pretty:
         print(_table([[k, v] for k, v in payload.items()], ["quantity", "value"]))
     else:
-        _emit(payload, args.pretty)
+        _emit(payload)
     return 0
 
 
@@ -210,11 +218,13 @@ def _cmd_cross_sim(args):
     if args.pretty:
         print(_table([[rec[h] for h in headers] for rec in payload], headers))
     else:
-        _emit(payload, args.pretty)
+        _emit(payload)
     return 0
 
 
 def _cmd_selftest(args):
+    if args.cases < 0:
+        raise _UsageError(f"--cases must be non-negative, got {args.cases}")
     report = run_selftest(args.seed, args.cases)
     if args.pretty:
         rows = [
@@ -224,7 +234,7 @@ def _cmd_selftest(args):
         print(_table(rows, ["check", "cases", "failures", "status"]))
         print(f"seed={report['seed']} cases={report['cases']} all_passed={report['all_passed']}")
     else:
-        _emit(report, args.pretty)
+        _emit(report)
     return 0 if report["all_passed"] else 1
 
 

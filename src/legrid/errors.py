@@ -34,6 +34,16 @@ class OracleMismatch(LegridError):
     expected on valid input."""
 
 
+class ParityViolation(LegridError):
+    """A signed crossing count that closed curves force to be even came
+    out odd.  Signals a bookkeeping bug, never expected on valid input."""
+
+
+class TripleDrift(LegridError):
+    """The simulator's relative triple moved.  Signals a bookkeeping bug,
+    never expected on valid input."""
+
+
 class InterleavingSpans(LegridError):
     pass
 

@@ -24,6 +24,7 @@ from functools import cached_property
 
 from .errors import (
     NotAPermutation,
+    ParityViolation,
     ParseError,
     SameComponent,
     SharedCell,
@@ -34,12 +35,10 @@ from .errors import (
 __all__ = [
     "Convention",
     "Component",
-    "Crossing",
     "CuspCounts",
     "FrontData",
     "GridDiagram",
     "new_grid",
-    "components",
     "to_front",
     "writhe",
     "linking_number",
@@ -81,25 +80,6 @@ class Component:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """A transverse crossing of the rectilinear diagram.
-
-    The vertical strand is always the over strand.  ``sign`` follows
-    the right-hand convention: +1 when (over direction, under
-    direction) is a positively oriented frame.
-    """
-
-    over_component: int
-    under_component: int
-    sign: int
-    column: int
-    row: int
-
-    def involves(self, c1, c2):
-        return {self.over_component, self.under_component} == {c1, c2}
-
-
-@dataclass(frozen=True)
 class CuspCounts:
     up: int
     down: int
@@ -111,10 +91,16 @@ class CuspCounts:
 
 @dataclass(frozen=True)
 class FrontData:
-    """Front-projection combinatorics derived from a grid diagram:
-    signed crossings and per-component up/down cusp counts."""
+    """Front-projection combinatorics derived from a grid diagram: the
+    signed crossing matrix and per-component up/down cusp counts.
 
-    crossings: tuple[Crossing, ...]
+    ``crossing_matrix[a][b]`` is the signed count of crossings with
+    component ``a`` over component ``b``.  The vertical strand is
+    always the over strand, and a crossing is +1 when (over direction,
+    under direction) is a positively oriented frame.
+    """
+
+    crossing_matrix: tuple[tuple[int, ...], ...]
     cusps: tuple[CuspCounts, ...]
     convention: Convention
 
@@ -133,17 +119,15 @@ class FrontData:
     def writhe(self, c) -> int:
         """Sum of self-crossing signs of component ``c``."""
         self._check(c)
-        return sum(
-            x.sign
-            for x in self.crossings
-            if x.over_component == c and x.under_component == c
-        )
+        return self.crossing_matrix[c][c]
 
     def crossing_sum(self, c1, c2) -> int:
-        """Signed count of crossings between two distinct components."""
+        """Signed count of crossings between two distinct components
+        (the writhe when ``c1 == c2``)."""
         self._check(c1)
         self._check(c2)
-        return sum(x.sign for x in self.crossings if x.involves(c1, c2))
+        m = self.crossing_matrix
+        return m[c1][c2] + m[c2][c1] if c1 != c2 else m[c1][c1]
 
 
 @dataclass(frozen=True)
@@ -241,10 +225,6 @@ def new_grid(n, xs, os) -> GridDiagram:
     return g
 
 
-def components(g: GridDiagram) -> tuple[Component, ...]:
-    return g.components
-
-
 _CUSP_CORNERS = {
     Convention.NW_SE: {("N", "W"), ("S", "E")},
     Convention.NE_SW: {("N", "E"), ("S", "W")},
@@ -254,61 +234,88 @@ _CUSP_CORNERS = {
 def to_front(g: GridDiagram, conv: Convention = Convention.NW_SE) -> FrontData:
     """Read the front-projection combinatorics off the grid.
 
-    Crossings are listed column-major.  Corner classification: at each
-    marker the vertical segment extends toward the other marker of its
-    column and the horizontal toward the other marker of its row; the
-    two directions name the corner type.  Cusp corners are the ones on
-    the convention's diagonal, up or down according to the orientation
-    of the vertical strand through them.
+    The result is memoized per convention on the grid instance, so
+    every caller shares one front per grid and convention.
+    """
+    cache = g.__dict__.setdefault("_fronts", {})
+    front = cache.get(conv)
+    if front is None:
+        front = cache[conv] = _read_front(g, conv)
+    return front
+
+
+def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
+    """One left-to-right column sweep, O(n C log n).
+
+    A crossing at (c, r) needs the vertical of column c to pass
+    strictly through row r and the horizontal of row r to pass strictly
+    through column c.  The sweep keeps one Fenwick tree per component
+    (Fenwick 1994) over the rows of the horizontals active at the
+    current column, each holding its direction: +1 when X -> O runs
+    east, -1 when west.  Column c holds the X end of row xs[c] and the
+    O end of row os[c].  Adding +1 at every X end and -1 at every O end
+    opens each horizontal with its direction at whichever end comes
+    first and cancels it at the other.  Those two rows are the ends of
+    the column's vertical, outside the open row span that is queried,
+    so the updates may follow the query.
+
+    Cusp corners: at each marker the vertical heads toward the other
+    marker of its column and the horizontal toward the other marker of
+    its row; the two directions name the corner type.  Cusps are the
+    corners on the convention's diagonal, up or down according to the
+    orientation of the vertical strand through them.
     """
     n = g.n
+    n_comp = len(g.components)
     sign_flip = -1 if conv is Convention.NE_SW else 1
-    cusp_corners = _CUSP_CORNERS[conv]
-
-    v_dir = [1 if g.xs[c] > g.os[c] else -1 for c in range(n)]  # O -> X
-    v_lo = [min(g.xs[c], g.os[c]) for c in range(n)]
-    v_hi = [max(g.xs[c], g.os[c]) for c in range(n)]
-    h_dir = [0] * n  # X -> O
-    h_lo = [0] * n
-    h_hi = [0] * n
-    for r in range(n):
-        cx, co = g.x_col_by_row[r], g.o_col_by_row[r]
-        h_dir[r] = 1 if co > cx else -1
-        h_lo[r], h_hi[r] = min(cx, co), max(cx, co)
-
+    corners = _CUSP_CORNERS[conv]
+    xs, os = g.xs, g.os
+    x_col, o_col = g.x_col_by_row, g.o_col_by_row
     owner = g.component_by_column
-    crossings = []
-    for c in range(n):
-        for r in range(v_lo[c] + 1, v_hi[c]):
-            if h_lo[r] < c < h_hi[r]:
-                crossings.append(
-                    Crossing(
-                        over_component=owner[c],
-                        under_component=owner[g.x_col_by_row[r]],
-                        sign=-v_dir[c] * h_dir[r] * sign_flip,
-                        column=c,
-                        row=r,
-                    )
-                )
 
-    up = [0] * len(g.components)
-    down = [0] * len(g.components)
+    trees = [[0] * (n + 1) for _ in range(n_comp)]
+    matrix = [[0] * n_comp for _ in range(n_comp)]
+    up = [0] * n_comp
+    down = [0] * n_comp
     for c in range(n):
-        for row, toward in ((g.xs[c], g.os[c]), (g.os[c], g.xs[c])):
-            vertical = "N" if toward > row else "S"
-            if row == g.xs[c]:
-                other_col = g.o_col_by_row[row]
-            else:
-                other_col = g.x_col_by_row[row]
-            horizontal = "E" if other_col > c else "W"
-            if (vertical, horizontal) in cusp_corners:
-                if v_dir[c] > 0:
-                    up[owner[c]] += 1
-                else:
-                    down[owner[c]] += 1
+        k = owner[c]
+        rx, ro = xs[c], os[c]
+        up_strand = rx > ro  # the vertical runs O -> X
+        lo, hi = (ro, rx) if up_strand else (rx, ro)
+        sign = (-1 if up_strand else 1) * sign_flip
+        if hi - lo > 1:
+            row = matrix[k]
+            for under, tree in enumerate(trees):
+                # prefix(hi) - prefix(lo + 1), the rows strictly between;
+                # the two walks stop where their index paths meet
+                total = 0
+                i, j = hi, lo + 1
+                while i != j:
+                    if i > j:
+                        total += tree[i]
+                        i &= i - 1
+                    else:
+                        total -= tree[j]
+                        j &= j - 1
+                if total:
+                    row[under] += sign * total
+        tree = trees[k]
+        for r, value in ((rx, 1), (ro, -1)):
+            i = r + 1
+            while i <= n:
+                tree[i] += value
+                i += i & -i
+
+        x_corner = ("S" if up_strand else "N", "E" if o_col[rx] > c else "W")
+        o_corner = ("N" if up_strand else "S", "E" if x_col[ro] > c else "W")
+        cusps = (x_corner in corners) + (o_corner in corners)
+        if up_strand:
+            up[k] += cusps
+        else:
+            down[k] += cusps
 
     return FrontData(
-        crossings=tuple(crossings),
+        crossing_matrix=tuple(map(tuple, matrix)),
         cusps=tuple(CuspCounts(u, d) for u, d in zip(up, down)),
         convention=conv,
     )
@@ -327,7 +334,10 @@ def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) 
     g.component(c1)
     g.component(c2)
     total = to_front(g, conv).crossing_sum(c1, c2)
-    assert total % 2 == 0, "closed curves cross an even number of times"
+    if total % 2:
+        raise ParityViolation(
+            f"components {c1} and {c2} cross an odd signed number of times ({total})"
+        )
     return total // 2
 
 
@@ -365,6 +375,12 @@ def parse_grid(text: str) -> GridDiagram:
     return _parse_grid_text(text)
 
 
+def _is_int(value):
+    """JSON integers only: ``true`` and ``false`` load as bool, a
+    subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_grid_json(text):
     try:
         data = json.loads(text)
@@ -375,10 +391,10 @@ def _parse_grid_json(text):
     if set(data) != {"n", "x", "o"}:
         raise ParseError(1, 1, 'expected exactly the keys "n", "x", "o"')
     n, x, o = data["n"], data["x"], data["o"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ParseError(1, 1, '"n" must be an integer')
     for key, value in (("x", x), ("o", o)):
-        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        if not isinstance(value, list) or not all(_is_int(v) for v in value):
             raise ParseError(1, 1, f'"{key}" must be a list of integers')
     return new_grid(n, x, o)
 

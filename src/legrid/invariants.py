@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import OracleMismatch, SameComponent
+from .errors import OracleMismatch, ParityViolation, SameComponent
 from .grid import Convention, FrontData, GridDiagram, to_front
 
 __all__ = [
@@ -90,6 +90,17 @@ class RelativeInvariants:
     sl_rel: int
     orientation: OrientationFlag = field(default_factory=OrientationFlag)
 
+    @classmethod
+    def between(cls, inv_k, inv_j, orientation: OrientationFlag = OrientationFlag()):
+        """The triple of a pair from the classical triples of its two
+        components, ``k`` relative to ``j``."""
+        return cls(
+            tb_rel=inv_k.tb - inv_j.tb,
+            r_rel=orientation.rot_sign * (inv_k.r - inv_j.r),
+            sl_rel=orientation.sl_sign * (inv_k.sl_pos - inv_j.sl_pos),
+            orientation=orientation,
+        )
+
     @property
     def triple(self):
         return (self.tb_rel, self.r_rel, self.sl_rel)
@@ -145,7 +156,10 @@ def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> in
         for y, xlo, xhi, hd in horizontals:
             if xlo < x < xhi and ylo < y < yhi:
                 total += -vd * hd * sign_mul
-    assert total % 2 == 0, "curve and push-off cross an even number of times"
+    if total % 2:
+        raise ParityViolation(
+            f"component {c} and its push-off cross an odd signed number of times ({total})"
+        )
     return total // 2
 
 
@@ -172,11 +186,4 @@ def relative_invariants(
     """Relative (tb, r, sl) of component ``k`` relative to ``j``."""
     if k == j:
         raise SameComponent(f"relative invariants need two distinct components, got {k}")
-    inv_k = classical(g, k, conv)
-    inv_j = classical(g, j, conv)
-    return RelativeInvariants(
-        tb_rel=inv_k.tb - inv_j.tb,
-        r_rel=orientation.rot_sign * (inv_k.r - inv_j.r),
-        sl_rel=orientation.sl_sign * (inv_k.sl_pos - inv_j.sl_pos),
-        orientation=orientation,
-    )
+    return RelativeInvariants.between(classical(g, k, conv), classical(g, j, conv), orientation)

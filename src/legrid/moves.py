@@ -24,15 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import BadCell, InterleavingSpans, ParseError, ScriptStepError
+from .errors import BadCell, InterleavingSpans, ParseError, SameComponent, ScriptStepError
 from .grid import Convention, GridDiagram, new_grid, to_front
-from .invariants import (
-    ClassicalInvariants,
-    OrientationFlag,
-    RelativeInvariants,
-    classical,
-    relative_invariants,
-)
+from .invariants import ClassicalInvariants, RelativeInvariants, classical
 
 __all__ = [
     "Translate",
@@ -354,7 +348,9 @@ def _snapshot(g, index, move, pair, flags, conv):
     if pair is not None:
         k = g.component_by_column[pair[0]]
         j = g.component_by_column[pair[1]]
-        rel = relative_invariants(g, k, j, OrientationFlag(), conv)
+        if k == j:
+            raise SameComponent(f"relative invariants need two distinct components, got {k}")
+        rel = RelativeInvariants.between(invs[k], invs[j])
     return TraceStep(index=index, move=move, invariants=invs, relative=rel, flags=flags)
 
 
@@ -406,7 +402,9 @@ def move_to_text(move: GridMove) -> str:
     if isinstance(move, Stabilize):
         return f"stab {move.marker} {move.column} {move.subtype}"
     if isinstance(move, Destabilize):
-        return f"destab {move.column}"
+        if move.row is None:
+            return f"destab {move.column}"
+        return f"destab {move.column} {move.row}"
     if isinstance(move, LegendrianStab):
         return f"lstab {move.component} {'+' if move.sign > 0 else '-'}"
     raise BadCell(f"unknown move {move!r}")
@@ -443,8 +441,9 @@ def parse_move_script(text: str) -> MoveScript:
             if parts[3] not in _SUBTYPES:
                 raise ParseError(line_no, 1, f"subtype must be one of {', '.join(_SUBTYPES)}")
             moves.append(Stabilize(parts[1], _parse_int(parts[2], line_no, "column"), parts[3]))
-        elif verb == "destab" and len(parts) == 2:
-            moves.append(Destabilize(_parse_int(parts[1], line_no, "column")))
+        elif verb == "destab" and len(parts) in (2, 3):
+            row = _parse_int(parts[2], line_no, "row") if len(parts) == 3 else None
+            moves.append(Destabilize(_parse_int(parts[1], line_no, "column"), row))
         elif verb == "lstab" and len(parts) == 3:
             if parts[2] not in ("+", "-"):
                 raise ParseError(line_no, 1, f"sign must be + or -, got {parts[2]!r}")

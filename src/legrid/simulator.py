@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MultipleSingularClasps, ParseError, ScriptStepError
+from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift
 
 __all__ = [
     "FramedPairState",
@@ -169,7 +169,8 @@ def resolve_pattern(p: IntersectionPattern, s: FramedPairState):
 
 def run_trace(s0: FramedPairState, events) -> tuple[FramedPairState, ...]:
     """Replay a mixed sequence of crossing events and intersection
-    patterns, asserting the relative triple never moves.
+    patterns, checking that the relative triple never moves (raises
+    :class:`TripleDrift` if it does).
 
     Pattern resolution errors propagate wrapped with the failing
     event's index.
@@ -186,7 +187,8 @@ def run_trace(s0: FramedPairState, events) -> tuple[FramedPairState, ...]:
                 raise ScriptStepError(idx, e) from e
         else:
             raise TypeError(f"event {idx} is neither a crossing nor a pattern: {event!r}")
-        assert nxt.triple == triple, "relative triple drifted; bookkeeping bug"
+        if nxt.triple != triple:
+            raise TripleDrift(f"event {idx}: relative triple moved from {triple} to {nxt.triple}")
         states.append(nxt)
     return tuple(states)
 

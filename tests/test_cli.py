@@ -141,6 +141,25 @@ class TestCrossSim:
         assert all(step["tb_rel"] == 0 for step in payload)
         assert payload[-1]["tw_K"] == 2  # 1 - 1 + 2
 
+    def test_negative_init_in_both_spellings(self, capsys, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text("cross -\n")
+        outputs = []
+        for argv in (["--init", "-5,3,0,0,0,0"], ["--init=-5,3,0,0,0,0"]):
+            code, out, err = run_cli(capsys, "cross-sim", str(events), *argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert (payload[0]["tw_K"], payload[1]["tw_K"]) == (-5, -4)
+
+    def test_init_still_rejects_a_missing_value(self, capsys, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text("cross -\n")
+        code, out, err = run_cli(capsys, "cross-sim", str(events), "--init")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -175,6 +194,58 @@ class TestErrors:
         code, _, err = run_cli(capsys, "bogus")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_negative_case_count_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--cases", "-3")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": true, "x": [0, 1], "o": [1, 0]}',
+            '{"n": 2, "x": [false, true], "o": [1, 0]}',
+            '{"n": 2, "x": [0, 1], "o": [true, 0]}',
+        ],
+    )
+    def test_json_bool_is_not_an_integer(self, capsys, tmp_path, text):
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "inv", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
+    def test_invariant_checks_survive_python_O(self):
+        # Each check is forced to fail; under -O an assert would vanish.
+        code = """
+import legrid.grid as grid, legrid.simulator as sim
+from dataclasses import replace
+from legrid import (Component, LegridError, new_grid, linking_number,
+                    tb_grid_oracle, to_front)
+
+def raised(fn):
+    try:
+        fn()
+    except LegridError as e:
+        return type(e).__name__
+    return None
+
+g = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
+odd = replace(to_front(g), crossing_matrix=((0, 1), (0, 0)))
+grid.to_front = lambda g_, conv=None: odd
+print(raised(lambda: linking_number(g, 0, 1)))
+t = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
+t.__dict__["components"] = (Component(0, frozenset({0}), frozenset({2})),)
+print(raised(lambda: tb_grid_oracle(t, 0)))
+sim.cross = lambda s, e: sim.FramedPairState(s.tw_K + 1, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
+print(raised(lambda: sim.run_trace(sim.init_state(), [sim.CrossingEvent(1)])))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, env=env, text=True, check=True
+        )
+        assert run.stdout.split() == ["ParityViolation", "ParityViolation", "TripleDrift"]
 
 
 class TestSelftest:

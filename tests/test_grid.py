@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from legrid import (
     Convention,
     NotAPermutation,
+    ParityViolation,
     ParseError,
     SameComponent,
     SharedCell,
@@ -21,7 +23,13 @@ from legrid import (
     writhe,
 )
 
-from helpers import brute_linking, brute_writhe, trace_components
+from helpers import (
+    all_marker_lists,
+    brute_crossings,
+    brute_linking,
+    brute_writhe,
+    trace_components,
+)
 
 UNKNOT = (2, [0, 1], [1, 0])
 SPLIT = (4, [0, 1, 2, 3], [1, 0, 3, 2])
@@ -78,13 +86,54 @@ class TestNewGrid:
 
 class TestFront:
     def test_unknot_front(self):
-        f = to_front(new_grid(*UNKNOT))
-        assert len(f.crossings) == 0
+        n, xs, os = UNKNOT
+        f = to_front(new_grid(n, xs, os))
+        assert brute_crossings(xs, os) == []
+        assert f.crossing_matrix == ((0,),)
         assert f.cusps[0].total == 2
 
     def test_split_grid_has_no_inter_component_crossings(self):
-        f = to_front(new_grid(*SPLIT))
-        assert all(x.over_component == x.under_component for x in f.crossings)
+        n, xs, os = SPLIT
+        f = to_front(new_grid(n, xs, os))
+        assert all(over == under for _, _, _, over, under in brute_crossings(xs, os))
+        assert f.crossing_matrix[0][1] == f.crossing_matrix[1][0] == 0
+
+    @staticmethod
+    def _assert_matrix_matches_brute_force(xs, os):
+        g = new_grid(len(xs), xs, os)
+        size = len(g.components)
+        expected = [[0] * size for _ in range(size)]
+        for _, _, sign, over, under in brute_crossings(xs, os):
+            expected[over][under] += sign
+        assert to_front(g, Convention.NW_SE).crossing_matrix == tuple(map(tuple, expected))
+        negated = tuple(tuple(-v for v in row) for row in expected)
+        assert to_front(g, Convention.NE_SW).crossing_matrix == negated
+
+    def test_crossing_matrix_matches_brute_force_small(self):
+        for n in (2, 3, 4):
+            for xs, os in all_marker_lists(n):
+                self._assert_matrix_matches_brute_force(xs, os)
+
+    def test_crossing_matrix_matches_brute_force_random(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(2, 200)
+            while True:
+                xs = rng.sample(range(n), n)
+                os = rng.sample(range(n), n)
+                if all(x != o for x, o in zip(xs, os)):
+                    break
+            self._assert_matrix_matches_brute_force(xs, os)
+
+    def test_front_is_read_once_per_convention(self):
+        g = new_grid(*TREFOIL)
+        f = to_front(g, Convention.NW_SE)
+        assert to_front(g, Convention.NW_SE) is f
+        assert to_front(g) is f
+        other = to_front(g, Convention.NE_SW)
+        assert other is not f
+        assert to_front(g, Convention.NE_SW) is other
+        assert other.convention is Convention.NE_SW
 
     @given(grids())
     def test_cusp_parity(self, g):
@@ -176,6 +225,16 @@ class TestLinking:
     def test_same_component_rejected(self):
         with pytest.raises(SameComponent):
             linking_number(new_grid(*SPLIT), 1, 1)
+
+    def test_odd_crossing_sum_raises(self, monkeypatch):
+        import legrid.grid as grid_mod
+
+        g = new_grid(*SPLIT)
+        real = to_front(g)
+        odd = dataclasses.replace(real, crossing_matrix=((0, 1), (0, 0)))
+        monkeypatch.setattr(grid_mod, "to_front", lambda g_, conv=None: odd)
+        with pytest.raises(ParityViolation):
+            linking_number(g, 0, 1)
 
     def test_unknown_component(self):
         with pytest.raises(UnknownComponent):

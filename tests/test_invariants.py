@@ -4,8 +4,10 @@ import pytest
 
 from legrid import (
     ClassicalInvariants,
+    Component,
     Convention,
     OrientationFlag,
+    ParityViolation,
     SameComponent,
     UnknownComponent,
     classical,
@@ -72,6 +74,14 @@ class TestRouteEquality:
 
     def test_unknot_oracle_value(self):
         assert tb_grid_oracle(UNKNOT, 0) == -1
+
+    def test_odd_push_off_count_raises(self):
+        # A forged component of one vertical and one horizontal is an
+        # open path; it meets its push-off an odd number of times.
+        g = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
+        g.__dict__["components"] = (Component(0, frozenset({0}), frozenset({2})),)
+        with pytest.raises(ParityViolation):
+            tb_grid_oracle(g, 0)
 
     def test_unknown_component(self):
         with pytest.raises(UnknownComponent):

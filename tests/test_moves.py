@@ -5,6 +5,7 @@ import pytest
 from legrid import (
     BadCell,
     Commute,
+    Destabilize,
     InterleavingSpans,
     LegendrianStab,
     MoveScript,
@@ -332,6 +333,28 @@ class TestScriptParsing:
             "destab 1",
             "lstab 0 -",
         ]
+
+    def test_every_move_kind_round_trips(self):
+        moves = [Translate(d) for d in ("up", "down", "left", "right")]
+        moves += [Commute(axis, 3) for axis in ("row", "col")]
+        moves += [Stabilize(m, 2, t) for m in ("X", "O") for t in ("NE", "NW", "SE", "SW")]
+        moves += [Destabilize(1), Destabilize(1, 0), Destabilize(1, 4)]
+        moves += [LegendrianStab(0, 1), LegendrianStab(2, -1)]
+        for move in moves:
+            assert parse_move_script(move_to_text(move)) == MoveScript((move,))
+
+    def test_destab_row_is_applied(self):
+        # Columns 1,2 of this grid hold an L-block at rows 0,1 only.
+        g = stabilize_grid(UNKNOT, "X", 0, "NE")
+        assert apply_script(g, parse_move_script("destab 1 0\n")).final == UNKNOT
+        with pytest.raises(ScriptStepError):
+            apply_script(g, parse_move_script("destab 1 1\n"))
+
+    def test_destab_row_must_be_an_integer(self):
+        with pytest.raises(ParseError):
+            parse_move_script("destab 1 two\n")
+        with pytest.raises(ParseError):
+            parse_move_script("destab 1 2 3\n")
 
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError) as exc:

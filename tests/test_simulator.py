@@ -10,6 +10,7 @@ from legrid import (
     MultipleSingularClasps,
     ParseError,
     ScriptStepError,
+    TripleDrift,
     classical,
     cross,
     init_state,
@@ -179,6 +180,16 @@ class TestRunTrace:
         with pytest.raises(ScriptStepError) as exc:
             run_trace(init_state(), events)
         assert exc.value.index == 1
+
+    def test_drift_raises(self, monkeypatch):
+        import legrid.simulator as sim
+
+        def drifting(s, e):
+            return FramedPairState(s.tw_K - e.sign, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
+
+        monkeypatch.setattr(sim, "cross", drifting)
+        with pytest.raises(TripleDrift, match="event 1"):
+            run_trace(init_state(), [IntersectionPattern(ribbon_arcs=1), CrossingEvent(1)])
 
 
 class TestEventParsing:
