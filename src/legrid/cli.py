@@ -11,6 +11,7 @@ with exit code 1 for domain errors and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -212,14 +213,34 @@ def _cmd_cross_sim(args):
             init = [int(v) for v in parts]
         except ValueError:
             raise _UsageError("--init expects integers") from None
-    trace = simulator.run_trace(simulator.init_state(*init), events)
-    headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
-    payload = [{h: getattr(s, h) for h in headers} for s in trace]
+    s0 = simulator.init_state(*init)
+    rows = simulator.replay(s0, events)
     if args.pretty:
-        print(_table([[rec[h] for h in headers] for rec in payload], headers))
+        headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
+        print(_table([row + s0.triple for row in rows], headers))
     else:
-        _emit(payload)
+        _write_states(rows, s0.triple)
     return 0
+
+
+_STATE_CHUNK = 4096
+
+
+def _write_states(rows, triple):
+    """Stream the states as the JSON list ``json.dumps`` would give for
+    one nine-key record per state, in chunks of ``_STATE_CHUNK``.
+    replay() has already checked that the triple never moves, so it is
+    formatted once."""
+    template = (
+        '{"tw_K": %d, "tw_J": %d, "w_K": %d, "w_J": %d, "sK": %d, "sJ": %d, '
+        + '"tb_rel": %d, "r_rel": %d, "sl_rel": %d}' % triple
+    )
+    write = sys.stdout.write
+    sep = "["
+    while chunk := list(itertools.islice(rows, _STATE_CHUNK)):
+        write(sep + ", ".join([template % row for row in chunk]))
+        sep = ", "
+    write("]\n")
 
 
 def _cmd_selftest(args):

@@ -104,10 +104,6 @@ class FrontData:
     cusps: tuple[CuspCounts, ...]
     convention: Convention
 
-    @property
-    def n_components(self):
-        return len(self.cusps)
-
     def _check(self, c):
         if not 0 <= c < len(self.cusps):
             raise UnknownComponent(f"no component {c}")

@@ -165,7 +165,15 @@ def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> in
 
 def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> ClassicalInvariants:
     """Classical triple of one component, cross-checked over both tb
-    routes before returning."""
+    routes the first time it is asked for.
+
+    The result is memoized per component and convention on the grid
+    instance, as :func:`to_front` memoizes the front.
+    """
+    cache = g.__dict__.setdefault("_classical", {})
+    inv = cache.get((c, conv))
+    if inv is not None:
+        return inv
     f = to_front(g, conv)
     tb = tb_front(f, c)
     oracle = tb_grid_oracle(g, c, conv)
@@ -173,7 +181,8 @@ def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> Classic
         raise OracleMismatch(
             f"component {c}: front route gives tb={tb}, push-off route gives {oracle}"
         )
-    return ClassicalInvariants.from_tb_rot(tb, rot(f, c))
+    inv = cache[c, conv] = ClassicalInvariants.from_tb_rot(tb, rot(f, c))
+    return inv
 
 
 def relative_invariants(

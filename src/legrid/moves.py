@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import BadCell, InterleavingSpans, ParseError, SameComponent, ScriptStepError
+from .errors import BadCell, InterleavingSpans, LegridError, ParseError, SameComponent, ScriptStepError
 from .grid import Convention, GridDiagram, new_grid, to_front
 from .invariants import ClassicalInvariants, RelativeInvariants, classical
 
@@ -373,7 +373,7 @@ def apply_script(
     for idx, move in enumerate(script.moves, start=1):
         try:
             moved = apply_move(current, move)
-        except Exception as e:
+        except LegridError as e:
             raise ScriptStepError(idx, e) from e
         cmap = column_map(current, move)
         flags = []

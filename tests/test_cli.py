@@ -1,17 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from legrid.cli import main, parse_grid_file
-from legrid import NotAPermutation
+from legrid.cli import _table, main, parse_grid_file
+from legrid import CrossingEvent, IntersectionPattern, NotAPermutation, init_state, run_trace
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 UNKNOT_TEXT = "n=2\nX=0,1\nO=1,0\n"
 SPLIT_JSON = '{"n": 4, "x": [0, 1, 2, 3], "o": [1, 0, 3, 2]}'
+STATE_HEADERS = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
 
 
 @pytest.fixture
@@ -159,6 +161,82 @@ class TestCrossSim:
         code, out, err = run_cli(capsys, "cross-sim", str(events), "--init")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_streamed_output_matches_the_old_payload(self, capsys, tmp_path):
+        # The old emitter built one nine-key dict per run_trace state and
+        # called json.dumps; lengths around 4096 cross the chunk edges.
+        rng = random.Random(11)
+        lengths = [0, 1, 4095, 4096, 4097] + [rng.randint(0, 300) for _ in range(195)]
+        path = tmp_path / "events.txt"
+        for length in lengths:
+            init = [rng.randint(-10**6, 10**6) for _ in range(6)]
+            lines, events = [], []
+            for _ in range(length):
+                if rng.random() < 0.7:
+                    sign = rng.choice((1, -1))
+                    lines.append(f"cross {'+' if sign > 0 else '-'}")
+                    events.append(CrossingEvent(sign))
+                else:
+                    counts = [rng.choice((0, 1, 3, 10**6)) for _ in range(4)]
+                    sign = rng.choice((None, 1, -1))
+                    lines.append(
+                        "pattern circles=%d ribbon=%d bparallel=%d clasps=%d singular=%s"
+                        % (*counts, {None: "none", 1: "+", -1: "-"}[sign])
+                    )
+                    events.append(IntersectionPattern(
+                        circles=counts[0], ribbon_arcs=counts[1],
+                        boundary_parallel_arcs=counts[2], clasps=counts[3], singular=sign,
+                    ))
+                if rng.random() < 0.05:
+                    lines.append("  # comment")
+            path.write_text("\n".join(lines) + "\n")
+            trace = run_trace(init_state(*init), events)
+            rows = [[getattr(state, h) for h in STATE_HEADERS] for state in trace]
+            argv = ("cross-sim", str(path), "--init=" + ",".join(map(str, init)))
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == json.dumps([dict(zip(STATE_HEADERS, row)) for row in rows]) + "\n"
+            if length in lengths[:5] or rng.random() < 0.1:
+                code, out, err = run_cli(capsys, *argv, "--pretty")
+                assert (code, err) == (0, "")
+                assert out == _table(rows, STATE_HEADERS) + "\n"
+
+    def test_huge_ribbon_count_is_replayed_in_closed_form(self, capsys, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text("pattern circles=0 ribbon=1000000000 bparallel=0 clasps=0 singular=+\n")
+        code, out, err = run_cli(capsys, "cross-sim", str(events))
+        assert (code, err) == (0, "")
+        assert json.loads(out)[-1] == {
+            "tw_K": 10**9 - 1, "tw_J": 10**9 - 1, "w_K": -1, "w_J": -1, "sK": 1, "sJ": 1,
+            "tb_rel": 0, "r_rel": 0, "sl_rel": 0,
+        }
+
+    def test_negative_pattern_count_is_a_parse_error(self, capsys, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text(
+            "cross +\n# comment\npattern circles=-1 ribbon=0 bparallel=0 clasps=0 singular=none\n"
+        )
+        code, out, err = run_cli(capsys, "cross-sim", str(events))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["line"]) == ("ParseError", 3)
+
+    def test_drift_writes_nothing_to_stdout(self, capsys, tmp_path, monkeypatch):
+        import legrid.simulator as sim
+
+        def drifting(s, e):
+            return sim.FramedPairState(s.tw_K - e.sign, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
+
+        monkeypatch.setattr(sim, "cross", drifting)
+        events = tmp_path / "events.txt"
+        events.write_text(
+            "pattern circles=0 ribbon=1 bparallel=0 clasps=0 singular=none\n" * 10000 + "cross +\n"
+        )
+        code, out, err = run_cli(capsys, "cross-sim", str(events))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "TripleDrift"
+        assert error["message"].startswith("event 10000: ")
 
 
 class TestErrors:

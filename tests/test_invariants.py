@@ -75,6 +75,26 @@ class TestRouteEquality:
     def test_unknot_oracle_value(self):
         assert tb_grid_oracle(UNKNOT, 0) == -1
 
+    def test_classical_runs_the_oracle_once_per_key(self, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        calls = []
+
+        def counting(g, c, conv=Convention.NW_SE):
+            calls.append((c, conv))
+            return tb_grid_oracle(g, c, conv)
+
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", counting)
+        g = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
+        first = classical(g, 0)
+        assert classical(g, 0) is first
+        assert calls == [(0, Convention.NW_SE)]
+        classical(g, 0, Convention.NE_SW)
+        assert calls == [(0, Convention.NW_SE), (0, Convention.NE_SW)]
+        # A fresh grid with the same markers is checked again.
+        assert classical(new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1]), 0) == first
+        assert len(calls) == 3
+
     def test_odd_push_off_count_raises(self):
         # A forged component of one vertical and one horizontal is an
         # open path; it meets its push-off an odd number of times.

@@ -274,6 +274,26 @@ class TestApplyScript:
             apply_script(UNKNOT, script)
         assert exc.value.index == 2
 
+    def test_domain_error_is_wrapped_with_its_step(self):
+        script = MoveScript((Translate("up"), Commute("col", 5)))
+        with pytest.raises(ScriptStepError) as exc:
+            apply_script(UNKNOT, script)
+        assert exc.value.index == 2
+        assert isinstance(exc.value.cause, BadCell)
+
+    def test_programming_error_is_not_wrapped(self, monkeypatch):
+        import legrid.moves
+
+        bug = RuntimeError("not a domain error")
+
+        def broken(g, move):
+            raise bug
+
+        monkeypatch.setattr(legrid.moves, "apply_move", broken)
+        with pytest.raises(RuntimeError) as exc:
+            apply_script(UNKNOT, MoveScript((Translate("up"),)))
+        assert exc.value is bug
+
     def test_translate_cusp_change_is_flagged(self):
         # Found by scanning: this translate changes a cusp count but
         # not (tb, r); the step carries the cusp-change flag.

@@ -17,6 +17,7 @@ from legrid import (
     new_grid,
     parse_event_script,
     relative_invariants,
+    replay,
     resolve_pattern,
     run_trace,
 )
@@ -191,6 +192,63 @@ class TestRunTrace:
         with pytest.raises(TripleDrift, match="event 1"):
             run_trace(init_state(), [IntersectionPattern(ribbon_arcs=1), CrossingEvent(1)])
 
+    def test_huge_ribbon_count_replays_in_closed_form(self):
+        pattern = IntersectionPattern(circles=10**9, ribbon_arcs=10**9, clasps=10**9, singular=-1)
+        s0 = init_state(1, 2, 3, 4, 5, 6)
+        trace = run_trace(s0, [pattern, CrossingEvent(1)])
+        assert trace[1] == FramedPairState(2 + 10**9, 3 + 10**9, 4, 5, 4, 5)
+        assert trace[2] == FramedPairState(1 + 10**9, 2 + 10**9, 3, 4, 5, 6)
+
+
+class TestReplay:
+    def test_plain_tuples_starting_with_s0(self):
+        s0 = init_state(1, 2, 3, 4, 5, 6)
+        rows = list(replay(s0, [CrossingEvent(1), IntersectionPattern(ribbon_arcs=2)]))
+        assert rows == [(1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 6, 7), (2, 3, 2, 3, 6, 7)]
+        assert all(type(row) is tuple for row in rows)
+
+    def test_matches_stepwise_cross_and_resolve_pattern(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            s = init_state(*(rng.randint(-50, 50) for _ in range(6)))
+            events = [
+                CrossingEvent(rng.choice((1, -1)))
+                if rng.random() < 0.6
+                else IntersectionPattern(
+                    circles=rng.randint(0, 3),
+                    ribbon_arcs=rng.randint(0, 3),
+                    boundary_parallel_arcs=rng.randint(0, 3),
+                    clasps=rng.randint(0, 3),
+                    singular=rng.choice(((), (1,), (-1,))),
+                )
+                for _ in range(rng.randint(0, 60))
+            ]
+            expected = [s]
+            for event in events:
+                if isinstance(event, CrossingEvent):
+                    s = cross(s, event)
+                else:
+                    s, _ = resolve_pattern(event, s)
+                expected.append(s)
+            assert [FramedPairState(*row) for row in replay(expected[0], events)] == expected
+
+    def test_errors_raise_before_the_first_state(self, monkeypatch):
+        import legrid.simulator as sim
+
+        events = [CrossingEvent(1)] * 3 + [IntersectionPattern(singular=(1, -1))]
+        with pytest.raises(ScriptStepError) as exc:
+            replay(init_state(), events)
+        assert exc.value.index == 3
+
+        def drifting(s, e):
+            return FramedPairState(s.tw_K, s.tw_J, s.w_K, s.w_J, s.sK + e.sign, s.sJ)
+
+        monkeypatch.setattr(sim, "cross", drifting)
+        events = [IntersectionPattern(ribbon_arcs=4), CrossingEvent(-1), CrossingEvent(1)]
+        with pytest.raises(TripleDrift) as exc:
+            replay(init_state(0, 0, 0, 0, 7, 2), events)
+        assert str(exc.value) == "event 1: relative triple moved from (0, 0, 5) to (0, 0, 4)"
+
 
 class TestEventParsing:
     def test_round_trip(self):
@@ -216,3 +274,20 @@ class TestEventParsing:
         with pytest.raises(ParseError) as exc:
             parse_event_script("pattern circles=1\n")
         assert exc.value.line == 1
+
+    def test_repeated_lines_share_one_event(self):
+        events = parse_event_script("cross +\n  cross +  # again\ncross -\ncross +\n")
+        assert events == (CrossingEvent(1), CrossingEvent(1), CrossingEvent(-1), CrossingEvent(1))
+        assert events[0] is events[1] is events[3]
+        with pytest.raises(ParseError) as exc:
+            parse_event_script("cross +\ncross +\ncross *")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("key", ["circles", "ribbon", "bparallel", "clasps"])
+    def test_negative_count_is_a_parse_error(self, key):
+        fields = {"circles": "0", "ribbon": "0", "bparallel": "0", "clasps": "0"}
+        fields[key] = "-1"
+        line = "pattern " + " ".join(f"{k}={v}" for k, v in fields.items()) + " singular=none"
+        with pytest.raises(ParseError) as exc:
+            parse_event_script("cross -\n\n" + line + "\n")
+        assert exc.value.line == 3
