@@ -19,7 +19,7 @@ import sys
 from . import ledger as ledger_mod
 from . import simulator
 from .errors import LegridError, ParseError
-from .grid import Convention, GridDiagram, parse_grid
+from .grid import Convention, GridDiagram, _is_int, _load_json, parse_grid
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, move_to_text, parse_move_script
 from .selftest import run_selftest
@@ -43,10 +43,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _read_input(path) -> str:
+    """Read an input file as UTF-8 text with universal newlines.  Bytes
+    that are not UTF-8 are a ParseError at their line and column."""
+    with open(path, "rb") as handle:
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = data.rfind(b"\n", 0, e.start) + 1
+        line = data.count(b"\n", 0, start) + 1
+        column = len(data[start:e.start].decode("utf-8")) + 1
+        raise ParseError(line, column, f"not UTF-8: {e.reason}") from None
+
+
 def parse_grid_file(path) -> GridDiagram:
     """Load a grid diagram from a text or JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_grid(handle.read())
+    return parse_grid(_read_input(path))
 
 
 def _emit(payload):
@@ -130,8 +143,7 @@ def _cmd_rel(args):
 
 def _cmd_moves(args):
     g = parse_grid_file(args.grid)
-    with open(args.script, "r", encoding="utf-8") as handle:
-        script = parse_move_script(handle.read())
+    script = parse_move_script(_read_input(args.script))
     result = apply_script(g, script)
     trace = []
     for step in result.trace:
@@ -177,15 +189,24 @@ def _parse_offsets(text, rank):
         raise _UsageError(f"offsets must be comma-separated integers, got {text!r}") from None
 
 
-def _cmd_ledger(args):
-    with open(args.model, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.lineno, e.colno, e.msg) from None
+def _parse_model(text):
+    """A model file: a JSON object with an integer "rank", a list of
+    integers "euler" and a boolean "tight"."""
+    data = _load_json(text)
     if not isinstance(data, dict) or not {"rank", "euler", "tight"} <= set(data):
         raise ParseError(1, 1, 'model file needs the keys "rank", "euler", "tight"')
-    model = ledger_mod.new_model(data["rank"], data["euler"], data["tight"])
+    rank, euler, tight = data["rank"], data["euler"], data["tight"]
+    if not _is_int(rank):
+        raise ParseError(1, 1, '"rank" must be an integer')
+    if not isinstance(euler, list) or not all(_is_int(v) for v in euler):
+        raise ParseError(1, 1, '"euler" must be a list of integers')
+    if not isinstance(tight, bool):
+        raise ParseError(1, 1, '"tight" must be true or false')
+    return ledger_mod.new_model(rank, euler, tight)
+
+
+def _cmd_ledger(args):
+    model = _parse_model(_read_input(args.model))
     s1 = ledger_mod.RelativeSurfaceClass(args.base, _parse_offsets(args.offset1, model.rank))
     s2 = ledger_mod.RelativeSurfaceClass(args.base, _parse_offsets(args.offset2, model.rank))
     payload = {
@@ -202,8 +223,7 @@ def _cmd_ledger(args):
 
 
 def _cmd_cross_sim(args):
-    with open(args.events, "r", encoding="utf-8") as handle:
-        events = simulator.parse_event_script(handle.read())
+    events = simulator.parse_event_script(_read_input(args.events))
     init = [0] * 6
     if args.init is not None:
         parts = args.init.split(",")

@@ -377,11 +377,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_grid_json(text):
+def _load_json(text):
+    """``json.loads`` with every failure as a ParseError: a syntax error
+    at its position, and at 1:1 nesting too deep for the decoder or an
+    integer too long for the interpreter to convert."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.colno, e.msg) from None
+    except (RecursionError, ValueError) as e:
+        raise ParseError(1, 1, f"undecodable JSON: {e}") from None
+
+
+def _parse_grid_json(text):
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError(1, 1, "expected a JSON object")
     if set(data) != {"n", "x", "o"}:

@@ -48,6 +48,7 @@ __all__ = [
     "legendrian_stabilize",
     "apply_move",
     "column_map",
+    "follow",
     "apply_script",
     "parse_move_script",
     "move_to_text",
@@ -327,6 +328,15 @@ def column_map(g_before: GridDiagram, move: GridMove):
     raise BadCell(f"unknown move {move!r}")
 
 
+def follow(g: GridDiagram, move: GridMove, moved: GridDiagram) -> tuple[int, ...]:
+    """For each component of ``g``, its index in ``moved``, the result
+    of applying ``move`` to ``g``: the image of its lowest column under
+    :func:`column_map`."""
+    cmap = column_map(g, move)
+    owner = moved.component_by_column
+    return tuple(owner[cmap(min(comp.columns))] for comp in g.components)
+
+
 @dataclass(frozen=True)
 class TraceStep:
     index: int
@@ -346,8 +356,7 @@ def _snapshot(g, index, move, pair, flags, conv):
     invs = tuple(classical(g, comp.index, conv) for comp in g.components)
     rel = None
     if pair is not None:
-        k = g.component_by_column[pair[0]]
-        j = g.component_by_column[pair[1]]
+        k, j = pair
         if k == j:
             raise SameComponent(f"relative invariants need two distinct components, got {k}")
         rel = RelativeInvariants.between(invs[k], invs[j])
@@ -361,13 +370,12 @@ def apply_script(
     anchored relative triple after every step.
 
     The relative triple follows the first two components of the
-    starting diagram through the moves (component identity is tracked
-    by column, so cyclic translations cannot silently swap the pair).
-    The first illegal step aborts the run with its index.
+    starting diagram through the moves (see :func:`follow`, so cyclic
+    translations cannot silently swap the pair).  A translation that
+    changes a component's cusp counts is flagged ``cusp-change``.  The
+    first illegal step aborts the run with its index.
     """
-    pair = None
-    if len(g.components) >= 2:
-        pair = (min(g.components[0].columns), min(g.components[1].columns))
+    pair = (0, 1) if len(g.components) >= 2 else None
     trace = [_snapshot(g, 0, None, pair, (), conv)]
     current = g
     for idx, move in enumerate(script.moves, start=1):
@@ -375,19 +383,16 @@ def apply_script(
             moved = apply_move(current, move)
         except LegridError as e:
             raise ScriptStepError(idx, e) from e
-        cmap = column_map(current, move)
-        flags = []
+        image = follow(current, move, moved)
+        flags = ()
         if isinstance(move, Translate):
-            before = to_front(current, conv)
-            after = to_front(moved, conv)
-            for comp in current.components:
-                image = moved.component_by_column[cmap(min(comp.columns))]
-                if before.cusps[comp.index] != after.cusps[image]:
-                    flags.append("cusp-change")
-                    break
+            before = to_front(current, conv).cusps
+            after = to_front(moved, conv).cusps
+            if any(before[c] != after[i] for c, i in enumerate(image)):
+                flags = ("cusp-change",)
         if pair is not None:
-            pair = (cmap(pair[0]), cmap(pair[1]))
-        trace.append(_snapshot(moved, idx, move, pair, tuple(flags), conv))
+            pair = (image[pair[0]], image[pair[1]])
+        trace.append(_snapshot(moved, idx, move, pair, flags, conv))
         current = moved
     return ScriptResult(final=current, trace=tuple(trace))
 

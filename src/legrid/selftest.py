@@ -31,11 +31,12 @@ from .invariants import (
 from .moves import (
     Commute,
     LegendrianStab,
+    MoveScript,
     Stabilize,
     Translate,
     apply_move,
-    column_map,
-    legendrian_stabilize,
+    apply_script,
+    follow,
 )
 from .sampling import random_grid, random_link
 
@@ -123,10 +124,10 @@ def _check_stabilization_laws(rng, cases):
             k, j = rng.sample(range(len(g.components)), 2)
             before_k = classical(g, k)
             rel_before = relative_invariants(g, k, j)
-            g2 = legendrian_stabilize(g, k, sign)
-            cmap = column_map(g, LegendrianStab(k, sign))
-            k2 = g2.component_by_column[cmap(min(g.component(k).columns))]
-            j2 = g2.component_by_column[cmap(min(g.component(j).columns))]
+            move = LegendrianStab(k, sign)
+            g2 = apply_move(g, move)
+            image = follow(g, move, g2)
+            k2, j2 = image[k], image[j]
             after_k = classical(g2, k2)
             if after_k.tb != before_k.tb - 1 or after_k.r != before_k.r + sign:
                 failures += 1
@@ -136,11 +137,10 @@ def _check_stabilization_laws(rng, cases):
             if rel_after.tb_rel != rel_before.tb_rel - 1:
                 failures += 1
             # stabilize the reference knot as well: tb_rel recovers
-            g3 = legendrian_stabilize(g2, j2, sign)
-            cmap2 = column_map(g2, LegendrianStab(j2, sign))
-            k3 = g3.component_by_column[cmap2(cmap(min(g.component(k).columns)))]
-            j3 = g3.component_by_column[cmap2(cmap(min(g.component(j).columns)))]
-            if relative_invariants(g3, k3, j3).tb_rel != rel_before.tb_rel:
+            move = LegendrianStab(j2, sign)
+            g3 = apply_move(g2, move)
+            image = follow(g2, move, g3)
+            if relative_invariants(g3, image[k2], image[j2]).tb_rel != rel_before.tb_rel:
                 failures += 1
     return CheckResult("stabilization-laws", 2 * per_sign, failures)
 
@@ -174,28 +174,15 @@ def _check_isotopy_invariance(rng, cases):
         move = _random_isotopy_move(rng, g)
         if move is None:
             continue
-        g2 = apply_move(g, move)
-        cmap = column_map(g, move)
-        if isinstance(move, Translate):
-            before, after = to_front(g), to_front(g2)
-            changed = any(
-                before.cusps[comp.index]
-                != after.cusps[g2.component_by_column[cmap(min(comp.columns))]]
-                for comp in g.components
-            )
-            if changed:
-                continue  # excluded from the front-invariance test set
+        result = apply_script(g, MoveScript((move,)))
+        before, after = result.trace
+        if after.flags:
+            continue  # cusp-changing translations sit outside the front-invariance test set
         done += 1
-        pairs = []
-        for comp in g.components:
-            image = g2.component_by_column[cmap(min(comp.columns))]
-            pairs.append((comp.index, image))
-            if classical(g, comp.index) != classical(g2, image):
-                failures += 1
-        if len(pairs) >= 2:
-            (k, k2), (j, j2) = pairs[0], pairs[1]
-            if relative_invariants(g, k, j) != relative_invariants(g2, k2, j2):
-                failures += 1
+        image = follow(g, move, result.final)
+        failures += sum(inv != after.invariants[i] for inv, i in zip(before.invariants, image))
+        if before.relative != after.relative:
+            failures += 1
     return CheckResult("isotopy-invariance", cases, failures)
 
 

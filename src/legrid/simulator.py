@@ -24,7 +24,7 @@ trace by integer addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift
 
@@ -103,36 +103,27 @@ class IntersectionPattern:
     """Counts of the intersection arcs between the old surface and the
     isotopy annulus, plus the sign of the singular clasp if present.
 
-    ``singular`` normalizes to a tuple of signs; anything longer than
-    one entry is rejected when resolved, since a second singular clasp
-    would force a self-intersection of the embedded surface.
+    ``singular`` is a tuple of clasp signs, each +1 or -1, and empty
+    when there is no singular clasp; anything longer than one entry is
+    rejected when resolved, since a second singular clasp would force a
+    self-intersection of the embedded surface.
     """
 
     circles: int = 0
     ribbon_arcs: int = 0
     boundary_parallel_arcs: int = 0
     clasps: int = 0
-    singular: tuple[int, ...] = field(default=())
+    singular: tuple[int, ...] = ()
 
     def __post_init__(self):
-        raw = self.singular
-        if raw is None:
-            raw = ()
-        elif isinstance(raw, int):
-            raw = (raw,)
-        else:
-            raw = tuple(raw)
-        object.__setattr__(self, "singular", raw)
         for name in ("circles", "ribbon_arcs", "boundary_parallel_arcs", "clasps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not isinstance(self.singular, tuple):
+            raise ValueError(f"singular must be a tuple of signs, got {self.singular!r}")
         for sign in self.singular:
             if sign not in (1, -1):
                 raise ValueError(f"singular clasp sign must be +1 or -1, got {sign}")
-
-    @property
-    def singular_clasp_sign(self):
-        return self.singular[0] if self.singular else None
 
 
 def _fields(s: FramedPairState):

@@ -2,7 +2,9 @@
 line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 The suite is property-based and fully deterministic: every randomized
-criterion draws from its own fixed seed.
+criterion draws from its own fixed seed.  Criteria 1 (its random half)
+to 5 run the ``selftest`` check registry, the one implementation of
+those properties, with seeds and case counts of their own.
 """
 
 import json
@@ -18,16 +20,12 @@ from legrid import (
     CrossingEvent,
     IntersectionPattern,
     IntersectionProfile,
-    OrientationFlag,
     RelativeSurfaceClass,
-    Translate,
     ambiguity,
-    classical,
     cross,
     init_state,
     new_model,
     new_grid,
-    relative_invariants,
     rot_diff,
     run_trace,
     sl_diff,
@@ -37,13 +35,12 @@ from legrid import (
     to_front,
     twist_transfer,
 )
-from legrid.moves import LegendrianStab, apply_move, column_map, legendrian_stabilize
-from legrid.sampling import random_grid, random_link
-from legrid.selftest import _random_isotopy_move
+from legrid.selftest import CHECKS
 
 from helpers import all_marker_lists
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+CHECKS_BY_NAME = {check.__name__.removeprefix("_check_"): check for check in CHECKS}
 
 
 def _report(number, label, ok, detail=""):
@@ -51,6 +48,11 @@ def _report(number, label, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] criterion {number}: {label}{suffix}")
     assert ok, f"criterion {number} failed: {label} {suffix}"
+
+
+def _registry(name, seed, cases):
+    """Run one selftest check on ``random.Random(seed)``."""
+    return CHECKS_BY_NAME[name](random.Random(seed), cases)
 
 
 def test_criterion_1_route_equality():
@@ -65,125 +67,36 @@ def test_criterion_1_route_equality():
                 checked += 1
                 if tb_front(f, comp.index) != tb_grid_oracle(g, comp.index):
                     mismatches += 1
-    rng = random.Random(1)
-    for _ in range(1000):
-        g = random_grid(rng, rng.randint(2, 10))
-        f = to_front(g)
-        for comp in g.components:
-            checked += 1
-            if tb_front(f, comp.index) != tb_grid_oracle(g, comp.index):
-                mismatches += 1
+    result = _registry("route_equality", 1, 1000)
     elapsed = time.monotonic() - start
-    ok = mismatches == 0 and elapsed < 120.0
-    _report(1, "tb routes agree exhaustively (n<=5) and on 1000 random grids (n<=10)",
-            ok, f"{checked} checks, {mismatches} mismatches, {elapsed:.1f}s")
+    ok = mismatches == 0 and (result.cases, result.failures) == (1000, 0) and elapsed < 120.0
+    _report(1, "tb routes agree exhaustively (n<=5) and on 1000 random grids (n<=10)", ok,
+            f"{checked} exhaustive checks, {mismatches} mismatches, "
+            f"{result.failures} random failures, {elapsed:.1f}s")
 
 
 def test_criterion_2_normalization():
-    unknot = classical(new_grid(2, [0, 1], [1, 0]), 0)
-    split = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
-    values = [(unknot.tb, unknot.r)]
-    values += [(classical(split, c).tb, classical(split, c).r) for c in (0, 1)]
-    ok = all(v == (-1, 0) for v in values)
+    result = _registry("normalization", 2, 0)
     _report(2, "2x2 unknot and both split 4x4 components give (tb, r) = (-1, 0)",
-            ok, f"values {values}")
+            (result.cases, result.failures) == (3, 0), f"{result.failures} failures")
 
 
 def test_criterion_3_stabilization_laws():
-    rng = random.Random(3)
-    failures = 0
-    for sign in (1, -1):
-        for _ in range(200):
-            g = random_link(rng, rng.randint(4, 8))
-            k, j = rng.sample(range(len(g.components)), 2)
-            anchor_k = min(g.component(k).columns)
-            anchor_j = min(g.component(j).columns)
-            before = classical(g, k)
-            rel_before = relative_invariants(g, k, j)
-
-            g2 = legendrian_stabilize(g, k, sign)
-            m1 = column_map(g, LegendrianStab(k, sign))
-            k2 = g2.component_by_column[m1(anchor_k)]
-            j2 = g2.component_by_column[m1(anchor_j)]
-            after = classical(g2, k2)  # classical() re-checks both tb routes
-            if after.tb != before.tb - 1 or after.r != before.r + sign:
-                failures += 1
-            rel_mid = relative_invariants(g2, k2, j2)
-            if rel_mid.r_rel != rel_before.r_rel + sign:
-                failures += 1
-            if rel_mid.tb_rel != rel_before.tb_rel - 1:
-                failures += 1
-
-            g3 = legendrian_stabilize(g2, j2, sign)
-            m2 = column_map(g2, LegendrianStab(j2, sign))
-            k3 = g3.component_by_column[m2(m1(anchor_k))]
-            j3 = g3.component_by_column[m2(m1(anchor_j))]
-            if relative_invariants(g3, k3, j3).tb_rel != rel_before.tb_rel:
-                failures += 1
+    result = _registry("stabilization_laws", 3, 400)
     _report(3, "stabilization laws exact on 200 seeded diagrams per sign",
-            failures == 0, f"{failures} failures")
+            (result.cases, result.failures) == (400, 0), f"{result.failures} failures")
 
 
 def test_criterion_4_isotopy_invariance():
-    rng = random.Random(4)
-    failures = 0
-    done = 0
-    excluded = 0
-    while done < 500:
-        g = random_grid(rng, rng.randint(3, 8))
-        move = _random_isotopy_move(rng, g)
-        if move is None:
-            continue
-        g2 = apply_move(g, move)
-        cmap = column_map(g, move)
-        if isinstance(move, Translate):
-            before, after = to_front(g), to_front(g2)
-            if any(
-                before.cusps[comp.index]
-                != after.cusps[g2.component_by_column[cmap(min(comp.columns))]]
-                for comp in g.components
-            ):
-                excluded += 1  # cusp-changing translations sit outside the test set
-                continue
-        done += 1
-        matched = [
-            (comp.index, g2.component_by_column[cmap(min(comp.columns))])
-            for comp in g.components
-        ]
-        for old, new in matched:
-            if classical(g, old) != classical(g2, new):
-                failures += 1
-        if len(matched) >= 2:
-            (k, k2), (j, j2) = matched[0], matched[1]
-            if relative_invariants(g, k, j) != relative_invariants(g2, k2, j2):
-                failures += 1
+    result = _registry("isotopy_invariance", 4, 500)
     _report(4, "500 random legal isotopy moves preserve (tb, r, sl) and the relative triple",
-            failures == 0, f"{failures} exceptions, {excluded} cusp-changing translations excluded")
+            (result.cases, result.failures) == (500, 0), f"{result.failures} failures")
 
 
 def test_criterion_5_relative_algebra():
-    rng = random.Random(5)
-    failures = 0
-    for _ in range(200):
-        g = random_link(rng, rng.randint(6, 9), min_components=3)
-        k, l, j = rng.sample(range(len(g.components)), 3)
-        kj = relative_invariants(g, k, j)
-        jk = relative_invariants(g, j, k)
-        if kj.triple != tuple(-v for v in jk.triple):
-            failures += 1
-        kl = relative_invariants(g, k, l)
-        lj = relative_invariants(g, l, j)
-        if kj.triple != tuple(a + b for a, b in zip(kl.triple, lj.triple)):
-            failures += 1
-        flipped = relative_invariants(g, k, j, OrientationFlag().flipped())
-        if (flipped.tb_rel, flipped.r_rel, flipped.sl_rel) != (
-            kj.tb_rel,
-            -kj.r_rel,
-            -kj.sl_rel,
-        ):
-            failures += 1
+    result = _registry("relative_algebra", 5, 200)
     _report(5, "antisymmetry, additivity and orientation flips exact on 200 diagrams",
-            failures == 0, f"{failures} failures")
+            (result.cases, result.failures) == (200, 0), f"{result.failures} failures")
 
 
 def test_criterion_6_ledger():

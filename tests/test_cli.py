@@ -178,14 +178,14 @@ class TestCrossSim:
                     events.append(CrossingEvent(sign))
                 else:
                     counts = [rng.choice((0, 1, 3, 10**6)) for _ in range(4)]
-                    sign = rng.choice((None, 1, -1))
+                    singular = rng.choice(((), (1,), (-1,)))
                     lines.append(
                         "pattern circles=%d ribbon=%d bparallel=%d clasps=%d singular=%s"
-                        % (*counts, {None: "none", 1: "+", -1: "-"}[sign])
+                        % (*counts, {(): "none", (1,): "+", (-1,): "-"}[singular])
                     )
                     events.append(IntersectionPattern(
                         circles=counts[0], ribbon_arcs=counts[1],
-                        boundary_parallel_arcs=counts[2], clasps=counts[3], singular=sign,
+                        boundary_parallel_arcs=counts[2], clasps=counts[3], singular=singular,
                     ))
                 if rng.random() < 0.05:
                     lines.append("  # comment")
@@ -324,6 +324,82 @@ print(raised(lambda: sim.run_trace(sim.init_state(), [sim.CrossingEvent(1)])))
             [sys.executable, "-O", "-c", code], capture_output=True, env=env, text=True, check=True
         )
         assert run.stdout.split() == ["ParityViolation", "ParityViolation", "TripleDrift"]
+
+
+def _single_json_error(err):
+    """stderr must hold exactly one JSON error object and no traceback."""
+    assert "Traceback" not in err
+    return json.loads(err)["error"]
+
+
+# Each verb's argv: ``{}`` is the input file under test, SCRIPT and GRID
+# a valid move script and grid for the other file of ``moves``.
+FILE_VERBS = {
+    "inv": ["inv", "{}"],
+    "rel": ["rel", "{}", "--pair", "0,1"],
+    "moves-grid": ["moves", "{}", "SCRIPT"],
+    "moves-script": ["moves", "GRID", "{}"],
+    "cross-sim": ["cross-sim", "{}"],
+    "ledger": ["ledger", "{}"],
+}
+
+
+def _argv(verb, path, unknot_file, tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_text("translate up\n")
+    swap = {"{}": str(path), "SCRIPT": str(script), "GRID": unknot_file}
+    return [swap.get(arg, arg) for arg in FILE_VERBS[verb]]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("verb", sorted(FILE_VERBS))
+    def test_undecodable_file_is_a_parse_error(self, capsys, tmp_path, unknot_file, verb):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xc3\xa9\n  caf\xe9\n")
+        code, out, err = run_cli(capsys, *_argv(verb, path, unknot_file, tmp_path))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert (error["type"], error["line"], error["column"]) == ("ParseError", 2, 6)
+
+    @pytest.mark.parametrize("verb", ["inv", "rel", "moves-grid", "ledger"])
+    def test_too_deep_json_is_a_parse_error(self, capsys, tmp_path, unknot_file, verb):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": ' + "[" * 100_000)
+        code, out, err = run_cli(capsys, *_argv(verb, path, unknot_file, tmp_path))
+        assert (code, out) == (1, "")
+        assert _single_json_error(err)["type"] == "ParseError"
+
+    def test_carriage_returns_end_lines(self, capsys, tmp_path):
+        # Files are read with universal newlines: a lone CR ends a line
+        # in JSON error positions too.
+        path = tmp_path / "cr.json"
+        path.write_bytes(b'{"n": 2,\r"x": [0, 1],\r\n"o": [1, 0],}')
+        code, _, err = run_cli(capsys, "inv", str(path))
+        assert code == 1
+        assert _single_json_error(err)["line"] == 3
+
+
+class TestLedgerModel:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rank": "2", "euler": [4, 6], "tight": false}',
+            '{"rank": 2.0, "euler": [4, 6], "tight": false}',
+            '{"rank": true, "euler": [4], "tight": false}',
+            '{"rank": 1, "euler": 5, "tight": false}',
+            '{"rank": 1, "euler": ["a"], "tight": false}',
+            '{"rank": 1, "euler": [null], "tight": false}',
+            '{"rank": 1, "euler": [true], "tight": false}',
+            '{"rank": 2, "euler": [4, 6], "tight": "false"}',
+            '{"rank": 2, "euler": [4, 6], "tight": 0}',
+        ],
+    )
+    def test_field_of_the_wrong_type_is_a_parse_error(self, capsys, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1,0")
+        assert (code, out) == (1, "")
+        assert _single_json_error(err)["type"] == "ParseError"
 
 
 class TestSelftest:

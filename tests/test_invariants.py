@@ -21,8 +21,6 @@ from legrid import (
 )
 from legrid.sampling import random_grid, random_knot, random_link
 
-from helpers import all_marker_lists
-
 UNKNOT = new_grid(2, [0, 1], [1, 0])
 SPLIT = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
 TREFOIL = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
@@ -33,11 +31,6 @@ class TestNormalization:
         inv = classical(UNKNOT, 0)
         assert (inv.tb, inv.r, inv.sl_pos, inv.sl_neg) == (-1, 0, -1, -1)
 
-    def test_split_components(self):
-        for c in (0, 1):
-            inv = classical(SPLIT, c)
-            assert (inv.tb, inv.r) == (-1, 0)
-
     def test_trefoil_frozen_values(self):
         # Writhe -3, two up cusps, four down cusps: the maximal-tb
         # representative of this trefoil chirality.
@@ -46,14 +39,6 @@ class TestNormalization:
 
 
 class TestRouteEquality:
-    def test_exhaustive_small(self):
-        for n in (2, 3, 4):
-            for xs, os in all_marker_lists(n):
-                g = new_grid(n, xs, os)
-                f = to_front(g)
-                for comp in g.components:
-                    assert tb_front(f, comp.index) == tb_grid_oracle(g, comp.index)
-
     def test_random_larger(self):
         rng = random.Random(5)
         for _ in range(200):

@@ -19,6 +19,7 @@ from legrid import (
     column_map,
     commute,
     destabilize_grid,
+    follow,
     legendrian_stabilize,
     linking_number,
     move_to_text,
@@ -35,15 +36,6 @@ from legrid.sampling import random_grid, random_link
 from helpers import all_marker_lists, brute_linking
 
 UNKNOT = new_grid(2, [0, 1], [1, 0])
-
-
-def _matched(g, g2, move):
-    """Pairs (component of g, matching component of g2) under a move."""
-    cmap = column_map(g, move)
-    return [
-        (comp.index, g2.component_by_column[cmap(min(comp.columns))])
-        for comp in g.components
-    ]
 
 
 class TestTranslate:
@@ -68,9 +60,9 @@ class TestTranslate:
             g = random_link(rng, rng.randint(4, 8))
             d = rng.choice(("up", "down", "left", "right"))
             g2 = translate(g, d)
-            pairs = dict(_matched(g, g2, Translate(d)))
+            image = follow(g, Translate(d), g2)
             a, b = rng.sample(range(len(g.components)), 2)
-            assert linking_number(g2, pairs[a], pairs[b]) == brute_linking(
+            assert linking_number(g2, image[a], image[b]) == brute_linking(
                 list(g.xs), list(g.os), a, b
             )
 
@@ -106,7 +98,7 @@ class TestCommute:
             except InterleavingSpans:
                 continue
             done += 1
-            for old, new in _matched(g, g2, Commute(axis, i)):
+            for old, new in enumerate(follow(g, Commute(axis, i), g2)):
                 assert classical(g, old) == classical(g2, new)
 
     def test_interleaving_rejected(self):
@@ -228,6 +220,34 @@ class TestLegendrianStabilize:
                     j3 = g3.component_by_column[m2(m1(anchor_j))]
                     after = relative_invariants(g3, k3, j3)
                     assert after.tb_rel == before.tb_rel
+
+
+class TestFollow:
+    def test_every_column_lands_on_the_followed_component(self):
+        # Following by the lowest column gives the component that every
+        # other column of the strand lands on, for every move kind.
+        rng = random.Random(14)
+        for _ in range(300):
+            g = random_link(rng, rng.randint(4, 8))
+            c = rng.randrange(g.n)
+            stabilized = stabilize_grid(g, "X", c, rng.choice(("NE", "NW", "SE", "SW")))
+            cases = [
+                (g, Translate(rng.choice(("up", "down", "left", "right")))),
+                (g, Stabilize(rng.choice(("X", "O")), c, rng.choice(("NE", "NW", "SE", "SW")))),
+                (g, LegendrianStab(rng.randrange(len(g.components)), rng.choice((1, -1)))),
+                (stabilized, Destabilize(c)),
+            ]
+            commute_move = _legal_isotopy_move(rng, g)
+            if isinstance(commute_move, Commute):
+                cases.append((g, commute_move))
+            for before, move in cases:
+                moved = apply_move(before, move)
+                image = follow(before, move, moved)
+                assert sorted(image) == list(range(len(moved.components)))
+                cmap = column_map(before, move)
+                for comp in before.components:
+                    owners = {moved.component_by_column[cmap(col)] for col in comp.columns}
+                    assert owners == {image[comp.index]}
 
 
 class TestApplyScript:

@@ -98,7 +98,7 @@ class TestResolvePattern:
         for _ in range(50):
             s = init_state(*(rng.randint(-5, 5) for _ in range(6)))
             eps = rng.choice((1, -1))
-            out, log = resolve_pattern(IntersectionPattern(singular=eps), s)
+            out, log = resolve_pattern(IntersectionPattern(singular=(eps,)), s)
             assert out == cross(s, CrossingEvent(eps))
             assert len(log) == 1
 
@@ -113,7 +113,7 @@ class TestResolvePattern:
 
     def test_log_ordering(self):
         pattern = IntersectionPattern(
-            circles=1, ribbon_arcs=1, boundary_parallel_arcs=1, clasps=1, singular=-1
+            circles=1, ribbon_arcs=1, boundary_parallel_arcs=1, clasps=1, singular=(-1,)
         )
         _, log = resolve_pattern(pattern, init_state())
         kinds = [entry.split()[0] for entry in log]
@@ -127,10 +127,11 @@ class TestResolvePattern:
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
             IntersectionPattern(circles=-1)
-        with pytest.raises(ValueError):
-            IntersectionPattern(singular=3)
-        assert IntersectionPattern(singular=None).singular_clasp_sign is None
-        assert IntersectionPattern(singular=-1).singular_clasp_sign == -1
+        for singular in (3, -1, None, [1], (2,)):
+            with pytest.raises(ValueError):
+                IntersectionPattern(singular=singular)
+        assert IntersectionPattern().singular == ()
+        assert IntersectionPattern(singular=(-1,)).singular == (-1,)
 
 
 class TestRunTrace:
@@ -193,7 +194,7 @@ class TestRunTrace:
             run_trace(init_state(), [IntersectionPattern(ribbon_arcs=1), CrossingEvent(1)])
 
     def test_huge_ribbon_count_replays_in_closed_form(self):
-        pattern = IntersectionPattern(circles=10**9, ribbon_arcs=10**9, clasps=10**9, singular=-1)
+        pattern = IntersectionPattern(circles=10**9, ribbon_arcs=10**9, clasps=10**9, singular=(-1,))
         s0 = init_state(1, 2, 3, 4, 5, 6)
         trace = run_trace(s0, [pattern, CrossingEvent(1)])
         assert trace[1] == FramedPairState(2 + 10**9, 3 + 10**9, 4, 5, 4, 5)
@@ -265,7 +266,7 @@ class TestEventParsing:
             circles=2, ribbon_arcs=3, boundary_parallel_arcs=0, clasps=1, singular=(-1,)
         )
         assert events[2] == CrossingEvent(-1)
-        assert events[3].singular_clasp_sign is None
+        assert events[3] == IntersectionPattern()
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as exc:
