@@ -86,10 +86,8 @@ from .simulator import (
     FramedPairState,
     IntersectionPattern,
     cross,
-    init_state,
     parse_event_script,
     replay,
-    resolve_pattern,
     run_trace,
 )
 

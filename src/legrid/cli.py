@@ -19,7 +19,7 @@ import sys
 from . import ledger as ledger_mod
 from . import simulator
 from .errors import LegridError, ParseError
-from .grid import Convention, GridDiagram, _is_int, _load_json, parse_grid
+from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, move_to_text, parse_move_script
 from .selftest import run_selftest
@@ -37,16 +37,30 @@ class _Parser(argparse.ArgumentParser):
         # No option looks like a number, so a value such as "-5,3,0" (a
         # comma-separated list starting with a negative entry) is read as
         # a value, not as an unknown option.
-        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-[0-9]+(,-?[0-9]+)*$|^-[0-9]*\.[0-9]+$")
 
     def error(self, message):
         raise _UsageError(message)
 
 
+def _int_arg(text):
+    """argparse type for integer options, with argparse's own message."""
+    try:
+        return _int_token(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _read_input(path) -> str:
     """Read an input file as UTF-8 text with universal newlines.  Bytes
-    that are not UTF-8 are a ParseError at their line and column."""
-    with open(path, "rb") as handle:
+    that are not UTF-8 are a ParseError at their line and column.  A
+    path that no file can have (a NUL byte, a lone surrogate) is an
+    OSError like a missing file."""
+    try:
+        handle = open(path, "rb")
+    except ValueError as e:
+        raise OSError(f"cannot open {path!r}: {e}") from None
+    with handle:
         data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return data.decode("utf-8")
@@ -121,7 +135,7 @@ def _parse_pair(text):
     if len(parts) != 2:
         raise _UsageError(f"--pair expects two comma-separated indices, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return _int_token(parts[0]), _int_token(parts[1])
     except ValueError:
         raise _UsageError(f"--pair expects integers, got {text!r}") from None
 
@@ -184,17 +198,17 @@ def _parse_offsets(text, rank):
     if text == "":
         return ()
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(_int_token(v) for v in text.split(","))
     except ValueError:
         raise _UsageError(f"offsets must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_model(text):
     """A model file: a JSON object with an integer "rank", a list of
-    integers "euler" and a boolean "tight"."""
+    integers "euler" and a boolean "tight", and no other key."""
     data = _load_json(text)
-    if not isinstance(data, dict) or not {"rank", "euler", "tight"} <= set(data):
-        raise ParseError(1, 1, 'model file needs the keys "rank", "euler", "tight"')
+    if not isinstance(data, dict) or set(data) != {"rank", "euler", "tight"}:
+        raise ParseError(1, 1, 'model file needs exactly the keys "rank", "euler", "tight"')
     rank, euler, tight = data["rank"], data["euler"], data["tight"]
     if not _is_int(rank):
         raise ParseError(1, 1, '"rank" must be an integer')
@@ -224,16 +238,15 @@ def _cmd_ledger(args):
 
 def _cmd_cross_sim(args):
     events = simulator.parse_event_script(_read_input(args.events))
-    init = [0] * 6
+    s0 = simulator.FramedPairState()
     if args.init is not None:
         parts = args.init.split(",")
         if len(parts) != 6:
             raise _UsageError("--init expects six comma-separated integers")
         try:
-            init = [int(v) for v in parts]
+            s0 = simulator.FramedPairState._make(map(_int_token, parts))
         except ValueError:
             raise _UsageError("--init expects integers") from None
-    s0 = simulator.init_state(*init)
     rows = simulator.replay(s0, events)
     if args.pretty:
         headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
@@ -285,7 +298,7 @@ def _build_parser():
 
     inv = sub.add_parser("inv", help="classical invariants per component")
     inv.add_argument("grid")
-    inv.add_argument("--component", type=int, default=None)
+    inv.add_argument("--component", type=_int_arg, default=None)
     inv.add_argument("--conv", default=Convention.NW_SE.value,
                      choices=[c.value for c in Convention])
     inv.add_argument("--pretty", action="store_true")
@@ -319,8 +332,8 @@ def _build_parser():
     sim.set_defaults(func=_cmd_cross_sim)
 
     selftest = sub.add_parser("selftest", help="run the deterministic property suite")
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--cases", type=int, default=200)
+    selftest.add_argument("--seed", type=_int_arg, default=0)
+    selftest.add_argument("--cases", type=_int_arg, default=200)
     selftest.add_argument("--pretty", action="store_true")
     selftest.set_defaults(func=_cmd_selftest)
 

@@ -377,6 +377,19 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_token(text):
+    """The integer a text format writes: ASCII digits with an optional
+    sign, inside optional surrounding whitespace.  Anything else raises
+    ValueError, including what ``int()`` alone also takes (``0_2``,
+    non-ASCII digits such as Arabic-Indic ``١``).  On ASCII text without
+    underscores, ``int()`` takes exactly that form, and both checks are
+    cheaper than a regular expression."""
+    token = text.strip()
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(token)
+
+
 def _load_json(text):
     """``json.loads`` with every failure as a ParseError: a syntax error
     at its position, and at 1:1 nesting too deep for the decoder or an
@@ -413,11 +426,10 @@ def _int_list(line_no, line, key):
     body = line[offset:].rstrip("\n")
     pos = 0
     for part in body.split(","):
-        token = part.strip()
         try:
-            values.append(int(token))
+            values.append(_int_token(part))
         except ValueError:
-            raise ParseError(line_no, offset + pos + 1, f"not an integer: {token!r}") from None
+            raise ParseError(line_no, offset + pos + 1, f"not an integer: {part.strip()!r}") from None
         pos += len(part) + 1
     return values
 
@@ -439,7 +451,7 @@ def _parse_grid_text(text):
     if not stripped.startswith("n="):
         raise ParseError(ln_n, 1, "expected n=<int>")
     try:
-        n = int(stripped[2:].strip())
+        n = _int_token(stripped[2:])
     except ValueError:
         raise ParseError(ln_n, 3, f"not an integer: {stripped[2:].strip()!r}") from None
     xs = _int_list(ln_x, line_x, "X")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import BadCell, InterleavingSpans, LegridError, ParseError, SameComponent, ScriptStepError
-from .grid import Convention, GridDiagram, new_grid, to_front
+from .grid import Convention, GridDiagram, _int_token, new_grid, to_front
 from .invariants import ClassicalInvariants, RelativeInvariants, classical
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "apply_move",
     "column_map",
     "follow",
+    "changes_cusps",
     "apply_script",
     "parse_move_script",
     "move_to_text",
@@ -337,6 +338,20 @@ def follow(g: GridDiagram, move: GridMove, moved: GridDiagram) -> tuple[int, ...
     return tuple(owner[cmap(min(comp.columns))] for comp in g.components)
 
 
+def changes_cusps(
+    g: GridDiagram, move: GridMove, moved: GridDiagram, image, conv: Convention = Convention.NW_SE
+) -> bool:
+    """Whether ``move``, taking ``g`` to ``moved`` with components
+    mapped by ``image`` (see :func:`follow`), is a translation that
+    changes some component's cusp counts: the step that
+    :func:`apply_script` flags ``cusp-change``."""
+    if not isinstance(move, Translate):
+        return False
+    before = to_front(g, conv).cusps
+    after = to_front(moved, conv).cusps
+    return any(before[c] != after[i] for c, i in enumerate(image))
+
+
 @dataclass(frozen=True)
 class TraceStep:
     index: int
@@ -384,12 +399,7 @@ def apply_script(
         except LegridError as e:
             raise ScriptStepError(idx, e) from e
         image = follow(current, move, moved)
-        flags = ()
-        if isinstance(move, Translate):
-            before = to_front(current, conv).cusps
-            after = to_front(moved, conv).cusps
-            if any(before[c] != after[i] for c, i in enumerate(image)):
-                flags = ("cusp-change",)
+        flags = ("cusp-change",) if changes_cusps(current, move, moved, image, conv) else ()
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
         trace.append(_snapshot(moved, idx, move, pair, flags, conv))
@@ -417,7 +427,7 @@ def move_to_text(move: GridMove) -> str:
 
 def _parse_int(token, line_no, what):
     try:
-        return int(token)
+        return _int_token(token)
     except ValueError:
         raise ParseError(line_no, 1, f"{what} must be an integer, got {token!r}") from None
 

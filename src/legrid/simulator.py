@@ -11,44 +11,45 @@ triple
     tb_rel = tw_K - tw_J,  r_rel = w_K - w_J,  sl_rel = sK - sJ
 
 never moves even though every individual field does.  Surface
-reconstruction after a crossing is refined by
-:func:`resolve_pattern`: circles and boundary-parallel arcs are plain
-interior isotopies, each ribbon arc adds one twist on both boundaries
-(cancelling in tb_rel), clasps change nothing at the boundaries, and
-the unique singular clasp carries the full crossing-event shift.
+reconstruction after a crossing is an :class:`IntersectionPattern`,
+whose resolution also shifts the state by a fixed amount.
 
-So every event shifts the state by a fixed amount, wherever it occurs;
-:func:`replay` finds that shift once per distinct event and replays a
-trace by integer addition.
+Every event carries its shift (``event.shift``, a 6-tuple of ints),
+wherever it occurs: :func:`cross` applies it to one state, and
+:func:`replay` finds it once per distinct event and replays a trace by
+integer addition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+from typing import NamedTuple
 
 from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift
+from .grid import _int_token
 
 __all__ = [
     "FramedPairState",
     "CrossingEvent",
     "IntersectionPattern",
-    "init_state",
     "cross",
-    "resolve_pattern",
     "replay",
     "run_trace",
     "parse_event_script",
 ]
 
 
-@dataclass(frozen=True)
-class FramedPairState:
-    tw_K: int
-    tw_J: int
-    w_K: int
-    w_J: int
-    sK: int
-    sJ: int
+class FramedPairState(NamedTuple):
+    """The six boundary fields, each 0 unless given; as a tuple it is
+    the row that :func:`replay` yields."""
+
+    tw_K: int = 0
+    tw_J: int = 0
+    w_K: int = 0
+    w_J: int = 0
+    sK: int = 0
+    sJ: int = 0
 
     @property
     def tb_rel(self):
@@ -67,10 +68,6 @@ class FramedPairState:
         return (self.tb_rel, self.r_rel, self.sl_rel)
 
 
-def init_state(tw_K=0, tw_J=0, w_K=0, w_J=0, sK=0, sJ=0) -> FramedPairState:
-    return FramedPairState(tw_K, tw_J, w_K, w_J, sK, sJ)
-
-
 @dataclass(frozen=True)
 class CrossingEvent:
     """One transverse crossing of the moving knot through the fixed
@@ -82,20 +79,12 @@ class CrossingEvent:
         if self.sign not in (1, -1):
             raise ValueError(f"crossing sign must be +1 or -1, got {self.sign}")
 
-
-def cross(s: FramedPairState, e: CrossingEvent) -> FramedPairState:
-    """Apply one crossing event.  Twists and windings shift by the
-    negated sign, intersection counts by the sign itself; the relative
-    triple is unchanged."""
-    eps = e.sign
-    return FramedPairState(
-        tw_K=s.tw_K - eps,
-        tw_J=s.tw_J - eps,
-        w_K=s.w_K - eps,
-        w_J=s.w_J - eps,
-        sK=s.sK + eps,
-        sJ=s.sJ + eps,
-    )
+    @property
+    def shift(self):
+        """Twists and windings shift by the negated sign, intersection
+        counts by the sign itself; the relative triple is unchanged."""
+        e = self.sign
+        return (-e, -e, -e, -e, e, e)
 
 
 @dataclass(frozen=True)
@@ -107,6 +96,13 @@ class IntersectionPattern:
     when there is no singular clasp; anything longer than one entry is
     rejected when resolved, since a second singular clasp would force a
     self-intersection of the embedded surface.
+
+    Resolution order: circles, boundary-parallel arcs, ribbon arcs,
+    clasps, then the singular clasp, innermost arcs first within each
+    class.  Circles are cut and pasted and boundary-parallel arcs are
+    interior isotopies; clasps resolve away from the fixed knot.  Only
+    ribbon arcs (one twist on each boundary) and the singular clasp (the
+    full crossing shift) move any field.
     """
 
     circles: int = 0
@@ -125,52 +121,23 @@ class IntersectionPattern:
             if sign not in (1, -1):
                 raise ValueError(f"singular clasp sign must be +1 or -1, got {sign}")
 
-
-def _fields(s: FramedPairState):
-    return (s.tw_K, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
-
-
-_ZERO = FramedPairState(0, 0, 0, 0, 0, 0)
-
-
-def _pattern_shift(p: IntersectionPattern):
-    """The fixed shift of a pattern: +ribbon_arcs on both twists, plus
-    the crossing shift of the singular clasp.  O(1) whatever the
-    counts."""
-    if len(p.singular) > 1:
-        raise MultipleSingularClasps(
-            f"at most one singular clasp is possible, got {len(p.singular)}"
-        )
-    r = p.ribbon_arcs
-    if not p.singular:
-        return (r, r, 0, 0, 0, 0)
-    d = _fields(cross(_ZERO, CrossingEvent(p.singular[0])))
-    return (d[0] + r, d[1] + r) + d[2:]
+    @property
+    def shift(self):
+        """+ribbon_arcs on both twists, plus the crossing shift of the
+        singular clasp; O(1) whatever the counts.  Several singular
+        clasps raise :class:`MultipleSingularClasps`."""
+        if len(self.singular) > 1:
+            raise MultipleSingularClasps(
+                f"at most one singular clasp is possible, got {len(self.singular)}"
+            )
+        r = self.ribbon_arcs
+        clasp = CrossingEvent(self.singular[0]).shift if self.singular else (0,) * 6
+        return tuple(map(add, (r, r, 0, 0, 0, 0), clasp))
 
 
-def resolve_pattern(p: IntersectionPattern, s: FramedPairState):
-    """Resolve an intersection pattern, innermost arcs first within
-    each class, and return the new state plus the resolution log.
-
-    Order: circles, boundary-parallel arcs, ribbon arcs, clasps, then
-    the singular clasp.  Only ribbon arcs (one twist on each boundary)
-    and the singular clasp (the full crossing shift) move any field.
-    The log has one entry per arc, so it costs O(counts); the state
-    does not, and :func:`replay` never builds the log.
-    """
-    state = FramedPairState(*(a + b for a, b in zip(_fields(s), _pattern_shift(p))))
-    log = []
-    for i in range(p.circles):
-        log.append(f"circle {i}: cut-and-paste, no framing effect")
-    for i in range(p.boundary_parallel_arcs):
-        log.append(f"boundary-parallel arc {i}: interior isotopy, no framing effect")
-    for i in range(p.ribbon_arcs):
-        log.append(f"ribbon arc {i}: one twist on each boundary")
-    for i in range(p.clasps):
-        log.append(f"clasp {i}: resolved away from the fixed knot, no framing effect")
-    if p.singular:
-        log.append(f"singular clasp: crossing shift of sign {p.singular[0]:+d}")
-    return state, tuple(log)
+def cross(s: FramedPairState, event: CrossingEvent | IntersectionPattern) -> FramedPairState:
+    """Apply one event, a crossing or a pattern, to a state."""
+    return FramedPairState._make(map(add, s, event.shift))
 
 
 def replay(s0: FramedPairState, events):
@@ -179,13 +146,11 @@ def replay(s0: FramedPairState, events):
 
     Returns an iterator over the states, each a plain tuple
     ``(tw_K, tw_J, w_K, w_J, sK, sJ)``, starting with ``s0``.  Each
-    event's shift is taken once per distinct event from :func:`cross`
-    (for a pattern: its ribbon arcs plus the singular clasp's crossing)
-    applied to the zero state.  Every shift is checked before the first
-    state comes out: one that would move the relative triple raises
-    :class:`TripleDrift` naming the first event with that shift, and a
-    pattern with several singular clasps raises :class:`ScriptStepError`
-    with its index.
+    event's ``shift`` is read once per distinct event.  Every shift is
+    checked before the first state comes out: one that would move the
+    relative triple raises :class:`TripleDrift` naming the first event
+    with that shift, and a pattern with several singular clasps raises
+    :class:`ScriptStepError` with its index.
     """
     triple = s0.triple
     found = {}
@@ -193,22 +158,19 @@ def replay(s0: FramedPairState, events):
     for idx, event in enumerate(events):
         shift = found.get(event)
         if shift is None:
-            if isinstance(event, CrossingEvent):
-                shift = _fields(cross(_ZERO, event))
-            elif isinstance(event, IntersectionPattern):
-                try:
-                    shift = _pattern_shift(event)
-                except MultipleSingularClasps as err:
-                    raise ScriptStepError(idx, err) from err
-            else:
+            if not isinstance(event, (CrossingEvent, IntersectionPattern)):
                 raise TypeError(f"event {idx} is neither a crossing nor a pattern: {event!r}")
+            try:
+                shift = event.shift
+            except MultipleSingularClasps as err:
+                raise ScriptStepError(idx, err) from err
             a, b, c, d, e, f = shift
             if a != b or c != d or e != f:
                 moved = (triple[0] + a - b, triple[1] + c - d, triple[2] + e - f)
                 raise TripleDrift(f"event {idx}: relative triple moved from {triple} to {moved}")
             found[event] = shift
         shifts.append(shift)
-    return _accumulate(_fields(s0), shifts)
+    return _accumulate(tuple(s0), shifts)
 
 
 def _accumulate(start, shifts):
@@ -227,7 +189,7 @@ def _accumulate(start, shifts):
 def run_trace(s0: FramedPairState, events) -> tuple[FramedPairState, ...]:
     """Replay events (see :func:`replay`) and return every state,
     ``s0`` first; the relative triple is the same in all of them."""
-    return tuple(FramedPairState(*row) for row in replay(s0, events))
+    return tuple(map(FramedPairState._make, replay(s0, events)))
 
 
 def _parse_sign(token, line_no):
@@ -282,7 +244,7 @@ def _parse_event(line, line_no):
     counts = {}
     for key in _PATTERN_KEYS[:-1]:
         try:
-            counts[key] = int(fields[key])
+            counts[key] = _int_token(fields[key])
         except ValueError:
             raise ParseError(line_no, 1, f"{key} must be an integer") from None
         if counts[key] < 0:

@@ -1,13 +1,16 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and an
+event-script writer.
 
-Everything here works straight from the raw marker lists so that it
-shares no code with the library paths it checks.  Verticals join the O
+The oracles work straight from the raw marker lists so that they
+share no code with the library paths they check.  Verticals join the O
 to the X of each column, horizontals the X to the O of each row,
 vertical strands cross over horizontal ones, and a crossing is +1 when
 (over direction, under direction) is a positively oriented frame.
 """
 
 from itertools import permutations
+
+from legrid import CrossingEvent
 
 
 def trace_components(xs, os):
@@ -71,3 +74,24 @@ def all_marker_lists(n):
         for os in permutations(range(n)):
             if all(x != o for x, o in zip(xs, os)):
                 yield list(xs), list(os)
+
+
+def _sign_text(sign):
+    return "+" if sign > 0 else "-"
+
+
+def event_to_text(event):
+    """One line of the event-script format for a crossing or a pattern
+    with at most one singular clasp: the inverse of the event parser.
+    Only tests write event scripts, so the writer lives here."""
+    if isinstance(event, CrossingEvent):
+        return "cross " + _sign_text(event.sign)
+    singular = _sign_text(event.singular[0]) if event.singular else "none"
+    return (
+        f"pattern circles={event.circles} ribbon={event.ribbon_arcs} "
+        f"bparallel={event.boundary_parallel_arcs} clasps={event.clasps} singular={singular}"
+    )
+
+
+def write_events(events):
+    return "".join(event_to_text(event) + "\n" for event in events)

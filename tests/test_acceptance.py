@@ -18,12 +18,12 @@ from itertools import product
 
 from legrid import (
     CrossingEvent,
+    FramedPairState,
     IntersectionPattern,
     IntersectionProfile,
     RelativeSurfaceClass,
     ambiguity,
     cross,
-    init_state,
     new_model,
     new_grid,
     rot_diff,
@@ -148,7 +148,7 @@ def test_criterion_7_crossing_simulator():
     rng = random.Random(7)
     failures = 0
     for _ in range(1000):
-        s0 = init_state(*(rng.randint(-5, 5) for _ in range(6)))
+        s0 = FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
         length = rng.randint(0, 1000)
         events = []
         for _ in range(length):
@@ -176,7 +176,7 @@ def test_criterion_7_crossing_simulator():
         if cross(cross(s0, CrossingEvent(-1)), CrossingEvent(1)) != s0:
             failures += 1
     # non-vacuousness: one +1 event moves every field
-    s0 = init_state()
+    s0 = FramedPairState()
     s1 = cross(s0, CrossingEvent(1))
     if not all(
         getattr(s1, f) != getattr(s0, f)

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from legrid.cli import _table, main, parse_grid_file
-from legrid import CrossingEvent, IntersectionPattern, NotAPermutation, init_state, run_trace
+from legrid import CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, run_trace
+
+from helpers import event_to_text
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -173,24 +175,15 @@ class TestCrossSim:
             lines, events = [], []
             for _ in range(length):
                 if rng.random() < 0.7:
-                    sign = rng.choice((1, -1))
-                    lines.append(f"cross {'+' if sign > 0 else '-'}")
-                    events.append(CrossingEvent(sign))
+                    events.append(CrossingEvent(rng.choice((1, -1))))
                 else:
                     counts = [rng.choice((0, 1, 3, 10**6)) for _ in range(4)]
-                    singular = rng.choice(((), (1,), (-1,)))
-                    lines.append(
-                        "pattern circles=%d ribbon=%d bparallel=%d clasps=%d singular=%s"
-                        % (*counts, {(): "none", (1,): "+", (-1,): "-"}[singular])
-                    )
-                    events.append(IntersectionPattern(
-                        circles=counts[0], ribbon_arcs=counts[1],
-                        boundary_parallel_arcs=counts[2], clasps=counts[3], singular=singular,
-                    ))
+                    events.append(IntersectionPattern(*counts, singular=rng.choice(((), (1,), (-1,)))))
+                lines.append(event_to_text(events[-1]))
                 if rng.random() < 0.05:
                     lines.append("  # comment")
             path.write_text("\n".join(lines) + "\n")
-            trace = run_trace(init_state(*init), events)
+            trace = run_trace(FramedPairState(*init), events)
             rows = [[getattr(state, h) for h in STATE_HEADERS] for state in trace]
             argv = ("cross-sim", str(path), "--init=" + ",".join(map(str, init)))
             code, out, err = run_cli(capsys, *argv)
@@ -222,12 +215,7 @@ class TestCrossSim:
         assert (error["type"], error["line"]) == ("ParseError", 3)
 
     def test_drift_writes_nothing_to_stdout(self, capsys, tmp_path, monkeypatch):
-        import legrid.simulator as sim
-
-        def drifting(s, e):
-            return sim.FramedPairState(s.tw_K - e.sign, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
-
-        monkeypatch.setattr(sim, "cross", drifting)
+        monkeypatch.setattr(CrossingEvent, "shift", property(lambda e: (-e.sign, 0, 0, 0, 0, 0)))
         events = tmp_path / "events.txt"
         events.write_text(
             "pattern circles=0 ribbon=1 bparallel=0 clasps=0 singular=none\n" * 10000 + "cross +\n"
@@ -245,6 +233,12 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "IoError"
+
+    @pytest.mark.parametrize("path", ["grid\x00.txt", "grid\ud800.txt"])
+    def test_unopenable_path_is_an_io_error(self, capsys, path):
+        code, out, err = run_cli(capsys, "inv", path)
+        assert (code, out) == (1, "")
+        assert _single_json_error(err)["type"] == "IoError"
 
     def test_domain_error_is_json(self, capsys, tmp_path):
         path = tmp_path / "bad.grid"
@@ -315,8 +309,8 @@ print(raised(lambda: linking_number(g, 0, 1)))
 t = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
 t.__dict__["components"] = (Component(0, frozenset({0}), frozenset({2})),)
 print(raised(lambda: tb_grid_oracle(t, 0)))
-sim.cross = lambda s, e: sim.FramedPairState(s.tw_K + 1, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
-print(raised(lambda: sim.run_trace(sim.init_state(), [sim.CrossingEvent(1)])))
+sim.CrossingEvent.shift = property(lambda e: (1, 0, 0, 0, 0, 0))
+print(raised(lambda: sim.run_trace(sim.FramedPairState(), [sim.CrossingEvent(1)])))
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -400,6 +394,47 @@ class TestLedgerModel:
         code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1,0")
         assert (code, out) == (1, "")
         assert _single_json_error(err)["type"] == "ParseError"
+
+    def test_unknown_key_is_a_parse_error(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"rank": 1, "euler": [2], "tight": false, "tigth": true}')
+        code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1")
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert (error["type"], error["line"], error["column"]) == ("ParseError", 1, 1)
+        model.write_text('{"rank": 1, "euler": [2], "tight": false}')
+        assert run_cli(capsys, "ledger", str(model), "--offset1", "1")[0] == 0
+
+
+class TestIntegerArguments:
+    # int() alone takes underscores and non-ASCII digits; every integer
+    # argument takes ASCII digits with an optional sign only.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rel", "SPLIT", "--pair", "0,\u0661"],
+            ["rel", "SPLIT", "--pair", "0_0,1"],
+            ["cross-sim", "EVENTS", "--init", "0_0,0,0,0,0,0"],
+            ["cross-sim", "EVENTS", "--init", "\u0661,0,0,0,0,0"],
+            ["cross-sim", "EVENTS", "--init", "-\u0661,0,0,0,0,0"],
+            ["ledger", "MODEL", "--offset1", "1_0"],
+            ["ledger", "MODEL", "--offset2", "\u0661"],
+            ["inv", "SPLIT", "--component", "0_0"],
+            ["selftest", "--cases", "1_0", "--seed", "1"],
+            ["selftest", "--cases", "1", "--seed", "\u0661"],
+        ],
+    )
+    def test_is_ascii_digits_or_a_usage_error(self, capsys, tmp_path, split_file, argv):
+        events = tmp_path / "events.txt"
+        events.write_text("cross +\n")
+        model = tmp_path / "model.json"
+        model.write_text('{"rank": 1, "euler": [2], "tight": false}')
+        swap = {"SPLIT": split_file, "EVENTS": str(events), "MODEL": str(model)}
+        code, out, err = run_cli(capsys, *(swap.get(arg, arg) for arg in argv))
+        assert (code, out) == (2, "")
+        assert _single_json_error(err)["type"] == "UsageError"
+        ascii_argv = [arg.replace("_", "").replace("\u0661", "1") for arg in argv]
+        assert run_cli(capsys, *(swap.get(arg, arg) for arg in ascii_argv))[0] == 0
 
 
 class TestSelftest:

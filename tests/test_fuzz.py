@@ -1,22 +1,26 @@
 """Fuzz tests for the parsers and the CLI's error contract.
 
 Arbitrary text may only raise a ``LegridError`` from a parser, and
-arbitrary bytes in any verb's input file may only end in exit code 0, 1
-or 2 with stderr empty or one JSON object.  Besides unconstrained text
-and bytes, each strategy joins tokens of the grammar under test, and
-the JSON inputs include objects with the expected keys and values of
-any type, so that inputs get past the first token and the key check.
+arbitrary bytes in any verb's input file, or an arbitrary argv, may
+only end in exit code 0, 1 or 2 with stderr empty or one JSON object.
+Besides unconstrained text and bytes, each strategy joins tokens of the
+grammar under test, and the JSON inputs include objects with the
+expected keys and values of any type, so that inputs get past the
+first token and the key check.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from legrid import (
     Commute,
+    CrossingEvent,
     Destabilize,
+    IntersectionPattern,
     LegendrianStab,
     LegridError,
     MoveScript,
@@ -28,6 +32,8 @@ from legrid import (
     parse_move_script,
 )
 from legrid.cli import main
+
+from helpers import write_events
 
 COMMON = [" ", "\n", "#", "0", "1", "2", "3", "-1", ",", "=", "99999999999999999999"]
 JSON_TOKENS = ["{", "}", ":", "[", "]", "true", "false", "null"]
@@ -108,15 +114,39 @@ def test_move_text_round_trip(moves):
     assert parse_move_script(text) == MoveScript(tuple(moves))
 
 
+COUNTS = st.integers(0, 10**12)
+EVENTS = st.one_of(
+    st.builds(CrossingEvent, st.sampled_from((1, -1))),
+    st.builds(
+        IntersectionPattern, COUNTS, COUNTS, COUNTS, COUNTS, st.sampled_from(((), (1,), (-1,)))
+    ),
+)
+
+
+@given(st.lists(EVENTS, max_size=20))
+def test_event_text_round_trip(events):
+    assert parse_event_script(write_events(events)) == tuple(events)
+
+
+def _main_keeps_the_error_contract(argv):
+    """Run ``main`` in-process: exit code 0, 1 or 2 (argparse's help
+    exits through SystemExit), stderr empty or one JSON error object."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if err.getvalue():
+        assert isinstance(json.loads(err.getvalue())["error"], dict)
+
+
 def _run_on_file(tmp_path_factory, data, argv):
     path = tmp_path_factory.mktemp("fuzz") / "input"
     path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(path) if arg == "{}" else arg for arg in argv])
-    assert code in (0, 1, 2)
-    if err.getvalue():
-        assert isinstance(json.loads(err.getvalue())["error"], dict)
+    _main_keeps_the_error_contract([str(path) if arg == "{}" else arg for arg in argv])
 
 
 @given(
@@ -149,3 +179,49 @@ def test_cross_sim_keeps_the_error_contract(tmp_path_factory, data):
 @given(data=bytes_near(MODEL_TOKENS, MODEL_JSON))
 def test_ledger_keeps_the_error_contract(tmp_path_factory, data):
     _run_on_file(tmp_path_factory, data, ["ledger", "{}", "--offset1", "1,0"])
+
+
+VERBS = ["inv", "rel", "moves", "ledger", "cross-sim", "selftest"]
+OPTIONS = [
+    "--component", "--conv", "--pretty", "--pair", "--orient", "--base", "--offset1",
+    "--offset2", "--init", "--seed", "--cases", "-h", "--help", "--", "-",
+]
+VALUES = [
+    "0", "1", "-1", "0,1", "1,0", "-5,3,0,0,0,0", "nw-se", "ne-sw", "+", "sigma", "3", "\x00",
+    "\ud800",
+]
+# Placeholders for files made once per module: each input kind, a
+# directory and a path that does not exist.
+FILES = ["{grid}", "{script}", "{events}", "{model}", "{dir}", "{missing}"]
+TOKEN = st.one_of(st.sampled_from(VERBS + OPTIONS + VALUES + FILES), st.text(max_size=8))
+# A verb, then most often a file, then anything.
+ARGV = st.tuples(
+    st.sampled_from(VERBS), st.sampled_from(FILES + VALUES) | TOKEN, st.lists(TOKEN, max_size=7)
+).map(lambda parts: [parts[0], parts[1], *parts[2]])
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "{grid}": root / "link.grid",
+        "{script}": root / "script.txt",
+        "{events}": root / "events.txt",
+        "{model}": root / "model.json",
+        "{dir}": root,
+        "{missing}": root / "missing",
+    }
+    files["{grid}"].write_text("n=4\nX=0,1,2,3\nO=1,0,3,2\n")
+    files["{script}"].write_text("translate up\ncommute col 0\n")
+    files["{events}"].write_text("cross +\npattern circles=1 ribbon=2 bparallel=0 clasps=1 singular=-\n")
+    files["{model}"].write_text('{"rank": 2, "euler": [4, 6], "tight": false}')
+    return {key: str(path) for key, path in files.items()}
+
+
+@given(argv=ARGV, cases=st.integers(0, 20))
+def test_argv_keeps_the_error_contract(argv_files, argv, cases):
+    argv = [argv_files.get(arg, arg) for arg in argv]
+    if "selftest" in argv:
+        # The last --cases wins, so selftest never runs more than 20 cases.
+        argv += ["--cases", str(cases)]
+    _main_keeps_the_error_contract(argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -22,6 +23,7 @@ from legrid import (
     to_front,
     writhe,
 )
+from legrid.grid import _int_token
 
 from helpers import (
     all_marker_lists,
@@ -288,6 +290,30 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             parse_grid("m=2\nX=0,1\nO=1,0\n")
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("n=0_2\nX=0,1\nO=1,0\n", (1, 3)),
+            ("n=\u0662\nX=0,1\nO=1,0\n", (1, 3)),
+            ("n=2\nX=0,\u0661\nO=1,0\n", (2, 5)),
+            ("n=2\nX=0,1\nO=1_0,0\n", (3, 3)),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, text, position):
+        # int() alone takes underscores and non-ASCII digits.
+        with pytest.raises(ParseError) as exc:
+            parse_grid(text)
+        assert (exc.value.line, exc.value.column) == position
+        assert parse_grid(" n= +2 \nX= 0 ,1\nO=1, 0\n") == parse_grid("n=2\nX=0,1\nO=1,0\n")
+
+    @given(st.text(alphabet=" \t+-_01239\u0661\uff11\u00b2\u00a0x.", max_size=6))
+    def test_int_token_is_signed_ascii_digits(self, text):
+        if re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+            assert _int_token(text) == int(text)
+        else:
+            with pytest.raises(ValueError):
+                _int_token(text)
 
     def test_bad_permutation_reports_line(self):
         with pytest.raises(NotAPermutation) as exc:

@@ -396,6 +396,14 @@ class TestScriptParsing:
         with pytest.raises(ParseError):
             parse_move_script("destab 1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "line", ["commute col 0_1", "stab X \u0661 NE", "destab 1 \u0660", "lstab 0_0 +"]
+    )
+    def test_integers_are_ascii_digits(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_move_script("translate up\n" + line + "\n")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError) as exc:
             parse_move_script("translate up\nwiggle 3\n")

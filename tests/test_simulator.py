@@ -13,12 +13,10 @@ from legrid import (
     TripleDrift,
     classical,
     cross,
-    init_state,
     new_grid,
     parse_event_script,
     relative_invariants,
     replay,
-    resolve_pattern,
     run_trace,
 )
 
@@ -30,11 +28,11 @@ states = st.builds(
 
 class TestState:
     def test_zero_state(self):
-        s = init_state()
+        s = FramedPairState()
         assert s.triple == (0, 0, 0)
 
     def test_two_identical_unknot_summands(self):
-        s = init_state(-1, -1, 0, 0, -1, -1)
+        s = FramedPairState(-1, -1, 0, 0, -1, -1)
         assert s.triple == (0, 0, 0)
 
     def test_state_from_grid_invariants(self):
@@ -42,13 +40,13 @@ class TestState:
         # reproduces that diagram's relative triple.
         g = new_grid(6, [1, 4, 3, 0, 2, 5], [4, 2, 0, 3, 5, 1])
         k, j = classical(g, 0), classical(g, 1)
-        s = init_state(k.tb, j.tb, k.r, j.r, k.sl_pos, j.sl_pos)
+        s = FramedPairState(k.tb, j.tb, k.r, j.r, k.sl_pos, j.sl_pos)
         assert s.triple == relative_invariants(g, 0, 1).triple == (-1, 1, -2)
 
 
 class TestCross:
     def test_single_positive_event(self):
-        s = cross(init_state(), CrossingEvent(1))
+        s = cross(FramedPairState(), CrossingEvent(1))
         assert s == FramedPairState(-1, -1, -1, -1, 1, 1)
         assert s.triple == (0, 0, 0)
 
@@ -69,7 +67,7 @@ class TestCross:
     def test_replay_oracle(self):
         rng = random.Random(1)
         for _ in range(50):
-            s0 = init_state(*(rng.randint(-5, 5) for _ in range(6)))
+            s0 = FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
             signs = [rng.choice((1, -1)) for _ in range(1000)]
             s = s0
             for e in signs:
@@ -87,42 +85,36 @@ class TestCross:
 
 
 class TestResolvePattern:
+    """A pattern resolves by its fixed shift, applied with ``cross``."""
+
     def test_empty_pattern(self):
-        s = init_state(1, 2, 3, 4, 5, 6)
-        out, log = resolve_pattern(IntersectionPattern(), s)
-        assert out == s
-        assert log == ()
+        s = FramedPairState(1, 2, 3, 4, 5, 6)
+        assert IntersectionPattern().shift == (0, 0, 0, 0, 0, 0)
+        assert cross(s, IntersectionPattern()) == s
 
     def test_singular_only_matches_cross(self):
         rng = random.Random(2)
         for _ in range(50):
-            s = init_state(*(rng.randint(-5, 5) for _ in range(6)))
+            s = FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
             eps = rng.choice((1, -1))
-            out, log = resolve_pattern(IntersectionPattern(singular=(eps,)), s)
-            assert out == cross(s, CrossingEvent(eps))
-            assert len(log) == 1
+            pattern = IntersectionPattern(singular=(eps,))
+            assert pattern.shift == CrossingEvent(eps).shift
+            assert cross(s, pattern) == cross(s, CrossingEvent(eps))
 
     def test_ribbon_arcs_shift_both_twists(self):
-        s = init_state()
+        s = FramedPairState()
         pattern = IntersectionPattern(circles=2, ribbon_arcs=3)
-        out, log = resolve_pattern(pattern, s)
+        out = cross(s, pattern)
         assert out.tw_K == 3 and out.tw_J == 3
         assert out.tb_rel == s.tb_rel
         assert (out.w_K, out.w_J, out.sK, out.sJ) == (0, 0, 0, 0)
-        assert len(log) == 5
-
-    def test_log_ordering(self):
-        pattern = IntersectionPattern(
-            circles=1, ribbon_arcs=1, boundary_parallel_arcs=1, clasps=1, singular=(-1,)
-        )
-        _, log = resolve_pattern(pattern, init_state())
-        kinds = [entry.split()[0] for entry in log]
-        assert kinds == ["circle", "boundary-parallel", "ribbon", "clasp", "singular"]
 
     def test_multiple_singular_clasps_rejected(self):
         pattern = IntersectionPattern(singular=(1, -1))
         with pytest.raises(MultipleSingularClasps):
-            resolve_pattern(pattern, init_state())
+            pattern.shift
+        with pytest.raises(MultipleSingularClasps):
+            cross(FramedPairState(), pattern)
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
@@ -136,11 +128,11 @@ class TestResolvePattern:
 
 class TestRunTrace:
     def test_empty_events(self):
-        s0 = init_state(1, 0, 0, 0, 0, 0)
+        s0 = FramedPairState(1, 0, 0, 0, 0, 0)
         assert run_trace(s0, []) == (s0,)
 
     def test_alternating_events_cancel(self):
-        s0 = init_state()
+        s0 = FramedPairState()
         events = [CrossingEvent(1), CrossingEvent(-1)] * 10
         trace = run_trace(s0, events)
         assert trace[-1] == s0
@@ -149,7 +141,7 @@ class TestRunTrace:
     def test_mixed_random_traces_keep_triple(self):
         rng = random.Random(3)
         for _ in range(50):
-            s0 = init_state(*(rng.randint(-5, 5) for _ in range(6)))
+            s0 = FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
             events = []
             for _ in range(100):
                 if rng.random() < 0.6:
@@ -170,7 +162,7 @@ class TestRunTrace:
     def test_event_permutations_commute(self):
         rng = random.Random(4)
         for _ in range(50):
-            s0 = init_state(*(rng.randint(-5, 5) for _ in range(6)))
+            s0 = FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
             events = [CrossingEvent(rng.choice((1, -1))) for _ in range(30)]
             events += [IntersectionPattern(ribbon_arcs=rng.randint(0, 3)) for _ in range(5)]
             final = run_trace(s0, events)[-1]
@@ -180,22 +172,17 @@ class TestRunTrace:
     def test_error_carries_event_index(self):
         events = [CrossingEvent(1), IntersectionPattern(singular=(1, 1))]
         with pytest.raises(ScriptStepError) as exc:
-            run_trace(init_state(), events)
+            run_trace(FramedPairState(), events)
         assert exc.value.index == 1
 
     def test_drift_raises(self, monkeypatch):
-        import legrid.simulator as sim
-
-        def drifting(s, e):
-            return FramedPairState(s.tw_K - e.sign, s.tw_J, s.w_K, s.w_J, s.sK, s.sJ)
-
-        monkeypatch.setattr(sim, "cross", drifting)
+        monkeypatch.setattr(CrossingEvent, "shift", property(lambda e: (-e.sign, 0, 0, 0, 0, 0)))
         with pytest.raises(TripleDrift, match="event 1"):
-            run_trace(init_state(), [IntersectionPattern(ribbon_arcs=1), CrossingEvent(1)])
+            run_trace(FramedPairState(), [IntersectionPattern(ribbon_arcs=1), CrossingEvent(1)])
 
     def test_huge_ribbon_count_replays_in_closed_form(self):
         pattern = IntersectionPattern(circles=10**9, ribbon_arcs=10**9, clasps=10**9, singular=(-1,))
-        s0 = init_state(1, 2, 3, 4, 5, 6)
+        s0 = FramedPairState(1, 2, 3, 4, 5, 6)
         trace = run_trace(s0, [pattern, CrossingEvent(1)])
         assert trace[1] == FramedPairState(2 + 10**9, 3 + 10**9, 4, 5, 4, 5)
         assert trace[2] == FramedPairState(1 + 10**9, 2 + 10**9, 3, 4, 5, 6)
@@ -203,15 +190,18 @@ class TestRunTrace:
 
 class TestReplay:
     def test_plain_tuples_starting_with_s0(self):
-        s0 = init_state(1, 2, 3, 4, 5, 6)
+        s0 = FramedPairState(1, 2, 3, 4, 5, 6)
         rows = list(replay(s0, [CrossingEvent(1), IntersectionPattern(ribbon_arcs=2)]))
         assert rows == [(1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 6, 7), (2, 3, 2, 3, 6, 7)]
         assert all(type(row) is tuple for row in rows)
+        trace = run_trace(s0, [CrossingEvent(1), IntersectionPattern(ribbon_arcs=2)])
+        assert trace == tuple(rows)
+        assert all(type(state) is FramedPairState for state in trace)
 
-    def test_matches_stepwise_cross_and_resolve_pattern(self):
+    def test_matches_stepwise_cross(self):
         rng = random.Random(5)
         for _ in range(100):
-            s = init_state(*(rng.randint(-50, 50) for _ in range(6)))
+            s = FramedPairState(*(rng.randint(-50, 50) for _ in range(6)))
             events = [
                 CrossingEvent(rng.choice((1, -1)))
                 if rng.random() < 0.6
@@ -226,28 +216,20 @@ class TestReplay:
             ]
             expected = [s]
             for event in events:
-                if isinstance(event, CrossingEvent):
-                    s = cross(s, event)
-                else:
-                    s, _ = resolve_pattern(event, s)
+                s = cross(s, event)
                 expected.append(s)
-            assert [FramedPairState(*row) for row in replay(expected[0], events)] == expected
+            assert list(replay(expected[0], events)) == expected
 
     def test_errors_raise_before_the_first_state(self, monkeypatch):
-        import legrid.simulator as sim
-
         events = [CrossingEvent(1)] * 3 + [IntersectionPattern(singular=(1, -1))]
         with pytest.raises(ScriptStepError) as exc:
-            replay(init_state(), events)
+            replay(FramedPairState(), events)
         assert exc.value.index == 3
 
-        def drifting(s, e):
-            return FramedPairState(s.tw_K, s.tw_J, s.w_K, s.w_J, s.sK + e.sign, s.sJ)
-
-        monkeypatch.setattr(sim, "cross", drifting)
+        monkeypatch.setattr(CrossingEvent, "shift", property(lambda e: (0, 0, 0, 0, e.sign, 0)))
         events = [IntersectionPattern(ribbon_arcs=4), CrossingEvent(-1), CrossingEvent(1)]
         with pytest.raises(TripleDrift) as exc:
-            replay(init_state(0, 0, 0, 0, 7, 2), events)
+            replay(FramedPairState(0, 0, 0, 0, 7, 2), events)
         assert str(exc.value) == "event 1: relative triple moved from (0, 0, 5) to (0, 0, 4)"
 
 
@@ -292,3 +274,11 @@ class TestEventParsing:
         with pytest.raises(ParseError) as exc:
             parse_event_script("cross -\n\n" + line + "\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"])
+    def test_counts_are_ascii_digits(self, value):
+        line = f"pattern circles=0 ribbon={value} bparallel=0 clasps=0 singular=none"
+        with pytest.raises(ParseError) as exc:
+            parse_event_script("cross +\n" + line + "\n")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert parse_event_script(line.replace(value, "+10"))[0].ribbon_arcs == 10
