@@ -19,7 +19,6 @@ from .errors import (
     SharedCell,
     SizeMismatch,
     TripleDrift,
-    UnequalDegrees,
     UnknownComponent,
 )
 from .grid import (
@@ -56,7 +55,6 @@ from .ledger import (
     rot_diff,
     sl_diff,
     tb_diff,
-    trivialization_invariance_check,
     twist_transfer,
 )
 from .moves import (
@@ -71,15 +69,8 @@ from .moves import (
     Translate,
     apply_move,
     apply_script,
-    column_map,
-    commute,
-    destabilize_grid,
     follow,
-    legendrian_stabilize,
-    move_to_text,
     parse_move_script,
-    stabilize_grid,
-    translate,
 )
 from .simulator import (
     CrossingEvent,

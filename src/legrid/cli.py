@@ -21,7 +21,7 @@ from . import simulator
 from .errors import LegridError, ParseError
 from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid
 from .invariants import OrientationFlag, classical, relative_invariants
-from .moves import apply_script, move_to_text, parse_move_script
+from .moves import apply_script, parse_move_script
 from .selftest import run_selftest
 
 __all__ = ["main", "parse_grid_file"]
@@ -112,7 +112,7 @@ def _grid_record(g):
 
 def _cmd_inv(args):
     g = parse_grid_file(args.grid)
-    conv = Convention.parse(args.conv)
+    conv = Convention(args.conv)
     if args.component is not None:
         records = [_classical_record(args.component, classical(g, args.component, conv))]
         payload = records[0]
@@ -163,7 +163,7 @@ def _cmd_moves(args):
     for step in result.trace:
         record = {
             "step": step.index,
-            "move": None if step.move is None else move_to_text(step.move),
+            "move": None if step.move is None else step.move.text(),
             "components": [
                 _classical_record(i, inv) for i, inv in enumerate(step.invariants)
             ],
@@ -353,6 +353,8 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(json.dumps(_error_payload("UsageError", str(e))), file=sys.stderr)
         return 2
+    except SystemExit as e:  # argparse's help action, once the help is printed
+        return e.code
     try:
         return args.func(args)
     except _UsageError as e:

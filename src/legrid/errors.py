@@ -64,10 +64,6 @@ class InconsistentProfile(LegridError):
     pass
 
 
-class UnequalDegrees(LegridError):
-    pass
-
-
 class MultipleSingularClasps(LegridError):
     pass
 

@@ -62,13 +62,6 @@ class Convention(Enum):
     NW_SE = "nw-se"
     NE_SW = "ne-sw"
 
-    @classmethod
-    def parse(cls, tag):
-        for conv in cls:
-            if conv.value == tag:
-                return conv
-        raise ValueError(f"unknown convention tag {tag!r}")
-
 
 @dataclass(frozen=True)
 class Component:
@@ -102,7 +95,6 @@ class FrontData:
 
     crossing_matrix: tuple[tuple[int, ...], ...]
     cusps: tuple[CuspCounts, ...]
-    convention: Convention
 
     def _check(self, c):
         if not 0 <= c < len(self.cusps):
@@ -313,7 +305,6 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
     return FrontData(
         crossing_matrix=tuple(map(tuple, matrix)),
         cusps=tuple(CuspCounts(u, d) for u, d in zip(up, down)),
-        convention=conv,
     )
 
 

@@ -5,7 +5,9 @@ A model carries the free rank of second homology, the evaluation of
 the Euler class on its generators, and a tightness flag under which
 the effective evaluation vector is zero and every ambiguity vanishes.
 Torsion is dropped: evaluation against integers kills it, so only the
-free rank matters for any quantity computed here.
+free rank matters for any quantity computed here.  A change of
+trivialization restricts to the two knots with equal degrees, so its
+changes to their rotation numbers cancel in the relative one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BaseMismatch, InconsistentProfile, LengthMismatch, UnequalDegrees
+from .errors import BaseMismatch, InconsistentProfile, LengthMismatch
 
 __all__ = [
     "ContactHomologyModel",
@@ -25,7 +27,6 @@ __all__ = [
     "rot_diff",
     "sl_diff",
     "ambiguity",
-    "trivialization_invariance_check",
 ]
 
 
@@ -112,14 +113,3 @@ def ambiguity(m: ContactHomologyModel) -> int:
     well-defined.  Equals the gcd of the effective Euler entries, so
     the set of reachable differences is exactly its multiples."""
     return math.gcd(*m.effective_euler) if m.effective_euler else 0
-
-
-def trivialization_invariance_check(degree_K: int, degree_J: int) -> int:
-    """Change of the relative rotation number under a trivialization
-    change restricting with the given degrees; the degrees are forced
-    equal and the changes cancel."""
-    if degree_K != degree_J:
-        raise UnequalDegrees(
-            f"a trivialization change restricts with equal degree, got {degree_K} vs {degree_J}"
-        )
-    return -degree_K + degree_J

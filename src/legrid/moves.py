@@ -1,7 +1,10 @@
 """Grid moves: translations, commutations and (de)stabilizations.
 
 Every move is a total function returning a new diagram, so traces are
-trivially reproducible.  Stabilization replaces one marker by the
+trivially reproducible.  Each move kind is one frozen dataclass with
+``apply(g)``, the moved diagram; ``column_map(g)``, taking a column of
+``g`` to a column of the moved diagram on the same strand (see
+:func:`follow`); and ``text()``, its script line.  Stabilization replaces one marker by the
 three-marker L-pattern of a 2x2 block on the enlarged grid; the
 subtype names the block corner that receives the lone marker of the
 opposite kind.  Which subtypes realize the Legendrian stabilizations
@@ -41,18 +44,11 @@ __all__ = [
     "ISOTOPY_SUBTYPES",
     "STAB_PLUS",
     "STAB_MINUS",
-    "translate",
-    "commute",
-    "stabilize_grid",
-    "destabilize_grid",
-    "legendrian_stabilize",
     "apply_move",
-    "column_map",
     "follow",
     "changes_cusps",
     "apply_script",
     "parse_move_script",
-    "move_to_text",
 ]
 
 _DIRECTIONS = ("up", "down", "left", "right")
@@ -65,58 +61,6 @@ STAB_PLUS = {"X": "NW", "O": "SE"}
 STAB_MINUS = {"X": "SE", "O": "NW"}
 
 
-@dataclass(frozen=True)
-class Translate:
-    direction: str
-
-
-@dataclass(frozen=True)
-class Commute:
-    axis: str  # "row" or "col"
-    index: int
-
-
-@dataclass(frozen=True)
-class Stabilize:
-    marker: str  # "X" or "O"
-    column: int
-    subtype: str  # "NE", "NW", "SE", "SW"
-
-
-@dataclass(frozen=True)
-class Destabilize:
-    column: int
-    row: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class LegendrianStab:
-    component: int
-    sign: int
-
-
-GridMove = Union[Translate, Commute, Stabilize, Destabilize, LegendrianStab]
-
-
-@dataclass(frozen=True)
-class MoveScript:
-    moves: tuple[GridMove, ...]
-
-
-def translate(g: GridDiagram, direction: str) -> GridDiagram:
-    """Cyclically shift all markers one step in the given direction."""
-    n = g.n
-    if direction == "up":
-        return new_grid(n, [(r + 1) % n for r in g.xs], [(r + 1) % n for r in g.os])
-    if direction == "down":
-        return new_grid(n, [(r - 1) % n for r in g.xs], [(r - 1) % n for r in g.os])
-    if direction == "left":
-        return new_grid(n, [g.xs[(c + 1) % n] for c in range(n)], [g.os[(c + 1) % n] for c in range(n)])
-    if direction == "right":
-        return new_grid(n, [g.xs[(c - 1) % n] for c in range(n)], [g.os[(c - 1) % n] for c in range(n)])
-    raise BadCell(f"unknown direction {direction!r}")
-
-
 def _interleaving(a_pair, b_pair):
     """True unless the two closed spans are disjoint or strictly nested.
     Spans sharing an endpoint value count as interleaving."""
@@ -127,86 +71,6 @@ def _interleaving(a_pair, b_pair):
     disjoint = a_hi < b_lo or b_hi < a_lo
     nested = (a_lo < b_lo and b_hi < a_hi) or (b_lo < a_lo and a_hi < b_hi)
     return not (disjoint or nested)
-
-
-def commute(g: GridDiagram, index: int, axis: str) -> GridDiagram:
-    """Swap adjacent rows or columns ``index`` and ``index + 1``.
-
-    Legal only when the two lines' marker spans are disjoint or
-    strictly nested; otherwise raises InterleavingSpans.
-    """
-    n = g.n
-    if axis not in ("row", "col"):
-        raise BadCell(f"axis must be 'row' or 'col', got {axis!r}")
-    if not 0 <= index <= n - 2:
-        raise BadCell(f"cannot commute lines {index},{index + 1} of an {n}-grid")
-    i = index
-    if axis == "col":
-        if _interleaving((g.xs[i], g.os[i]), (g.xs[i + 1], g.os[i + 1])):
-            raise InterleavingSpans(f"columns {i} and {i + 1} interleave")
-        xs = list(g.xs)
-        os = list(g.os)
-        xs[i], xs[i + 1] = xs[i + 1], xs[i]
-        os[i], os[i + 1] = os[i + 1], os[i]
-        return new_grid(n, xs, os)
-    span_a = (g.x_col_by_row[i], g.o_col_by_row[i])
-    span_b = (g.x_col_by_row[i + 1], g.o_col_by_row[i + 1])
-    if _interleaving(span_a, span_b):
-        raise InterleavingSpans(f"rows {i} and {i + 1} interleave")
-    swap = {i: i + 1, i + 1: i}
-    xs = [swap.get(r, r) for r in g.xs]
-    os = [swap.get(r, r) for r in g.os]
-    return new_grid(n, xs, os)
-
-
-def _subtype_corner(subtype):
-    if subtype not in _SUBTYPES:
-        raise BadCell(f"unknown stabilization subtype {subtype!r}")
-    east = 1 if "E" in subtype else 0
-    north = 1 if "N" in subtype else 0
-    return east, north
-
-
-def stabilize_grid(g: GridDiagram, marker: str, column: int, subtype: str) -> GridDiagram:
-    """Replace one marker by the L-pattern of the given subtype on an
-    (n+1)-grid.
-
-    The stabilized marker at (c, r) becomes a 2x2 block on columns
-    c, c+1 and rows r, r+1; the lone marker of the opposite kind sits
-    at the block corner named by the subtype and the two markers of
-    the original kind fill the cells adjacent to it.
-    """
-    n = g.n
-    if marker not in ("X", "O"):
-        raise BadCell(f"marker must be 'X' or 'O', got {marker!r}")
-    if not 0 <= column < n:
-        raise BadCell(f"no column {column} in an {n}-grid")
-    east, north = _subtype_corner(subtype)
-    c = column
-    r = g.xs[c] if marker == "X" else g.os[c]
-
-    xs = [0] * (n + 1)
-    os = [0] * (n + 1)
-
-    def place(kind, col, row):
-        if kind == "X":
-            xs[col] = row
-        else:
-            os[col] = row
-
-    for col in range(n):
-        for kind, row in (("X", g.xs[col]), ("O", g.os[col])):
-            if col == c and kind == marker:
-                continue  # the stabilized marker itself
-            new_col = col if col < c else (col + 1 if col > c else c + 1 - east)
-            new_row = row if row < r else (row + 1 if row > r else r + 1 - north)
-            place(kind, new_col, new_row)
-
-    lone = "O" if marker == "X" else "X"
-    place(lone, c + east, r + north)
-    place(marker, c + 1 - east, r + north)
-    place(marker, c + east, r + 1 - north)
-    return new_grid(n + 1, xs, os)
 
 
 def _find_l_block(g, c, rr):
@@ -233,107 +97,214 @@ def _find_l_block(g, c, rr):
     return lone_kind, others[0]
 
 
-def destabilize_grid(g: GridDiagram, column: int, row: Optional[int] = None) -> GridDiagram:
-    """Collapse the three-marker L-block found in columns
-    ``column, column + 1`` back to a single marker.
+@dataclass(frozen=True)
+class Translate:
+    direction: str
 
-    When several row positions carry an L-block, the lowest one is
-    collapsed unless ``row`` pins the block explicitly.
-    """
-    n = g.n
-    c = column
-    if not 0 <= c <= n - 2:
-        raise BadCell(f"no column pair {c},{c + 1} in an {n}-grid")
-    candidates = [row] if row is not None else range(n - 1)
-    for rr in candidates:
-        if not 0 <= rr <= n - 2:
-            raise BadCell(f"no row pair {rr},{rr + 1} in an {n}-grid")
-        found = _find_l_block(g, c, rr)
-        if found is None:
-            continue
-        _, pair_kind = found
-        xs = [0] * (n - 1)
-        os = [0] * (n - 1)
+    def apply(self, g: GridDiagram) -> GridDiagram:
+        """Cyclically shift all markers one step in the given direction."""
+        n = g.n
+        if self.direction == "up":
+            return new_grid(n, [(r + 1) % n for r in g.xs], [(r + 1) % n for r in g.os])
+        if self.direction == "down":
+            return new_grid(n, [(r - 1) % n for r in g.xs], [(r - 1) % n for r in g.os])
+        if self.direction == "left":
+            return new_grid(n, [g.xs[(c + 1) % n] for c in range(n)], [g.os[(c + 1) % n] for c in range(n)])
+        if self.direction == "right":
+            return new_grid(n, [g.xs[(c - 1) % n] for c in range(n)], [g.os[(c - 1) % n] for c in range(n)])
+        raise BadCell(f"unknown direction {self.direction!r}")
 
-        def place(kind, col, row_):
-            if kind == "X":
-                xs[col] = row_
-            else:
-                os[col] = row_
+    def column_map(self, g: GridDiagram):
+        shift = {"left": -1, "right": 1}.get(self.direction, 0)
+        return lambda col: (col + shift) % g.n
 
+    def text(self) -> str:
+        return f"translate {self.direction}"
+
+
+@dataclass(frozen=True)
+class Commute:
+    axis: str  # "row" or "col"
+    index: int
+
+    def apply(self, g: GridDiagram) -> GridDiagram:
+        """Swap adjacent rows or columns ``index`` and ``index + 1``.
+
+        Legal only when the two lines' marker spans are disjoint or
+        strictly nested; otherwise raises InterleavingSpans.
+        """
+        n = g.n
+        if self.axis not in ("row", "col"):
+            raise BadCell(f"axis must be 'row' or 'col', got {self.axis!r}")
+        i = self.index
+        if not 0 <= i <= n - 2:
+            raise BadCell(f"cannot commute lines {i},{i + 1} of an {n}-grid")
+        if self.axis == "col":
+            if _interleaving((g.xs[i], g.os[i]), (g.xs[i + 1], g.os[i + 1])):
+                raise InterleavingSpans(f"columns {i} and {i + 1} interleave")
+            xs = list(g.xs)
+            os = list(g.os)
+            xs[i], xs[i + 1] = xs[i + 1], xs[i]
+            os[i], os[i + 1] = os[i + 1], os[i]
+            return new_grid(n, xs, os)
+        span_a = (g.x_col_by_row[i], g.o_col_by_row[i])
+        span_b = (g.x_col_by_row[i + 1], g.o_col_by_row[i + 1])
+        if _interleaving(span_a, span_b):
+            raise InterleavingSpans(f"rows {i} and {i + 1} interleave")
+        swap = {i: i + 1, i + 1: i}
+        xs = [swap.get(r, r) for r in g.xs]
+        os = [swap.get(r, r) for r in g.os]
+        return new_grid(n, xs, os)
+
+    def column_map(self, g: GridDiagram):
+        i = self.index
+        swap = {i: i + 1, i + 1: i} if self.axis == "col" else {}
+        return lambda col: swap.get(col, col)
+
+    def text(self) -> str:
+        return f"commute {self.axis} {self.index}"
+
+
+@dataclass(frozen=True)
+class Stabilize:
+    marker: str  # "X" or "O"
+    column: int
+    subtype: str  # "NE", "NW", "SE", "SW"
+
+    def apply(self, g: GridDiagram) -> GridDiagram:
+        """Replace one marker by the L-pattern of the given subtype on an
+        (n+1)-grid.
+
+        The stabilized marker at (c, r) becomes a 2x2 block on columns
+        c, c+1 and rows r, r+1; the lone marker of the opposite kind sits
+        at the block corner named by the subtype and the two markers of
+        the original kind fill the cells adjacent to it.
+        """
+        n, c, marker = g.n, self.column, self.marker
+        if marker not in ("X", "O"):
+            raise BadCell(f"marker must be 'X' or 'O', got {marker!r}")
+        if not 0 <= c < n:
+            raise BadCell(f"no column {c} in an {n}-grid")
+        if self.subtype not in _SUBTYPES:
+            raise BadCell(f"unknown stabilization subtype {self.subtype!r}")
+        east = 1 if "E" in self.subtype else 0
+        north = 1 if "N" in self.subtype else 0
+        r = g.xs[c] if marker == "X" else g.os[c]
+
+        rows = {"X": [0] * (n + 1), "O": [0] * (n + 1)}  # marker kind -> row by column
         for col in range(n):
-            for kind, row_ in (("X", g.xs[col]), ("O", g.os[col])):
-                if col in (c, c + 1) and row_ in (rr, rr + 1):
-                    continue  # block marker
-                new_col = col if col < c else (c if col <= c + 1 else col - 1)
-                new_row = row_ if row_ < rr else (rr if row_ <= rr + 1 else row_ - 1)
-                place(kind, new_col, new_row)
-        place(pair_kind, c, rr)
-        return new_grid(n - 1, xs, os)
-    raise BadCell(f"no destabilizable L-block in columns {c},{c + 1}")
+            for kind, row in (("X", g.xs[col]), ("O", g.os[col])):
+                if col == c and kind == marker:
+                    continue  # the stabilized marker itself
+                new_col = col if col < c else (col + 1 if col > c else c + 1 - east)
+                new_row = row if row < r else (row + 1 if row > r else r + 1 - north)
+                rows[kind][new_col] = new_row
+
+        lone = "O" if marker == "X" else "X"
+        rows[lone][c + east] = r + north
+        rows[marker][c + 1 - east] = r + north
+        rows[marker][c + east] = r + 1 - north
+        return new_grid(n + 1, rows["X"], rows["O"])
+
+    def column_map(self, g: GridDiagram):
+        c = self.column
+        return lambda col: col if col <= c else col + 1
+
+    def text(self) -> str:
+        return f"stab {self.marker} {self.column} {self.subtype}"
 
 
-def legendrian_stabilize(g: GridDiagram, component: int, sign: int) -> GridDiagram:
-    """Apply the grid subtype realizing the signed Legendrian
-    stabilization to one component: tb drops by 1 and the rotation
-    number moves by ``sign``.
+@dataclass(frozen=True)
+class Destabilize:
+    column: int
+    row: Optional[int] = None
 
-    The X marker in the component's lowest column is stabilized.
-    """
-    comp = g.component(component)
-    if sign not in (1, -1):
-        raise BadCell(f"stabilization sign must be +1 or -1, got {sign}")
-    subtype = STAB_PLUS["X"] if sign > 0 else STAB_MINUS["X"]
-    return stabilize_grid(g, "X", min(comp.columns), subtype)
+    def apply(self, g: GridDiagram) -> GridDiagram:
+        """Collapse the three-marker L-block found in columns
+        ``column, column + 1`` back to a single marker.
+
+        When several row positions carry an L-block, the lowest one is
+        collapsed unless ``row`` pins the block explicitly.
+        """
+        n = g.n
+        c = self.column
+        if not 0 <= c <= n - 2:
+            raise BadCell(f"no column pair {c},{c + 1} in an {n}-grid")
+        candidates = [self.row] if self.row is not None else range(n - 1)
+        for rr in candidates:
+            if not 0 <= rr <= n - 2:
+                raise BadCell(f"no row pair {rr},{rr + 1} in an {n}-grid")
+            found = _find_l_block(g, c, rr)
+            if found is None:
+                continue
+            _, pair_kind = found
+            rows = {"X": [0] * (n - 1), "O": [0] * (n - 1)}  # marker kind -> row by column
+            for col in range(n):
+                for kind, row in (("X", g.xs[col]), ("O", g.os[col])):
+                    if col in (c, c + 1) and row in (rr, rr + 1):
+                        continue  # block marker
+                    new_col = col if col < c else (c if col <= c + 1 else col - 1)
+                    new_row = row if row < rr else (rr if row <= rr + 1 else row - 1)
+                    rows[kind][new_col] = new_row
+            rows[pair_kind][c] = rr
+            return new_grid(n - 1, rows["X"], rows["O"])
+        raise BadCell(f"no destabilizable L-block in columns {c},{c + 1}")
+
+    def column_map(self, g: GridDiagram):
+        c = self.column
+        return lambda col: col if col <= c else (c if col == c + 1 else col - 1)
+
+    def text(self) -> str:
+        if self.row is None:
+            return f"destab {self.column}"
+        return f"destab {self.column} {self.row}"
+
+
+@dataclass(frozen=True)
+class LegendrianStab:
+    """The grid subtype realizing the signed Legendrian stabilization of
+    one component: tb drops by 1 and the rotation number moves by
+    ``sign``.  The X marker in the component's lowest column is
+    stabilized."""
+
+    component: int
+    sign: int
+
+    def _stabilize(self, g: GridDiagram) -> Stabilize:
+        comp = g.component(self.component)
+        if self.sign not in (1, -1):
+            raise BadCell(f"stabilization sign must be +1 or -1, got {self.sign}")
+        subtype = STAB_PLUS["X"] if self.sign > 0 else STAB_MINUS["X"]
+        return Stabilize("X", min(comp.columns), subtype)
+
+    def apply(self, g: GridDiagram) -> GridDiagram:
+        return self._stabilize(g).apply(g)
+
+    def column_map(self, g: GridDiagram):
+        return self._stabilize(g).column_map(g)
+
+    def text(self) -> str:
+        return f"lstab {self.component} {'+' if self.sign > 0 else '-'}"
+
+
+GridMove = Union[Translate, Commute, Stabilize, Destabilize, LegendrianStab]
+
+
+@dataclass(frozen=True)
+class MoveScript:
+    moves: tuple[GridMove, ...]
 
 
 def apply_move(g: GridDiagram, move: GridMove) -> GridDiagram:
-    if isinstance(move, Translate):
-        return translate(g, move.direction)
-    if isinstance(move, Commute):
-        return commute(g, move.index, move.axis)
-    if isinstance(move, Stabilize):
-        return stabilize_grid(g, move.marker, move.column, move.subtype)
-    if isinstance(move, Destabilize):
-        return destabilize_grid(g, move.column, move.row)
-    if isinstance(move, LegendrianStab):
-        return legendrian_stabilize(g, move.component, move.sign)
-    raise BadCell(f"unknown move {move!r}")
-
-
-def column_map(g_before: GridDiagram, move: GridMove):
-    """Map a column of the source diagram to a column of the moved
-    diagram lying on the same strand; used to follow components."""
-    n = g_before.n
-    if isinstance(move, Translate):
-        if move.direction == "left":
-            return lambda col: (col - 1) % n
-        if move.direction == "right":
-            return lambda col: (col + 1) % n
-        return lambda col: col
-    if isinstance(move, Commute):
-        if move.axis == "row":
-            return lambda col: col
-        i = move.index
-        swap = {i: i + 1, i + 1: i}
-        return lambda col: swap.get(col, col)
-    if isinstance(move, (Stabilize, LegendrianStab)):
-        if isinstance(move, LegendrianStab):
-            c = min(g_before.component(move.component).columns)
-        else:
-            c = move.column
-        return lambda col: col if col <= c else col + 1
-    if isinstance(move, Destabilize):
-        c = move.column
-        return lambda col: col if col <= c else (c if col == c + 1 else col - 1)
-    raise BadCell(f"unknown move {move!r}")
+    """The diagram that ``move`` takes ``g`` to: ``move.apply(g)``."""
+    return move.apply(g)
 
 
 def follow(g: GridDiagram, move: GridMove, moved: GridDiagram) -> tuple[int, ...]:
     """For each component of ``g``, its index in ``moved``, the result
     of applying ``move`` to ``g``: the image of its lowest column under
-    :func:`column_map`."""
-    cmap = column_map(g, move)
+    the move's ``column_map``."""
+    cmap = move.column_map(g)
     owner = moved.component_by_column
     return tuple(owner[cmap(min(comp.columns))] for comp in g.components)
 
@@ -408,22 +379,6 @@ def apply_script(
 
 
 # -- script text format ------------------------------------------------------
-
-def move_to_text(move: GridMove) -> str:
-    if isinstance(move, Translate):
-        return f"translate {move.direction}"
-    if isinstance(move, Commute):
-        return f"commute {move.axis} {move.index}"
-    if isinstance(move, Stabilize):
-        return f"stab {move.marker} {move.column} {move.subtype}"
-    if isinstance(move, Destabilize):
-        if move.row is None:
-            return f"destab {move.column}"
-        return f"destab {move.column} {move.row}"
-    if isinstance(move, LegendrianStab):
-        return f"lstab {move.component} {'+' if move.sign > 0 else '-'}"
-    raise BadCell(f"unknown move {move!r}")
-
 
 def _parse_int(token, line_no, what):
     try:

@@ -267,6 +267,12 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
 
+    @pytest.mark.parametrize("argv", [["-h"], ["inv", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: legrid")
+
     def test_negative_case_count_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--cases", "-3")
         assert (code, out) == (2, "")

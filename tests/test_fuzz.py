@@ -26,7 +26,6 @@ from legrid import (
     MoveScript,
     Stabilize,
     Translate,
-    move_to_text,
     parse_event_script,
     parse_grid,
     parse_move_script,
@@ -90,7 +89,7 @@ def test_parse_grid_raises_only_legrid_errors(text):
 def test_parse_move_script_raises_only_legrid_errors(text):
     script = _raises_only_legrid_errors(parse_move_script, text)
     if script is not None:
-        assert parse_move_script("\n".join(map(move_to_text, script.moves))) == script
+        assert parse_move_script("\n".join(move.text() for move in script.moves)) == script
 
 
 @given(text_near(EVENT_TOKENS))
@@ -110,7 +109,7 @@ MOVES = st.one_of(
 
 @given(st.lists(MOVES, max_size=20))
 def test_move_text_round_trip(moves):
-    text = "".join(move_to_text(move) + "\n" for move in moves)
+    text = "".join(move.text() + "\n" for move in moves)
     assert parse_move_script(text) == MoveScript(tuple(moves))
 
 
@@ -129,14 +128,11 @@ def test_event_text_round_trip(events):
 
 
 def _main_keeps_the_error_contract(argv):
-    """Run ``main`` in-process: exit code 0, 1 or 2 (argparse's help
-    exits through SystemExit), stderr empty or one JSON error object."""
+    """Run ``main`` in-process: it returns exit code 0, 1 or 2, and
+    stderr is empty or one JSON error object."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if err.getvalue():

@@ -9,13 +9,11 @@ from legrid import (
     IntersectionProfile,
     LengthMismatch,
     RelativeSurfaceClass,
-    UnequalDegrees,
     ambiguity,
     new_model,
     rot_diff,
     sl_diff,
     tb_diff,
-    trivialization_invariance_check,
     twist_transfer,
 )
 
@@ -189,15 +187,3 @@ class TestAmbiguity:
                 assert value == 0
             else:
                 assert value % d == 0
-
-
-class TestTrivializationCheck:
-    def test_zero_degrees(self):
-        assert trivialization_invariance_check(0, 0) == 0
-
-    def test_equal_degrees(self):
-        assert trivialization_invariance_check(5, 5) == 0
-
-    def test_unequal_degrees_rejected(self):
-        with pytest.raises(UnequalDegrees):
-            trivialization_invariance_check(1, 2)

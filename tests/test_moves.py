@@ -16,19 +16,12 @@ from legrid import (
     apply_move,
     apply_script,
     classical,
-    column_map,
-    commute,
-    destabilize_grid,
     follow,
-    legendrian_stabilize,
     linking_number,
-    move_to_text,
     new_grid,
     parse_move_script,
     relative_invariants,
-    stabilize_grid,
     to_front,
-    translate,
 )
 from legrid.moves import ISOTOPY_SUBTYPES, STAB_MINUS, STAB_PLUS
 from legrid.sampling import random_grid, random_link
@@ -44,7 +37,7 @@ class TestTranslate:
         for direction in ("up", "down", "left", "right"):
             current = g
             for _ in range(g.n):
-                current = translate(current, direction)
+                current = apply_move(current, Translate(direction))
             assert current == g
 
     def test_preserves_component_count(self):
@@ -52,14 +45,14 @@ class TestTranslate:
         for _ in range(100):
             g = random_grid(rng, rng.randint(2, 8))
             d = rng.choice(("up", "down", "left", "right"))
-            assert len(translate(g, d).components) == len(g.components)
+            assert len(apply_move(g, Translate(d)).components) == len(g.components)
 
     def test_preserves_linking_number(self):
         rng = random.Random(4)
         for _ in range(100):
             g = random_link(rng, rng.randint(4, 8))
             d = rng.choice(("up", "down", "left", "right"))
-            g2 = translate(g, d)
+            g2 = apply_move(g, Translate(d))
             image = follow(g, Translate(d), g2)
             a, b = rng.sample(range(len(g.components)), 2)
             assert linking_number(g2, image[a], image[b]) == brute_linking(
@@ -68,7 +61,7 @@ class TestTranslate:
 
     def test_bad_direction(self):
         with pytest.raises(BadCell):
-            translate(UNKNOT, "sideways")
+            apply_move(UNKNOT, Translate("sideways"))
 
 
 class TestCommute:
@@ -80,11 +73,11 @@ class TestCommute:
             axis = rng.choice(("row", "col"))
             i = rng.randrange(g.n - 1)
             try:
-                g2 = commute(g, i, axis)
+                g2 = apply_move(g, Commute(axis, i))
             except InterleavingSpans:
                 continue
             done += 1
-            assert commute(g2, i, axis) == g
+            assert apply_move(g2, Commute(axis, i)) == g
 
     def test_invariants_unchanged(self):
         rng = random.Random(6)
@@ -94,7 +87,7 @@ class TestCommute:
             axis = rng.choice(("row", "col"))
             i = rng.randrange(g.n - 1)
             try:
-                g2 = commute(g, i, axis)
+                g2 = apply_move(g, Commute(axis, i))
             except InterleavingSpans:
                 continue
             done += 1
@@ -105,16 +98,16 @@ class TestCommute:
         # Columns 0 and 1 of the minimal unknot occupy the same rows;
         # shared span endpoints count as interleaving.
         with pytest.raises(InterleavingSpans):
-            commute(UNKNOT, 0, "col")
+            apply_move(UNKNOT, Commute("col", 0))
         # Strictly alternating spans: column 0 sits in rows {0, 2},
         # column 1 in rows {1, 3}.
         g = new_grid(4, [0, 1, 2, 3], [2, 3, 0, 1])
         with pytest.raises(InterleavingSpans):
-            commute(g, 0, "col")
+            apply_move(g, Commute("col", 0))
 
     def test_index_out_of_range(self):
         with pytest.raises(BadCell):
-            commute(UNKNOT, 1, "col")
+            apply_move(UNKNOT, Commute("col", 1))
 
 
 class TestStabilize:
@@ -125,16 +118,16 @@ class TestStabilize:
             col = rng.randrange(g.n)
             marker = rng.choice(("X", "O"))
             subtype = rng.choice(("NE", "NW", "SE", "SW"))
-            g2 = stabilize_grid(g, marker, col, subtype)
+            g2 = apply_move(g, Stabilize(marker, col, subtype))
             assert g2.n == g.n + 1
-            assert destabilize_grid(g2, col) == g
+            assert apply_move(g2, Destabilize(col)) == g
 
     def test_component_count_preserved(self):
         rng = random.Random(8)
         for _ in range(100):
             g = random_grid(rng, rng.randint(2, 7))
-            g2 = stabilize_grid(
-                g, rng.choice(("X", "O")), rng.randrange(g.n), rng.choice(("NE", "NW", "SE", "SW"))
+            g2 = apply_move(
+                g, Stabilize(rng.choice(("X", "O")), rng.randrange(g.n), rng.choice(("NE", "NW", "SE", "SW")))
             )
             assert len(g2.components) == len(g.components)
 
@@ -149,8 +142,8 @@ class TestStabilize:
                 for marker in ("X", "O"):
                     before = classical(g, g.component_by_column[col])
                     for subtype in ("NE", "NW", "SE", "SW"):
-                        g2 = stabilize_grid(g, marker, col, subtype)
-                        cmap = column_map(g, Stabilize(marker, col, subtype))
+                        g2 = apply_move(g, Stabilize(marker, col, subtype))
+                        cmap = Stabilize(marker, col, subtype).column_map(g)
                         after = classical(g2, g2.component_by_column[cmap(col)])
                         delta = (after.tb - before.tb, after.r - before.r)
                         if (marker, subtype) in ISOTOPY_SUBTYPES:
@@ -163,13 +156,13 @@ class TestStabilize:
 
     def test_bad_cell(self):
         with pytest.raises(BadCell):
-            stabilize_grid(UNKNOT, "X", 9, "NE")
+            apply_move(UNKNOT, Stabilize("X", 9, "NE"))
         with pytest.raises(BadCell):
-            stabilize_grid(UNKNOT, "Y", 0, "NE")
+            apply_move(UNKNOT, Stabilize("Y", 0, "NE"))
         with pytest.raises(BadCell):
-            stabilize_grid(UNKNOT, "X", 0, "N")
+            apply_move(UNKNOT, Stabilize("X", 0, "N"))
         with pytest.raises(BadCell):
-            destabilize_grid(UNKNOT, 0)
+            apply_move(UNKNOT, Destabilize(0))
 
 
 class TestLegendrianStabilize:
@@ -180,8 +173,8 @@ class TestLegendrianStabilize:
                 g = random_grid(rng, rng.randint(2, 8))
                 c = rng.randrange(len(g.components))
                 before = classical(g, c)
-                g2 = legendrian_stabilize(g, c, sign)
-                cmap = column_map(g, LegendrianStab(c, sign))
+                g2 = apply_move(g, LegendrianStab(c, sign))
+                cmap = LegendrianStab(c, sign).column_map(g)
                 after = classical(g2, g2.component_by_column[cmap(min(g.component(c).columns))])
                 assert after.tb == before.tb - 1
                 assert after.r == before.r + sign
@@ -193,8 +186,8 @@ class TestLegendrianStabilize:
                 g = random_link(rng, rng.randint(4, 8))
                 k, j = rng.sample(range(len(g.components)), 2)
                 before = relative_invariants(g, k, j)
-                g2 = legendrian_stabilize(g, k, sign)
-                cmap = column_map(g, LegendrianStab(k, sign))
+                g2 = apply_move(g, LegendrianStab(k, sign))
+                cmap = LegendrianStab(k, sign).column_map(g)
                 k2 = g2.component_by_column[cmap(min(g.component(k).columns))]
                 j2 = g2.component_by_column[cmap(min(g.component(j).columns))]
                 after = relative_invariants(g2, k2, j2)
@@ -211,11 +204,11 @@ class TestLegendrianStabilize:
                     before = relative_invariants(g, k, j)
                     anchor_k = min(g.component(k).columns)
                     anchor_j = min(g.component(j).columns)
-                    g2 = legendrian_stabilize(g, k, sk)
-                    m1 = column_map(g, LegendrianStab(k, sk))
+                    g2 = apply_move(g, LegendrianStab(k, sk))
+                    m1 = LegendrianStab(k, sk).column_map(g)
                     j2 = g2.component_by_column[m1(anchor_j)]
-                    g3 = legendrian_stabilize(g2, j2, sj)
-                    m2 = column_map(g2, LegendrianStab(j2, sj))
+                    g3 = apply_move(g2, LegendrianStab(j2, sj))
+                    m2 = LegendrianStab(j2, sj).column_map(g2)
                     k3 = g3.component_by_column[m2(m1(anchor_k))]
                     j3 = g3.component_by_column[m2(m1(anchor_j))]
                     after = relative_invariants(g3, k3, j3)
@@ -230,7 +223,7 @@ class TestFollow:
         for _ in range(300):
             g = random_link(rng, rng.randint(4, 8))
             c = rng.randrange(g.n)
-            stabilized = stabilize_grid(g, "X", c, rng.choice(("NE", "NW", "SE", "SW")))
+            stabilized = apply_move(g, Stabilize("X", c, rng.choice(("NE", "NW", "SE", "SW"))))
             cases = [
                 (g, Translate(rng.choice(("up", "down", "left", "right")))),
                 (g, Stabilize(rng.choice(("X", "O")), c, rng.choice(("NE", "NW", "SE", "SW")))),
@@ -244,7 +237,7 @@ class TestFollow:
                 moved = apply_move(before, move)
                 image = follow(before, move, moved)
                 assert sorted(image) == list(range(len(moved.components)))
-                cmap = column_map(before, move)
+                cmap = move.column_map(before)
                 for comp in before.components:
                     owners = {moved.component_by_column[cmap(col)] for col in comp.columns}
                     assert owners == {image[comp.index]}
@@ -326,7 +319,7 @@ class TestApplyScript:
             step = result.trace[-1]
             before = to_front(g)
             after = to_front(result.final)
-            cmap = column_map(g, Translate(d))
+            cmap = Translate(d).column_map(g)
             changed = any(
                 before.cusps[comp.index]
                 != after.cusps[result.final.component_by_column[cmap(min(comp.columns))]]
@@ -366,7 +359,7 @@ class TestScriptParsing:
             "lstab 0 -\n"
         )
         script = parse_move_script(text)
-        assert [move_to_text(m) for m in script.moves] == [
+        assert [m.text() for m in script.moves] == [
             "translate up",
             "commute col 2",
             "stab X 1 NW",
@@ -381,11 +374,11 @@ class TestScriptParsing:
         moves += [Destabilize(1), Destabilize(1, 0), Destabilize(1, 4)]
         moves += [LegendrianStab(0, 1), LegendrianStab(2, -1)]
         for move in moves:
-            assert parse_move_script(move_to_text(move)) == MoveScript((move,))
+            assert parse_move_script(move.text()) == MoveScript((move,))
 
     def test_destab_row_is_applied(self):
         # Columns 1,2 of this grid hold an L-block at rows 0,1 only.
-        g = stabilize_grid(UNKNOT, "X", 0, "NE")
+        g = apply_move(UNKNOT, Stabilize("X", 0, "NE"))
         assert apply_script(g, parse_move_script("destab 1 0\n")).final == UNKNOT
         with pytest.raises(ScriptStepError):
             apply_script(g, parse_move_script("destab 1 1\n"))
