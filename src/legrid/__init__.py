@@ -41,6 +41,7 @@ from .invariants import (
     OrientationFlag,
     RelativeInvariants,
     classical,
+    component_grid,
     relative_invariants,
     rot,
     tb_front,

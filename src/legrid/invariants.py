@@ -29,6 +29,7 @@ __all__ = [
     "tb_grid_oracle",
     "rot",
     "classical",
+    "component_grid",
     "relative_invariants",
 ]
 
@@ -161,6 +162,25 @@ def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> in
             f"component {c} and its push-off cross an odd signed number of times ({total})"
         )
     return total // 2
+
+
+def component_grid(g: GridDiagram, c) -> GridDiagram:
+    """Component ``c`` alone, as a one-component grid: its columns in
+    order, with the rows of its markers compressed to ranks.
+
+    Every self-crossing and cusp of a component involves only its own
+    segments, and rank compression keeps the strict order of their
+    ends, so the sub-grid has the component's front and tb and r.
+    Equal components give equal (and equally hashed) sub-grids.
+    """
+    comp = g.component(c)
+    cols = sorted(comp.columns)
+    rank = {row: i for i, row in enumerate(sorted(comp.rows))}
+    return GridDiagram(
+        n=len(cols),
+        xs=tuple(rank[g.xs[col]] for col in cols),
+        os=tuple(rank[g.os[col]] for col in cols),
+    )
 
 
 def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> ClassicalInvariants:

@@ -27,9 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import BadCell, InterleavingSpans, LegridError, ParseError, SameComponent, ScriptStepError
+from .errors import (
+    BadCell,
+    InterleavingSpans,
+    LegridError,
+    OracleMismatch,
+    ParityViolation,
+    ParseError,
+    SameComponent,
+    ScriptStepError,
+)
 from .grid import Convention, GridDiagram, _int_token, new_grid, to_front
-from .invariants import ClassicalInvariants, RelativeInvariants, classical
+from .invariants import ClassicalInvariants, RelativeInvariants, classical, component_grid
 
 __all__ = [
     "Translate",
@@ -315,12 +324,23 @@ def changes_cusps(
     """Whether ``move``, taking ``g`` to ``moved`` with components
     mapped by ``image`` (see :func:`follow`), is a translation that
     changes some component's cusp counts: the step that
-    :func:`apply_script` flags ``cusp-change``."""
+    :func:`apply_script` flags ``cusp-change``.
+
+    A cyclic translation changes the order of markers only along the
+    line that wraps, so only the component owning that line can change
+    its cusps; it is compared on its own sub-grid before and after.
+    """
     if not isinstance(move, Translate):
         return False
-    before = to_front(g, conv).cusps
-    after = to_front(moved, conv).cusps
-    return any(before[c] != after[i] for c, i in enumerate(image))
+    n = g.n
+    if move.direction in ("up", "down"):
+        wrapping_column = g.x_col_by_row[n - 1 if move.direction == "up" else 0]
+    else:
+        wrapping_column = 0 if move.direction == "left" else n - 1
+    k = g.component_by_column[wrapping_column]
+    before = to_front(component_grid(g, k), conv).cusps
+    after = to_front(component_grid(moved, image[k]), conv).cusps
+    return before != after
 
 
 @dataclass(frozen=True)
@@ -338,15 +358,27 @@ class ScriptResult:
     trace: tuple[TraceStep, ...]
 
 
-def _snapshot(g, index, move, pair, flags, conv):
-    invs = tuple(classical(g, comp.index, conv) for comp in g.components)
+def _snapshot(g, index, move, pair, flags, conv, subs):
+    """The trace step of ``g``.  Each component's invariants come from
+    its sub-grid, interned in ``subs`` so that the front and the oracle
+    run once per distinct pattern in one script run."""
+    invs = []
+    for c in range(len(g.components)):
+        sub = component_grid(g, c)
+        sub = subs.setdefault(sub, sub)
+        try:
+            invs.append(classical(sub, 0, conv))
+        except (OracleMismatch, ParityViolation) as e:
+            # the sub-grid numbers the component 0; name it as g does
+            detail = str(e).removeprefix("component 0")
+            raise type(e)(f"step {index}, component {c}{detail}") from None
     rel = None
     if pair is not None:
         k, j = pair
         if k == j:
             raise SameComponent(f"relative invariants need two distinct components, got {k}")
         rel = RelativeInvariants.between(invs[k], invs[j])
-    return TraceStep(index=index, move=move, invariants=invs, relative=rel, flags=flags)
+    return TraceStep(index=index, move=move, invariants=tuple(invs), relative=rel, flags=flags)
 
 
 def apply_script(
@@ -362,7 +394,8 @@ def apply_script(
     first illegal step aborts the run with its index.
     """
     pair = (0, 1) if len(g.components) >= 2 else None
-    trace = [_snapshot(g, 0, None, pair, (), conv)]
+    subs = {}  # sub-grid -> its interned instance, for this run only
+    trace = [_snapshot(g, 0, None, pair, (), conv, subs)]
     current = g
     for idx, move in enumerate(script.moves, start=1):
         try:
@@ -373,7 +406,7 @@ def apply_script(
         flags = ("cusp-change",) if changes_cusps(current, move, moved, image, conv) else ()
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
-        trace.append(_snapshot(moved, idx, move, pair, flags, conv))
+        trace.append(_snapshot(moved, idx, move, pair, flags, conv, subs))
         current = moved
     return ScriptResult(final=current, trace=tuple(trace))
 

@@ -114,6 +114,20 @@ class TestMoves:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ScriptStepError"
 
+    def test_oracle_mismatch_names_the_step_and_the_component(self, capsys, split_file, tmp_path, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        real = inv_mod.tb_grid_oracle
+        # tb + 1 on the one 3x3 sub-grid: the unknot that step 2 stabilizes
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", lambda g, c, conv: real(g, c, conv) + (g.n == 3))
+        script = tmp_path / "script.txt"
+        script.write_text("translate up\nlstab 1 +\n")
+        code, out, err = run_cli(capsys, "moves", split_file, str(script))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert error["type"] == "OracleMismatch"
+        assert error["message"] == "step 2, component 1: front route gives tb=-2, push-off route gives -1"
+
 
 class TestLedger:
     def test_query(self, capsys, tmp_path):

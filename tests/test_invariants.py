@@ -11,6 +11,7 @@ from legrid import (
     SameComponent,
     UnknownComponent,
     classical,
+    component_grid,
     new_grid,
     relative_invariants,
     reverse_component,
@@ -20,6 +21,8 @@ from legrid import (
     to_front,
 )
 from legrid.sampling import random_grid, random_knot, random_link
+
+from helpers import all_marker_lists
 
 UNKNOT = new_grid(2, [0, 1], [1, 0])
 SPLIT = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
@@ -93,6 +96,42 @@ class TestRouteEquality:
             tb_grid_oracle(UNKNOT, 2)
         with pytest.raises(UnknownComponent):
             tb_front(to_front(UNKNOT), 2)
+
+
+class TestComponentGrid:
+    """A component's sub-grid carries its invariants and cusps: checked
+    against the whole-grid route, which reads the full front and runs
+    the oracle on the full grid."""
+
+    @staticmethod
+    def _check_locality(g):
+        for comp in g.components:
+            c = comp.index
+            sub = component_grid(g, c)
+            assert new_grid(sub.n, sub.xs, sub.os) == sub
+            assert sub.n == len(comp.columns)
+            assert len(sub.components) == 1
+            for conv in Convention:
+                assert classical(sub, 0, conv) == classical(g, c, conv)
+                assert to_front(sub, conv).cusps[0] == to_front(g, conv).cusps[c]
+
+    def test_every_small_grid(self):
+        for n in range(2, 6):
+            for xs, os in all_marker_lists(n):
+                self._check_locality(new_grid(n, xs, os))
+
+    def test_random_links(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            self._check_locality(random_link(rng, rng.randint(4, 40)))
+
+    def test_equal_components_give_equal_sub_grids(self):
+        # Two split unknots, one of them shifted: the same pattern.
+        assert component_grid(SPLIT, 0) == component_grid(SPLIT, 1) == UNKNOT
+
+    def test_unknown_component(self):
+        with pytest.raises(UnknownComponent):
+            component_grid(SPLIT, 2)
 
 
 class TestRotation:

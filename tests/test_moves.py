@@ -5,10 +5,12 @@ import pytest
 from legrid import (
     BadCell,
     Commute,
+    Convention,
     Destabilize,
     InterleavingSpans,
     LegendrianStab,
     MoveScript,
+    ParityViolation,
     ParseError,
     ScriptStepError,
     Stabilize,
@@ -21,14 +23,16 @@ from legrid import (
     new_grid,
     parse_move_script,
     relative_invariants,
+    tb_grid_oracle,
     to_front,
 )
-from legrid.moves import ISOTOPY_SUBTYPES, STAB_MINUS, STAB_PLUS
+from legrid.moves import ISOTOPY_SUBTYPES, STAB_MINUS, STAB_PLUS, changes_cusps
 from legrid.sampling import random_grid, random_link
 
-from helpers import all_marker_lists, brute_linking
+from helpers import all_marker_lists, brute_linking, trace_components
 
 UNKNOT = new_grid(2, [0, 1], [1, 0])
+DIRECTIONS = ("up", "down", "left", "right")
 
 
 class TestTranslate:
@@ -328,6 +332,134 @@ class TestApplyScript:
             assert ("cusp-change" in step.flags) == changed
             flagged += bool(changed)
         assert flagged > 0
+
+
+class TestKeyedInvariants:
+    """apply_script reads each component's invariants off its interned
+    sub-grid; these tests hold that route to the whole-grid one."""
+
+    def test_each_step_matches_the_whole_grid_route(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            g = random_link(rng, rng.randint(4, 14))
+            moves = _legal_script(rng, g, 12)
+            result = apply_script(g, MoveScript(moves))
+            current = g
+            for step, move in zip(result.trace, (None,) + moves):
+                if move is not None:
+                    current = apply_move(current, move)
+                whole = tuple(classical(current, c) for c in range(len(current.components)))
+                assert step.invariants == whole
+            assert result.final == current
+
+    def test_oracle_runs_once_per_distinct_pattern_per_call(self, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        g = new_grid(6, [1, 4, 3, 0, 2, 5], [4, 2, 0, 3, 5, 1])
+        script = MoveScript((Translate("up"),) * g.n + (Translate("left"),) * g.n)
+        grids = [g]
+        for move in script.moves:
+            grids.append(apply_move(grids[-1], move))
+        distinct = set().union(*map(_component_patterns, grids))
+
+        calls = []
+
+        def counting(g, c, conv=Convention.NW_SE):
+            calls.append(g)
+            return tb_grid_oracle(g, c, conv)
+
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", counting)
+        apply_script(g, script)
+        assert len(calls) == len(distinct) < len(grids) * len(g.components)
+        # The memo belongs to one call: a second call computes again.
+        calls.clear()
+        apply_script(g, script)
+        assert len(calls) == len(distinct)
+
+    def test_parity_error_names_the_step_and_the_component(self, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        def odd_on_three(g, c, conv=Convention.NW_SE):
+            # Only the stabilized unknot has a 3x3 sub-grid.
+            if g.n == 3:
+                raise ParityViolation(f"component {c} and its push-off cross an odd signed number of times (1)")
+            return tb_grid_oracle(g, c, conv)
+
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", odd_on_three)
+        split = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
+        with pytest.raises(ParityViolation) as exc:
+            apply_script(split, MoveScript((Translate("up"), LegendrianStab(1, 1))))
+        assert str(exc.value) == (
+            "step 2, component 1 and its push-off cross an odd signed number of times (1)"
+        )
+
+
+class TestChangesCusps:
+    """The one-component rule against a whole-front comparison."""
+
+    @staticmethod
+    def _flags(g):
+        flags = []
+        for direction in DIRECTIONS:
+            move = Translate(direction)
+            moved = apply_move(g, move)
+            image = follow(g, move, moved)
+            for conv in Convention:
+                before, after = to_front(g, conv).cusps, to_front(moved, conv).cusps
+                whole = any(before[c] != after[i] for c, i in enumerate(image))
+                assert changes_cusps(g, move, moved, image, conv) == whole
+                flags.append(whole)
+        return flags
+
+    def test_every_small_grid(self):
+        flags = []
+        for n in range(2, 6):
+            for xs, os in all_marker_lists(n):
+                flags += self._flags(new_grid(n, xs, os))
+        assert 0 < sum(flags) < len(flags)
+
+    def test_random_links(self):
+        rng = random.Random(22)
+        flags = []
+        for _ in range(300):
+            flags += self._flags(random_link(rng, rng.randint(4, 14)))
+        assert 0 < sum(flags) < len(flags)
+
+
+def _component_patterns(g):
+    """Each component's markers, columns in order and rows ranked,
+    written out apart from ``component_grid``."""
+    patterns = set()
+    for cols in trace_components(list(g.xs), list(g.os)):
+        rows = sorted(g.xs[c] for c in cols)
+        patterns.add(
+            (tuple(rows.index(g.xs[c]) for c in cols), tuple(rows.index(g.os[c]) for c in cols))
+        )
+    return patterns
+
+
+def _legal_script(rng, g, length):
+    """A seeded script of ``length`` legal moves of every kind from ``g``."""
+    moves = []
+    current = g
+    while len(moves) < length:
+        kind = rng.randrange(5)
+        if kind == 0:
+            move = Translate(rng.choice(DIRECTIONS))
+        elif kind == 1:
+            move = Commute(rng.choice(("row", "col")), rng.randrange(current.n - 1))
+        elif kind == 2:
+            move = Stabilize(rng.choice("XO"), rng.randrange(current.n), rng.choice(("NE", "NW", "SE", "SW")))
+        elif kind == 3:
+            move = LegendrianStab(rng.randrange(len(current.components)), rng.choice((1, -1)))
+        else:
+            move = Destabilize(rng.randrange(current.n - 1))
+        try:
+            current = apply_move(current, move)
+        except (BadCell, InterleavingSpans):
+            continue
+        moves.append(move)
+    return tuple(moves)
 
 
 def _legal_isotopy_move(rng, g):
