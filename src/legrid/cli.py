@@ -11,6 +11,7 @@ with exit code 1 for domain errors and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -18,7 +19,7 @@ import sys
 
 from . import ledger as ledger_mod
 from . import simulator
-from .errors import LegridError, ParseError
+from .errors import LegridError, ParseError, ScriptStepError
 from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, parse_move_script
@@ -292,7 +293,13 @@ def _cmd_selftest(args):
     return 0 if report["all_passed"] else 1
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process, built on the first ``main`` call
+    (not at import) and reused by every later one.  It holds only
+    constants: parsing does not change it, errors raise, and help is
+    formatted for the ``sys.stdout`` and terminal width in force when it
+    is printed."""
     parser = _Parser(prog="legrid", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -362,6 +369,12 @@ def main(argv=None) -> int:
         return 2
     except ParseError as e:
         payload = _error_payload("ParseError", e.message, line=e.line, column=e.column)
+        print(json.dumps(payload), file=sys.stderr)
+        return 1
+    except ScriptStepError as e:
+        payload = _error_payload(
+            "ScriptStepError", str(e), step=e.index, cause=type(e.cause).__name__
+        )
         print(json.dumps(payload), file=sys.stderr)
         return 1
     except LegridError as e:

@@ -151,12 +151,22 @@ def replay(s0: FramedPairState, events):
     relative triple raises :class:`TripleDrift` naming the first event
     with that shift, and a pattern with several singular clasps raises
     :class:`ScriptStepError` with its index.
+
+    Events are looked up by identity first, so a repeated object (the
+    parser shares one per distinct line) skips the dataclass hash; an
+    equal but distinct object falls back to the equality-keyed dict.
+    Only the first object of each value gets an identity entry: that
+    dict keeps it alive, so no id is reused while the dicts live, and a
+    caller that builds a fresh object per event adds no entries.
     """
     triple = s0.triple
-    found = {}
+    by_id = {}  # id(event) -> shift, for the events that key `found`
+    found = {}  # event -> shift
     shifts = []
     for idx, event in enumerate(events):
-        shift = found.get(event)
+        shift = by_id.get(id(event))
+        if shift is None:
+            shift = found.get(event)
         if shift is None:
             if not isinstance(event, (CrossingEvent, IntersectionPattern)):
                 raise TypeError(f"event {idx} is neither a crossing nor a pattern: {event!r}")
@@ -168,7 +178,7 @@ def replay(s0: FramedPairState, events):
             if a != b or c != d or e != f:
                 moved = (triple[0] + a - b, triple[1] + c - d, triple[2] + e - f)
                 raise TripleDrift(f"event {idx}: relative triple moved from {triple} to {moved}")
-            found[event] = shift
+            found[event] = by_id[id(event)] = shift
         shifts.append(shift)
     return _accumulate(tuple(s0), shifts)
 
@@ -206,7 +216,7 @@ _PATTERN_KEYS = ("circles", "ribbon", "bparallel", "clasps", "singular")
 def parse_event_script(text: str):
     """Parse the one-event-per-line format: ``cross <+|->`` or
     ``pattern circles=<n> ribbon=<n> bparallel=<n> clasps=<n>
-    singular=<+|-|none>``.
+    singular=<+|-|none>``, each field exactly once.
 
     Events are immutable, so each distinct line (comment stripped,
     trimmed) is parsed once and its event shared by every repeat.
@@ -237,6 +247,8 @@ def _parse_event(line, line_no):
         key, value = part.split("=", 1)
         if key not in _PATTERN_KEYS:
             raise ParseError(line_no, 1, f"unknown pattern field {key!r}")
+        if key in fields:
+            raise ParseError(line_no, 1, f"repeated pattern field {key!r}")
         fields[key] = value
     missing = [k for k in _PATTERN_KEYS if k not in fields]
     if missing:

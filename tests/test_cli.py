@@ -15,6 +15,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 UNKNOT_TEXT = "n=2\nX=0,1\nO=1,0\n"
 SPLIT_JSON = '{"n": 4, "x": [0, 1, 2, 3], "o": [1, 0, 3, 2]}'
+LINK_TEXT = "n=6\nX=1,4,3,0,2,5\nO=4,2,0,3,5,1\n"  # relative triple (-1, 1, -2)
 STATE_HEADERS = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
 
 
@@ -36,6 +37,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, **kwargs):
+    """Run a fresh interpreter that imports legrid from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
+
+
+def _fresh_run(argv):
+    """One legrid call in a new interpreter: (exit code, stdout, stderr)."""
+    run = run_python("-m", "legrid", *argv, text=True)
+    return run.returncode, run.stdout, run.stderr
 
 
 class TestParseGridFile:
@@ -84,7 +98,7 @@ class TestRel:
         # Two-component fixture with a fully nonzero relative triple
         # (-1, 1, -2), so the negation cannot pass vacuously.
         path = tmp_path / "link.grid"
-        path.write_text("n=6\nX=1,4,3,0,2,5\nO=4,2,0,3,5,1\n")
+        path.write_text(LINK_TEXT)
         _, out_plus, _ = run_cli(capsys, "rel", str(path), "--pair", "0,1")
         _, out_minus, _ = run_cli(capsys, "rel", str(path), "--pair", "0,1", "--orient", "-")
         plus, minus = json.loads(out_plus), json.loads(out_minus)
@@ -108,11 +122,16 @@ class TestMoves:
 
     def test_illegal_step_fails_with_index(self, capsys, unknot_file, tmp_path):
         script = tmp_path / "script.txt"
-        script.write_text("commute col 0\n")
-        code, out, err = run_cli(capsys, "moves", unknot_file, str(script))
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["error"]["type"] == "ScriptStepError"
+        for text, step, cause, message in [
+            ("commute col 0\n", 1, "InterleavingSpans", "step 1: columns 0 and 1 interleave"),
+            ("lstab 0 +\ncommute col 5\n", 2, "BadCell", "step 2: cannot commute lines 5,6 of an 3-grid"),
+        ]:
+            script.write_text(text)
+            code, out, err = run_cli(capsys, "moves", unknot_file, str(script))
+            assert (code, out) == (1, "")
+            error = _single_json_error(err)
+            assert list(error) == ["type", "message", "step", "cause"]
+            assert error == {"type": "ScriptStepError", "message": message, "step": step, "cause": cause}
 
     def test_oracle_mismatch_names_the_step_and_the_component(self, capsys, split_file, tmp_path, monkeypatch):
         import legrid.invariants as inv_mod
@@ -217,6 +236,41 @@ class TestCrossSim:
             "tw_K": 10**9 - 1, "tw_J": 10**9 - 1, "w_K": -1, "w_J": -1, "sK": 1, "sJ": 1,
             "tb_rel": 0, "r_rel": 0, "sl_rel": 0,
         }
+
+    def test_two_singular_clasps_record_names_step_and_cause(self, capsys, tmp_path, monkeypatch):
+        # The text format writes at most one clasp sign, so the two-clasp
+        # pattern is appended after parsing.
+        import legrid.simulator as sim_mod
+
+        real = sim_mod.parse_event_script
+        monkeypatch.setattr(
+            sim_mod, "parse_event_script",
+            lambda text: real(text) + (IntersectionPattern(singular=(1, 1)),),
+        )
+        events = tmp_path / "events.txt"
+        events.write_text("cross +\ncross -\n")
+        code, out, err = run_cli(capsys, "cross-sim", str(events))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert list(error) == ["type", "message", "step", "cause"]
+        assert error == {
+            "type": "ScriptStepError",
+            "message": "step 2: at most one singular clasp is possible, got 2",
+            "step": 2,
+            "cause": "MultipleSingularClasps",
+        }
+
+    @pytest.mark.parametrize("key", ["circles", "ribbon", "bparallel", "clasps", "singular"])
+    def test_repeated_pattern_field_is_a_parse_error(self, capsys, tmp_path, key):
+        values = {"circles": "1", "ribbon": "3", "bparallel": "0", "clasps": "0", "singular": "+"}
+        fields = " ".join(f"{k}={v}" for k, v in values.items())
+        events = tmp_path / "events.txt"
+        events.write_text(f"cross +\n# comment\npattern {fields} {key}={values[key]}\n")
+        code, out, err = run_cli(capsys, "cross-sim", str(events))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert (error["type"], error["line"], error["column"]) == ("ParseError", 3, 1)
+        assert error["message"] == f"repeated pattern field {key!r}"
 
     def test_negative_pattern_count_is_a_parse_error(self, capsys, tmp_path):
         events = tmp_path / "events.txt"
@@ -332,11 +386,7 @@ print(raised(lambda: tb_grid_oracle(t, 0)))
 sim.CrossingEvent.shift = property(lambda e: (1, 0, 0, 0, 0, 0))
 print(raised(lambda: sim.run_trace(sim.FramedPairState(), [sim.CrossingEvent(1)])))
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        run = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, env=env, text=True, check=True
-        )
+        run = run_python("-O", "-c", code, text=True, check=True)
         assert run.stdout.split() == ["ParityViolation", "ParityViolation", "TripleDrift"]
 
 
@@ -466,16 +516,69 @@ class TestSelftest:
         assert report["seed"] == 3
 
     def test_byte_identical_reports(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         runs = [
-            subprocess.run(
-                [sys.executable, "-m", "legrid", "selftest", "--seed", "7", "--cases", "30"],
-                capture_output=True,
-                env=env,
-                check=True,
-            )
+            run_python("-m", "legrid", "selftest", "--seed", "7", "--cases", "30", check=True)
             for _ in range(2)
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; nothing from one call
+    may reach the next."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["inv", "--component", "1", "G"], ["inv", "G"]),
+            (["rel", "G", "--pair", "0,1", "--orient", "-"], ["rel", "G", "--pair", "0,1"]),
+            (["inv", "--pretty", "G"], ["inv", "G"]),
+            (["inv", "--conv", "bogus", "G"], ["inv", "G"]),
+            (["-h"], ["inv", "G"]),
+        ],
+    )
+    def test_second_call_matches_a_fresh_process(self, capsys, monkeypatch, tmp_path, first, second):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = tmp_path / "link.grid"
+        path.write_text(LINK_TEXT)
+        first, second = ([str(path) if a == "G" else a for a in argv] for argv in (first, second))
+        run_cli(capsys, *first)
+        result = run_cli(capsys, *second)
+        assert result == _fresh_run(second)
+        if second[0] == "inv":
+            assert [rec["component"] for rec in json.loads(result[1])] == [0, 1]
+
+    def test_help_follows_columns_at_print_time(self, capsys, monkeypatch):
+        def description():
+            code, out, err = run_cli(capsys, "-h")
+            assert (code, err) == (0, "")
+            return out.split("\n\n")[1]
+
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = description()
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = description()
+        assert narrow != wide
+        assert narrow.split() == wide.split()
+        assert max(map(len, narrow.splitlines())) <= 40 < max(map(len, wide.splitlines()))
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        code = """
+import contextlib, gc, io
+import legrid.cli as cli
+
+assert not [o for o in gc.get_objects() if isinstance(o, cli._Parser)]
+built = []
+init = cli._Parser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+cli._Parser.__init__ = counting_init
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["selftest", "--cases", "0"]) for _ in range(2)]
+print(*codes, built.count("legrid"), len(built))
+"""
+        run = run_python("-c", code, text=True, check=True)
+        # Both calls pass; one top-level parser and its six verb subparsers.
+        assert run.stdout.split() == ["0", "0", "1", "7"]

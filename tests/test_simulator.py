@@ -220,6 +220,23 @@ class TestReplay:
                 expected.append(s)
             assert list(replay(expected[0], events)) == expected
 
+    def test_each_distinct_shift_is_read_once(self, monkeypatch):
+        reads = []
+        real = CrossingEvent.shift
+        monkeypatch.setattr(CrossingEvent, "shift", property(lambda e: reads.append(e) or real.fget(e)))
+        shared = CrossingEvent(1)
+        # One shared object, then equal objects built afresh per event.
+        events = [shared] * 5 + [CrossingEvent(1) for _ in range(5)] + [CrossingEvent(-1)] * 3
+        rows = list(replay(FramedPairState(), events))
+        assert reads == [CrossingEvent(1), CrossingEvent(-1)]
+        assert rows[-1] == (-7, -7, -7, -7, 7, 7)
+        # Events made on the fly and dropped: a freed id may not alias an
+        # earlier event's entry.
+        rng = random.Random(6)
+        signs = [rng.choice((1, -1)) for _ in range(200)]
+        rows = list(replay(FramedPairState(), (CrossingEvent(e) for e in signs)))
+        assert [row[4] for row in rows] == [sum(signs[:i]) for i in range(201)]
+
     def test_errors_raise_before_the_first_state(self, monkeypatch):
         events = [CrossingEvent(1)] * 3 + [IntersectionPattern(singular=(1, -1))]
         with pytest.raises(ScriptStepError) as exc:
