@@ -238,7 +238,6 @@ def _cmd_ledger(args):
 
 
 def _cmd_cross_sim(args):
-    events = simulator.parse_event_script(_read_input(args.events))
     s0 = simulator.FramedPairState()
     if args.init is not None:
         parts = args.init.split(",")
@@ -248,6 +247,7 @@ def _cmd_cross_sim(args):
             s0 = simulator.FramedPairState._make(map(_int_token, parts))
         except ValueError:
             raise _UsageError("--init expects integers") from None
+    events = simulator.parse_event_script(_read_input(args.events))
     rows = simulator.replay(s0, events)
     if args.pretty:
         headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]

@@ -318,29 +318,12 @@ def follow(g: GridDiagram, move: GridMove, moved: GridDiagram) -> tuple[int, ...
     return tuple(owner[cmap(min(comp.columns))] for comp in g.components)
 
 
-def changes_cusps(
-    g: GridDiagram, move: GridMove, moved: GridDiagram, image, conv: Convention = Convention.NW_SE
-) -> bool:
-    """Whether ``move``, taking ``g`` to ``moved`` with components
-    mapped by ``image`` (see :func:`follow`), is a translation that
-    changes some component's cusp counts: the step that
-    :func:`apply_script` flags ``cusp-change``.
-
-    A cyclic translation changes the order of markers only along the
-    line that wraps, so only the component owning that line can change
-    its cusps; it is compared on its own sub-grid before and after.
-    """
-    if not isinstance(move, Translate):
-        return False
-    n = g.n
-    if move.direction in ("up", "down"):
-        wrapping_column = g.x_col_by_row[n - 1 if move.direction == "up" else 0]
-    else:
-        wrapping_column = 0 if move.direction == "left" else n - 1
-    k = g.component_by_column[wrapping_column]
-    before = to_front(component_grid(g, k), conv).cusps
-    after = to_front(component_grid(moved, image[k]), conv).cusps
-    return before != after
+def changes_cusps(move: GridMove, before, after, image) -> bool:
+    """Whether ``move`` is a translation under which some component's
+    cusp counts, ``before[c]``, differ from those of its image,
+    ``after[image[c]]`` (see :func:`follow`): the step that
+    :func:`apply_script` flags ``cusp-change``."""
+    return isinstance(move, Translate) and any(before[c] != after[i] for c, i in enumerate(image))
 
 
 @dataclass(frozen=True)
@@ -358,18 +341,26 @@ class ScriptResult:
     trace: tuple[TraceStep, ...]
 
 
-def _snapshot(g, index, move, pair, flags, conv, subs):
-    """The trace step of ``g``.  Each component's invariants come from
-    its sub-grid, interned in ``subs`` so that the front and the oracle
-    run once per distinct pattern in one script run."""
+def _sub_grids(g, subs):
+    """Each component of ``g`` alone (see :func:`component_grid`),
+    interned in ``subs`` so that the front and the oracle run once per
+    distinct pattern in one script run."""
+    parts = (component_grid(g, c) for c in range(len(g.components)))
+    return tuple(subs.setdefault(sub, sub) for sub in parts)
+
+
+def _cusps(parts, conv):
+    return tuple(to_front(sub, conv).cusps[0] for sub in parts)
+
+
+def _snapshot(parts, index, move, pair, flags, conv):
+    """The trace step of a grid, read off its sub-grids ``parts``."""
     invs = []
-    for c in range(len(g.components)):
-        sub = component_grid(g, c)
-        sub = subs.setdefault(sub, sub)
+    for c, sub in enumerate(parts):
         try:
             invs.append(classical(sub, 0, conv))
         except (OracleMismatch, ParityViolation) as e:
-            # the sub-grid numbers the component 0; name it as g does
+            # the sub-grid numbers the component 0; name it as the grid does
             detail = str(e).removeprefix("component 0")
             raise type(e)(f"step {index}, component {c}{detail}") from None
     rel = None
@@ -395,7 +386,8 @@ def apply_script(
     """
     pair = (0, 1) if len(g.components) >= 2 else None
     subs = {}  # sub-grid -> its interned instance, for this run only
-    trace = [_snapshot(g, 0, None, pair, (), conv, subs)]
+    parts = _sub_grids(g, subs)
+    trace = [_snapshot(parts, 0, None, pair, (), conv)]
     current = g
     for idx, move in enumerate(script.moves, start=1):
         try:
@@ -403,11 +395,13 @@ def apply_script(
         except LegridError as e:
             raise ScriptStepError(idx, e) from e
         image = follow(current, move, moved)
-        flags = ("cusp-change",) if changes_cusps(current, move, moved, image, conv) else ()
+        moved_parts = _sub_grids(moved, subs)
+        cusp_change = changes_cusps(move, _cusps(parts, conv), _cusps(moved_parts, conv), image)
+        flags = ("cusp-change",) if cusp_change else ()
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
-        trace.append(_snapshot(moved, idx, move, pair, flags, conv, subs))
-        current = moved
+        trace.append(_snapshot(moved_parts, idx, move, pair, flags, conv))
+        current, parts = moved, moved_parts
     return ScriptResult(final=current, trace=tuple(trace))
 
 

@@ -219,9 +219,11 @@ def parse_event_script(text: str):
     singular=<+|-|none>``, each field exactly once.
 
     Events are immutable, so each distinct line (comment stripped,
-    trimmed) is parsed once and its event shared by every repeat.
+    trimmed) is parsed once, and one event object is shared by every
+    line of equal value, however it is spelled.
     """
-    parsed = {}
+    parsed = {}  # line -> its event
+    shared = {}  # event -> the one object of its value
     events = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,7 +231,8 @@ def parse_event_script(text: str):
             continue
         event = parsed.get(line)
         if event is None:
-            event = parsed[line] = _parse_event(line, line_no)
+            event = _parse_event(line, line_no)
+            event = parsed[line] = shared.setdefault(event, event)
         events.append(event)
     return tuple(events)
 

@@ -197,6 +197,28 @@ class TestCrossSim:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "UsageError"
 
+    @pytest.mark.parametrize(
+        ("init", "message"),
+        [("1,2", "--init expects six comma-separated integers"), ("1,2,3,4,5,x", "--init expects integers")],
+    )
+    def test_bad_init_is_refused_before_the_file_is_read(self, capsys, tmp_path, init, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("cross +\nwiggle\n")
+        for path in (bad, tmp_path / "missing.txt"):
+            code, out, err = run_cli(capsys, "cross-sim", str(path), "--init", init)
+            assert (code, out) == (2, "")
+            assert _single_json_error(err) == {"type": "UsageError", "message": message}
+
+    def test_respelled_events_give_the_same_states(self, capsys, tmp_path):
+        pattern = "pattern circles=0 ribbon=3 bparallel=1 clasps=2 singular=+"
+        respelled = "pattern singular=+ clasps=2 bparallel=1 ribbon=3 circles=0"
+        one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+        one.write_text(f"cross -\n{pattern}\ncross -\n{pattern}\n")
+        two.write_text(f"cross -\n{respelled}\ncross   -\n{pattern}\n")
+        outputs = [run_cli(capsys, "cross-sim", str(path), "--init=1,2,3,4,5,6") for path in (one, two)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
     def test_streamed_output_matches_the_old_payload(self, capsys, tmp_path):
         # The old emitter built one nine-key dict per run_trace state and
         # called json.dumps; lengths around 4096 cross the chunk edges.

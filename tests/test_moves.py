@@ -376,6 +376,29 @@ class TestKeyedInvariants:
         apply_script(g, script)
         assert len(calls) == len(distinct)
 
+    def test_front_is_swept_once_per_distinct_pattern_per_call(self, monkeypatch):
+        import legrid.grid as grid_mod
+
+        rng = random.Random(24)
+        g = random_link(rng, 9)
+        moves = (Translate("up"),) * g.n + (Translate("left"),) * g.n + _legal_script(rng, g, 40)
+        grids = [g]
+        for move in moves:
+            grids.append(apply_move(grids[-1], move))
+        distinct = set().union(*map(_component_patterns, grids))
+
+        sweeps = []
+        read_front = grid_mod._read_front
+
+        def counting(g, conv):
+            sweeps.append(g)
+            return read_front(g, conv)
+
+        monkeypatch.setattr(grid_mod, "_read_front", counting)
+        result = apply_script(g, MoveScript(moves))
+        assert any("cusp-change" in step.flags for step in result.trace)
+        assert len(sweeps) == len(distinct)
+
     def test_parity_error_names_the_step_and_the_component(self, monkeypatch):
         import legrid.invariants as inv_mod
 
@@ -395,7 +418,8 @@ class TestKeyedInvariants:
 
 
 class TestChangesCusps:
-    """The one-component rule against a whole-front comparison."""
+    """The rule, on whole fronts and on apply_script's sub-grid cusps,
+    against a whole-front comparison written out."""
 
     @staticmethod
     def _flags(g):
@@ -407,7 +431,9 @@ class TestChangesCusps:
             for conv in Convention:
                 before, after = to_front(g, conv).cusps, to_front(moved, conv).cusps
                 whole = any(before[c] != after[i] for c, i in enumerate(image))
-                assert changes_cusps(g, move, moved, image, conv) == whole
+                assert changes_cusps(move, before, after, image) == whole
+                step = apply_script(g, MoveScript((move,)), conv).trace[-1]
+                assert ("cusp-change" in step.flags) == whole
                 flags.append(whole)
         return flags
 
@@ -424,6 +450,23 @@ class TestChangesCusps:
         for _ in range(300):
             flags += self._flags(random_link(rng, rng.randint(4, 14)))
         assert 0 < sum(flags) < len(flags)
+
+    def test_stabilization_is_never_flagged(self):
+        # A stabilization changes the cusp counts of the component it
+        # acts on, but it is no translation, so the step is not flagged.
+        rng = random.Random(23)
+        changed = 0
+        for _ in range(60):
+            g = random_grid(rng, rng.randint(2, 8))
+            for move in (Stabilize(m, rng.randrange(g.n), t) for m in "XO" for t in ("NE", "NW", "SE", "SW")):
+                moved = apply_move(g, move)
+                image = follow(g, move, moved)
+                for conv in Convention:
+                    before, after = to_front(g, conv).cusps, to_front(moved, conv).cusps
+                    changed += any(before[c] != after[i] for c, i in enumerate(image))
+                    assert not changes_cusps(move, before, after, image)
+                    assert apply_script(g, MoveScript((move,)), conv).trace[-1].flags == ()
+        assert changed > 0
 
 
 def _component_patterns(g):

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import pkgutil
+import sys
 
 import legrid
 
@@ -29,3 +31,21 @@ def test_every_package_export_is_listed_by_its_module():
         for alias in node.names:
             if not alias.name.startswith("_") and hasattr(module, "__all__"):
                 assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # legrid has no dependencies: every absolute import in the package
+    # names a module of the standard library.
+    files = [f for f in os.listdir(legrid.__path__[0]) if f.endswith(".py")]
+    assert "cli.py" in files
+    for name in files:
+        with open(os.path.join(legrid.__path__[0], name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            assert [t for t in tops if t not in sys.stdlib_module_names] == [], f"{name}:{node.lineno}"

@@ -279,6 +279,17 @@ class TestEventParsing:
         events = parse_event_script("cross +\n  cross +  # again\ncross -\ncross +\n")
         assert events == (CrossingEvent(1), CrossingEvent(1), CrossingEvent(-1), CrossingEvent(1))
         assert events[0] is events[1] is events[3]
+        # one object per value, however the line spells it
+        events = parse_event_script(
+            "cross +\n"
+            "cross  +\n"
+            "pattern circles=1 ribbon=2 bparallel=0 clasps=0 singular=-\n"
+            "pattern singular=- clasps=0 bparallel=0 ribbon=2 circles=1\n"
+            "pattern circles=1 ribbon=+2 bparallel=0 clasps=0 singular=-\n"
+        )
+        assert events[0] is events[1]
+        assert events[2] is events[3] is events[4]
+        assert events[2] == IntersectionPattern(circles=1, ribbon_arcs=2, singular=(-1,))
         with pytest.raises(ParseError) as exc:
             parse_event_script("cross +\ncross +\ncross *")
         assert exc.value.line == 3
