@@ -42,6 +42,7 @@ from .invariants import (
     RelativeInvariants,
     classical,
     component_grid,
+    component_patterns,
     relative_invariants,
     rot,
     tb_front,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     NotAPermutation,
@@ -120,11 +119,17 @@ class FrontData:
 
 @dataclass(frozen=True)
 class GridDiagram:
-    """An n x n grid diagram.
+    """A validated n x n grid diagram.
 
     ``xs[c]`` and ``os[c]`` give the row of the X and O marker in
-    column c.  Instances are immutable; use :func:`new_grid` to build a
-    validated diagram.
+    column c.  Instances are immutable.  Construction checks the
+    markers (raising SizeMismatch, NotAPermutation or SharedCell, as
+    :func:`new_grid` documents) and derives, in the same pass, the
+    tables every reader shares: ``x_col_by_row`` and ``o_col_by_row``
+    (the inverse permutations), ``components`` (tracing cycles, ordered
+    by their lowest column) and ``component_by_column``.  They are plain
+    attributes outside the fields, so equality and hashing use only
+    ``(n, xs, os)``.
 
     >>> g = new_grid(2, [0, 1], [1, 0])
     >>> len(g.components)
@@ -135,50 +140,46 @@ class GridDiagram:
     xs: tuple[int, ...]
     os: tuple[int, ...]
 
-    @cached_property
-    def x_col_by_row(self):
-        cols = [0] * self.n
-        for c, r in enumerate(self.xs):
-            cols[r] = c
-        return tuple(cols)
+    def __post_init__(self):
+        n, xs, os = self.n, self.xs, self.os
+        if n < 1:
+            raise SizeMismatch(f"grid size must be positive, got {n}")
+        if len(xs) != n:
+            raise SizeMismatch(f"X list has length {len(xs)}, expected {n}")
+        if len(os) != n:
+            raise SizeMismatch(f"O list has length {len(os)}, expected {n}")
+        rows = list(range(n))
+        if sorted(xs) != rows:
+            raise NotAPermutation(f"X rows are not a permutation of 0..{n - 1}", which="x")
+        if sorted(os) != rows:
+            raise NotAPermutation(f"O rows are not a permutation of 0..{n - 1}", which="o")
+        x_col = [0] * n
+        o_col = [0] * n
+        for c, x, o in zip(rows, xs, os):
+            if x == o:
+                raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
+            x_col[x] = c
+            o_col[o] = c
 
-    @cached_property
-    def o_col_by_row(self):
-        cols = [0] * self.n
-        for c, r in enumerate(self.os):
-            cols[r] = c
-        return tuple(cols)
-
-    @cached_property
-    def components(self) -> tuple[Component, ...]:
-        """Tracing cycles, ordered by their lowest column index."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
+        # Tracing: the X of column c shares its row with the O of column succ[c].
+        succ = tuple(map(o_col.__getitem__, xs))
+        owner = [-1] * n
+        components = []
+        for start in rows:
+            if owner[start] >= 0:
                 continue
+            k = len(components)
             cols = []
             c = start
-            while not seen[c]:
-                seen[c] = True
+            while owner[c] < 0:
+                owner[c] = k
                 cols.append(c)
-                c = self.o_col_by_row[self.xs[c]]
-            out.append(
-                Component(
-                    index=len(out),
-                    columns=frozenset(cols),
-                    rows=frozenset(self.xs[c] for c in cols),
-                )
-            )
-        return tuple(out)
-
-    @cached_property
-    def component_by_column(self):
-        owner = [0] * self.n
-        for comp in self.components:
-            for c in comp.columns:
-                owner[c] = comp.index
-        return tuple(owner)
+                c = succ[c]
+            components.append(Component(k, frozenset(cols), frozenset(map(xs.__getitem__, cols))))
+        object.__setattr__(self, "x_col_by_row", tuple(x_col))
+        object.__setattr__(self, "o_col_by_row", tuple(o_col))
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "component_by_column", tuple(owner))
 
     def component(self, c) -> Component:
         if not 0 <= c < len(self.components):
@@ -187,30 +188,14 @@ class GridDiagram:
 
 
 def new_grid(n, xs, os) -> GridDiagram:
-    """Validate marker lists and build a :class:`GridDiagram`.
+    """Build a :class:`GridDiagram` from any marker sequences.
 
-    Raises SizeMismatch, NotAPermutation or SharedCell on bad input.
-    The minimum legal size is 2: a 1x1 grid forces its only cell to
-    hold both markers.
+    Raises SizeMismatch, NotAPermutation or SharedCell on bad input,
+    checked in that order; a shared cell is reported at its lowest
+    column.  The minimum legal size is 2: a 1x1 grid forces its only
+    cell to hold both markers.
     """
-    xs = tuple(xs)
-    os = tuple(os)
-    if n < 1:
-        raise SizeMismatch(f"grid size must be positive, got {n}")
-    if len(xs) != n:
-        raise SizeMismatch(f"X list has length {len(xs)}, expected {n}")
-    if len(os) != n:
-        raise SizeMismatch(f"O list has length {len(os)}, expected {n}")
-    if sorted(xs) != list(range(n)):
-        raise NotAPermutation(f"X rows are not a permutation of 0..{n - 1}", which="x")
-    if sorted(os) != list(range(n)):
-        raise NotAPermutation(f"O rows are not a permutation of 0..{n - 1}", which="o")
-    for c in range(n):
-        if xs[c] == os[c]:
-            raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
-    g = GridDiagram(n=n, xs=xs, os=os)
-    g.components  # computed eagerly
-    return g
+    return GridDiagram(n, tuple(xs), tuple(os))
 
 
 _CUSP_CORNERS = {

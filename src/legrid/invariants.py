@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import OracleMismatch, ParityViolation, SameComponent
+from .errors import OracleMismatch, ParityViolation, SameComponent, UnknownComponent
 from .grid import Convention, FrontData, GridDiagram, to_front
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "tb_grid_oracle",
     "rot",
     "classical",
+    "component_patterns",
     "component_grid",
     "relative_invariants",
 ]
@@ -164,23 +165,42 @@ def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> in
     return total // 2
 
 
+def component_patterns(g: GridDiagram) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every component's markers ``(xs, os)``, in component order: its
+    columns in order, with the rows of its markers compressed to ranks.
+
+    One O(n) pass: the rows bottom-up give each row its rank among the
+    rows of its component (a row's X and O belong to one component),
+    then the columns in order give each component its marker lists.
+    """
+    owner = g.component_by_column
+    x_col = g.x_col_by_row
+    count = [0] * len(g.components)
+    rank = []
+    for r in range(g.n):
+        k = owner[x_col[r]]
+        rank.append(count[k])
+        count[k] += 1
+    xs = [[] for _ in count]
+    os = [[] for _ in count]
+    for k, x, o in zip(owner, g.xs, g.os):
+        xs[k].append(rank[x])
+        os[k].append(rank[o])
+    return tuple(zip(map(tuple, xs), map(tuple, os)))
+
+
 def component_grid(g: GridDiagram, c) -> GridDiagram:
-    """Component ``c`` alone, as a one-component grid: its columns in
-    order, with the rows of its markers compressed to ranks.
+    """Component ``c`` alone, as a one-component grid: its pattern from
+    :func:`component_patterns`.
 
     Every self-crossing and cusp of a component involves only its own
     segments, and rank compression keeps the strict order of their
     ends, so the sub-grid has the component's front and tb and r.
     Equal components give equal (and equally hashed) sub-grids.
     """
-    comp = g.component(c)
-    cols = sorted(comp.columns)
-    rank = {row: i for i, row in enumerate(sorted(comp.rows))}
-    return GridDiagram(
-        n=len(cols),
-        xs=tuple(rank[g.xs[col]] for col in cols),
-        os=tuple(rank[g.os[col]] for col in cols),
-    )
+    g.component(c)
+    xs, os = component_patterns(g)[c]
+    return GridDiagram(len(xs), xs, os)
 
 
 def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> ClassicalInvariants:
@@ -194,6 +214,9 @@ def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> Classic
     inv = cache.get((c, conv))
     if inv is not None:
         return inv
+    if not 0 <= c < len(g.components):
+        # checked before the front is read; the message is the front's
+        raise UnknownComponent(f"no component {c}")
     f = to_front(g, conv)
     tb = tb_front(f, c)
     oracle = tb_grid_oracle(g, c, conv)

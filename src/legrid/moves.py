@@ -38,7 +38,7 @@ from .errors import (
     ScriptStepError,
 )
 from .grid import Convention, GridDiagram, _int_token, new_grid, to_front
-from .invariants import ClassicalInvariants, RelativeInvariants, classical, component_grid
+from .invariants import ClassicalInvariants, RelativeInvariants, classical, component_patterns
 
 __all__ = [
     "Translate",
@@ -342,11 +342,17 @@ class ScriptResult:
 
 
 def _sub_grids(g, subs):
-    """Each component of ``g`` alone (see :func:`component_grid`),
-    interned in ``subs`` so that the front and the oracle run once per
-    distinct pattern in one script run."""
-    parts = (component_grid(g, c) for c in range(len(g.components)))
-    return tuple(subs.setdefault(sub, sub) for sub in parts)
+    """Each component of ``g`` alone (see :func:`component_grid`), one
+    grid per distinct pattern: ``subs`` interns them by their marker
+    tuples for one script run, so a repeated pattern costs a lookup and
+    the front and the oracle run once per distinct pattern."""
+    parts = []
+    for key in component_patterns(g):
+        sub = subs.get(key)
+        if sub is None:
+            sub = subs[key] = GridDiagram(len(key[0]), *key)
+        parts.append(sub)
+    return parts
 
 
 def _cusps(parts, conv):
@@ -385,7 +391,7 @@ def apply_script(
     first illegal step aborts the run with its index.
     """
     pair = (0, 1) if len(g.components) >= 2 else None
-    subs = {}  # sub-grid -> its interned instance, for this run only
+    subs = {}  # (xs, os) -> its sub-grid, for this run only
     parts = _sub_grids(g, subs)
     trace = [_snapshot(parts, 0, None, pair, (), conv)]
     current = g

@@ -83,6 +83,16 @@ class TestInv:
         assert code == 0
         assert json.loads(out)["component"] == 1
 
+    def test_unknown_component_is_refused_before_the_front_is_read(self, capsys, split_file, monkeypatch):
+        import legrid.grid as grid_mod
+
+        sweeps = []
+        read_front = grid_mod._read_front
+        monkeypatch.setattr(grid_mod, "_read_front", lambda g, conv: sweeps.append(g) or read_front(g, conv))
+        code, out, err = run_cli(capsys, "inv", split_file, "--component", "99")
+        assert (code, out, sweeps) == (1, "", [])
+        assert err == '{"error": {"type": "UnknownComponent", "message": "no component 99"}}\n'
+
     def test_key_order_is_stable(self, capsys, unknot_file):
         _, out, _ = run_cli(capsys, "inv", unknot_file)
         assert out.startswith('[{"component": 0, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}]')

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from legrid import (
     Convention,
+    GridDiagram,
     NotAPermutation,
     ParityViolation,
     ParseError,
@@ -24,6 +25,7 @@ from legrid import (
     writhe,
 )
 from legrid.grid import _int_token
+from legrid.sampling import random_link
 
 from helpers import (
     all_marker_lists,
@@ -84,6 +86,110 @@ class TestNewGrid:
         cols = sorted(c for comp in g.components for c in comp.columns)
         assert cols == list(range(g.n))
         assert [sorted(c.columns) for c in g.components] == trace_components(g.xs, g.os)
+
+
+def _grid_error(build):
+    """(type, message) of the grid error ``build()`` raises, or None."""
+    try:
+        build()
+    except (SizeMismatch, NotAPermutation, SharedCell) as e:
+        return type(e), str(e)
+    return None
+
+
+@st.composite
+def marker_lists(draw):
+    """A size and two marker lists of any length: arbitrary small ints,
+    or a permutation of the rows so that valid grids come up too."""
+    n = draw(st.integers(-1, 7))
+    markers = st.one_of(st.lists(st.integers(-2, 8), max_size=9), st.permutations(range(max(n, 0))))
+    return n, draw(markers), draw(markers)
+
+
+class TestConstruction:
+    """Every GridDiagram is checked when it is built, by the checks
+    new_grid documents, in their order."""
+
+    @pytest.mark.parametrize(
+        "n, xs, os, error",
+        [
+            (0, [0], [0], (SizeMismatch, "grid size must be positive, got 0")),
+            # a size error before an X error, X length before O length
+            (3, [0, 0], [0], (SizeMismatch, "X list has length 2, expected 3")),
+            (3, [0, 1, 2], [0], (SizeMismatch, "O list has length 1, expected 3")),
+            # an X error before an O error and before a shared cell
+            (3, [1, 2, 2], [0, 0, 0], (NotAPermutation, "X rows are not a permutation of 0..2")),
+            (3, [0, 1, 3], [2, 0, 1], (NotAPermutation, "X rows are not a permutation of 0..2")),
+            (3, [0, -1, 2], [1, 2, 0], (NotAPermutation, "X rows are not a permutation of 0..2")),
+            # an O error before a shared cell
+            (3, [0, 1, 2], [0, 0, 1], (NotAPermutation, "O rows are not a permutation of 0..2")),
+            # the lowest shared column is reported
+            (4, [0, 1, 2, 3], [1, 0, 2, 3], (SharedCell, "column 2 holds X and O in the same cell")),
+            (1, [0], [0], (SharedCell, "column 0 holds X and O in the same cell")),
+        ],
+    )
+    def test_error_precedence(self, n, xs, os, error):
+        assert _grid_error(lambda: new_grid(n, xs, os)) == error
+        assert _grid_error(lambda: GridDiagram(n, tuple(xs), tuple(os))) == error
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(NotAPermutation) as exc:
+            GridDiagram(3, (0, 0, 1), (1, 2, 0))
+        assert exc.value.which == "x"
+        with pytest.raises(SharedCell) as exc:
+            GridDiagram(3, (0, 1, 2), (2, 1, 0))
+        assert exc.value.column == 1
+
+    @given(marker_lists())
+    def test_construction_gives_a_valid_grid_or_a_grid_error(self, case):
+        n, xs, os = case
+        error = _grid_error(lambda: GridDiagram(n, tuple(xs), tuple(os)))
+        assert _grid_error(lambda: new_grid(n, xs, os)) == error
+        valid = n >= 1 and sorted(xs) == list(range(n)) == sorted(os) and all(map(int.__ne__, xs, os))
+        assert (error is None) == valid
+        if valid:
+            _check_tables(GridDiagram(n, tuple(xs), tuple(os)))
+
+
+def _check_tables(g):
+    """The derived tables of ``g`` against the raw marker lists."""
+    n, xs, os = g.n, g.xs, g.os
+    assert isinstance(g.x_col_by_row, tuple) and isinstance(g.o_col_by_row, tuple)
+    assert [xs[c] for c in g.x_col_by_row] == list(range(n))
+    assert [os[c] for c in g.o_col_by_row] == list(range(n))
+    assert [g.x_col_by_row[r] for r in xs] == [g.o_col_by_row[r] for r in os] == list(range(n))
+    cycles = trace_components(list(xs), list(os))
+    assert [comp.index for comp in g.components] == list(range(len(cycles)))
+    assert [sorted(comp.columns) for comp in g.components] == cycles
+    assert [comp.rows for comp in g.components] == [frozenset(xs[c] for c in cols) for cols in cycles]
+    assert g.component_by_column == tuple(
+        next(comp.index for comp in g.components if c in comp.columns) for c in range(n)
+    )
+
+
+class TestDerivedTables:
+    def test_every_small_grid(self):
+        for n in range(2, 6):
+            for xs, os in all_marker_lists(n):
+                _check_tables(new_grid(n, xs, os))
+
+    def test_random_links(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            _check_tables(random_link(rng, rng.randint(4, 40)))
+
+    def test_fields_are_the_markers_only(self):
+        assert [f.name for f in dataclasses.fields(GridDiagram)] == ["n", "xs", "os"]
+
+    def test_equal_markers_compare_and_hash_equal(self):
+        a, b = new_grid(*TREFOIL), new_grid(*TREFOIL)
+        to_front(a)  # memoized on ``a`` only
+        assert (a.x_col_by_row, a.o_col_by_row, a.components, a.component_by_column) == (
+            b.x_col_by_row, b.o_col_by_row, b.components, b.component_by_column
+        )
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != new_grid(*HOPF)
 
 
 class TestFront:

@@ -12,6 +12,7 @@ from legrid import (
     UnknownComponent,
     classical,
     component_grid,
+    component_patterns,
     new_grid,
     relative_invariants,
     reverse_component,
@@ -25,7 +26,8 @@ from legrid.sampling import random_grid, random_knot, random_link
 from helpers import all_marker_lists
 
 UNKNOT = new_grid(2, [0, 1], [1, 0])
-SPLIT = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
+SPLIT_MARKERS = (4, [0, 1, 2, 3], [1, 0, 3, 2])
+SPLIT = new_grid(*SPLIT_MARKERS)
 TREFOIL = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
 
 
@@ -97,6 +99,23 @@ class TestRouteEquality:
         with pytest.raises(UnknownComponent):
             tb_front(to_front(UNKNOT), 2)
 
+    def test_classical_refuses_an_unknown_component_before_the_front(self, monkeypatch):
+        import legrid.grid as grid_mod
+
+        sweeps = []
+        read_front = grid_mod._read_front
+
+        def counting(g, conv):
+            sweeps.append(g)
+            return read_front(g, conv)
+
+        monkeypatch.setattr(grid_mod, "_read_front", counting)
+        g = new_grid(*SPLIT_MARKERS)
+        for c in (2, 99, -1):
+            with pytest.raises(UnknownComponent, match=f"^no component {c}$"):
+                classical(g, c)
+        assert sweeps == []
+
 
 class TestComponentGrid:
     """A component's sub-grid carries its invariants and cusps: checked
@@ -132,6 +151,20 @@ class TestComponentGrid:
     def test_unknown_component(self):
         with pytest.raises(UnknownComponent):
             component_grid(SPLIT, 2)
+
+    def test_patterns_are_the_sub_grids_in_component_order(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            g = random_link(rng, rng.randint(4, 40))
+            patterns = component_patterns(g)
+            assert len(patterns) == len(g.components)
+            for comp, (xs, os) in zip(g.components, patterns):
+                cols = sorted(comp.columns)
+                rows = sorted(comp.rows)
+                assert xs == tuple(rows.index(g.xs[col]) for col in cols)
+                assert os == tuple(rows.index(g.os[col]) for col in cols)
+                sub = component_grid(g, comp.index)
+                assert (sub.xs, sub.os) == (xs, os)
 
 
 class TestRotation:

@@ -376,6 +376,53 @@ class TestKeyedInvariants:
         apply_script(g, script)
         assert len(calls) == len(distinct)
 
+    def test_each_step_reads_its_component_patterns(self, monkeypatch):
+        import legrid.moves as moves_mod
+
+        snapshot = moves_mod._snapshot
+        seen = {}
+
+        def recording(parts, index, *args):
+            seen[index] = [(sub.n, sub.xs, sub.os) for sub in parts]
+            return snapshot(parts, index, *args)
+
+        monkeypatch.setattr(moves_mod, "_snapshot", recording)
+        rng = random.Random(23)
+        for _ in range(30):
+            g = random_link(rng, rng.randint(4, 14))
+            moves = _legal_script(rng, g, 15)
+            seen.clear()
+            apply_script(g, MoveScript(moves))
+            current = g
+            for index, move in enumerate((None,) + moves):
+                if move is not None:
+                    current = apply_move(current, move)
+                expected = [(len(xs), xs, os) for xs, os in _component_patterns(current)]
+                assert seen[index] == expected
+
+    def test_one_grid_is_built_per_move_and_per_distinct_pattern(self, monkeypatch):
+        from legrid import GridDiagram
+
+        rng = random.Random(25)
+        g = random_link(rng, 9)
+        moves = (Translate("up"),) * g.n + (Translate("right"),) * g.n + _legal_script(rng, g, 40)
+        grids = [g]
+        for move in moves:
+            grids.append(apply_move(grids[-1], move))
+        distinct = set().union(*map(_component_patterns, grids))
+
+        built = []
+        init = GridDiagram.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridDiagram, "__init__", counting)
+        result = apply_script(g, MoveScript(moves))
+        assert result.final == grids[-1]
+        assert len(built) == len(moves) + len(distinct) < len(moves) + sum(len(h.components) for h in grids)
+
     def test_front_is_swept_once_per_distinct_pattern_per_call(self, monkeypatch):
         import legrid.grid as grid_mod
 
@@ -470,12 +517,12 @@ class TestChangesCusps:
 
 
 def _component_patterns(g):
-    """Each component's markers, columns in order and rows ranked,
-    written out apart from ``component_grid``."""
-    patterns = set()
+    """Each component's markers, columns in order and rows ranked, in
+    component order, written out apart from ``component_grid``."""
+    patterns = []
     for cols in trace_components(list(g.xs), list(g.os)):
         rows = sorted(g.xs[c] for c in cols)
-        patterns.add(
+        patterns.append(
             (tuple(rows.index(g.xs[c]) for c in cols), tuple(rows.index(g.os[c]) for c in cols))
         )
     return patterns

@@ -49,3 +49,16 @@ def test_the_package_imports_only_the_standard_library():
             else:
                 continue
             assert [t for t in tops if t not in sys.stdlib_module_names] == [], f"{name}:{node.lineno}"
+
+
+def test_the_package_has_no_assert_statements():
+    # An invariant the code relies on raises a LegridError; an assert
+    # would vanish under ``python -O``.
+    files = [f for f in os.listdir(legrid.__path__[0]) if f.endswith(".py")]
+    assert "grid.py" in files
+    found = []
+    for name in files:
+        with open(os.path.join(legrid.__path__[0], name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
