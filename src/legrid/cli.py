@@ -347,42 +347,26 @@ def _build_parser():
     return parser
 
 
-def _error_payload(kind, message, **extra):
-    record = {"type": kind, "message": message}
-    record.update(extra)
-    return {"error": record}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(json.dumps(_error_payload("UsageError", str(e))), file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:  # argparse's help action, once the help is printed
         return e.code
-    try:
-        return args.func(args)
     except _UsageError as e:
-        print(json.dumps(_error_payload("UsageError", str(e))), file=sys.stderr)
-        return 2
+        code, record = 2, {"type": "UsageError", "message": str(e)}
     except ParseError as e:
-        payload = _error_payload("ParseError", e.message, line=e.line, column=e.column)
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
+        code, record = 1, {"type": "ParseError", "message": e.message, "line": e.line, "column": e.column}
     except ScriptStepError as e:
-        payload = _error_payload(
-            "ScriptStepError", str(e), step=e.index, cause=type(e.cause).__name__
-        )
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
+        code, record = 1, {
+            "type": "ScriptStepError", "message": str(e), "step": e.index, "cause": type(e.cause).__name__
+        }
     except LegridError as e:
-        print(json.dumps(_error_payload(type(e).__name__, str(e))), file=sys.stderr)
-        return 1
+        code, record = 1, {"type": type(e).__name__, "message": str(e)}
     except OSError as e:
-        print(json.dumps(_error_payload("IoError", str(e))), file=sys.stderr)
-        return 1
+        code, record = 1, {"type": "IoError", "message": str(e)}
+    print(json.dumps({"error": record}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

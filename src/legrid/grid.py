@@ -122,7 +122,8 @@ class GridDiagram:
     """A validated n x n grid diagram.
 
     ``xs[c]`` and ``os[c]`` give the row of the X and O marker in
-    column c.  Instances are immutable.  Construction checks the
+    column c; any sequences may be passed, and they are stored as
+    tuples.  Instances are immutable.  Construction checks the
     markers (raising SizeMismatch, NotAPermutation or SharedCell, as
     :func:`new_grid` documents) and derives, in the same pass, the
     tables every reader shares: ``x_col_by_row`` and ``o_col_by_row``
@@ -141,9 +142,12 @@ class GridDiagram:
     os: tuple[int, ...]
 
     def __post_init__(self):
-        n, xs, os = self.n, self.xs, self.os
+        n = self.n
         if n < 1:
             raise SizeMismatch(f"grid size must be positive, got {n}")
+        xs, os = tuple(self.xs), tuple(self.os)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "os", os)
         if len(xs) != n:
             raise SizeMismatch(f"X list has length {len(xs)}, expected {n}")
         if len(os) != n:
@@ -195,13 +199,7 @@ def new_grid(n, xs, os) -> GridDiagram:
     column.  The minimum legal size is 2: a 1x1 grid forces its only
     cell to hold both markers.
     """
-    return GridDiagram(n, tuple(xs), tuple(os))
-
-
-_CUSP_CORNERS = {
-    Convention.NW_SE: {("N", "W"), ("S", "E")},
-    Convention.NE_SW: {("N", "E"), ("S", "W")},
-}
+    return GridDiagram(n, xs, os)
 
 
 def to_front(g: GridDiagram, conv: Convention = Convention.NW_SE) -> FrontData:
@@ -236,12 +234,18 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
     marker of its column and the horizontal toward the other marker of
     its row; the two directions name the corner type.  Cusps are the
     corners on the convention's diagonal, up or down according to the
-    orientation of the vertical strand through them.
+    orientation of the vertical strand through them.  Under NW_SE, the
+    X end's corner is S or N as the vertical runs up or down and E or W
+    as its row's O lies east or west, so it is a cusp (SE or NW)
+    exactly when the vertical runs up and the O lies east, or neither.
+    At the O end the vertical heads the other way, so it is a cusp
+    exactly when just one holds: the vertical runs up, or its row's X
+    lies east.  NE_SW negates both rules.
     """
     n = g.n
     n_comp = len(g.components)
-    sign_flip = -1 if conv is Convention.NE_SW else 1
-    corners = _CUSP_CORNERS[conv]
+    mirror = conv is Convention.NE_SW
+    sign_flip = -1 if mirror else 1
     xs, os = g.xs, g.os
     x_col, o_col = g.x_col_by_row, g.o_col_by_row
     owner = g.component_by_column
@@ -279,9 +283,9 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
                 tree[i] += value
                 i += i & -i
 
-        x_corner = ("S" if up_strand else "N", "E" if o_col[rx] > c else "W")
-        o_corner = ("N" if up_strand else "S", "E" if x_col[ro] > c else "W")
-        cusps = (x_corner in corners) + (o_corner in corners)
+        x_cusp = (up_strand == (o_col[rx] > c)) != mirror
+        o_cusp = (up_strand != (x_col[ro] > c)) != mirror
+        cusps = x_cusp + o_cusp
         if up_strand:
             up[k] += cusps
         else:

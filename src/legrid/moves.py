@@ -4,17 +4,26 @@ Every move is a total function returning a new diagram, so traces are
 trivially reproducible.  Each move kind is one frozen dataclass with
 ``apply(g)``, the moved diagram; ``column_map(g)``, taking a column of
 ``g`` to a column of the moved diagram on the same strand (see
-:func:`follow`); and ``text()``, its script line.  Stabilization replaces one marker by the
-three-marker L-pattern of a 2x2 block on the enlarged grid; the
-subtype names the block corner that receives the lone marker of the
-opposite kind.  Which subtypes realize the Legendrian stabilizations
-is convention-dependent and was classified empirically against the
-pinned front convention (the table is re-derived exhaustively in the
-test suite):
+:func:`follow`); and ``text()``, its script line.  Stabilization
+replaces one marker by the three-marker L-pattern of a 2x2 block on
+the enlarged grid; the subtype names the block corner that receives
+the lone marker of the opposite kind.  Which subtypes realize the
+Legendrian stabilizations is convention-dependent and was classified
+empirically against the pinned front convention (the table is
+re-derived exhaustively in the test suite):
 
     X:NE  X:SW  O:NE  O:SW    preserve (tb, r)          isotopy subtypes
     X:NW  O:SE                tb - 1, r + 1             positive stabilization
     X:SE  O:NW                tb - 1, r - 1             negative stabilization
+
+Destabilization reads its block off its two columns.  Columns c, c+1
+hold an L-block at rows rr, rr+1 exactly when three of their four
+markers lie in those rows: every line holds one X and one O, so three
+markers of a 2x2 block always form an L, the lone kind at its elbow.
+One of the two columns then has both its markers on those rows, so
+the only candidates are the lower rows of the columns whose two
+markers are adjacent, at most two.  The marker the block collapses to
+takes the kind that appears twice.
 
 Cyclic translations are isotopies of the underlying link but may carry
 a marker across the grid boundary and change the front's cusp counts;
@@ -60,7 +69,8 @@ __all__ = [
     "parse_move_script",
 ]
 
-_DIRECTIONS = ("up", "down", "left", "right")
+# direction -> (column step, row step) of every marker
+_STEPS = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}
 _SUBTYPES = ("NE", "NW", "SE", "SW")
 
 # Empirical classification of stabilization subtypes against the
@@ -71,39 +81,19 @@ STAB_MINUS = {"X": "SE", "O": "NW"}
 
 
 def _interleaving(a_pair, b_pair):
-    """True unless the two closed spans are disjoint or strictly nested.
-    Spans sharing an endpoint value count as interleaving."""
+    """True unless the two closed spans are disjoint or strictly nested,
+    which spans sharing an endpoint value never are."""
     a_lo, a_hi = min(a_pair), max(a_pair)
     b_lo, b_hi = min(b_pair), max(b_pair)
-    if set(a_pair) & set(b_pair):
-        return True
     disjoint = a_hi < b_lo or b_hi < a_lo
     nested = (a_lo < b_lo and b_hi < a_hi) or (b_lo < a_lo and a_hi < b_hi)
     return not (disjoint or nested)
 
 
-def _find_l_block(g, c, rr):
-    """Return (lone_kind, pair_kind) if columns c,c+1 x rows rr,rr+1
-    hold exactly three markers forming an L, else None."""
-    cells = {}
-    for col in (c, c + 1):
-        for kind, row in (("X", g.xs[col]), ("O", g.os[col])):
-            if row in (rr, rr + 1):
-                cells[(col, row)] = kind
-    if len(cells) != 3:
-        return None
-    missing = [
-        (col, row)
-        for col in (c, c + 1)
-        for row in (rr, rr + 1)
-        if (col, row) not in cells
-    ][0]
-    elbow = (c + (c + 1) - missing[0], rr + (rr + 1) - missing[1])
-    lone_kind = cells[elbow]
-    others = [kind for cell, kind in cells.items() if cell != elbow]
-    if others[0] != others[1] or others[0] == lone_kind:
-        return None
-    return lone_kind, others[0]
+def _swap(i):
+    """The exchange of lines ``i`` and ``i + 1``, as a map on line
+    indices."""
+    return lambda line: i + 1 if line == i else (i if line == i + 1 else line)
 
 
 @dataclass(frozen=True)
@@ -112,20 +102,20 @@ class Translate:
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Cyclically shift all markers one step in the given direction."""
+        if self.direction not in _STEPS:
+            raise BadCell(f"unknown direction {self.direction!r}")
         n = g.n
-        if self.direction == "up":
-            return new_grid(n, [(r + 1) % n for r in g.xs], [(r + 1) % n for r in g.os])
-        if self.direction == "down":
-            return new_grid(n, [(r - 1) % n for r in g.xs], [(r - 1) % n for r in g.os])
-        if self.direction == "left":
-            return new_grid(n, [g.xs[(c + 1) % n] for c in range(n)], [g.os[(c + 1) % n] for c in range(n)])
-        if self.direction == "right":
-            return new_grid(n, [g.xs[(c - 1) % n] for c in range(n)], [g.os[(c - 1) % n] for c in range(n)])
-        raise BadCell(f"unknown direction {self.direction!r}")
+        dc, dr = _STEPS[self.direction]
+
+        def shifted(rows):
+            # column c takes the markers of column c - dc, each dr rows higher
+            return [(v + dr) % n for v in rows[-dc:] + rows[:-dc]]
+
+        return new_grid(n, shifted(g.xs), shifted(g.os))
 
     def column_map(self, g: GridDiagram):
-        shift = {"left": -1, "right": 1}.get(self.direction, 0)
-        return lambda col: (col + shift) % g.n
+        dc = _STEPS.get(self.direction, (0, 0))[0]
+        return lambda col: (col + dc) % g.n
 
     def text(self) -> str:
         return f"translate {self.direction}"
@@ -148,27 +138,19 @@ class Commute:
         i = self.index
         if not 0 <= i <= n - 2:
             raise BadCell(f"cannot commute lines {i},{i + 1} of an {n}-grid")
-        if self.axis == "col":
-            if _interleaving((g.xs[i], g.os[i]), (g.xs[i + 1], g.os[i + 1])):
-                raise InterleavingSpans(f"columns {i} and {i + 1} interleave")
-            xs = list(g.xs)
-            os = list(g.os)
-            xs[i], xs[i + 1] = xs[i + 1], xs[i]
-            os[i], os[i + 1] = os[i + 1], os[i]
-            return new_grid(n, xs, os)
-        span_a = (g.x_col_by_row[i], g.o_col_by_row[i])
-        span_b = (g.x_col_by_row[i + 1], g.o_col_by_row[i + 1])
-        if _interleaving(span_a, span_b):
-            raise InterleavingSpans(f"rows {i} and {i + 1} interleave")
-        swap = {i: i + 1, i + 1: i}
-        xs = [swap.get(r, r) for r in g.xs]
-        os = [swap.get(r, r) for r in g.os]
-        return new_grid(n, xs, os)
+        by_col = self.axis == "col"
+        # each line's span: the rows of a column's markers, the columns of a row's
+        x_at, o_at = (g.xs, g.os) if by_col else (g.x_col_by_row, g.o_col_by_row)
+        if _interleaving((x_at[i], o_at[i]), (x_at[i + 1], o_at[i + 1])):
+            raise InterleavingSpans(f"{'columns' if by_col else 'rows'} {i} and {i + 1} interleave")
+        swap = _swap(i)
+        if by_col:
+            cols = list(map(swap, range(n)))
+            return new_grid(n, [g.xs[c] for c in cols], [g.os[c] for c in cols])
+        return new_grid(n, list(map(swap, g.xs)), list(map(swap, g.os)))
 
     def column_map(self, g: GridDiagram):
-        i = self.index
-        swap = {i: i + 1, i + 1: i} if self.axis == "col" else {}
-        return lambda col: swap.get(col, col)
+        return _swap(self.index) if self.axis == "col" else lambda col: col
 
     def text(self) -> str:
         return f"commute {self.axis} {self.index}"
@@ -198,22 +180,19 @@ class Stabilize:
             raise BadCell(f"unknown stabilization subtype {self.subtype!r}")
         east = 1 if "E" in self.subtype else 0
         north = 1 if "N" in self.subtype else 0
-        r = g.xs[c] if marker == "X" else g.os[c]
+        same, other = (g.xs, g.os) if marker == "X" else (g.os, g.xs)
+        r = same[c]
 
-        rows = {"X": [0] * (n + 1), "O": [0] * (n + 1)}  # marker kind -> row by column
-        for col in range(n):
-            for kind, row in (("X", g.xs[col]), ("O", g.os[col])):
-                if col == c and kind == marker:
-                    continue  # the stabilized marker itself
-                new_col = col if col < c else (col + 1 if col > c else c + 1 - east)
-                new_row = row if row < r else (row + 1 if row > r else r + 1 - north)
-                rows[kind][new_col] = new_row
+        def doubled(rows):
+            return [v + (v > r) if v != r else r + 1 - north for v in rows[: c + 1] + rows[c:]]
 
-        lone = "O" if marker == "X" else "X"
-        rows[lone][c + east] = r + north
-        rows[marker][c + 1 - east] = r + north
-        rows[marker][c + east] = r + 1 - north
-        return new_grid(n + 1, rows["X"], rows["O"])
+        same, other = doubled(same), doubled(other)
+        # Doubling column c and row r puts each kind's column-c marker in
+        # both block columns and row r's markers on row r + 1 - north; one
+        # copy of each kind then moves to row r + north.
+        same[c + 1 - east] = other[c + east] = r + north
+        xs, os = (same, other) if marker == "X" else (other, same)
+        return new_grid(n + 1, xs, os)
 
     def column_map(self, g: GridDiagram):
         c = self.column
@@ -232,36 +211,36 @@ class Destabilize:
         """Collapse the three-marker L-block found in columns
         ``column, column + 1`` back to a single marker.
 
-        When several row positions carry an L-block, the lowest one is
-        collapsed unless ``row`` pins the block explicitly.
+        When both candidate rows carry an L-block (see the module
+        notes), the lowest one is collapsed unless ``row`` pins the
+        block explicitly.  Collapsing deletes the column with both
+        markers in the block and merges rows rr, rr+1, so the other
+        column's block marker is the collapsed one.
         """
         n = g.n
         c = self.column
         if not 0 <= c <= n - 2:
             raise BadCell(f"no column pair {c},{c + 1} in an {n}-grid")
-        candidates = [self.row] if self.row is not None else range(n - 1)
-        for rr in candidates:
-            if not 0 <= rr <= n - 2:
-                raise BadCell(f"no row pair {rr},{rr + 1} in an {n}-grid")
-            found = _find_l_block(g, c, rr)
-            if found is None:
-                continue
-            _, pair_kind = found
-            rows = {"X": [0] * (n - 1), "O": [0] * (n - 1)}  # marker kind -> row by column
-            for col in range(n):
-                for kind, row in (("X", g.xs[col]), ("O", g.os[col])):
-                    if col in (c, c + 1) and row in (rr, rr + 1):
-                        continue  # block marker
-                    new_col = col if col < c else (c if col <= c + 1 else col - 1)
-                    new_row = row if row < rr else (rr if row <= rr + 1 else row - 1)
-                    rows[kind][new_col] = new_row
-            rows[pair_kind][c] = rr
-            return new_grid(n - 1, rows["X"], rows["O"])
+        xs, os = g.xs, g.os
+        # (lower row, column) of each column whose two markers are adjacent
+        blocks = sorted((min(xs[k], os[k]), k) for k in (c, c + 1) if abs(xs[k] - os[k]) == 1)
+        if self.row is not None:
+            if not 0 <= self.row <= n - 2:
+                raise BadCell(f"no row pair {self.row},{self.row + 1} in an {n}-grid")
+            blocks = [block for block in blocks if block[0] == self.row]
+        for rr, full in blocks:
+            other = 2 * c + 1 - full
+            # with column full's two, three of the four markers lie in rows rr, rr + 1
+            if (xs[other] in (rr, rr + 1)) + (os[other] in (rr, rr + 1)) == 1:
+                def merged(rows):  # column ``full`` deleted, rows rr and rr + 1 merged
+                    return [v if v <= rr else v - 1 for v in rows[:full] + rows[full + 1 :]]
+
+                return new_grid(n - 1, merged(xs), merged(os))
         raise BadCell(f"no destabilizable L-block in columns {c},{c + 1}")
 
     def column_map(self, g: GridDiagram):
         c = self.column
-        return lambda col: col if col <= c else (c if col == c + 1 else col - 1)
+        return lambda col: col if col <= c else col - 1
 
     def text(self) -> str:
         if self.row is None:
@@ -431,7 +410,7 @@ def parse_move_script(text: str) -> MoveScript:
         parts = line.split()
         verb = parts[0]
         if verb == "translate" and len(parts) == 2:
-            if parts[1] not in _DIRECTIONS:
+            if parts[1] not in _STEPS:
                 raise ParseError(line_no, 1, f"unknown direction {parts[1]!r}")
             moves.append(Translate(parts[1]))
         elif verb == "commute" and len(parts) == 3:

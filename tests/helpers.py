@@ -1,5 +1,6 @@
-"""Independent brute-force oracles used to pin expected values, and an
-event-script writer.
+"""Independent brute-force oracles used to pin expected values, a
+cell-by-cell reference for (de)stabilization, and an event-script
+writer.
 
 The oracles work straight from the raw marker lists so that they
 share no code with the library paths they check.  Verticals join the O
@@ -74,6 +75,92 @@ def all_marker_lists(n):
         for os in permutations(range(n)):
             if all(x != o for x, o in zip(xs, os)):
                 yield list(xs), list(os)
+
+
+def marker_cells(xs, os):
+    """The marked cells of a grid: (column, row) -> "X" or "O"."""
+    cells = {(c, r): "X" for c, r in enumerate(xs)}
+    cells.update(((c, r), "O") for c, r in enumerate(os))
+    return cells
+
+
+def _marker_lists(cells, n):
+    """The (xs, os) lists of an n-grid given by its marked cells."""
+    rows = {"X": [None] * n, "O": [None] * n}
+    for (c, r), kind in cells.items():
+        rows[kind][c] = r
+    return rows["X"], rows["O"]
+
+
+def cell_stabilize(xs, os, marker, c, subtype):
+    """The (n+1)-grid that stabilizing the ``marker`` of column ``c``
+    gives, built cell by cell, or None for an argument with no such
+    marker.  Column c and row r of the marker each become two lines.
+    The block on them holds the lone marker of the other kind at the
+    corner ``subtype`` names, and the two markers of ``marker``'s kind
+    in the two cells next to it.  The other marker of column c goes to
+    the block column without a lone marker, and the other marker of row
+    r to the block row without one."""
+    n = len(xs)
+    if marker not in ("X", "O") or subtype not in ("NE", "NW", "SE", "SW") or not 0 <= c < n:
+        return None
+    east, north = int("E" in subtype), int("N" in subtype)
+    r = (xs if marker == "X" else os)[c]
+    out = {}
+    for (col, row), kind in marker_cells(xs, os).items():
+        if (col, row) == (c, r):
+            continue
+        new_col = c + 1 - east if col == c else col + (col > c)
+        new_row = r + 1 - north if row == r else row + (row > r)
+        out[(new_col, new_row)] = kind
+    out[(c + east, r + north)] = "O" if marker == "X" else "X"
+    out[(c + 1 - east, r + north)] = marker
+    out[(c + east, r + 1 - north)] = marker
+    return _marker_lists(out, n + 1)
+
+
+def l_block(cells, c, rr):
+    """The kind of the two markers of a 2x2 L-block on columns c, c+1
+    and rows rr, rr+1, or None when the block is no L: it must hold
+    three markers, the one at the corner opposite the empty cell of one
+    kind and the other two of the other kind."""
+    block = [(col, row) for col in (c, c + 1) for row in (rr, rr + 1)]
+    held = [cell for cell in block if cell in cells]
+    if len(held) != 3:
+        return None
+    (empty,) = set(block) - set(held)
+    elbow = (2 * c + 1 - empty[0], 2 * rr + 1 - empty[1])
+    pair = {cells[cell] for cell in held if cell != elbow}
+    if len(pair) != 1 or cells[elbow] in pair:
+        return None
+    return pair.pop()
+
+
+def cell_destabilize(xs, os, c, row=None):
+    """The (n-1)-grid that collapsing an L-block on columns c, c+1
+    gives, built cell by cell, or None when there is none: the lowest
+    block, or the one on rows ``row, row+1`` when ``row`` is given.
+    The three block markers become one marker of the pair's kind, the
+    two columns and the two rows each merge into one line, and every
+    other marker keeps its cell on the merged grid."""
+    n = len(xs)
+    if not 0 <= c <= n - 2:
+        return None
+    if row is not None and not 0 <= row <= n - 2:
+        return None
+    cells = marker_cells(xs, os)
+    for rr in range(n - 1) if row is None else [row]:
+        pair = l_block(cells, c, rr)
+        if pair is None:
+            continue
+        out = {
+            (col - (col > c), r - (r > rr)): kind
+            for (col, r), kind in cells.items()
+            if not (col in (c, c + 1) and r in (rr, rr + 1))
+        }
+        out[(c, rr)] = pair
+        return _marker_lists(out, n - 1)
+    return None
 
 
 def _sign_text(sign):

@@ -140,6 +140,12 @@ class TestConstruction:
             GridDiagram(3, (0, 1, 2), (2, 1, 0))
         assert exc.value.column == 1
 
+    def test_direct_construction_from_lists_is_a_grid_like_any_other(self):
+        g = GridDiagram(2, [0, 1], [1, 0])
+        assert (g.xs, g.os) == ((0, 1), (1, 0))
+        assert g == new_grid(2, [0, 1], [1, 0])
+        assert hash(g) == hash(new_grid(2, [0, 1], [1, 0]))
+
     @given(marker_lists())
     def test_construction_gives_a_valid_grid_or_a_grid_error(self, case):
         n, xs, os = case

@@ -29,7 +29,15 @@ from legrid import (
 from legrid.moves import ISOTOPY_SUBTYPES, STAB_MINUS, STAB_PLUS, changes_cusps
 from legrid.sampling import random_grid, random_link
 
-from helpers import all_marker_lists, brute_linking, trace_components
+from helpers import (
+    all_marker_lists,
+    brute_linking,
+    cell_destabilize,
+    cell_stabilize,
+    l_block,
+    marker_cells,
+    trace_components,
+)
 
 UNKNOT = new_grid(2, [0, 1], [1, 0])
 DIRECTIONS = ("up", "down", "left", "right")
@@ -217,6 +225,73 @@ class TestLegendrianStabilize:
                     j3 = g3.component_by_column[m2(m1(anchor_j))]
                     after = relative_invariants(g3, k3, j3)
                     assert after.tb_rel == before.tb_rel
+
+
+def _moved_lists(g, move):
+    """The marker lists of ``move`` applied to ``g``, or None when the
+    move raises BadCell."""
+    try:
+        moved = apply_move(g, move)
+    except BadCell:
+        return None
+    return list(moved.xs), list(moved.os)
+
+
+class TestCellReference:
+    """Stabilize and Destabilize against the cell-by-cell reference in
+    helpers, on every grid with n <= 4 and every argument."""
+
+    def test_stabilize_every_small_grid(self):
+        for n in (2, 3, 4):
+            for xs, os in all_marker_lists(n):
+                g = new_grid(n, xs, os)
+                for marker in ("X", "O", "Y"):
+                    for col in range(-1, n + 1):
+                        for subtype in ("NE", "NW", "SE", "SW", "N"):
+                            expected = cell_stabilize(xs, os, marker, col, subtype)
+                            assert _moved_lists(g, Stabilize(marker, col, subtype)) == expected
+
+    def test_destabilize_every_small_grid(self):
+        collapsed = pinned = two_blocks = 0
+        for n in (2, 3, 4):
+            for xs, os in all_marker_lists(n):
+                g = new_grid(n, xs, os)
+                cells = marker_cells(xs, os)
+                for col in range(-1, n):
+                    for row in (None, *range(-1, n)):
+                        expected = cell_destabilize(xs, os, col, row)
+                        assert _moved_lists(g, Destabilize(col, row)) == expected
+                        collapsed += expected is not None
+                        pinned += expected is not None and row is not None
+                    blocks = [rr for rr in range(n - 1) if 0 <= col and l_block(cells, col, rr)]
+                    if len(blocks) > 1:
+                        # The lowest of two blocks is collapsed unless a row is
+                        # pinned.  Two blocks form a staircase over three rows,
+                        # and either collapse gives the same grid.
+                        two_blocks += 1
+                        lowest = apply_move(g, Destabilize(col))
+                        assert blocks == [blocks[0], blocks[0] + 1]
+                        assert lowest == apply_move(g, Destabilize(col, blocks[0]))
+                        assert lowest == apply_move(g, Destabilize(col, blocks[1]))
+        assert collapsed > pinned > two_blocks > 0
+
+    def test_three_markers_form_an_l(self):
+        # Columns c, c+1 hold an L-block at rows rr, rr+1 exactly when
+        # three of their four markers lie in those rows; one of the two
+        # columns then has its markers on exactly those rows.
+        blocks = 0
+        for n in range(2, 6):
+            for xs, os in all_marker_lists(n):
+                cells = marker_cells(xs, os)
+                for c in range(n - 1):
+                    lows = {min(xs[k], os[k]) for k in (c, c + 1) if abs(xs[k] - os[k]) == 1}
+                    for rr in range(n - 1):
+                        inside = sum(r in (rr, rr + 1) for r in (xs[c], os[c], xs[c + 1], os[c + 1]))
+                        assert (inside == 3) == (l_block(cells, c, rr) is not None)
+                        if inside == 3:
+                            blocks += 1
+                            assert rr in lows
+        assert blocks > 0
 
 
 class TestFollow:
