@@ -29,7 +29,8 @@ __all__ = ["main", "parse_grid_file"]
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error: exit 2.  argparse passes it on from a ``type=``
+    function with its message as it stands."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +51,37 @@ def _int_arg(text):
         return _int_token(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _ints(text, message):
+    """The comma-separated integers of an option value, or a usage error."""
+    try:
+        return tuple(map(_int_token, text.split(",")))
+    except ValueError:
+        raise _UsageError(message) from None
+
+
+def _pair_arg(text):
+    if text.count(",") != 1:
+        raise _UsageError(f"--pair expects two comma-separated indices, got {text!r}")
+    return _ints(text, f"--pair expects integers, got {text!r}")
+
+
+def _offsets_arg(text):
+    return _ints(text, f"offsets must be comma-separated integers, got {text!r}") if text else ()
+
+
+def _init_arg(text):
+    if text.count(",") != 5:
+        raise _UsageError("--init expects six comma-separated integers")
+    return simulator.FramedPairState._make(_ints(text, "--init expects integers"))
+
+
+def _cases_arg(text):
+    cases = _int_arg(text)
+    if cases < 0:
+        raise _UsageError(f"--cases must be non-negative, got {cases}")
+    return cases
 
 
 def _read_input(path) -> str:
@@ -77,10 +109,6 @@ def parse_grid_file(path) -> GridDiagram:
     return parse_grid(_read_input(path))
 
 
-def _emit(payload):
-    print(json.dumps(payload))
-
-
 def _table(rows, headers):
     """Render a small aligned text table."""
     widths = [len(h) for h in headers]
@@ -103,105 +131,60 @@ def _classical_record(index, inv):
     }
 
 
-def _relative_record(k, j, rel):
-    return {"pair": [k, j], "tb_rel": rel.tb_rel, "r_rel": rel.r_rel, "sl_rel": rel.sl_rel}
-
-
-def _grid_record(g):
-    return {"n": g.n, "x": list(g.xs), "o": list(g.os)}
+def _relative_record(rel):
+    return {"tb_rel": rel.tb_rel, "r_rel": rel.r_rel, "sl_rel": rel.sl_rel}
 
 
 def _cmd_inv(args):
     g = parse_grid_file(args.grid)
     conv = Convention(args.conv)
-    if args.component is not None:
-        records = [_classical_record(args.component, classical(g, args.component, conv))]
-        payload = records[0]
-    else:
-        records = [
-            _classical_record(comp.index, classical(g, comp.index, conv))
-            for comp in g.components
-        ]
-        payload = records
-    if args.pretty:
-        headers = ["component", "tb", "r", "sl_pos", "sl_neg"]
-        print(_table([[rec[h] for h in headers] for rec in records], headers))
-    else:
-        _emit(payload)
-    return 0
-
-
-def _parse_pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"--pair expects two comma-separated indices, got {text!r}")
-    try:
-        return _int_token(parts[0]), _int_token(parts[1])
-    except ValueError:
-        raise _UsageError(f"--pair expects integers, got {text!r}") from None
+    indices = [comp.index for comp in g.components] if args.component is None else [args.component]
+    records = [_classical_record(i, classical(g, i, conv)) for i in indices]
+    headers = ["component", "tb", "r", "sl_pos", "sl_neg"]
+    payload = records if args.component is None else records[0]
+    return payload, lambda: _table([[rec[h] for h in headers] for rec in records], headers)
 
 
 def _cmd_rel(args):
     g = parse_grid_file(args.grid)
-    k, j = _parse_pair(args.pair)
+    k, j = args.pair
     flag = OrientationFlag(surface=1 if args.orient == "+" else -1)
     rel = relative_invariants(g, k, j, flag)
-    record = _relative_record(k, j, rel)
-    if args.pretty:
-        headers = ["pair", "tb_rel", "r_rel", "sl_rel"]
-        row = [f"({k},{j})", record["tb_rel"], record["r_rel"], record["sl_rel"]]
-        print(_table([row], headers))
-    else:
-        _emit(record)
-    return 0
+    headers = ["pair", "tb_rel", "r_rel", "sl_rel"]
+    row = [f"({k},{j})", rel.tb_rel, rel.r_rel, rel.sl_rel]
+    return {"pair": [k, j], **_relative_record(rel)}, lambda: _table([row], headers)
 
 
 def _cmd_moves(args):
     g = parse_grid_file(args.grid)
     script = parse_move_script(_read_input(args.script))
     result = apply_script(g, script)
-    trace = []
-    for step in result.trace:
-        record = {
+    final = result.final
+    trace = [
+        {
             "step": step.index,
             "move": None if step.move is None else step.move.text(),
             "components": [
                 _classical_record(i, inv) for i, inv in enumerate(step.invariants)
             ],
-            "relative": None,
+            "relative": None if step.relative is None else _relative_record(step.relative),
             "flags": list(step.flags),
         }
-        if step.relative is not None:
-            record["relative"] = {
-                "tb_rel": step.relative.tb_rel,
-                "r_rel": step.relative.r_rel,
-                "sl_rel": step.relative.sl_rel,
-            }
-        trace.append(record)
-    if args.pretty:
-        headers = ["step", "move", "per-component (tb, r)", "relative", "flags"]
+        for step in result.trace
+    ]
+
+    def table():
         rows = []
-        for rec in trace:
-            comps = " ".join(f"({c['tb']},{c['r']})" for c in rec["components"])
-            rel = rec["relative"]
-            rel_text = "-" if rel is None else f"({rel['tb_rel']},{rel['r_rel']},{rel['sl_rel']})"
-            rows.append([rec["step"], rec["move"] or "-", comps, rel_text, ",".join(rec["flags"]) or "-"])
-        print(_table(rows, headers))
-        print(f"final: n={result.final.n} X={list(result.final.xs)} O={list(result.final.os)}")
-    else:
-        _emit({"final": _grid_record(result.final), "trace": trace})
-    return 0
+        for step in result.trace:
+            rel = step.relative
+            move = "-" if step.move is None else step.move.text()
+            comps = " ".join(f"({inv.tb},{inv.r})" for inv in step.invariants)
+            rel_text = "-" if rel is None else f"({rel.tb_rel},{rel.r_rel},{rel.sl_rel})"
+            rows.append([step.index, move, comps, rel_text, ",".join(step.flags) or "-"])
+        headers = ["step", "move", "per-component (tb, r)", "relative", "flags"]
+        return _table(rows, headers) + f"\nfinal: n={final.n} X={list(final.xs)} O={list(final.os)}"
 
-
-def _parse_offsets(text, rank):
-    if text is None:
-        return (0,) * rank
-    if text == "":
-        return ()
-    try:
-        return tuple(_int_token(v) for v in text.split(","))
-    except ValueError:
-        raise _UsageError(f"offsets must be comma-separated integers, got {text!r}") from None
+    return {"final": {"n": final.n, "x": list(final.xs), "o": list(final.os)}, "trace": trace}, table
 
 
 def _parse_model(text):
@@ -222,39 +205,23 @@ def _parse_model(text):
 
 def _cmd_ledger(args):
     model = _parse_model(_read_input(args.model))
-    s1 = ledger_mod.RelativeSurfaceClass(args.base, _parse_offsets(args.offset1, model.rank))
-    s2 = ledger_mod.RelativeSurfaceClass(args.base, _parse_offsets(args.offset2, model.rank))
+    zero = (0,) * model.rank
+    s1 = ledger_mod.RelativeSurfaceClass(args.base, zero if args.offset1 is None else args.offset1)
+    s2 = ledger_mod.RelativeSurfaceClass(args.base, zero if args.offset2 is None else args.offset2)
     payload = {
         "tb_diff": ledger_mod.tb_diff(model, s1, s2),
         "rot_diff": ledger_mod.rot_diff(model, s1, s2),
         "sl_diff": ledger_mod.sl_diff(model, s1, s2),
         "ambiguity": ledger_mod.ambiguity(model),
     }
-    if args.pretty:
-        print(_table([[k, v] for k, v in payload.items()], ["quantity", "value"]))
-    else:
-        _emit(payload)
-    return 0
+    return payload, lambda: _table([[k, v] for k, v in payload.items()], ["quantity", "value"])
 
 
 def _cmd_cross_sim(args):
-    s0 = simulator.FramedPairState()
-    if args.init is not None:
-        parts = args.init.split(",")
-        if len(parts) != 6:
-            raise _UsageError("--init expects six comma-separated integers")
-        try:
-            s0 = simulator.FramedPairState._make(map(_int_token, parts))
-        except ValueError:
-            raise _UsageError("--init expects integers") from None
     events = simulator.parse_event_script(_read_input(args.events))
-    rows = simulator.replay(s0, events)
-    if args.pretty:
-        headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
-        print(_table([row + s0.triple for row in rows], headers))
-    else:
-        _write_states(rows, s0.triple)
-    return 0
+    rows, triple = simulator.replay(args.init, events), args.init.triple
+    headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
+    return (rows, triple), lambda: _table([row + triple for row in rows], headers)
 
 
 _STATE_CHUNK = 4096
@@ -278,19 +245,17 @@ def _write_states(rows, triple):
 
 
 def _cmd_selftest(args):
-    if args.cases < 0:
-        raise _UsageError(f"--cases must be non-negative, got {args.cases}")
     report = run_selftest(args.seed, args.cases)
-    if args.pretty:
+
+    def table():
         rows = [
             [c["name"], c["cases"], c["failures"], "pass" if c["passed"] else "FAIL"]
             for c in report["checks"]
         ]
-        print(_table(rows, ["check", "cases", "failures", "status"]))
-        print(f"seed={report['seed']} cases={report['cases']} all_passed={report['all_passed']}")
-    else:
-        _emit(report)
-    return 0 if report["all_passed"] else 1
+        footer = f"seed={report['seed']} cases={report['cases']} all_passed={report['all_passed']}"
+        return _table(rows, ["check", "cases", "failures", "status"]) + "\n" + footer
+
+    return report, table
 
 
 @functools.cache
@@ -299,7 +264,8 @@ def _build_parser():
     (not at import) and reused by every later one.  It holds only
     constants: parsing does not change it, errors raise, and help is
     formatted for the ``sys.stdout`` and terminal width in force when it
-    is printed."""
+    is printed.  Every option is checked here, so a usage error comes
+    before any input file is read."""
     parser = _Parser(prog="legrid", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -308,49 +274,55 @@ def _build_parser():
     inv.add_argument("--component", type=_int_arg, default=None)
     inv.add_argument("--conv", default=Convention.NW_SE.value,
                      choices=[c.value for c in Convention])
-    inv.add_argument("--pretty", action="store_true")
     inv.set_defaults(func=_cmd_inv)
 
     rel = sub.add_parser("rel", help="relative invariants of a component pair")
     rel.add_argument("grid")
-    rel.add_argument("--pair", required=True, help="k,j")
+    rel.add_argument("--pair", type=_pair_arg, required=True, help="k,j")
     rel.add_argument("--orient", default="+", choices=["+", "-"])
-    rel.add_argument("--pretty", action="store_true")
     rel.set_defaults(func=_cmd_rel)
 
     moves = sub.add_parser("moves", help="run a move script with a trace")
     moves.add_argument("grid")
     moves.add_argument("script")
-    moves.add_argument("--pretty", action="store_true")
     moves.set_defaults(func=_cmd_moves)
 
     led = sub.add_parser("ledger", help="evaluate a homology-model query")
     led.add_argument("model")
     led.add_argument("--base", default="sigma")
-    led.add_argument("--offset1", default=None)
-    led.add_argument("--offset2", default=None)
-    led.add_argument("--pretty", action="store_true")
+    led.add_argument("--offset1", type=_offsets_arg, default=None)
+    led.add_argument("--offset2", type=_offsets_arg, default=None)
     led.set_defaults(func=_cmd_ledger)
 
     sim = sub.add_parser("cross-sim", help="replay an event script")
     sim.add_argument("events")
-    sim.add_argument("--init", default=None, help="tw_K,tw_J,w_K,w_J,sK,sJ")
-    sim.add_argument("--pretty", action="store_true")
+    sim.add_argument("--init", type=_init_arg, default=simulator.FramedPairState(),
+                     help="tw_K,tw_J,w_K,w_J,sK,sJ")
     sim.set_defaults(func=_cmd_cross_sim)
 
     selftest = sub.add_parser("selftest", help="run the deterministic property suite")
     selftest.add_argument("--seed", type=_int_arg, default=0)
-    selftest.add_argument("--cases", type=_int_arg, default=200)
-    selftest.add_argument("--pretty", action="store_true")
+    selftest.add_argument("--cases", type=_cases_arg, default=200)
     selftest.set_defaults(func=_cmd_selftest)
 
+    for verb in sub.choices.values():
+        verb.add_argument("--pretty", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # Each verb returns its JSON record and a thunk for its table.
+        # cross-sim streams its states; selftest exits 1 when a check fails.
+        record, table = args.func(args)
+        if args.pretty:
+            print(table())
+        elif args.verb == "cross-sim":
+            _write_states(*record)
+        else:
+            print(json.dumps(record))
+        return 1 if args.verb == "selftest" and not record["all_passed"] else 0
     except SystemExit as e:  # argparse's help action, once the help is printed
         return e.code
     except _UsageError as e:

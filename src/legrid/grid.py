@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import countOf
 
 from .errors import (
     NotAPermutation,
@@ -153,9 +154,10 @@ class GridDiagram:
         if len(os) != n:
             raise SizeMismatch(f"O list has length {len(os)}, expected {n}")
         rows = list(range(n))
-        if sorted(xs) != rows:
+        # floats and bools compare equal to ints, so each marker's type is checked too
+        if countOf(map(type, xs), int) != n or sorted(xs) != rows:
             raise NotAPermutation(f"X rows are not a permutation of 0..{n - 1}", which="x")
-        if sorted(os) != rows:
+        if countOf(map(type, os), int) != n or sorted(os) != rows:
             raise NotAPermutation(f"O rows are not a permutation of 0..{n - 1}", which="o")
         x_col = [0] * n
         o_col = [0] * n
@@ -195,7 +197,8 @@ def new_grid(n, xs, os) -> GridDiagram:
     """Build a :class:`GridDiagram` from any marker sequences.
 
     Raises SizeMismatch, NotAPermutation or SharedCell on bad input,
-    checked in that order; a shared cell is reported at its lowest
+    checked in that order; a marker that is not an ``int`` (a float or
+    a bool) is no row, and a shared cell is reported at its lowest
     column.  The minimum legal size is 2: a 1x1 grid forces its only
     cell to hold both markers.
     """

@@ -211,11 +211,12 @@ class Destabilize:
         """Collapse the three-marker L-block found in columns
         ``column, column + 1`` back to a single marker.
 
-        When both candidate rows carry an L-block (see the module
-        notes), the lowest one is collapsed unless ``row`` pins the
-        block explicitly.  Collapsing deletes the column with both
-        markers in the block and merges rows rr, rr+1, so the other
-        column's block marker is the collapsed one.
+        Both candidate rows (see the module notes) may carry an L-block.
+        The two then form a staircase over three rows, and collapsing
+        either gives the same grid, so ``row`` only refuses a row pair
+        with no block.  Collapsing deletes the column with both markers
+        in the block and merges rows rr, rr+1, so the other column's
+        block marker is the collapsed one.
         """
         n = g.n
         c = self.column
@@ -223,7 +224,7 @@ class Destabilize:
             raise BadCell(f"no column pair {c},{c + 1} in an {n}-grid")
         xs, os = g.xs, g.os
         # (lower row, column) of each column whose two markers are adjacent
-        blocks = sorted((min(xs[k], os[k]), k) for k in (c, c + 1) if abs(xs[k] - os[k]) == 1)
+        blocks = [(min(xs[k], os[k]), k) for k in (c, c + 1) if abs(xs[k] - os[k]) == 1]
         if self.row is not None:
             if not 0 <= self.row <= n - 2:
                 raise BadCell(f"no row pair {self.row},{self.row + 1} in an {n}-grid")

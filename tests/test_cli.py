@@ -422,6 +422,170 @@ print(raised(lambda: sim.run_trace(sim.FramedPairState(), [sim.CrossingEvent(1)]
         assert run.stdout.split() == ["ParityViolation", "ParityViolation", "TripleDrift"]
 
 
+MOVES_SCRIPT = "translate up\nlstab 1 -\nstab X 0 NE\n"
+MODEL_JSON = '{"rank": 2, "euler": [4, 6], "tight": false}'
+EVENTS_TEXT = "cross +\npattern circles=0 ribbon=2 bparallel=0 clasps=0 singular=none\n"
+SELFTEST_CHECKS = [
+    ("normalization", 3), ("route-equality", 5), ("grid-invariants", 5), ("linking-symmetry", 5),
+    ("stabilization-laws", 4), ("isotopy-invariance", 5), ("relative-algebra", 5), ("ledger-rules", 5),
+    ("simulator-replay", 1),
+]
+
+# Each verb on fixed inputs: its argv (LINK, UNKNOT, SCRIPT, LSTAB, MODEL
+# and EVENTS name the files written by ``_golden_files``), its JSON
+# stdout and its --pretty stdout.
+GOLDEN = {
+    "inv": (
+        ["inv", "LINK"],
+        '[{"component": 0, "tb": -2, "r": 1, "sl_pos": -3, "sl_neg": -1}, '
+        '{"component": 1, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}]\n',
+        "component  tb  r  sl_pos  sl_neg\n"
+        "---------  --  -  ------  ------\n"
+        "0          -2  1  -3      -1    \n"
+        "1          -1  0  -1      -1    \n",
+    ),
+    "inv-component": (
+        ["inv", "LINK", "--component", "1", "--conv", "ne-sw"],
+        '{"component": 1, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}\n',
+        "component  tb  r  sl_pos  sl_neg\n"
+        "---------  --  -  ------  ------\n"
+        "1          -1  0  -1      -1    \n",
+    ),
+    "rel": (
+        ["rel", "LINK", "--pair", "0,1"],
+        '{"pair": [0, 1], "tb_rel": -1, "r_rel": 1, "sl_rel": -2}\n',
+        "pair   tb_rel  r_rel  sl_rel\n"
+        "-----  ------  -----  ------\n"
+        "(0,1)  -1      1      -2    \n",
+    ),
+    "moves": (
+        ["moves", "LINK", "SCRIPT"],
+        '{"final": {"n": 8, "x": [3, 2, 7, 5, 6, 1, 4, 0], "o": [7, 3, 4, 1, 5, 6, 0, 2]}, "trace": ['
+        '{"step": 0, "move": null, "components": [{"component": 0, "tb": -2, "r": 1, "sl_pos": -3, "sl_neg": -1}, '
+        '{"component": 1, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}], '
+        '"relative": {"tb_rel": -1, "r_rel": 1, "sl_rel": -2}, "flags": []}, '
+        '{"step": 1, "move": "translate up", "components": [{"component": 0, "tb": -2, "r": 1, "sl_pos": -3, "sl_neg": -1}, '
+        '{"component": 1, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}], '
+        '"relative": {"tb_rel": -1, "r_rel": 1, "sl_rel": -2}, "flags": ["cusp-change"]}, '
+        '{"step": 2, "move": "lstab 1 -", "components": [{"component": 0, "tb": -2, "r": 1, "sl_pos": -3, "sl_neg": -1}, '
+        '{"component": 1, "tb": -2, "r": -1, "sl_pos": -1, "sl_neg": -3}], '
+        '"relative": {"tb_rel": 0, "r_rel": 2, "sl_rel": -2}, "flags": []}, '
+        '{"step": 3, "move": "stab X 0 NE", "components": [{"component": 0, "tb": -2, "r": 1, "sl_pos": -3, "sl_neg": -1}, '
+        '{"component": 1, "tb": -2, "r": -1, "sl_pos": -1, "sl_neg": -3}], '
+        '"relative": {"tb_rel": 0, "r_rel": 2, "sl_rel": -2}, "flags": []}]}\n',
+        "step  move          per-component (tb, r)  relative   flags      \n"
+        "----  ------------  ---------------------  ---------  -----------\n"
+        "0     -             (-2,1) (-1,0)          (-1,1,-2)  -          \n"
+        "1     translate up  (-2,1) (-1,0)          (-1,1,-2)  cusp-change\n"
+        "2     lstab 1 -     (-2,1) (-2,-1)         (0,2,-2)   -          \n"
+        "3     stab X 0 NE   (-2,1) (-2,-1)         (0,2,-2)   -          \n"
+        "final: n=8 X=[3, 2, 7, 5, 6, 1, 4, 0] O=[7, 3, 4, 1, 5, 6, 0, 2]\n",
+    ),
+    "moves-knot": (
+        ["moves", "UNKNOT", "LSTAB"],
+        '{"final": {"n": 3, "x": [0, 1, 2], "o": [1, 2, 0]}, "trace": ['
+        '{"step": 0, "move": null, "components": [{"component": 0, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}], '
+        '"relative": null, "flags": []}, '
+        '{"step": 1, "move": "lstab 0 +", "components": [{"component": 0, "tb": -2, "r": 1, "sl_pos": -3, "sl_neg": -1}], '
+        '"relative": null, "flags": []}]}\n',
+        "step  move       per-component (tb, r)  relative  flags\n"
+        "----  ---------  ---------------------  --------  -----\n"
+        "0     -          (-1,0)                 -         -    \n"
+        "1     lstab 0 +  (-2,1)                 -         -    \n"
+        "final: n=3 X=[0, 1, 2] O=[1, 2, 0]\n",
+    ),
+    "ledger": (
+        ["ledger", "MODEL", "--offset1", "3,0"],
+        '{"tb_diff": 0, "rot_diff": 12, "sl_diff": 12, "ambiguity": 2}\n',
+        "quantity   value\n"
+        "---------  -----\n"
+        "tb_diff    0    \n"
+        "rot_diff   12   \n"
+        "sl_diff    12   \n"
+        "ambiguity  2    \n",
+    ),
+    "cross-sim": (
+        ["cross-sim", "EVENTS", "--init", "1,1,0,0,2,2"],
+        '[{"tw_K": 1, "tw_J": 1, "w_K": 0, "w_J": 0, "sK": 2, "sJ": 2, "tb_rel": 0, "r_rel": 0, "sl_rel": 0}, '
+        '{"tw_K": 0, "tw_J": 0, "w_K": -1, "w_J": -1, "sK": 3, "sJ": 3, "tb_rel": 0, "r_rel": 0, "sl_rel": 0}, '
+        '{"tw_K": 2, "tw_J": 2, "w_K": -1, "w_J": -1, "sK": 3, "sJ": 3, "tb_rel": 0, "r_rel": 0, "sl_rel": 0}]\n',
+        "tw_K  tw_J  w_K  w_J  sK  sJ  tb_rel  r_rel  sl_rel\n"
+        "----  ----  ---  ---  --  --  ------  -----  ------\n"
+        "1     1     0    0    2   2   0       0      0     \n"
+        "0     0     -1   -1   3   3   0       0      0     \n"
+        "2     2     -1   -1   3   3   0       0      0     \n",
+    ),
+    "selftest": (
+        ["selftest", "--seed", "3", "--cases", "5"],
+        '{"suite": "legrid-selftest", "seed": 3, "cases": 5, "checks": ['
+        + ", ".join(
+            f'{{"name": "{name}", "cases": {cases}, "failures": 0, "passed": true}}'
+            for name, cases in SELFTEST_CHECKS
+        )
+        + '], "all_passed": true}\n',
+        "check               cases  failures  status\n"
+        "------------------  -----  --------  ------\n"
+        + "".join(f"{name:<18}  {cases:<5}  0         pass  \n" for name, cases in SELFTEST_CHECKS)
+        + "seed=3 cases=5 all_passed=True\n",
+    ),
+}
+
+
+def _golden_files(tmp_path):
+    files = {
+        "LINK": LINK_TEXT, "UNKNOT": UNKNOT_TEXT, "SCRIPT": MOVES_SCRIPT, "LSTAB": "lstab 0 +\n",
+        "MODEL": MODEL_JSON, "EVENTS": EVENTS_TEXT,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return lambda argv: [str(tmp_path / arg) if arg in files else arg for arg in argv]
+
+
+class TestGoldenOutput:
+    """Every verb's exact stdout on fixed inputs, as JSON and as a table."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_json_and_pretty(self, capsys, tmp_path, case):
+        argv, json_out, pretty_out = GOLDEN[case]
+        argv = _golden_files(tmp_path)(argv)
+        assert run_cli(capsys, *argv) == (0, json_out, "")
+        assert run_cli(capsys, *argv, "--pretty") == (0, pretty_out, "")
+
+
+# Each option the parser checks, with a bad value, and the usage error it
+# gives; the input files are valid.
+BAD_OPTIONS = [
+    (["rel", "LINK", "--pair", "0"], "--pair expects two comma-separated indices, got '0'"),
+    (["rel", "LINK", "--pair", "a,b"], "--pair expects integers, got 'a,b'"),
+    (["cross-sim", "EVENTS", "--init", "1,2"], "--init expects six comma-separated integers"),
+    (["cross-sim", "EVENTS", "--init", "1,2,3,4,5,x"], "--init expects integers"),
+    (["ledger", "MODEL", "--offset1", "x"], "offsets must be comma-separated integers, got 'x'"),
+    (["ledger", "MODEL", "--offset2", "1,y"], "offsets must be comma-separated integers, got '1,y'"),
+    (["selftest", "--cases", "-3"], "--cases must be non-negative, got -3"),
+]
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize(("argv", "message"), BAD_OPTIONS)
+    def test_bad_option_gives_its_usage_error(self, capsys, tmp_path, argv, message):
+        argv = _golden_files(tmp_path)(argv)
+        expected = json.dumps({"error": {"type": "UsageError", "message": message}}) + "\n"
+        assert run_cli(capsys, *argv) == (2, "", expected)
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["rel", "MISSING", "--pair", "0"], "--pair expects two comma-separated indices, got '0'"),
+            (["ledger", "MISSING", "--offset1", "x"], "offsets must be comma-separated integers, got 'x'"),
+        ],
+    )
+    def test_usage_error_comes_before_any_file_is_read(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / "missing") if arg == "MISSING" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert _single_json_error(err) == {"type": "UsageError", "message": message}
+
+
 def _single_json_error(err):
     """stderr must hold exactly one JSON error object and no traceback."""
     assert "Traceback" not in err
@@ -546,6 +710,19 @@ class TestSelftest:
         report = json.loads(out)
         assert report["all_passed"] is True
         assert report["seed"] == 3
+
+    def test_failed_check_exits_one_after_the_report(self, capsys, monkeypatch):
+        import legrid.selftest as selftest_mod
+
+        broken = selftest_mod.CheckResult("broken", 2, 1)
+        monkeypatch.setattr(selftest_mod, "CHECKS", (lambda rng, cases: broken,))
+        code, out, err = run_cli(capsys, "selftest", "--cases", "2")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["checks"] == [broken.as_record()]
+        code, out, err = run_cli(capsys, "selftest", "--cases", "2", "--pretty")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[2].split() == ["broken", "2", "1", "FAIL"]
+        assert out.endswith("all_passed=False\n")
 
     def test_byte_identical_reports(self):
         runs = [

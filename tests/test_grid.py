@@ -126,6 +126,10 @@ class TestConstruction:
             # the lowest shared column is reported
             (4, [0, 1, 2, 3], [1, 0, 2, 3], (SharedCell, "column 2 holds X and O in the same cell")),
             (1, [0], [0], (SharedCell, "column 0 holds X and O in the same cell")),
+            # a marker that only compares equal to an int is no row
+            (2, [0.0, 1.0], [1.0, 0.0], (NotAPermutation, "X rows are not a permutation of 0..1")),
+            (2, [False, True], [True, False], (NotAPermutation, "X rows are not a permutation of 0..1")),
+            (2, [0, 1], [True, 0], (NotAPermutation, "O rows are not a permutation of 0..1")),
         ],
     )
     def test_error_precedence(self, n, xs, os, error):

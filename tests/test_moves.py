@@ -237,6 +237,19 @@ def _moved_lists(g, move):
     return list(moved.xs), list(moved.os)
 
 
+def _two_blocks_collapse_alike(g, cells, col):
+    """Whether columns col, col+1 of ``g`` hold two L-blocks, after
+    checking that two blocks form a staircase over three rows and that
+    the unpinned move and both pinned ones give the same grid."""
+    blocks = [rr for rr in range(g.n - 1) if 0 <= col and l_block(cells, col, rr)]
+    if len(blocks) < 2:
+        return False
+    assert blocks == [blocks[0], blocks[0] + 1]
+    moved = apply_move(g, Destabilize(col))
+    assert moved == apply_move(g, Destabilize(col, blocks[0])) == apply_move(g, Destabilize(col, blocks[1]))
+    return True
+
+
 class TestCellReference:
     """Stabilize and Destabilize against the cell-by-cell reference in
     helpers, on every grid with n <= 4 and every argument."""
@@ -263,17 +276,16 @@ class TestCellReference:
                         assert _moved_lists(g, Destabilize(col, row)) == expected
                         collapsed += expected is not None
                         pinned += expected is not None and row is not None
-                    blocks = [rr for rr in range(n - 1) if 0 <= col and l_block(cells, col, rr)]
-                    if len(blocks) > 1:
-                        # The lowest of two blocks is collapsed unless a row is
-                        # pinned.  Two blocks form a staircase over three rows,
-                        # and either collapse gives the same grid.
-                        two_blocks += 1
-                        lowest = apply_move(g, Destabilize(col))
-                        assert blocks == [blocks[0], blocks[0] + 1]
-                        assert lowest == apply_move(g, Destabilize(col, blocks[0]))
-                        assert lowest == apply_move(g, Destabilize(col, blocks[1]))
+                    two_blocks += _two_blocks_collapse_alike(g, cells, col)
         assert collapsed > pinned > two_blocks > 0
+        # and on grids up to n = 40, where two blocks are rarer
+        rng = random.Random(20261018)
+        two_blocks = 0
+        for _ in range(1000):
+            g = random_grid(rng, rng.randint(3, 40))
+            cells = marker_cells(g.xs, g.os)
+            two_blocks += sum(_two_blocks_collapse_alike(g, cells, col) for col in range(g.n - 1))
+        assert two_blocks > 0
 
     def test_three_markers_form_an_l(self):
         # Columns c, c+1 hold an L-block at rows rr, rr+1 exactly when
