@@ -96,26 +96,15 @@ class FrontData:
     crossing_matrix: tuple[tuple[int, ...], ...]
     cusps: tuple[CuspCounts, ...]
 
-    def _check(self, c):
-        if not 0 <= c < len(self.cusps):
-            raise UnknownComponent(f"no component {c}")
-
     def cusp_counts(self, c) -> CuspCounts:
-        self._check(c)
+        _check_component(c, len(self.cusps))
         return self.cusps[c]
 
-    def writhe(self, c) -> int:
-        """Sum of self-crossing signs of component ``c``."""
-        self._check(c)
-        return self.crossing_matrix[c][c]
 
-    def crossing_sum(self, c1, c2) -> int:
-        """Signed count of crossings between two distinct components
-        (the writhe when ``c1 == c2``)."""
-        self._check(c1)
-        self._check(c2)
-        m = self.crossing_matrix
-        return m[c1][c2] + m[c2][c1] if c1 != c2 else m[c1][c1]
+def _check_component(c, count):
+    """The one component-index check, for a grid and a front alike."""
+    if not 0 <= c < count:
+        raise UnknownComponent(f"no component {c} (diagram has {count})")
 
 
 @dataclass(frozen=True)
@@ -167,30 +156,40 @@ class GridDiagram:
             x_col[x] = c
             o_col[o] = c
 
-        # Tracing: the X of column c shares its row with the O of column succ[c].
-        succ = tuple(map(o_col.__getitem__, xs))
-        owner = [-1] * n
-        components = []
-        for start in rows:
-            if owner[start] >= 0:
-                continue
-            k = len(components)
-            cols = []
-            c = start
-            while owner[c] < 0:
-                owner[c] = k
-                cols.append(c)
-                c = succ[c]
-            components.append(Component(k, frozenset(cols), frozenset(map(xs.__getitem__, cols))))
+        cycles, owner = _trace(xs, o_col)
+        components = [
+            Component(k, frozenset(cols), frozenset(map(xs.__getitem__, cols)))
+            for k, cols in enumerate(cycles)
+        ]
         object.__setattr__(self, "x_col_by_row", tuple(x_col))
         object.__setattr__(self, "o_col_by_row", tuple(o_col))
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "component_by_column", tuple(owner))
 
     def component(self, c) -> Component:
-        if not 0 <= c < len(self.components):
-            raise UnknownComponent(f"no component {c} (diagram has {len(self.components)})")
+        _check_component(c, len(self.components))
         return self.components[c]
+
+
+def _trace(xs, o_col):
+    """The tracing cycles of valid markers, each from its lowest column,
+    and the cycle of every column: the X of column c shares its row
+    with the O of column ``o_col[xs[c]]``."""
+    succ = tuple(map(o_col.__getitem__, xs))
+    owner = [-1] * len(xs)
+    cycles = []
+    for start in range(len(xs)):
+        if owner[start] >= 0:
+            continue
+        k = len(cycles)
+        cols = []
+        c = start
+        while owner[c] < 0:
+            owner[c] = k
+            cols.append(c)
+            c = succ[c]
+        cycles.append(cols)
+    return cycles, owner
 
 
 def new_grid(n, xs, os) -> GridDiagram:
@@ -303,7 +302,7 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
 def writhe(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> int:
     """Signed self-crossing count of component ``c``."""
     g.component(c)
-    return to_front(g, conv).writhe(c)
+    return to_front(g, conv).crossing_matrix[c][c]
 
 
 def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) -> int:
@@ -312,7 +311,8 @@ def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) 
         raise SameComponent(f"components must differ, both are {c1}")
     g.component(c1)
     g.component(c2)
-    total = to_front(g, conv).crossing_sum(c1, c2)
+    m = to_front(g, conv).crossing_matrix
+    total = m[c1][c2] + m[c2][c1]
     if total % 2:
         raise ParityViolation(
             f"components {c1} and {c2} cross an odd signed number of times ({total})"

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import OracleMismatch, ParityViolation, SameComponent, UnknownComponent
-from .grid import Convention, FrontData, GridDiagram, to_front
+from .errors import OracleMismatch, ParityViolation, SameComponent
+from .grid import Convention, FrontData, GridDiagram, new_grid, to_front
 
 __all__ = [
     "ClassicalInvariants",
@@ -111,7 +111,7 @@ class RelativeInvariants:
 def tb_front(f: FrontData, c) -> int:
     """Front route: writhe minus half the cusp count."""
     counts = f.cusp_counts(c)
-    return f.writhe(c) - counts.total // 2
+    return f.crossing_matrix[c][c] - counts.total // 2
 
 
 def rot(f: FrontData, c) -> int:
@@ -200,7 +200,7 @@ def component_grid(g: GridDiagram, c) -> GridDiagram:
     """
     g.component(c)
     xs, os = component_patterns(g)[c]
-    return GridDiagram(len(xs), xs, os)
+    return new_grid(len(xs), xs, os)
 
 
 def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> ClassicalInvariants:
@@ -214,9 +214,7 @@ def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> Classic
     inv = cache.get((c, conv))
     if inv is not None:
         return inv
-    if not 0 <= c < len(g.components):
-        # checked before the front is read; the message is the front's
-        raise UnknownComponent(f"no component {c}")
+    g.component(c)  # checked before the front is read
     f = to_front(g, conv)
     tb = tb_front(f, c)
     oracle = tb_grid_oracle(g, c, conv)

@@ -7,7 +7,9 @@ the effective evaluation vector is zero and every ambiguity vanishes.
 Torsion is dropped: evaluation against integers kills it, so only the
 free rank matters for any quantity computed here.  A change of
 trivialization restricts to the two knots with equal degrees, so its
-changes to their rotation numbers cancel in the relative one.
+changes to their rotation numbers cancel in the relative one.  A
+model checks its rank and the length of its Euler vector when it is
+built.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ class ContactHomologyModel:
     euler: tuple[int, ...]
     tight: bool
 
+    def __post_init__(self):
+        rank = self.rank
+        if type(rank) is not int:
+            raise LengthMismatch(f"rank must be an integer, got {rank!r}")
+        if rank < 0:
+            raise LengthMismatch(f"rank must be non-negative, got {rank}")
+        euler = tuple(self.euler)
+        if len(euler) != rank:
+            raise LengthMismatch(f"euler vector has length {len(euler)}, expected rank {rank}")
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "tight", bool(self.tight))
+
     @property
     def effective_euler(self) -> tuple[int, ...]:
         return (0,) * self.rank if self.tight else self.euler
@@ -59,12 +73,7 @@ class IntersectionProfile:
 
 
 def new_model(rank, euler, tight) -> ContactHomologyModel:
-    if rank < 0:
-        raise LengthMismatch(f"rank must be non-negative, got {rank}")
-    euler = tuple(euler)
-    if len(euler) != rank:
-        raise LengthMismatch(f"euler vector has length {len(euler)}, expected rank {rank}")
-    return ContactHomologyModel(rank=rank, euler=euler, tight=bool(tight))
+    return ContactHomologyModel(rank, euler, tight)
 
 
 def _offset_delta(m, s1, s2):

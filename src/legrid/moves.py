@@ -25,6 +25,10 @@ the only candidates are the lower rows of the columns whose two
 markers are adjacent, at most two.  The marker the block collapses to
 takes the kind that appears twice.
 
+Every move checks its own fields when it is built, directly or by
+:func:`parse_move_script`, and raises BadCell; ``apply`` keeps only the
+checks that need the grid.
+
 Cyclic translations are isotopies of the underlying link but may carry
 a marker across the grid boundary and change the front's cusp counts;
 :func:`apply_script` flags such steps with ``cusp-change`` so they can
@@ -96,14 +100,22 @@ def _swap(i):
     return lambda line: i + 1 if line == i else (i if line == i + 1 else line)
 
 
+def _check_int(value, field):
+    # floats and bools compare equal to ints, so the type is checked
+    if type(value) is not int:
+        raise BadCell(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Translate:
     direction: str
 
-    def apply(self, g: GridDiagram) -> GridDiagram:
-        """Cyclically shift all markers one step in the given direction."""
+    def __post_init__(self):
         if self.direction not in _STEPS:
             raise BadCell(f"unknown direction {self.direction!r}")
+
+    def apply(self, g: GridDiagram) -> GridDiagram:
+        """Cyclically shift all markers one step in the given direction."""
         n = g.n
         dc, dr = _STEPS[self.direction]
 
@@ -114,7 +126,7 @@ class Translate:
         return new_grid(n, shifted(g.xs), shifted(g.os))
 
     def column_map(self, g: GridDiagram):
-        dc = _STEPS.get(self.direction, (0, 0))[0]
+        dc = _STEPS[self.direction][0]
         return lambda col: (col + dc) % g.n
 
     def text(self) -> str:
@@ -126,6 +138,11 @@ class Commute:
     axis: str  # "row" or "col"
     index: int
 
+    def __post_init__(self):
+        if self.axis not in ("row", "col"):
+            raise BadCell(f"axis must be row or col, got {self.axis!r}")
+        _check_int(self.index, "index")
+
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Swap adjacent rows or columns ``index`` and ``index + 1``.
 
@@ -133,8 +150,6 @@ class Commute:
         strictly nested; otherwise raises InterleavingSpans.
         """
         n = g.n
-        if self.axis not in ("row", "col"):
-            raise BadCell(f"axis must be 'row' or 'col', got {self.axis!r}")
         i = self.index
         if not 0 <= i <= n - 2:
             raise BadCell(f"cannot commute lines {i},{i + 1} of an {n}-grid")
@@ -162,6 +177,13 @@ class Stabilize:
     column: int
     subtype: str  # "NE", "NW", "SE", "SW"
 
+    def __post_init__(self):
+        if self.marker not in ("X", "O"):
+            raise BadCell(f"marker must be X or O, got {self.marker!r}")
+        _check_int(self.column, "column")
+        if self.subtype not in _SUBTYPES:
+            raise BadCell(f"subtype must be one of {', '.join(_SUBTYPES)}")
+
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Replace one marker by the L-pattern of the given subtype on an
         (n+1)-grid.
@@ -172,12 +194,8 @@ class Stabilize:
         the original kind fill the cells adjacent to it.
         """
         n, c, marker = g.n, self.column, self.marker
-        if marker not in ("X", "O"):
-            raise BadCell(f"marker must be 'X' or 'O', got {marker!r}")
         if not 0 <= c < n:
             raise BadCell(f"no column {c} in an {n}-grid")
-        if self.subtype not in _SUBTYPES:
-            raise BadCell(f"unknown stabilization subtype {self.subtype!r}")
         east = 1 if "E" in self.subtype else 0
         north = 1 if "N" in self.subtype else 0
         same, other = (g.xs, g.os) if marker == "X" else (g.os, g.xs)
@@ -206,6 +224,11 @@ class Stabilize:
 class Destabilize:
     column: int
     row: Optional[int] = None
+
+    def __post_init__(self):
+        _check_int(self.column, "column")
+        if self.row is not None:
+            _check_int(self.row, "row")
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Collapse the three-marker L-block found in columns
@@ -259,10 +282,13 @@ class LegendrianStab:
     component: int
     sign: int
 
+    def __post_init__(self):
+        _check_int(self.component, "component")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise BadCell(f"stabilization sign must be +1 or -1, got {self.sign!r}")
+
     def _stabilize(self, g: GridDiagram) -> Stabilize:
         comp = g.component(self.component)
-        if self.sign not in (1, -1):
-            raise BadCell(f"stabilization sign must be +1 or -1, got {self.sign}")
         subtype = STAB_PLUS["X"] if self.sign > 0 else STAB_MINUS["X"]
         return Stabilize("X", min(comp.columns), subtype)
 
@@ -330,7 +356,7 @@ def _sub_grids(g, subs):
     for key in component_patterns(g):
         sub = subs.get(key)
         if sub is None:
-            sub = subs[key] = GridDiagram(len(key[0]), *key)
+            sub = subs[key] = new_grid(len(key[0]), *key)
         parts.append(sub)
     return parts
 
@@ -402,37 +428,33 @@ def _parse_int(token, line_no, what):
 
 def parse_move_script(text: str) -> MoveScript:
     """Parse the one-move-per-line script format; ``#`` comments and
-    blank lines are ignored and errors carry line numbers."""
+    blank lines are ignored and errors carry line numbers.  A line's
+    integers are read first; the move it builds then checks its words,
+    and a BadCell it raises is the ParseError of that line."""
     moves = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        verb = parts[0]
-        if verb == "translate" and len(parts) == 2:
-            if parts[1] not in _STEPS:
-                raise ParseError(line_no, 1, f"unknown direction {parts[1]!r}")
-            moves.append(Translate(parts[1]))
-        elif verb == "commute" and len(parts) == 3:
-            if parts[1] not in ("row", "col"):
-                raise ParseError(line_no, 1, f"axis must be row or col, got {parts[1]!r}")
-            moves.append(Commute(parts[1], _parse_int(parts[2], line_no, "index")))
-        elif verb == "stab" and len(parts) == 4:
-            if parts[1] not in ("X", "O"):
-                raise ParseError(line_no, 1, f"marker must be X or O, got {parts[1]!r}")
-            if parts[3] not in _SUBTYPES:
-                raise ParseError(line_no, 1, f"subtype must be one of {', '.join(_SUBTYPES)}")
-            moves.append(Stabilize(parts[1], _parse_int(parts[2], line_no, "column"), parts[3]))
-        elif verb == "destab" and len(parts) in (2, 3):
-            row = _parse_int(parts[2], line_no, "row") if len(parts) == 3 else None
-            moves.append(Destabilize(_parse_int(parts[1], line_no, "column"), row))
-        elif verb == "lstab" and len(parts) == 3:
-            if parts[2] not in ("+", "-"):
-                raise ParseError(line_no, 1, f"sign must be + or -, got {parts[2]!r}")
-            moves.append(
-                LegendrianStab(_parse_int(parts[1], line_no, "component"), 1 if parts[2] == "+" else -1)
-            )
-        else:
-            raise ParseError(line_no, 1, f"unrecognized move: {line!r}")
+        verb, *args = line.split()
+        try:
+            if verb == "translate" and len(args) == 1:
+                move = Translate(args[0])
+            elif verb == "commute" and len(args) == 2:
+                move = Commute(args[0], _parse_int(args[1], line_no, "index"))
+            elif verb == "stab" and len(args) == 3:
+                move = Stabilize(args[0], _parse_int(args[1], line_no, "column"), args[2])
+            elif verb == "destab" and len(args) in (1, 2):
+                row = _parse_int(args[1], line_no, "row") if len(args) == 2 else None
+                move = Destabilize(_parse_int(args[0], line_no, "column"), row)
+            elif verb == "lstab" and len(args) == 2:
+                component = _parse_int(args[0], line_no, "component")
+                if args[1] not in ("+", "-"):
+                    raise ParseError(line_no, 1, f"sign must be + or -, got {args[1]!r}")
+                move = LegendrianStab(component, 1 if args[1] == "+" else -1)
+            else:
+                raise ParseError(line_no, 1, f"unrecognized move: {line!r}")
+        except BadCell as e:
+            raise ParseError(line_no, 1, str(e)) from None
+        moves.append(move)
     return MoveScript(moves=tuple(moves))

@@ -91,7 +91,7 @@ class TestInv:
         monkeypatch.setattr(grid_mod, "_read_front", lambda g, conv: sweeps.append(g) or read_front(g, conv))
         code, out, err = run_cli(capsys, "inv", split_file, "--component", "99")
         assert (code, out, sweeps) == (1, "", [])
-        assert err == '{"error": {"type": "UnknownComponent", "message": "no component 99"}}\n'
+        assert err == '{"error": {"type": "UnknownComponent", "message": "no component 99 (diagram has 2)"}}\n'
 
     def test_key_order_is_stable(self, capsys, unknot_file):
         _, out, _ = run_cli(capsys, "inv", unknot_file)
@@ -325,6 +325,27 @@ class TestCrossSim:
         error = json.loads(err)["error"]
         assert error["type"] == "TripleDrift"
         assert error["message"].startswith("event 10000: ")
+
+
+class TestUnknownComponent:
+    """inv, rel and moves name an unknown component with the one text."""
+
+    def test_every_verb_gives_the_one_text(self, capsys, split_file, tmp_path):
+        script = tmp_path / "script.txt"
+        script.write_text("translate up\nlstab 9 +\n")
+        expected = {
+            ("inv", split_file, "--component", "2"): ("UnknownComponent", "no component 2 (diagram has 2)"),
+            ("inv", split_file, "--component", "-1"): ("UnknownComponent", "no component -1 (diagram has 2)"),
+            ("rel", split_file, "--pair", "0,5"): ("UnknownComponent", "no component 5 (diagram has 2)"),
+            ("rel", split_file, "--pair", "7,1"): ("UnknownComponent", "no component 7 (diagram has 2)"),
+            ("moves", split_file, str(script)): ("ScriptStepError", "step 2: no component 9 (diagram has 2)"),
+        }
+        for argv, (kind, message) in expected.items():
+            for pretty in ((), ("--pretty",)):
+                code, out, err = run_cli(capsys, *argv, *pretty)
+                assert (code, out) == (1, "")
+                error = _single_json_error(err)
+                assert (error["type"], error["message"]) == (kind, message)
 
 
 class TestErrors:

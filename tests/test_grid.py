@@ -25,7 +25,7 @@ from legrid import (
     writhe,
 )
 from legrid.grid import _int_token
-from legrid.sampling import random_link
+from legrid.sampling import random_grid, random_knot, random_link
 
 from helpers import (
     all_marker_lists,
@@ -443,3 +443,38 @@ class TestSerialization:
     def test_missing_lines(self):
         with pytest.raises(ParseError):
             parse_grid("n=2\nX=0,1\n")
+
+
+class TestSampling:
+    """random_knot and random_link keep the draws of random_grid but
+    build a grid only for the draw they return."""
+
+    @pytest.mark.parametrize(
+        "sample, wanted",
+        [
+            pytest.param(random_knot, range(1, 2), id="knot"),
+            pytest.param(random_link, range(2, 99), id="link"),
+            pytest.param(lambda rng, n: random_link(rng, n, 3), range(3, 99), id="link3"),
+        ],
+    )
+    def test_one_grid_per_sample_and_the_same_draws(self, monkeypatch, sample, wanted):
+        checked = 0
+        post_init = GridDiagram.__post_init__
+        for seed in range(60):
+            n = 6 + seed % 5
+            reference = random.Random(seed)
+            for _ in range(64):
+                expected = random_grid(reference, n)
+                if len(expected.components) in wanted:
+                    break
+            else:
+                continue  # the sampler would fall back
+            built = []
+            monkeypatch.setattr(GridDiagram, "__post_init__", lambda g: built.append(g) or post_init(g))
+            rng = random.Random(seed)
+            got = sample(rng, n)
+            monkeypatch.undo()
+            assert built == [got] == [expected]
+            assert rng.getstate() == reference.getstate()
+            checked += 1
+        assert checked >= 40

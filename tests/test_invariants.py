@@ -6,13 +6,19 @@ from legrid import (
     ClassicalInvariants,
     Component,
     Convention,
+    LegendrianStab,
+    MoveScript,
     OrientationFlag,
     ParityViolation,
     SameComponent,
+    ScriptStepError,
+    Translate,
     UnknownComponent,
+    apply_script,
     classical,
     component_grid,
     component_patterns,
+    linking_number,
     new_grid,
     relative_invariants,
     reverse_component,
@@ -20,6 +26,7 @@ from legrid import (
     tb_front,
     tb_grid_oracle,
     to_front,
+    writhe,
 )
 from legrid.sampling import random_grid, random_knot, random_link
 
@@ -112,9 +119,38 @@ class TestRouteEquality:
         monkeypatch.setattr(grid_mod, "_read_front", counting)
         g = new_grid(*SPLIT_MARKERS)
         for c in (2, 99, -1):
-            with pytest.raises(UnknownComponent, match=f"^no component {c}$"):
+            with pytest.raises(UnknownComponent, match=rf"^no component {c} \(diagram has 2\)$"):
                 classical(g, c)
         assert sweeps == []
+
+
+class TestUnknownComponentText:
+    """One check, one text: every path that takes a component index
+    refuses an unknown one with ``no component c (diagram has N)``."""
+
+    PATHS = {
+        "classical": lambda g, c: classical(g, c),
+        "writhe": lambda g, c: writhe(g, c),
+        "linking_number": lambda g, c: linking_number(g, 0, c),
+        "tb_grid_oracle": lambda g, c: tb_grid_oracle(g, c),
+        "tb_front": lambda g, c: tb_front(to_front(g), c),
+        "rot": lambda g, c: rot(to_front(g), c),
+        "reverse_component": lambda g, c: reverse_component(g, c),
+        "relative_invariants": lambda g, c: relative_invariants(g, 0, c),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("c", [2, 99, -1])
+    def test_every_path_gives_the_one_text(self, path, c):
+        with pytest.raises(UnknownComponent) as exc:
+            self.PATHS[path](SPLIT, c)
+        assert str(exc.value) == f"no component {c} (diagram has 2)"
+
+    def test_lstab_in_a_script(self):
+        with pytest.raises(ScriptStepError) as exc:
+            apply_script(SPLIT, MoveScript((Translate("up"), LegendrianStab(9, 1))))
+        assert type(exc.value.cause) is UnknownComponent
+        assert str(exc.value) == "step 2: no component 9 (diagram has 2)"
 
 
 class TestComponentGrid:

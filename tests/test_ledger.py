@@ -5,6 +5,7 @@ import pytest
 
 from legrid import (
     BaseMismatch,
+    ContactHomologyModel,
     InconsistentProfile,
     IntersectionProfile,
     LengthMismatch,
@@ -41,6 +42,35 @@ class TestNewModel:
             new_model(2, [1], False)
         with pytest.raises(LengthMismatch):
             new_model(-1, [], False)
+
+
+class TestModelConstruction:
+    """The model checks its own fields when it is built, directly or by
+    ``new_model``, with one message per fault."""
+
+    @pytest.mark.parametrize(
+        "rank, euler, message",
+        [
+            (-1, (), "rank must be non-negative, got -1"),
+            (1.0, (1,), "rank must be an integer, got 1.0"),
+            (True, (1,), "rank must be an integer, got True"),
+            ("1", (1,), "rank must be an integer, got '1'"),
+            (2, (1,), "euler vector has length 1, expected rank 2"),
+            (0, (1,), "euler vector has length 1, expected rank 0"),
+            (1, [], "euler vector has length 0, expected rank 1"),
+            (-1, (1,), "rank must be non-negative, got -1"),
+        ],
+    )
+    def test_invalid_field_raises_at_construction(self, rank, euler, message):
+        for build in (ContactHomologyModel, new_model):
+            with pytest.raises(LengthMismatch) as exc:
+                build(rank, euler, False)
+            assert str(exc.value) == message
+
+    def test_fields_are_stored_as_tuple_and_bool(self):
+        m = ContactHomologyModel(2, [1, 2], 0)
+        assert (m.euler, m.tight) == ((1, 2), False)
+        assert m == new_model(2, (1, 2), False)
 
 
 class TestTbDiff:

@@ -227,11 +227,11 @@ class TestLegendrianStabilize:
                     assert after.tb_rel == before.tb_rel
 
 
-def _moved_lists(g, move):
-    """The marker lists of ``move`` applied to ``g``, or None when the
-    move raises BadCell."""
+def _moved_lists(g, kind, *fields):
+    """The marker lists of the move ``kind(*fields)`` applied to ``g``,
+    or None when building or applying the move raises BadCell."""
     try:
-        moved = apply_move(g, move)
+        moved = apply_move(g, kind(*fields))
     except BadCell:
         return None
     return list(moved.xs), list(moved.os)
@@ -262,7 +262,7 @@ class TestCellReference:
                     for col in range(-1, n + 1):
                         for subtype in ("NE", "NW", "SE", "SW", "N"):
                             expected = cell_stabilize(xs, os, marker, col, subtype)
-                            assert _moved_lists(g, Stabilize(marker, col, subtype)) == expected
+                            assert _moved_lists(g, Stabilize, marker, col, subtype) == expected
 
     def test_destabilize_every_small_grid(self):
         collapsed = pinned = two_blocks = 0
@@ -273,7 +273,7 @@ class TestCellReference:
                 for col in range(-1, n):
                     for row in (None, *range(-1, n)):
                         expected = cell_destabilize(xs, os, col, row)
-                        assert _moved_lists(g, Destabilize(col, row)) == expected
+                        assert _moved_lists(g, Destabilize, col, row) == expected
                         collapsed += expected is not None
                         pinned += expected is not None and row is not None
                     two_blocks += _two_blocks_collapse_alike(g, cells, col)
@@ -713,3 +713,111 @@ class TestScriptParsing:
         with pytest.raises(ParseError) as exc:
             parse_move_script("commute col two\n")
         assert exc.value.line == 1
+
+
+# (move class, fields, exact BadCell message): one row per invalid value
+# of every field, first fault in field order winning.
+INVALID_MOVES = [
+    (Translate, ("diag",), "unknown direction 'diag'"),
+    (Translate, ("Up",), "unknown direction 'Up'"),
+    (Translate, (None,), "unknown direction None"),
+    (Commute, ("diag", 0), "axis must be row or col, got 'diag'"),
+    (Commute, ("column", 0), "axis must be row or col, got 'column'"),
+    (Commute, ("col", 0.0), "index must be an integer, got 0.0"),
+    (Commute, ("col", True), "index must be an integer, got True"),
+    (Commute, ("row", "1"), "index must be an integer, got '1'"),
+    (Commute, ("row", None), "index must be an integer, got None"),
+    (Commute, ("diag", 0.5), "axis must be row or col, got 'diag'"),
+    (Stabilize, ("Y", 0, "NE"), "marker must be X or O, got 'Y'"),
+    (Stabilize, ("x", 0, "NE"), "marker must be X or O, got 'x'"),
+    (Stabilize, ("X", 1.0, "NE"), "column must be an integer, got 1.0"),
+    (Stabilize, ("O", False, "SW"), "column must be an integer, got False"),
+    (Stabilize, ("X", 0, "N"), "subtype must be one of NE, NW, SE, SW"),
+    (Stabilize, ("O", 0, "ne"), "subtype must be one of NE, NW, SE, SW"),
+    (Stabilize, ("Y", 0.5, "N"), "marker must be X or O, got 'Y'"),
+    (Stabilize, ("X", 0.5, "N"), "column must be an integer, got 0.5"),
+    (Destabilize, (0.0,), "column must be an integer, got 0.0"),
+    (Destabilize, (True,), "column must be an integer, got True"),
+    (Destabilize, (None,), "column must be an integer, got None"),
+    (Destabilize, (0, 1.0), "row must be an integer, got 1.0"),
+    (Destabilize, (0, False), "row must be an integer, got False"),
+    (Destabilize, (0.5, 0.5), "column must be an integer, got 0.5"),
+    (LegendrianStab, (0.0, 1), "component must be an integer, got 0.0"),
+    (LegendrianStab, (True, 1), "component must be an integer, got True"),
+    (LegendrianStab, (0, 2), "stabilization sign must be +1 or -1, got 2"),
+    (LegendrianStab, (0, 0), "stabilization sign must be +1 or -1, got 0"),
+    (LegendrianStab, (0, True), "stabilization sign must be +1 or -1, got True"),
+    (LegendrianStab, (0, -1.0), "stabilization sign must be +1 or -1, got -1.0"),
+    (LegendrianStab, (0, "+"), "stabilization sign must be +1 or -1, got '+'"),
+    (LegendrianStab, (1.5, 2), "component must be an integer, got 1.5"),
+]
+
+
+class TestMoveFields:
+    """Every move checks its own fields when it is built, so no invalid
+    value reaches ``apply`` or ``column_map``."""
+
+    @pytest.mark.parametrize("kind, fields, message", INVALID_MOVES)
+    def test_invalid_field_raises_at_construction(self, kind, fields, message):
+        with pytest.raises(BadCell) as exc:
+            kind(*fields)
+        assert str(exc.value) == message
+
+
+def _legal_moves(g):
+    """Every move of every kind that applies to ``g``."""
+    candidates = [Translate(d) for d in DIRECTIONS]
+    candidates += [Commute(axis, i) for axis in ("row", "col") for i in range(g.n - 1)]
+    candidates += [
+        Stabilize(m, c, t) for m in ("X", "O") for c in range(g.n) for t in ("NE", "NW", "SE", "SW")
+    ]
+    candidates += [Destabilize(c, r) for c in range(g.n - 1) for r in (None, *range(g.n - 1))]
+    candidates += [LegendrianStab(k, s) for k in range(len(g.components)) for s in (1, -1)]
+    for move in candidates:
+        try:
+            apply_move(g, move)
+        except (BadCell, InterleavingSpans):
+            continue
+        yield move
+
+
+class TestScriptLines:
+    def test_every_legal_small_move_round_trips(self):
+        kinds = set()
+        for n in (2, 3, 4):
+            for xs, os in all_marker_lists(n):
+                for move in _legal_moves(new_grid(n, xs, os)):
+                    assert parse_move_script(move.text()) == MoveScript((move,))
+                    kinds.add(type(move))
+        assert kinds == {Translate, Commute, Stabilize, Destabilize, LegendrianStab}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("commute diag x", "index must be an integer, got 'x'"),
+            ("stab Y x NE", "column must be an integer, got 'x'"),
+            ("stab X x N", "column must be an integer, got 'x'"),
+            ("lstab x ?", "component must be an integer, got 'x'"),
+            ("destab x y", "row must be an integer, got 'y'"),
+        ],
+    )
+    def test_a_line_reports_its_bad_integer_before_its_words(self, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_move_script("translate up\n" + line + "\n")
+        assert str(exc.value) == f"line 2, column 1: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("translate diag", "unknown direction 'diag'"),
+            ("commute diag 0", "axis must be row or col, got 'diag'"),
+            ("stab Y 0 NE", "marker must be X or O, got 'Y'"),
+            ("stab X 0 N", "subtype must be one of NE, NW, SE, SW"),
+            ("stab Y 0 N", "marker must be X or O, got 'Y'"),
+            ("lstab 0 ?", "sign must be + or -, got '?'"),
+        ],
+    )
+    def test_a_bad_word_is_the_move_message_at_its_line(self, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_move_script("translate up\n" + line + "\n")
+        assert str(exc.value) == f"line 2, column 1: {message}"
