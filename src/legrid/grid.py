@@ -102,9 +102,10 @@ class FrontData:
 
 
 def _check_component(c, count):
-    """The one component-index check, for a grid and a front alike."""
-    if not 0 <= c < count:
-        raise UnknownComponent(f"no component {c} (diagram has {count})")
+    """The one component-index check, for a grid and a front alike;
+    floats and bools compare equal to ints, so the type is checked."""
+    if type(c) is not int or not 0 <= c < count:
+        raise UnknownComponent(f"no component {c!r} (diagram has {count})")
 
 
 @dataclass(frozen=True)
@@ -218,19 +219,23 @@ def to_front(g: GridDiagram, conv: Convention = Convention.NW_SE) -> FrontData:
 
 
 def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
-    """One left-to-right column sweep, O(n C log n).
+    """One left-to-right column sweep: O(n C) operations on n-bit ints.
 
     A crossing at (c, r) needs the vertical of column c to pass
     strictly through row r and the horizontal of row r to pass strictly
-    through column c.  The sweep keeps one Fenwick tree per component
-    (Fenwick 1994) over the rows of the horizontals active at the
-    current column, each holding its direction: +1 when X -> O runs
-    east, -1 when west.  Column c holds the X end of row xs[c] and the
-    O end of row os[c].  Adding +1 at every X end and -1 at every O end
-    opens each horizontal with its direction at whichever end comes
-    first and cancels it at the other.  Those two rows are the ends of
-    the column's vertical, outside the open row span that is queried,
-    so the updates may follow the query.
+    through column c.  The sweep keeps two ints per component whose bit
+    r is set while row r's horizontal is open at the current column:
+    ``east[k]`` for one running X -> O east, ``west[k]`` for one running
+    west.  Column c holds the X end of row xs[c] and the O end of row
+    os[c]; each end toggles its row's bit in the set of its row's
+    direction, which opens the horizontal at whichever end comes first
+    and closes it at the other.  Those two rows are the ends of the
+    column's vertical, outside the open row span that is queried, so
+    the toggles may follow the query: per component, the popcount of
+    its east rows minus that of its west rows inside the span.  Each
+    big-int operation costs O(n) word steps, but in C; measured on
+    random links, the sweep beats a binary-indexed-tree sweep, with
+    its O(n C log n) interpreted steps, up to n of about 10^4.
 
     Cusp corners: at each marker the vertical heads toward the other
     marker of its column and the horizontal toward the other marker of
@@ -244,50 +249,39 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
     exactly when just one holds: the vertical runs up, or its row's X
     lies east.  NE_SW negates both rules.
     """
-    n = g.n
     n_comp = len(g.components)
     mirror = conv is Convention.NE_SW
     sign_flip = -1 if mirror else 1
-    xs, os = g.xs, g.os
     x_col, o_col = g.x_col_by_row, g.o_col_by_row
-    owner = g.component_by_column
 
-    trees = [[0] * (n + 1) for _ in range(n_comp)]
+    east = [0] * n_comp
+    west = [0] * n_comp
     matrix = [[0] * n_comp for _ in range(n_comp)]
     up = [0] * n_comp
     down = [0] * n_comp
-    for c in range(n):
-        k = owner[c]
-        rx, ro = xs[c], os[c]
+    for c, (k, rx, ro) in enumerate(zip(g.component_by_column, g.xs, g.os)):
         up_strand = rx > ro  # the vertical runs O -> X
         lo, hi = (ro, rx) if up_strand else (rx, ro)
-        sign = (-1 if up_strand else 1) * sign_flip
         if hi - lo > 1:
+            inside = (1 << hi) - (2 << lo)  # the rows strictly between
+            sign = (-1 if up_strand else 1) * sign_flip
             row = matrix[k]
-            for under, tree in enumerate(trees):
-                # prefix(hi) - prefix(lo + 1), the rows strictly between;
-                # the two walks stop where their index paths meet
-                total = 0
-                i, j = hi, lo + 1
-                while i != j:
-                    if i > j:
-                        total += tree[i]
-                        i &= i - 1
-                    else:
-                        total -= tree[j]
-                        j &= j - 1
+            for under, (e, w) in enumerate(zip(east, west)):
+                total = (e & inside).bit_count() - (w & inside).bit_count()
                 if total:
                     row[under] += sign * total
-        tree = trees[k]
-        for r, value in ((rx, 1), (ro, -1)):
-            i = r + 1
-            while i <= n:
-                tree[i] += value
-                i += i & -i
+        o_east = o_col[rx] > c  # row rx runs east, so its X end opens it
+        x_east = x_col[ro] > c  # row ro runs west, so its O end opens it
+        if o_east:
+            east[k] ^= 1 << rx
+        else:
+            west[k] ^= 1 << rx
+        if x_east:
+            west[k] ^= 1 << ro
+        else:
+            east[k] ^= 1 << ro
 
-        x_cusp = (up_strand == (o_col[rx] > c)) != mirror
-        o_cusp = (up_strand != (x_col[ro] > c)) != mirror
-        cusps = x_cusp + o_cusp
+        cusps = ((up_strand == o_east) != mirror) + ((up_strand != x_east) != mirror)
         if up_strand:
             up[k] += cusps
         else:
@@ -307,10 +301,10 @@ def writhe(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> int:
 
 def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) -> int:
     """Half the signed count of crossings between two components."""
-    if c1 == c2:
-        raise SameComponent(f"components must differ, both are {c1}")
     g.component(c1)
     g.component(c2)
+    if c1 == c2:
+        raise SameComponent(f"components must differ, both are {c1}")
     m = to_front(g, conv).crossing_matrix
     total = m[c1][c2] + m[c2][c1]
     if total % 2:

@@ -234,6 +234,8 @@ def relative_invariants(
     conv: Convention = Convention.NW_SE,
 ) -> RelativeInvariants:
     """Relative (tb, r, sl) of component ``k`` relative to ``j``."""
+    g.component(k)
+    g.component(j)
     if k == j:
         raise SameComponent(f"relative invariants need two distinct components, got {k}")
     return RelativeInvariants.between(classical(g, k, conv), classical(g, j, conv), orientation)

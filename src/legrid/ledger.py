@@ -8,8 +8,8 @@ Torsion is dropped: evaluation against integers kills it, so only the
 free rank matters for any quantity computed here.  A change of
 trivialization restricts to the two knots with equal degrees, so its
 changes to their rotation numbers cancel in the relative one.  A
-model checks its rank and the length of its Euler vector when it is
-built.
+model checks its rank and the length and entries of its Euler vector
+when it is built.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class ContactHomologyModel:
         euler = tuple(self.euler)
         if len(euler) != rank:
             raise LengthMismatch(f"euler vector has length {len(euler)}, expected rank {rank}")
+        for value in euler:
+            if type(value) is not int:
+                raise LengthMismatch(f"euler entries must be integers, got {value!r}")
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "tight", bool(self.tight))
 

@@ -218,21 +218,21 @@ def parse_event_script(text: str):
     ``pattern circles=<n> ribbon=<n> bparallel=<n> clasps=<n>
     singular=<+|-|none>``, each field exactly once.
 
-    Events are immutable, so each distinct line (comment stripped,
-    trimmed) is parsed once, and one event object is shared by every
-    line of equal value, however it is spelled.
+    Events are immutable, so each distinct raw line is parsed once, and
+    one event object is shared by every line of equal value, however it
+    is spelled.  Blank lines are never cached, and a raw line is cached
+    only once it has parsed.
     """
-    parsed = {}  # line -> its event
+    seen = {}  # raw line -> its event
     shared = {}  # event -> the one object of its value
     events = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        event = parsed.get(line)
+        event = seen.get(raw)
         if event is None:
-            event = _parse_event(line, line_no)
-            event = parsed[line] = shared.setdefault(event, event)
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            event = seen[raw] = shared.setdefault(e := _parse_event(line, line_no), e)
         events.append(event)
     return tuple(events)
 

@@ -11,7 +11,7 @@ vertical strands cross over horizontal ones, and a crossing is +1 when
 
 from itertools import permutations
 
-from legrid import CrossingEvent
+from legrid import Convention, CrossingEvent
 
 
 def trace_components(xs, os):
@@ -67,6 +67,28 @@ def brute_linking(xs, os, c1, c2):
     total = sum(s for _, _, s, a, b in brute_crossings(xs, os) if {a, b} == {c1, c2})
     assert total % 2 == 0
     return total // 2
+
+
+def brute_cusps(xs, os, conv):
+    """Per component, the (up, down) cusp counts, corner by corner.
+
+    Each marker is a corner: its vertical heads N or S toward the other
+    marker of its column, its horizontal E or W toward the other marker
+    of its row.  The corners on the convention's diagonal (NW and SE
+    for nw-se, NE and SW for ne-sw) are cusps, up when the vertical
+    through them runs O -> X upward."""
+    n = len(xs)
+    owner = column_owner(xs, os)
+    x_col = {xs[c]: c for c in range(n)}
+    o_col = {os[c]: c for c in range(n)}
+    diagonal = {"NW", "SE"} if conv is Convention.NW_SE else {"NE", "SW"}
+    counts = [[0, 0] for _ in set(owner.values())]
+    for c in range(n):
+        for row, other_row, other_col in ((xs[c], os[c], o_col[xs[c]]), (os[c], xs[c], x_col[os[c]])):
+            corner = ("N" if other_row > row else "S") + ("E" if other_col > c else "W")
+            if corner in diagonal:
+                counts[owner[c]][0 if xs[c] > os[c] else 1] += 1
+    return [tuple(pair) for pair in counts]
 
 
 def all_marker_lists(n):

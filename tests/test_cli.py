@@ -338,6 +338,11 @@ class TestUnknownComponent:
             ("inv", split_file, "--component", "-1"): ("UnknownComponent", "no component -1 (diagram has 2)"),
             ("rel", split_file, "--pair", "0,5"): ("UnknownComponent", "no component 5 (diagram has 2)"),
             ("rel", split_file, "--pair", "7,1"): ("UnknownComponent", "no component 7 (diagram has 2)"),
+            ("rel", split_file, "--pair", "5,5"): ("UnknownComponent", "no component 5 (diagram has 2)"),
+            ("rel", split_file, "--pair", "1,1"): (
+                "SameComponent",
+                "relative invariants need two distinct components, got 1",
+            ),
             ("moves", split_file, str(script)): ("ScriptStepError", "step 2: no component 9 (diagram has 2)"),
         }
         for argv, (kind, message) in expected.items():
@@ -681,6 +686,17 @@ class TestLedgerModel:
         code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1,0")
         assert (code, out) == (1, "")
         assert _single_json_error(err)["type"] == "ParseError"
+
+    @pytest.mark.parametrize("entry", ["1.5", "true"])
+    def test_non_integer_euler_entry_keeps_its_parse_text(self, capsys, tmp_path, entry):
+        # the model refuses such an entry itself; the parser's text comes first
+        model = tmp_path / "model.json"
+        model.write_text(f'{{"rank": 1, "euler": [{entry}], "tight": false}}')
+        code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1")
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == {
+            "type": "ParseError", "message": '"euler" must be a list of integers', "line": 1, "column": 1,
+        }
 
     def test_unknown_key_is_a_parse_error(self, capsys, tmp_path):
         model = tmp_path / "model.json"

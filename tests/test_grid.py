@@ -30,6 +30,7 @@ from legrid.sampling import random_grid, random_knot, random_link
 from helpers import (
     all_marker_lists,
     brute_crossings,
+    brute_cusps,
     brute_linking,
     brute_writhe,
     trace_components,
@@ -228,9 +229,27 @@ class TestFront:
         assert to_front(g, Convention.NE_SW).crossing_matrix == negated
 
     def test_crossing_matrix_matches_brute_force_small(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for xs, os in all_marker_lists(n):
                 self._assert_matrix_matches_brute_force(xs, os)
+
+    @staticmethod
+    def _assert_cusps_match_brute_force(xs, os):
+        g = new_grid(len(xs), xs, os)
+        for conv in Convention:
+            cusps = [(cc.up, cc.down) for cc in to_front(g, conv).cusps]
+            assert cusps == brute_cusps(xs, os, conv)
+
+    def test_cusps_match_brute_force_small(self):
+        for n in (2, 3, 4, 5):
+            for xs, os in all_marker_lists(n):
+                self._assert_cusps_match_brute_force(xs, os)
+
+    def test_cusps_match_brute_force_random_links(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            g = random_link(rng, rng.randint(4, 200), rng.randint(2, 3))
+            self._assert_cusps_match_brute_force(list(g.xs), list(g.os))
 
     def test_crossing_matrix_matches_brute_force_random(self):
         rng = random.Random(31)

@@ -126,10 +126,13 @@ class TestRouteEquality:
 
 class TestUnknownComponentText:
     """One check, one text: every path that takes a component index
-    refuses an unknown one with ``no component c (diagram has N)``."""
+    refuses an unknown one with ``no component c (diagram has N)``;
+    ``1.0`` and ``True`` compare equal to 1 but are no index."""
 
     PATHS = {
         "classical": lambda g, c: classical(g, c),
+        "component": lambda g, c: g.component(c),
+        "cusp_counts": lambda g, c: to_front(g).cusp_counts(c),
         "writhe": lambda g, c: writhe(g, c),
         "linking_number": lambda g, c: linking_number(g, 0, c),
         "tb_grid_oracle": lambda g, c: tb_grid_oracle(g, c),
@@ -140,11 +143,20 @@ class TestUnknownComponentText:
     }
 
     @pytest.mark.parametrize("path", sorted(PATHS))
-    @pytest.mark.parametrize("c", [2, 99, -1])
+    @pytest.mark.parametrize("c", [2, 99, -1, 1.0, True])
     def test_every_path_gives_the_one_text(self, path, c):
         with pytest.raises(UnknownComponent) as exc:
             self.PATHS[path](SPLIT, c)
         assert str(exc.value) == f"no component {c} (diagram has 2)"
+
+    @pytest.mark.parametrize("path", [linking_number, relative_invariants], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("pair", [(1, True), (True, 1), (5, 5), (1.0, 1.0)])
+    def test_an_unknown_pair_is_named_before_it_is_compared(self, path, pair):
+        # 1 == True and 5 == 5, but neither pair names two components
+        bad = next(c for c in pair if type(c) is not int or c > 1)
+        with pytest.raises(UnknownComponent) as exc:
+            path(SPLIT, *pair)
+        assert str(exc.value) == f"no component {bad!r} (diagram has 2)"
 
     def test_lstab_in_a_script(self):
         with pytest.raises(ScriptStepError) as exc:

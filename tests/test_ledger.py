@@ -59,6 +59,10 @@ class TestModelConstruction:
             (0, (1,), "euler vector has length 1, expected rank 0"),
             (1, [], "euler vector has length 0, expected rank 1"),
             (-1, (1,), "rank must be non-negative, got -1"),
+            (1, (1.5,), "euler entries must be integers, got 1.5"),
+            (2, (1, True), "euler entries must be integers, got True"),
+            (1, ("1",), "euler entries must be integers, got '1'"),
+            (2, (1.5,), "euler vector has length 1, expected rank 2"),
         ],
     )
     def test_invalid_field_raises_at_construction(self, rank, euler, message):

@@ -293,6 +293,14 @@ class TestEventParsing:
         with pytest.raises(ParseError) as exc:
             parse_event_script("cross +\ncross +\ncross *")
         assert exc.value.line == 3
+        # a raw line seen before, with its comment, and repeated blank
+        # and comment-only lines
+        events = parse_event_script("# note\n\ncross - # a\n# note\n\ncross - # a\n \ncross -\n")
+        assert events == (CrossingEvent(-1),) * 3
+        assert events[0] is events[1] is events[2]
+        with pytest.raises(ParseError) as exc:
+            parse_event_script("cross + # a\ncross + # a\n\ncross * # a\ncross * # a\n")
+        assert (exc.value.line, exc.value.column) == (4, 1)
 
     @pytest.mark.parametrize("key", ["circles", "ribbon", "bparallel", "clasps"])
     def test_negative_count_is_a_parse_error(self, key):
