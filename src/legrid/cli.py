@@ -19,7 +19,7 @@ import sys
 
 from . import ledger as ledger_mod
 from . import simulator
-from .errors import LegridError, ParseError, ScriptStepError
+from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
 from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, parse_move_script
@@ -333,6 +333,10 @@ def main(argv=None) -> int:
         code, record = 1, {
             "type": "ScriptStepError", "message": str(e), "step": e.index, "cause": type(e.cause).__name__
         }
+    except (OracleMismatch, ParityViolation) as e:
+        code, record = 1, {"type": type(e).__name__, "message": str(e)}
+        if e.step is not None:
+            record.update(step=e.step, component=e.component)
     except LegridError as e:
         code, record = 1, {"type": type(e).__name__, "message": str(e)}
     except OSError as e:

@@ -29,12 +29,23 @@ class SameComponent(LegridError):
     pass
 
 
-class OracleMismatch(LegridError):
+class _InvariantError(LegridError):
+    """An invariant check that valid input never fails.  Raised while a
+    move script is traced, it names the step and the component's index
+    in that step's grid; elsewhere both are None."""
+
+    def __init__(self, message, step=None, component=None):
+        super().__init__(message)
+        self.step = step
+        self.component = component
+
+
+class OracleMismatch(_InvariantError):
     """The two tb routes disagree. Signals a convention bug, never
     expected on valid input."""
 
 
-class ParityViolation(LegridError):
+class ParityViolation(_InvariantError):
     """A signed crossing count that closed curves force to be even came
     out odd.  Signals a bookkeeping bug, never expected on valid input."""
 

@@ -189,8 +189,17 @@ def component_patterns(g: GridDiagram) -> tuple[tuple[tuple[int, ...], tuple[int
     return tuple(zip(map(tuple, xs), map(tuple, os)))
 
 
+def _component_pattern(g: GridDiagram, c):
+    """Component ``c``'s entry of :func:`component_patterns`, read off
+    its own columns and rows in O(its size), up to their sort."""
+    comp = g.component(c)
+    columns = sorted(comp.columns)
+    rank = {r: i for i, r in enumerate(sorted(comp.rows))}
+    return tuple(rank[g.xs[col]] for col in columns), tuple(rank[g.os[col]] for col in columns)
+
+
 def component_grid(g: GridDiagram, c) -> GridDiagram:
-    """Component ``c`` alone, as a one-component grid: its pattern from
+    """Component ``c`` alone, as a one-component grid: its entry of
     :func:`component_patterns`.
 
     Every self-crossing and cusp of a component involves only its own
@@ -198,8 +207,7 @@ def component_grid(g: GridDiagram, c) -> GridDiagram:
     ends, so the sub-grid has the component's front and tb and r.
     Equal components give equal (and equally hashed) sub-grids.
     """
-    g.component(c)
-    xs, os = component_patterns(g)[c]
+    xs, os = _component_pattern(g, c)
     return new_grid(len(xs), xs, os)
 
 

@@ -4,7 +4,19 @@ Every move is a total function returning a new diagram, so traces are
 trivially reproducible.  Each move kind is one frozen dataclass with
 ``apply(g)``, the moved diagram; ``column_map(g)``, taking a column of
 ``g`` to a column of the moved diagram on the same strand (see
-:func:`follow`); and ``text()``, its script line.  Stabilization
+:func:`follow`); ``footprint(g)``, the one component of ``g`` whose
+pattern (see :func:`component_patterns`) the move may change, or
+None; and ``text()``, its script line.
+
+Footprints, for a move that applies to ``g``: a translation names the
+owner of the line that wraps round (column n-1 or 0 for right or left,
+row n-1 or 0 for up or down); a commutation the owner of both lines,
+or None when two components own them; a stabilization or
+destabilization the owner of its column; ``lstab`` its component.
+Every other component keeps the order of its columns and of its rows,
+hence its pattern, so :func:`apply_script` runs
+:func:`component_patterns` once per call, on the starting grid, and
+rebuilds only the named component after each step.  Stabilization
 replaces one marker by the three-marker L-pattern of a 2x2 block on
 the enlarged grid; the subtype names the block corner that receives
 the lone marker of the opposite kind.  Which subtypes realize the
@@ -51,7 +63,13 @@ from .errors import (
     ScriptStepError,
 )
 from .grid import Convention, GridDiagram, _int_token, new_grid, to_front
-from .invariants import ClassicalInvariants, RelativeInvariants, classical, component_patterns
+from .invariants import (
+    ClassicalInvariants,
+    RelativeInvariants,
+    _component_pattern,
+    classical,
+    component_patterns,
+)
 
 __all__ = [
     "Translate",
@@ -100,6 +118,11 @@ def _swap(i):
     return lambda line: i + 1 if line == i else (i if line == i + 1 else line)
 
 
+def _row_owner(g, row):
+    """The component of a row: its X and O belong to one."""
+    return g.component_by_column[g.x_col_by_row[row]]
+
+
 def _check_int(value, field):
     # floats and bools compare equal to ints, so the type is checked
     if type(value) is not int:
@@ -128,6 +151,15 @@ class Translate:
     def column_map(self, g: GridDiagram):
         dc = _STEPS[self.direction][0]
         return lambda col: (col + dc) % g.n
+
+    def footprint(self, g: GridDiagram) -> Optional[int]:
+        """The owner of the line that wraps round the boundary; every
+        other line keeps its place in the cyclic order."""
+        dc, dr = _STEPS[self.direction]
+        last = g.n - 1
+        if dc:
+            return g.component_by_column[last if dc > 0 else 0]
+        return _row_owner(g, last if dr > 0 else 0)
 
     def text(self) -> str:
         return f"translate {self.direction}"
@@ -166,6 +198,16 @@ class Commute:
 
     def column_map(self, g: GridDiagram):
         return _swap(self.index) if self.axis == "col" else lambda col: col
+
+    def footprint(self, g: GridDiagram) -> Optional[int]:
+        """The owner of both lines, or None when two components own
+        them: each then keeps the order of its own lines."""
+        i = self.index
+        if self.axis == "col":
+            a, b = g.component_by_column[i], g.component_by_column[i + 1]
+        else:
+            a, b = _row_owner(g, i), _row_owner(g, i + 1)
+        return a if a == b else None
 
     def text(self) -> str:
         return f"commute {self.axis} {self.index}"
@@ -215,6 +257,10 @@ class Stabilize:
     def column_map(self, g: GridDiagram):
         c = self.column
         return lambda col: col if col <= c else col + 1
+
+    def footprint(self, g: GridDiagram) -> Optional[int]:
+        """The owner of the stabilized marker."""
+        return g.component_by_column[self.column]
 
     def text(self) -> str:
         return f"stab {self.marker} {self.column} {self.subtype}"
@@ -266,6 +312,11 @@ class Destabilize:
         c = self.column
         return lambda col: col if col <= c else col - 1
 
+    def footprint(self, g: GridDiagram) -> Optional[int]:
+        """The owner of the block: its three markers share rows, so
+        both of its columns belong to one component."""
+        return g.component_by_column[self.column]
+
     def text(self) -> str:
         if self.row is None:
             return f"destab {self.column}"
@@ -297,6 +348,10 @@ class LegendrianStab:
 
     def column_map(self, g: GridDiagram):
         return self._stabilize(g).column_map(g)
+
+    def footprint(self, g: GridDiagram) -> Optional[int]:
+        """The stabilized component."""
+        return self.component
 
     def text(self) -> str:
         return f"lstab {self.component} {'+' if self.sign > 0 else '-'}"
@@ -347,34 +402,40 @@ class ScriptResult:
     trace: tuple[TraceStep, ...]
 
 
-def _sub_grids(g, subs):
-    """Each component of ``g`` alone (see :func:`component_grid`), one
-    grid per distinct pattern: ``subs`` interns them by their marker
-    tuples for one script run, so a repeated pattern costs a lookup and
-    the front and the oracle run once per distinct pattern."""
-    parts = []
-    for key in component_patterns(g):
-        sub = subs.get(key)
-        if sub is None:
-            sub = subs[key] = new_grid(len(key[0]), *key)
-        parts.append(sub)
-    return parts
+def _intern(key, subs):
+    """The sub-grid of a component pattern ``key`` (see
+    :func:`component_grid`), one per distinct pattern: ``subs`` interns
+    them by their marker tuples for one script run, so a repeated
+    pattern costs a lookup and the front and the oracle run once per
+    distinct pattern."""
+    sub = subs.get(key)
+    if sub is None:
+        sub = subs[key] = new_grid(len(key[0]), *key)
+    return sub
 
 
-def _cusps(parts, conv):
-    return tuple(to_front(sub, conv).cusps[0] for sub in parts)
+def _carry(values, image):
+    """Per-component ``values`` of a grid, reordered to the components
+    of the moved grid that ``image`` (see :func:`follow`) maps them to."""
+    out = [None] * len(image)
+    for c, i in enumerate(image):
+        out[i] = values[c]
+    return out
 
 
-def _snapshot(parts, index, move, pair, flags, conv):
-    """The trace step of a grid, read off its sub-grids ``parts``."""
-    invs = []
+def _snapshot(parts, index, move, pair, flags, conv, known):
+    """The trace step of a grid, read off its sub-grids ``parts``; a
+    component whose invariants are ``known`` keeps them."""
+    invs = list(known)
     for c, sub in enumerate(parts):
+        if invs[c] is not None:
+            continue
         try:
-            invs.append(classical(sub, 0, conv))
+            invs[c] = classical(sub, 0, conv)
         except (OracleMismatch, ParityViolation) as e:
             # the sub-grid numbers the component 0; name it as the grid does
             detail = str(e).removeprefix("component 0")
-            raise type(e)(f"step {index}, component {c}{detail}") from None
+            raise type(e)(f"step {index}, component {c}{detail}", step=index, component=c) from None
     rel = None
     if pair is not None:
         k, j = pair
@@ -395,11 +456,20 @@ def apply_script(
     translations cannot silently swap the pair).  A translation that
     changes a component's cusp counts is flagged ``cusp-change``.  The
     first illegal step aborts the run with its index.
+
+    Each component's invariants are read off its own sub-grid (see
+    :func:`component_grid`), interned per distinct pattern for this
+    call.  :func:`component_patterns` splits the starting grid once;
+    after that a move changes the pattern of at most the component its
+    ``footprint`` names, so every other component carries its sub-grid,
+    cusp counts and invariants through ``follow``'s image, and only the
+    named one is rebuilt from its own columns and rows.
     """
     pair = (0, 1) if len(g.components) >= 2 else None
     subs = {}  # (xs, os) -> its sub-grid, for this run only
-    parts = _sub_grids(g, subs)
-    trace = [_snapshot(parts, 0, None, pair, (), conv)]
+    parts = [_intern(key, subs) for key in component_patterns(g)]
+    cusps = [to_front(sub, conv).cusps[0] for sub in parts]
+    trace = [_snapshot(parts, 0, None, pair, (), conv, [None] * len(parts))]
     current = g
     for idx, move in enumerate(script.moves, start=1):
         try:
@@ -407,13 +477,20 @@ def apply_script(
         except LegridError as e:
             raise ScriptStepError(idx, e) from e
         image = follow(current, move, moved)
-        moved_parts = _sub_grids(moved, subs)
-        cusp_change = changes_cusps(move, _cusps(parts, conv), _cusps(moved_parts, conv), image)
-        flags = ("cusp-change",) if cusp_change else ()
+        changed = move.footprint(current)
+        moved_parts = _carry(parts, image)
+        moved_cusps = _carry(cusps, image)
+        known = _carry(trace[-1].invariants, image)
+        if changed is not None:
+            k = image[changed]
+            moved_parts[k] = sub = _intern(_component_pattern(moved, k), subs)
+            moved_cusps[k] = to_front(sub, conv).cusps[0]
+            known[k] = None
+        flags = ("cusp-change",) if changes_cusps(move, cusps, moved_cusps, image) else ()
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
-        trace.append(_snapshot(moved_parts, idx, move, pair, flags, conv))
-        current, parts = moved, moved_parts
+        trace.append(_snapshot(moved_parts, idx, move, pair, flags, conv, known))
+        current, parts, cusps = moved, moved_parts, moved_cusps
     return ScriptResult(final=current, trace=tuple(trace))
 
 

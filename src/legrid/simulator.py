@@ -68,6 +68,12 @@ class FramedPairState(NamedTuple):
         return (self.tb_rel, self.r_rel, self.sl_rel)
 
 
+def _check_sign(sign, field):
+    # floats and bools compare equal to ints, so the type is checked
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"{field} must be +1 or -1, got {sign!r}")
+
+
 @dataclass(frozen=True)
 class CrossingEvent:
     """One transverse crossing of the moving knot through the fixed
@@ -76,8 +82,7 @@ class CrossingEvent:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"crossing sign must be +1 or -1, got {self.sign}")
+        _check_sign(self.sign, "crossing sign")
 
     @property
     def shift(self):
@@ -113,13 +118,13 @@ class IntersectionPattern:
 
     def __post_init__(self):
         for name in ("circles", "ribbon_arcs", "boundary_parallel_arcs", "clasps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            count = getattr(self, name)
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
         if not isinstance(self.singular, tuple):
             raise ValueError(f"singular must be a tuple of signs, got {self.singular!r}")
         for sign in self.singular:
-            if sign not in (1, -1):
-                raise ValueError(f"singular clasp sign must be +1 or -1, got {sign}")
+            _check_sign(sign, "singular clasp sign")
 
     @property
     def shift(self):

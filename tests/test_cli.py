@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from legrid.cli import _table, main, parse_grid_file
-from legrid import CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, run_trace
+from legrid import CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, run_trace
 
 from helpers import event_to_text
 
@@ -154,8 +154,52 @@ class TestMoves:
         code, out, err = run_cli(capsys, "moves", split_file, str(script))
         assert (code, out) == (1, "")
         error = _single_json_error(err)
-        assert error["type"] == "OracleMismatch"
-        assert error["message"] == "step 2, component 1: front route gives tb=-2, push-off route gives -1"
+        assert list(error) == ["type", "message", "step", "component"]
+        assert error == {
+            "type": "OracleMismatch",
+            "message": "step 2, component 1: front route gives tb=-2, push-off route gives -1",
+            "step": 2,
+            "component": 1,
+        }
+
+    def test_parity_violation_names_the_step_and_the_component(self, capsys, split_file, tmp_path, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        real = inv_mod.tb_grid_oracle
+
+        def odd_on_three(g, c, conv):
+            # only the unknot that step 2 stabilizes has a 3x3 sub-grid
+            if g.n == 3:
+                raise ParityViolation(f"component {c} and its push-off cross an odd signed number of times (1)")
+            return real(g, c, conv)
+
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", odd_on_three)
+        script = tmp_path / "script.txt"
+        script.write_text("translate up\nlstab 1 +\n")
+        code, out, err = run_cli(capsys, "moves", split_file, str(script))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert list(error) == ["type", "message", "step", "component"]
+        assert error == {
+            "type": "ParityViolation",
+            "message": "step 2, component 1 and its push-off cross an odd signed number of times (1)",
+            "step": 2,
+            "component": 1,
+        }
+
+    def test_invariant_error_outside_a_script_has_no_step(self, capsys, split_file, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        real = inv_mod.tb_grid_oracle
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", lambda g, c, conv: real(g, c, conv) + 1)
+        code, out, err = run_cli(capsys, "inv", split_file)
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert list(error) == ["type", "message"]
+        assert error == {
+            "type": "OracleMismatch",
+            "message": "component 0: front route gives tb=-1, push-off route gives 0",
+        }
 
 
 class TestLedger:

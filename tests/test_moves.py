@@ -334,6 +334,75 @@ class TestFollow:
                     assert owners == {image[comp.index]}
 
 
+class TestFootprint:
+    """A move changes the pattern of at most the component its
+    ``footprint`` names: the fact that lets apply_script carry every
+    other component's sub-grid through a step."""
+
+    @staticmethod
+    def _every_legal_move(g):
+        n = g.n
+        candidates = [Translate(d) for d in DIRECTIONS]
+        candidates += [Commute(axis, i) for axis in ("row", "col") for i in range(n - 1)]
+        candidates += [Stabilize(m, c, t) for m in "XO" for c in range(n) for t in ("NE", "NW", "SE", "SW")]
+        candidates += [Destabilize(c, r) for c in range(n - 1) for r in (None, *range(n - 1))]
+        candidates += [LegendrianStab(k, s) for k in range(len(g.components)) for s in (1, -1)]
+        for move in candidates:
+            try:
+                yield move, apply_move(g, move)
+            except (BadCell, InterleavingSpans):
+                continue
+
+    def _check(self, g, seen):
+        before = _component_patterns(g)
+        for move, moved in self._every_legal_move(g):
+            named = move.footprint(g)
+            after = _component_patterns(moved)
+            image = follow(g, move, moved)
+            kept = [after[i] == before[c] for c, i in enumerate(image)]
+            assert all(k for c, k in enumerate(kept) if c != named), move
+            kind = type(move).__name__
+            seen.add((kind, "none" if named is None else "named"))
+            if named is not None and not kept[named]:
+                seen.add((kind, "changed"))
+
+    def test_every_small_grid(self):
+        seen = set()
+        for n in range(2, 5):
+            for xs, os in all_marker_lists(n):
+                self._check(new_grid(n, xs, os), seen)
+        # every kind names a component and changes it somewhere; only a commute names none
+        kinds = ("Translate", "Commute", "Stabilize", "Destabilize", "LegendrianStab")
+        assert {(kind, "changed") for kind in kinds} <= seen
+        assert {entry for entry in seen if entry[1] == "none"} == {("Commute", "none")}
+
+    def test_random_links(self):
+        rng = random.Random(26)
+        seen = set()
+        for _ in range(40):
+            self._check(random_link(rng, rng.randint(4, 40)), seen)
+        assert ("Commute", "none") in seen and ("Commute", "changed") in seen
+
+    def test_component_patterns_runs_once_per_call(self, monkeypatch):
+        import legrid.moves as moves_mod
+
+        calls = []
+        split = moves_mod.component_patterns
+
+        def counting(g):
+            calls.append(g)
+            return split(g)
+
+        monkeypatch.setattr(moves_mod, "component_patterns", counting)
+        rng = random.Random(27)
+        for _ in range(10):
+            g = random_link(rng, rng.randint(4, 20))
+            calls.clear()
+            result = apply_script(g, MoveScript(_legal_script(rng, g, 30)))
+            assert calls == [g]
+            assert len(result.trace) == 31
+
+
 class TestApplyScript:
     def test_empty_script_is_identity(self):
         result = apply_script(UNKNOT, MoveScript(()))
@@ -549,6 +618,7 @@ class TestKeyedInvariants:
         assert str(exc.value) == (
             "step 2, component 1 and its push-off cross an odd signed number of times (1)"
         )
+        assert (exc.value.step, exc.value.component) == (2, 1)
 
 
 class TestChangesCusps:

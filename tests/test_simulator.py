@@ -83,6 +83,11 @@ class TestCross:
         with pytest.raises(ValueError):
             CrossingEvent(2)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0, True, "+", None])
+    def test_sign_must_be_an_int(self, sign):
+        with pytest.raises(ValueError, match=r"^crossing sign must be \+1 or -1, got "):
+            CrossingEvent(sign)
+
 
 class TestResolvePattern:
     """A pattern resolves by its fixed shift, applied with ``cross``."""
@@ -124,6 +129,19 @@ class TestResolvePattern:
                 IntersectionPattern(singular=singular)
         assert IntersectionPattern().singular == ()
         assert IntersectionPattern(singular=(-1,)).singular == (-1,)
+
+    @pytest.mark.parametrize("field", ["circles", "ribbon_arcs", "boundary_parallel_arcs", "clasps"])
+    @pytest.mark.parametrize("count", [1.5, 1.0, True, "1", -1])
+    def test_counts_must_be_non_negative_ints(self, field, count):
+        with pytest.raises(ValueError) as exc:
+            IntersectionPattern(**{field: count})
+        assert str(exc.value) == f"{field} must be a non-negative integer, got {count!r}"
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, "+"])
+    def test_singular_signs_must_be_ints(self, sign):
+        with pytest.raises(ValueError) as exc:
+            IntersectionPattern(singular=(sign,))
+        assert str(exc.value) == f"singular clasp sign must be +1 or -1, got {sign!r}"
 
 
 class TestRunTrace:
