@@ -47,7 +47,8 @@ class OracleMismatch(_InvariantError):
 
 class ParityViolation(_InvariantError):
     """A signed crossing count that closed curves force to be even came
-    out odd.  Signals a bookkeeping bug, never expected on valid input."""
+    out odd, or two that they force to be equal differ.  Signals a
+    bookkeeping bug, never expected on valid input."""
 
 
 class TripleDrift(LegridError):

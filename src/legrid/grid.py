@@ -121,7 +121,8 @@ class GridDiagram:
     (the inverse permutations), ``components`` (tracing cycles, ordered
     by their lowest column) and ``component_by_column``.  They are plain
     attributes outside the fields, so equality and hashing use only
-    ``(n, xs, os)``.
+    ``(n, xs, os)``.  Commutations and translations derive the tables
+    of the grids they make from their parent's (see :meth:`_derived`).
 
     >>> g = new_grid(2, [0, 1], [1, 0])
     >>> len(g.components)
@@ -167,6 +168,25 @@ class GridDiagram:
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "component_by_column", tuple(owner))
 
+    @classmethod
+    def _derived(cls, n, xs, os, x_col_by_row, o_col_by_row, components, component_by_column):
+        """A grid whose tables, all tuples, its caller derived from a
+        valid parent's: the one path that skips ``__post_init__`` and
+        its checks.  Only :func:`_commuted` and :func:`_translated`
+        call it; ``tests/test_moves.py::TestDerivedTables`` proves
+        their tables equal to a fresh construction's."""
+        g = object.__new__(cls)
+        vars(g).update(
+            n=n,
+            xs=xs,
+            os=os,
+            x_col_by_row=x_col_by_row,
+            o_col_by_row=o_col_by_row,
+            components=components,
+            component_by_column=component_by_column,
+        )
+        return g
+
     def component(self, c) -> Component:
         _check_component(c, len(self.components))
         return self.components[c]
@@ -191,6 +211,82 @@ def _trace(xs, o_col):
             c = succ[c]
         cycles.append(cols)
     return cycles, owner
+
+
+def _exchange(table, p, q):
+    """``table`` as a tuple, with its entries ``p`` and ``q`` exchanged."""
+    out = list(table)
+    out[p], out[q] = out[q], out[p]
+    return tuple(out)
+
+
+def _numbered(comps, owner):
+    """``comps`` and ``owner``, the component of each column, numbered
+    as ``__post_init__`` numbers them: by lowest column, the order in
+    which ``owner`` first names them."""
+    order = list(dict.fromkeys(owner))
+    if order == sorted(order):
+        return tuple(comps), owner
+    label = [0] * len(order)
+    for k, old in enumerate(order):
+        label[old] = k
+    comps = tuple(Component(k, comps[old].columns, comps[old].rows) for k, old in enumerate(order))
+    return comps, tuple(map(label.__getitem__, owner))
+
+
+def _commuted(g, by_col, i) -> GridDiagram:
+    """``g`` with lines ``i`` and ``i + 1`` exchanged, columns if
+    ``by_col`` and rows otherwise, for lines whose spans do not
+    interleave.  The tables come from ``g``'s: the ones indexed by line
+    exchange entries i and i + 1, their inverses the two entries that
+    hold those lines, and only the two lines' owners change."""
+    at, inverse = (g.xs, g.os), (g.x_col_by_row, g.o_col_by_row)
+    if not by_col:
+        at, inverse = inverse, at
+    moved = [_exchange(t, i, i + 1) for t in at]
+    moved += [_exchange(t, v[i], v[i + 1]) for t, v in zip(inverse, at)]
+    xs, os, x_col, o_col = moved if by_col else moved[2:] + moved[:2]
+    comps, owner = g.components, g.component_by_column
+    # the two lines' owners; a row's is its X column's
+    a, b = (owner[i], owner[i + 1]) if by_col else (owner[at[0][i]], owner[at[0][i + 1]])
+    if a != b:  # each owner trades line i for line i + 1 or the reverse
+        comps = list(comps)
+        for k in (a, b):
+            cols, rows = comps[k].columns, comps[k].rows
+            comps[k] = Component(k, cols ^ {i, i + 1}, rows) if by_col else Component(k, cols, rows ^ {i, i + 1})
+        if by_col:
+            comps, owner = _numbered(comps, _exchange(owner, i, i + 1))
+    return GridDiagram._derived(g.n, xs, os, x_col, o_col, tuple(comps), owner)
+
+
+def _translated(g, dc, dr) -> GridDiagram:
+    """``g`` with every marker moved ``dc`` columns and ``dr`` rows
+    cyclically, one of them 0 and the other 1 or -1.  The tables come
+    from ``g``'s: the ones indexed by the moving lines rotate by one
+    entry, and the lines the others hold map through one shift table."""
+    step = dc or dr
+    lines = tuple(range(g.n))
+    shift = (lines[step:] + lines[:step]).__getitem__  # line l -> (l + step) % n
+
+    def rotated(table):  # entry l moves to entry (l + step) % n
+        return table[-step:] + table[:-step]
+
+    def shifted(table):
+        return tuple(map(shift, table))
+
+    comps, owner = g.components, g.component_by_column
+    if dc:
+        xs, os = rotated(g.xs), rotated(g.os)
+        x_col, o_col = shifted(g.x_col_by_row), shifted(g.o_col_by_row)
+        comps, owner = _numbered(
+            [Component(k, frozenset(map(shift, c.columns)), c.rows) for k, c in enumerate(comps)],
+            rotated(owner),
+        )
+    else:
+        xs, os = shifted(g.xs), shifted(g.os)
+        x_col, o_col = rotated(g.x_col_by_row), rotated(g.o_col_by_row)
+        comps = tuple(Component(k, c.columns, frozenset(map(shift, c.rows))) for k, c in enumerate(comps))
+    return GridDiagram._derived(g.n, xs, os, x_col, o_col, comps, owner)
 
 
 def new_grid(n, xs, os) -> GridDiagram:
@@ -300,18 +396,25 @@ def writhe(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> int:
 
 
 def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) -> int:
-    """Half the signed count of crossings between two components."""
+    """Half the signed count of crossings between two components.
+
+    In a planar diagram of two closed curves the signed crossings with
+    either one over number the same, so that count is the linking
+    number, and two that differ raise ParityViolation: a check strictly
+    stronger than the parity of their sum.
+    """
     g.component(c1)
     g.component(c2)
     if c1 == c2:
         raise SameComponent(f"components must differ, both are {c1}")
     m = to_front(g, conv).crossing_matrix
-    total = m[c1][c2] + m[c2][c1]
-    if total % 2:
+    over, under = m[c1][c2], m[c2][c1]
+    if over != under:
         raise ParityViolation(
-            f"components {c1} and {c2} cross an odd signed number of times ({total})"
+            f"components {c1} and {c2} cross {over} signed times with {c1} over"
+            f" but {under} with {c2} over"
         )
-    return total // 2
+    return over
 
 
 def reverse_component(g: GridDiagram, c) -> GridDiagram:
@@ -399,10 +502,18 @@ def _int_list(line_no, line, key):
     if not stripped.startswith(key + "="):
         raise ParseError(line_no, 1, f"expected {key}=<comma-separated ints>")
     offset = line.index("=") + 1
-    values = []
     body = line[offset:].rstrip("\n")
+    parts = body.split(",")
+    if body.isascii() and "_" not in body:
+        # where int() takes every token, _int_token takes each alike; the
+        # loop below names the column of the first token it refuses
+        try:
+            return list(map(int, parts))
+        except ValueError:
+            pass
+    values = []
     pos = 0
-    for part in body.split(","):
+    for part in parts:
         try:
             values.append(_int_token(part))
         except ValueError:

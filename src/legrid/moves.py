@@ -41,6 +41,13 @@ Every move checks its own fields when it is built, directly or by
 :func:`parse_move_script`, and raises BadCell; ``apply`` keeps only the
 checks that need the grid.
 
+A commutation or translation of a valid grid is valid, so those two
+derive the moved grid's tables from the parent's, touching only the
+entries the move changes, and skip the marker checks; stabilizations
+and destabilizations build their grids afresh, checks included.
+``tests/test_moves.py::TestDerivedTables`` proves the derived tables
+equal to a fresh construction's.
+
 Cyclic translations are isotopies of the underlying link but may carry
 a marker across the grid boundary and change the front's cusp counts;
 :func:`apply_script` flags such steps with ``cusp-change`` so they can
@@ -62,7 +69,7 @@ from .errors import (
     SameComponent,
     ScriptStepError,
 )
-from .grid import Convention, GridDiagram, _int_token, new_grid, to_front
+from .grid import Convention, GridDiagram, _commuted, _int_token, _translated, new_grid, to_front
 from .invariants import (
     ClassicalInvariants,
     RelativeInvariants,
@@ -139,14 +146,7 @@ class Translate:
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Cyclically shift all markers one step in the given direction."""
-        n = g.n
-        dc, dr = _STEPS[self.direction]
-
-        def shifted(rows):
-            # column c takes the markers of column c - dc, each dr rows higher
-            return [(v + dr) % n for v in rows[-dc:] + rows[:-dc]]
-
-        return new_grid(n, shifted(g.xs), shifted(g.os))
+        return _translated(g, *_STEPS[self.direction])
 
     def column_map(self, g: GridDiagram):
         dc = _STEPS[self.direction][0]
@@ -190,11 +190,7 @@ class Commute:
         x_at, o_at = (g.xs, g.os) if by_col else (g.x_col_by_row, g.o_col_by_row)
         if _interleaving((x_at[i], o_at[i]), (x_at[i + 1], o_at[i + 1])):
             raise InterleavingSpans(f"{'columns' if by_col else 'rows'} {i} and {i + 1} interleave")
-        swap = _swap(i)
-        if by_col:
-            cols = list(map(swap, range(n)))
-            return new_grid(n, [g.xs[c] for c in cols], [g.os[c] for c in cols])
-        return new_grid(n, list(map(swap, g.xs)), list(map(swap, g.os)))
+        return _commuted(g, by_col, i)
 
     def column_map(self, g: GridDiagram):
         return _swap(self.index) if self.axis == "col" else lambda col: col
@@ -339,9 +335,10 @@ class LegendrianStab:
             raise BadCell(f"stabilization sign must be +1 or -1, got {self.sign!r}")
 
     def _stabilize(self, g: GridDiagram) -> Stabilize:
-        comp = g.component(self.component)
+        g.component(self.component)
         subtype = STAB_PLUS["X"] if self.sign > 0 else STAB_MINUS["X"]
-        return Stabilize("X", min(comp.columns), subtype)
+        # components are numbered by their lowest column, as in follow
+        return Stabilize("X", g.component_by_column.index(self.component), subtype)
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         return self._stabilize(g).apply(g)
@@ -375,8 +372,9 @@ def follow(g: GridDiagram, move: GridMove, moved: GridDiagram) -> tuple[int, ...
     of applying ``move`` to ``g``: the image of its lowest column under
     the move's ``column_map``."""
     cmap = move.column_map(g)
+    lowest = g.component_by_column.index  # components are numbered by their lowest column
     owner = moved.component_by_column
-    return tuple(owner[cmap(min(comp.columns))] for comp in g.components)
+    return tuple(owner[cmap(lowest(k))] for k in range(len(g.components)))
 
 
 def changes_cusps(move: GridMove, before, after, image) -> bool:

@@ -42,6 +42,8 @@ TREFOIL = (5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
 # 4x4 two-component grid with two signed crossings, found by exhaustive
 # search (see test_linking_hopf_search below).
 HOPF = (4, [0, 1, 2, 3], [2, 3, 0, 1])
+# HOPF with component 0 reversed: the positive Hopf link.
+POSITIVE_HOPF = (4, [2, 1, 0, 3], [0, 3, 2, 1])
 
 
 @st.composite
@@ -340,6 +342,14 @@ class TestLinking:
     def test_hopf_fixture(self):
         assert linking_number(new_grid(*HOPF), 0, 1) == -1
 
+    def test_positive_hopf_pins_the_sign(self):
+        # a global sign flip keeps every symmetry check, so one sign is pinned
+        g = new_grid(*POSITIVE_HOPF)
+        assert brute_linking(*POSITIVE_HOPF[1:], 0, 1) == 1
+        assert linking_number(g, 0, 1, Convention.NW_SE) == linking_number(g, 1, 0) == 1
+        # the mirror reading flips every crossing sign
+        assert linking_number(g, 0, 1, Convention.NE_SW) == -1
+
     def test_symmetry_and_reversal(self):
         rng = random.Random(23)
         seen = 0
@@ -372,6 +382,20 @@ class TestLinking:
         monkeypatch.setattr(grid_mod, "to_front", lambda g_, conv=None: odd)
         with pytest.raises(ParityViolation):
             linking_number(g, 0, 1)
+
+    def test_one_sided_even_change_raises(self, monkeypatch):
+        # the parity of the sum survives an even change to one side, but
+        # a planar diagram's two sides agree exactly
+        import legrid.grid as grid_mod
+
+        g = new_grid(*POSITIVE_HOPF)
+        real = to_front(g)
+        (aa, ab), (ba, bb) = real.crossing_matrix
+        skewed = dataclasses.replace(real, crossing_matrix=((aa, ab + 2), (ba, bb)))
+        monkeypatch.setattr(grid_mod, "to_front", lambda g_, conv=None: skewed)
+        with pytest.raises(ParityViolation) as exc:
+            linking_number(g, 0, 1)
+        assert str(exc.value) == "components 0 and 1 cross 3 signed times with 0 over but 1 with 1 over"
 
     def test_unknown_component(self):
         with pytest.raises(UnknownComponent):

@@ -7,6 +7,7 @@ from legrid import (
     Commute,
     Convention,
     Destabilize,
+    GridDiagram,
     InterleavingSpans,
     LegendrianStab,
     MoveScript,
@@ -334,6 +335,49 @@ class TestFollow:
                     assert owners == {image[comp.index]}
 
 
+class TestDerivedTables:
+    """Commutations and translations derive the moved grid's tables from
+    the parent's instead of building it afresh; every table must be the
+    one a fresh construction gives."""
+
+    @staticmethod
+    def _check(g, renumbered):
+        moves = [Translate(d) for d in DIRECTIONS]
+        moves += [Commute(axis, i) for axis in ("row", "col") for i in range(g.n - 1)]
+        for move in moves:
+            try:
+                moved = apply_move(g, move)
+            except InterleavingSpans:
+                continue
+            fresh = GridDiagram(moved.n, moved.xs, moved.os)
+            for name in ("xs", "os", "x_col_by_row", "o_col_by_row", "components", "component_by_column"):
+                table = getattr(moved, name)
+                assert type(table) is tuple and table == getattr(fresh, name), (g, move, name)
+            for comp in moved.components:
+                assert type(comp.columns) is frozenset and type(comp.rows) is frozenset
+            assert moved == fresh and hash(moved) == hash(fresh)
+            if follow(g, move, moved) != tuple(range(len(g.components))):
+                renumbered.add(move.text())
+
+    def test_every_small_grid(self):
+        renumbered = set()
+        for n in range(2, 5):
+            for xs, os in all_marker_lists(n):
+                self._check(new_grid(n, xs, os), renumbered)
+        # components trade numbers under a column commute and a sideways shift
+        assert {"translate left", "translate right"} <= renumbered
+        assert any(text.startswith("commute col") for text in renumbered)
+
+    def test_random_links(self):
+        rng = random.Random(28)
+        renumbered = set()
+        for _ in range(60):
+            self._check(random_link(rng, rng.randint(4, 40)), renumbered)
+        assert {"translate left", "translate right"} <= renumbered
+        assert any(text.startswith("commute col") for text in renumbered)
+        assert not any(text.startswith(("commute row", "translate up", "translate down")) for text in renumbered)
+
+
 class TestFootprint:
     """A move changes the pattern of at most the component its
     ``footprint`` names: the fact that lets apply_script carry every
@@ -557,8 +601,6 @@ class TestKeyedInvariants:
                 assert seen[index] == expected
 
     def test_one_grid_is_built_per_move_and_per_distinct_pattern(self, monkeypatch):
-        from legrid import GridDiagram
-
         rng = random.Random(25)
         g = random_link(rng, 9)
         moves = (Translate("up"),) * g.n + (Translate("right"),) * g.n + _legal_script(rng, g, 40)
@@ -567,17 +609,33 @@ class TestKeyedInvariants:
             grids.append(apply_move(grids[-1], move))
         distinct = set().union(*map(_component_patterns, grids))
 
-        built = []
-        init = GridDiagram.__init__
+        built, derived, checked = [], [], []
+        init, derive, post_init = GridDiagram.__init__, GridDiagram._derived, GridDiagram.__post_init__
 
         def counting(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
+        def counting_derived(cls, *tables):
+            derived.append(derive(*tables))
+            return derived[-1]
+
+        def counting_checks(self):
+            checked.append(self)
+            post_init(self)
+
         monkeypatch.setattr(GridDiagram, "__init__", counting)
+        monkeypatch.setattr(GridDiagram, "_derived", classmethod(counting_derived))
+        monkeypatch.setattr(GridDiagram, "__post_init__", counting_checks)
         result = apply_script(g, MoveScript(moves))
         assert result.final == grids[-1]
-        assert len(built) == len(moves) + len(distinct) < len(moves) + sum(len(h.components) for h in grids)
+        total = len(built) + len(derived)
+        assert total == len(moves) + len(distinct) < len(moves) + sum(len(h.components) for h in grids)
+        # every commutation and translation step derives its grid, which
+        # skips the checks; every other grid runs them once
+        steps = [moved for move, moved in zip(moves, grids[1:]) if isinstance(move, (Commute, Translate))]
+        assert derived == steps and any(isinstance(move, Commute) for move in moves)
+        assert list(map(id, checked)) == list(map(id, built))
 
     def test_front_is_swept_once_per_distinct_pattern_per_call(self, monkeypatch):
         import legrid.grid as grid_mod
