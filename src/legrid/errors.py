@@ -41,8 +41,9 @@ class _InvariantError(LegridError):
 
 
 class OracleMismatch(_InvariantError):
-    """The two tb routes disagree. Signals a convention bug, never
-    expected on valid input."""
+    """The two tb routes disagree.  Both read the same NW_SE reading
+    grid, so this signals a bug in the front reader or in the push-off
+    count, never expected on valid input."""
 
 
 class ParityViolation(_InvariantError):

@@ -56,7 +56,9 @@ class Convention(Enum):
     north-west or south-east become cusps.  It is the shipped default
     and the one under which the 2x2 unknot grid yields tb = -1, r = 0.
     NE_SW is the mirror reading: the other diagonal carries the cusps
-    and every crossing sign flips.
+    and every crossing sign flips.  It is read as the NW_SE reading of
+    another grid, the rows mirrored and X and O swapped; only
+    ``_reading`` interprets a convention, and the kernels read NW_SE.
     """
 
     NW_SE = "nw-se"
@@ -301,20 +303,37 @@ def new_grid(n, xs, os) -> GridDiagram:
     return GridDiagram(n, xs, os)
 
 
+def _reading(g: GridDiagram, conv: Convention) -> GridDiagram:
+    """The grid whose NW_SE reading is ``g``'s reading under ``conv``,
+    and the one place that interprets a convention: ``g`` itself, or
+    for NE_SW ``g`` with its rows mirrored and its X and O swapped,
+    built once and memoized on ``g``.  The mirror moves the cusps to
+    the other diagonal and flips every crossing sign, and the swap
+    reverses every strand, so every column keeps its component."""
+    if conv is not Convention.NE_SW:
+        return g
+    m = g.__dict__.get("_mirror")
+    if m is None:
+        n = g.n
+        m = g.__dict__["_mirror"] = GridDiagram(n, [n - 1 - o for o in g.os], [n - 1 - x for x in g.xs])
+    return m
+
+
 def to_front(g: GridDiagram, conv: Convention = Convention.NW_SE) -> FrontData:
     """Read the front-projection combinatorics off the grid.
 
-    The result is memoized per convention on the grid instance, so
-    every caller shares one front per grid and convention.
+    The front is the NW_SE front of the reading grid (see
+    :func:`_reading`) and is memoized on that grid, so every caller
+    shares one front per reading grid.
     """
-    cache = g.__dict__.setdefault("_fronts", {})
-    front = cache.get(conv)
+    g = _reading(g, conv)
+    front = g.__dict__.get("_front")
     if front is None:
-        front = cache[conv] = _read_front(g, conv)
+        front = g.__dict__["_front"] = _read_front(g)
     return front
 
 
-def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
+def _read_front(g: GridDiagram) -> FrontData:
     """One left-to-right column sweep: O(n C) operations on n-bit ints.
 
     A crossing at (c, r) needs the vertical of column c to pass
@@ -336,18 +355,16 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
     Cusp corners: at each marker the vertical heads toward the other
     marker of its column and the horizontal toward the other marker of
     its row; the two directions name the corner type.  Cusps are the
-    corners on the convention's diagonal, up or down according to the
-    orientation of the vertical strand through them.  Under NW_SE, the
-    X end's corner is S or N as the vertical runs up or down and E or W
-    as its row's O lies east or west, so it is a cusp (SE or NW)
-    exactly when the vertical runs up and the O lies east, or neither.
-    At the O end the vertical heads the other way, so it is a cusp
-    exactly when just one holds: the vertical runs up, or its row's X
-    lies east.  NE_SW negates both rules.
+    corners on the NW-SE diagonal, up or down according to the
+    orientation of the vertical strand through them.  The X end's
+    corner is S or N as the vertical runs up or down and E or W as its
+    row's O lies east or west, so it is a cusp (SE or NW) exactly when
+    the vertical runs up and the O lies east, or neither.  At the O end
+    the vertical heads the other way, so it is a cusp exactly when just
+    one holds: the vertical runs up, or its row's X lies east.  The
+    NE_SW reading is this one of another grid (see :func:`_reading`).
     """
     n_comp = len(g.components)
-    mirror = conv is Convention.NE_SW
-    sign_flip = -1 if mirror else 1
     x_col, o_col = g.x_col_by_row, g.o_col_by_row
 
     east = [0] * n_comp
@@ -360,7 +377,7 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
         lo, hi = (ro, rx) if up_strand else (rx, ro)
         if hi - lo > 1:
             inside = (1 << hi) - (2 << lo)  # the rows strictly between
-            sign = (-1 if up_strand else 1) * sign_flip
+            sign = -1 if up_strand else 1
             row = matrix[k]
             for under, (e, w) in enumerate(zip(east, west)):
                 total = (e & inside).bit_count() - (w & inside).bit_count()
@@ -377,7 +394,7 @@ def _read_front(g: GridDiagram, conv: Convention) -> FrontData:
         else:
             east[k] ^= 1 << ro
 
-        cusps = ((up_strand == o_east) != mirror) + ((up_strand != x_east) != mirror)
+        cusps = (up_strand == o_east) + (up_strand != x_east)
         if up_strand:
             up[k] += cusps
         else:

@@ -5,8 +5,12 @@ cusps, and half the down-minus-up cusp difference.  Independently, tb
 is recomputed as the linking number of a component with its contact
 push-off: the rectilinear curve offset by a third of a cell along the
 front's vertical direction, counted by brute force over segment pairs.
-The two routes share no code; :func:`classical` checks them against
-each other and raises :class:`OracleMismatch` if they ever disagree.
+The two routes share no counting code; :func:`classical` checks them
+against each other and raises :class:`OracleMismatch` if they ever
+disagree.  Both read NW_SE only: under NE_SW both read the same grid,
+``g`` with its rows mirrored and X and O swapped (``grid._reading``), so
+only the test suite's brute-force crossing and cusp references check
+that reading independently.
 
 Relative invariants of an ordered component pair are the differences
 of the per-component values; in this model every pair is homologous
@@ -19,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import OracleMismatch, ParityViolation, SameComponent
-from .grid import Convention, FrontData, GridDiagram, new_grid, to_front
+from .grid import Convention, FrontData, GridDiagram, _reading, new_grid, to_front
+from .simulator import _check_sign
 
 __all__ = [
     "ClassicalInvariants",
@@ -68,8 +73,8 @@ class OrientationFlag:
     coorientation: int = 1
 
     def __post_init__(self):
-        if self.surface not in (1, -1) or self.coorientation not in (1, -1):
-            raise ValueError("orientation entries must be +1 or -1")
+        _check_sign(self.surface, "surface")
+        _check_sign(self.coorientation, "coorientation")
 
     def flipped(self):
         return replace(self, surface=-self.surface)
@@ -121,17 +126,15 @@ def rot(f: FrontData, c) -> int:
 
 
 def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> int:
-    """Push-off route: lk of the component with its offset copy.
+    """Push-off route: lk of the component with its offset copy, on the
+    reading grid of ``conv`` (see :func:`grid._reading`).
 
     Coordinates are scaled by 3 so that the one-third-cell offset stays
     in exact integer arithmetic; strict interior tests then never meet
     a boundary case.  Deliberately independent of :func:`to_front`.
     """
+    g = _reading(g, conv)
     comp = g.component(c)
-    if conv is Convention.NW_SE:
-        dx, dy, sign_mul = 1, 1, 1
-    else:
-        dx, dy, sign_mul = -1, 1, -1
 
     verticals = []  # (x, ylo, yhi, direction)
     horizontals = []  # (y, xlo, xhi, direction)
@@ -146,18 +149,18 @@ def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> in
             (3 * row, min(x_from, x_to), max(x_from, x_to), 1 if x_to > x_from else -1)
         )
 
-    copy_verticals = [(x + dx, ylo + dy, yhi + dy, d) for x, ylo, yhi, d in verticals]
-    copy_horizontals = [(y + dy, xlo + dx, xhi + dx, d) for y, xlo, xhi, d in horizontals]
+    copy_verticals = [(x + 1, ylo + 1, yhi + 1, d) for x, ylo, yhi, d in verticals]
+    copy_horizontals = [(y + 1, xlo + 1, xhi + 1, d) for y, xlo, xhi, d in horizontals]
 
     total = 0
     for x, ylo, yhi, vd in verticals:
         for y, xlo, xhi, hd in copy_horizontals:
             if xlo < x < xhi and ylo < y < yhi:
-                total += -vd * hd * sign_mul
+                total -= vd * hd
     for x, ylo, yhi, vd in copy_verticals:
         for y, xlo, xhi, hd in horizontals:
             if xlo < x < xhi and ylo < y < yhi:
-                total += -vd * hd * sign_mul
+                total -= vd * hd
     if total % 2:
         raise ParityViolation(
             f"component {c} and its push-off cross an odd signed number of times ({total})"
@@ -215,22 +218,24 @@ def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> Classic
     """Classical triple of one component, cross-checked over both tb
     routes the first time it is asked for.
 
-    The result is memoized per component and convention on the grid
-    instance, as :func:`to_front` memoizes the front.
+    Both routes read the reading grid of ``conv``, and the result is
+    memoized per component on that grid, as :func:`to_front` memoizes
+    the front.
     """
+    g = _reading(g, conv)
+    g.component(c)  # checked before the memo, which 1.0 and True would hit
     cache = g.__dict__.setdefault("_classical", {})
-    inv = cache.get((c, conv))
+    inv = cache.get(c)
     if inv is not None:
         return inv
-    g.component(c)  # checked before the front is read
-    f = to_front(g, conv)
+    f = to_front(g)
     tb = tb_front(f, c)
-    oracle = tb_grid_oracle(g, c, conv)
+    oracle = tb_grid_oracle(g, c)
     if tb != oracle:
         raise OracleMismatch(
             f"component {c}: front route gives tb={tb}, push-off route gives {oracle}"
         )
-    inv = cache[c, conv] = ClassicalInvariants.from_tb_rot(tb, rot(f, c))
+    inv = cache[c] = ClassicalInvariants.from_tb_rot(tb, rot(f, c))
     return inv
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import ledger, simulator
 from .errors import InterleavingSpans
 from .grid import (
+    Convention,
     grid_to_json,
     grid_to_text,
     linking_number,
@@ -72,7 +73,13 @@ def _check_normalization(rng, cases):
         inv = classical(split, c)
         if (inv.tb, inv.r) != (-1, 0):
             failures += 1
-    return CheckResult("normalization", 3, failures)
+    # a global sign flip keeps every symmetry check, so one sign is pinned:
+    # the positive Hopf link has lk = +1 under nw-se and -1 under ne-sw
+    hopf = new_grid(4, [2, 1, 0, 3], [0, 3, 2, 1])
+    for conv, lk in zip(Convention, (1, -1)):
+        if linking_number(hopf, 0, 1, conv) != lk:
+            failures += 1
+    return CheckResult("normalization", 5, failures)
 
 
 def _check_route_equality(rng, cases):

@@ -77,8 +77,9 @@ def test_criterion_1_route_equality():
 
 def test_criterion_2_normalization():
     result = _registry("normalization", 2, 0)
-    _report(2, "2x2 unknot and both split 4x4 components give (tb, r) = (-1, 0)",
-            (result.cases, result.failures) == (3, 0), f"{result.failures} failures")
+    _report(2, "2x2 unknot and both split 4x4 components give (tb, r) = (-1, 0);"
+               " the positive Hopf grid has lk = +1 under nw-se and -1 under ne-sw",
+            (result.cases, result.failures) == (5, 0), f"{result.failures} failures")
 
 
 def test_criterion_3_stabilization_laws():

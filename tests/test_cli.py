@@ -88,7 +88,7 @@ class TestInv:
 
         sweeps = []
         read_front = grid_mod._read_front
-        monkeypatch.setattr(grid_mod, "_read_front", lambda g, conv: sweeps.append(g) or read_front(g, conv))
+        monkeypatch.setattr(grid_mod, "_read_front", lambda g: sweeps.append(g) or read_front(g))
         code, out, err = run_cli(capsys, "inv", split_file, "--component", "99")
         assert (code, out, sweeps) == (1, "", [])
         assert err == '{"error": {"type": "UnknownComponent", "message": "no component 99 (diagram has 2)"}}\n'
@@ -148,7 +148,7 @@ class TestMoves:
 
         real = inv_mod.tb_grid_oracle
         # tb + 1 on the one 3x3 sub-grid: the unknot that step 2 stabilizes
-        monkeypatch.setattr(inv_mod, "tb_grid_oracle", lambda g, c, conv: real(g, c, conv) + (g.n == 3))
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", lambda g, c: real(g, c) + (g.n == 3))
         script = tmp_path / "script.txt"
         script.write_text("translate up\nlstab 1 +\n")
         code, out, err = run_cli(capsys, "moves", split_file, str(script))
@@ -167,11 +167,11 @@ class TestMoves:
 
         real = inv_mod.tb_grid_oracle
 
-        def odd_on_three(g, c, conv):
+        def odd_on_three(g, c):
             # only the unknot that step 2 stabilizes has a 3x3 sub-grid
             if g.n == 3:
                 raise ParityViolation(f"component {c} and its push-off cross an odd signed number of times (1)")
-            return real(g, c, conv)
+            return real(g, c)
 
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", odd_on_three)
         script = tmp_path / "script.txt"
@@ -191,7 +191,7 @@ class TestMoves:
         import legrid.invariants as inv_mod
 
         real = inv_mod.tb_grid_oracle
-        monkeypatch.setattr(inv_mod, "tb_grid_oracle", lambda g, c, conv: real(g, c, conv) + 1)
+        monkeypatch.setattr(inv_mod, "tb_grid_oracle", lambda g, c: real(g, c) + 1)
         code, out, err = run_cli(capsys, "inv", split_file)
         assert (code, out) == (1, "")
         error = _single_json_error(err)
@@ -496,7 +496,7 @@ MOVES_SCRIPT = "translate up\nlstab 1 -\nstab X 0 NE\n"
 MODEL_JSON = '{"rank": 2, "euler": [4, 6], "tight": false}'
 EVENTS_TEXT = "cross +\npattern circles=0 ribbon=2 bparallel=0 clasps=0 singular=none\n"
 SELFTEST_CHECKS = [
-    ("normalization", 3), ("route-equality", 5), ("grid-invariants", 5), ("linking-symmetry", 5),
+    ("normalization", 5), ("route-equality", 5), ("grid-invariants", 5), ("linking-symmetry", 5),
     ("stabilization-laws", 4), ("isotopy-invariance", 5), ("relative-algebra", 5), ("ledger-rules", 5),
     ("simulator-replay", 1),
 ]

@@ -78,16 +78,19 @@ class TestRouteEquality:
         calls = []
 
         def counting(g, c, conv=Convention.NW_SE):
-            calls.append((c, conv))
+            calls.append((g.xs, g.os, c, conv))
             return tb_grid_oracle(g, c, conv)
 
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", counting)
         g = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
         first = classical(g, 0)
         assert classical(g, 0) is first
-        assert calls == [(0, Convention.NW_SE)]
+        assert calls == [(g.xs, g.os, 0, Convention.NW_SE)]
+        # NE_SW runs the oracle once, on the reading grid: rows mirrored, X and O swapped
         classical(g, 0, Convention.NE_SW)
-        assert calls == [(0, Convention.NW_SE), (0, Convention.NE_SW)]
+        assert calls[1:] == [((2, 1, 0, 4, 3), (4, 3, 2, 1, 0), 0, Convention.NW_SE)]
+        classical(g, 0, Convention.NE_SW)
+        assert len(calls) == 2
         # A fresh grid with the same markers is checked again.
         assert classical(new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1]), 0) == first
         assert len(calls) == 3
@@ -112,9 +115,9 @@ class TestRouteEquality:
         sweeps = []
         read_front = grid_mod._read_front
 
-        def counting(g, conv):
+        def counting(g):
             sweeps.append(g)
-            return read_front(g, conv)
+            return read_front(g)
 
         monkeypatch.setattr(grid_mod, "_read_front", counting)
         g = new_grid(*SPLIT_MARKERS)
@@ -122,6 +125,33 @@ class TestRouteEquality:
             with pytest.raises(UnknownComponent, match=rf"^no component {c} \(diagram has 2\)$"):
                 classical(g, c)
         assert sweeps == []
+
+
+class TestMirrorReading:
+    """The ne-sw reading of a grid is the nw-se reading of the grid with
+    its rows mirrored and its X and O markers swapped: the mirror moves
+    the cusps to the other diagonal and flips every crossing sign, the
+    swap reverses every strand, and every column keeps its component."""
+
+    @staticmethod
+    def _assert_identity(n, xs, os):
+        g = new_grid(n, xs, os)
+        m = new_grid(n, [n - 1 - o for o in os], [n - 1 - x for x in xs])
+        assert to_front(g, Convention.NE_SW) == to_front(m)
+        assert [c.columns for c in g.components] == [c.columns for c in m.components]
+        for comp in g.components:
+            assert tb_grid_oracle(g, comp.index, Convention.NE_SW) == tb_grid_oracle(m, comp.index)
+
+    def test_every_small_grid(self):
+        for n in (2, 3, 4, 5):
+            for xs, os in all_marker_lists(n):
+                self._assert_identity(n, xs, os)
+
+    def test_random_links(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            g = random_link(rng, rng.randint(6, 60), rng.randint(2, 3))
+            self._assert_identity(g.n, g.xs, g.os)
 
 
 class TestUnknownComponentText:
@@ -157,6 +187,16 @@ class TestUnknownComponentText:
         with pytest.raises(UnknownComponent) as exc:
             path(SPLIT, *pair)
         assert str(exc.value) == f"no component {bad!r} (diagram has 2)"
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    @pytest.mark.parametrize("c", [1.0, True])
+    def test_a_memoized_component_answers_no_other_index(self, c, conv):
+        # 1.0 and True hash as 1, so the memo must not be asked first
+        g = new_grid(*SPLIT_MARKERS)
+        classical(g, 1, conv)
+        with pytest.raises(UnknownComponent) as exc:
+            classical(g, c, conv)
+        assert str(exc.value) == f"no component {c} (diagram has 2)"
 
     def test_lstab_in_a_script(self):
         with pytest.raises(ScriptStepError) as exc:
@@ -304,3 +344,11 @@ class TestRelativeInvariants:
     def test_flag_validation(self):
         with pytest.raises(ValueError):
             OrientationFlag(surface=0)
+
+    @pytest.mark.parametrize("field", ["surface", "coorientation"])
+    @pytest.mark.parametrize("value", [1.0, -1.0, True, 0, "+"])
+    def test_flag_entries_are_ints(self, field, value):
+        # floats and bools compare equal to 1 and -1 but are no sign
+        with pytest.raises(ValueError) as exc:
+            OrientationFlag(**{field: value})
+        assert str(exc.value) == f"{field} must be +1 or -1, got {value!r}"

@@ -651,9 +651,9 @@ class TestKeyedInvariants:
         sweeps = []
         read_front = grid_mod._read_front
 
-        def counting(g, conv):
+        def counting(g):
             sweeps.append(g)
-            return read_front(g, conv)
+            return read_front(g)
 
         monkeypatch.setattr(grid_mod, "_read_front", counting)
         result = apply_script(g, MoveScript(moves))
