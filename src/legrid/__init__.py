@@ -32,6 +32,7 @@ from .grid import (
     linking_number,
     new_grid,
     parse_grid,
+    reading,
     reverse_component,
     to_front,
     writhe,

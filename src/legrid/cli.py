@@ -20,7 +20,7 @@ import sys
 from . import ledger as ledger_mod
 from . import simulator
 from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
-from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid
+from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid, reading
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, parse_move_script
 from .selftest import run_selftest
@@ -136,10 +136,9 @@ def _relative_record(rel):
 
 
 def _cmd_inv(args):
-    g = parse_grid_file(args.grid)
-    conv = Convention(args.conv)
+    g = reading(parse_grid_file(args.grid), Convention(args.conv))
     indices = [comp.index for comp in g.components] if args.component is None else [args.component]
-    records = [_classical_record(i, classical(g, i, conv)) for i in indices]
+    records = [_classical_record(i, classical(g, i)) for i in indices]
     headers = ["component", "tb", "r", "sl_pos", "sl_neg"]
     payload = records if args.component is None else records[0]
     return payload, lambda: _table([[rec[h] for h in headers] for rec in records], headers)

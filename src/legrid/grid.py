@@ -39,6 +39,7 @@ __all__ = [
     "FrontData",
     "GridDiagram",
     "new_grid",
+    "reading",
     "to_front",
     "writhe",
     "linking_number",
@@ -57,8 +58,9 @@ class Convention(Enum):
     and the one under which the 2x2 unknot grid yields tb = -1, r = 0.
     NE_SW is the mirror reading: the other diagonal carries the cusps
     and every crossing sign flips.  It is read as the NW_SE reading of
-    another grid, the rows mirrored and X and O swapped; only
-    ``_reading`` interprets a convention, and the kernels read NW_SE.
+    another grid, the rows mirrored and X and O swapped: :func:`reading`
+    is the one function that takes a convention, and every other
+    function reads NW_SE.
     """
 
     NW_SE = "nw-se"
@@ -303,30 +305,26 @@ def new_grid(n, xs, os) -> GridDiagram:
     return GridDiagram(n, xs, os)
 
 
-def _reading(g: GridDiagram, conv: Convention) -> GridDiagram:
+def reading(g: GridDiagram, conv: Convention) -> GridDiagram:
     """The grid whose NW_SE reading is ``g``'s reading under ``conv``,
-    and the one place that interprets a convention: ``g`` itself, or
-    for NE_SW ``g`` with its rows mirrored and its X and O swapped,
-    built once and memoized on ``g``.  The mirror moves the cusps to
-    the other diagonal and flips every crossing sign, and the swap
-    reverses every strand, so every column keeps its component."""
-    if conv is not Convention.NE_SW:
-        return g
-    m = g.__dict__.get("_mirror")
-    if m is None:
-        n = g.n
-        m = g.__dict__["_mirror"] = GridDiagram(n, [n - 1 - o for o in g.os], [n - 1 - x for x in g.xs])
-    return m
-
-
-def to_front(g: GridDiagram, conv: Convention = Convention.NW_SE) -> FrontData:
-    """Read the front-projection combinatorics off the grid.
-
-    The front is the NW_SE front of the reading grid (see
-    :func:`_reading`) and is memoized on that grid, so every caller
-    shares one front per reading grid.
+    and the one function that takes a convention: ``g`` itself, or for
+    NE_SW a new grid, ``g`` with its rows mirrored and its X and O
+    swapped.  The mirror moves the cusps to the other diagonal and flips
+    every crossing sign, and the swap reverses every strand, so every
+    column keeps its component.  Anything but a :class:`Convention`
+    raises ValueError.
     """
-    g = _reading(g, conv)
+    if conv is Convention.NW_SE:
+        return g
+    if conv is not Convention.NE_SW:
+        raise ValueError(f"{conv!r} is not a Convention")
+    n = g.n
+    return GridDiagram(n, [n - 1 - o for o in g.os], [n - 1 - x for x in g.xs])
+
+
+def to_front(g: GridDiagram) -> FrontData:
+    """Read the NW_SE front-projection combinatorics off the grid,
+    once: the front is memoized on ``g``, so every caller shares it."""
     front = g.__dict__.get("_front")
     if front is None:
         front = g.__dict__["_front"] = _read_front(g)
@@ -362,7 +360,7 @@ def _read_front(g: GridDiagram) -> FrontData:
     the vertical runs up and the O lies east, or neither.  At the O end
     the vertical heads the other way, so it is a cusp exactly when just
     one holds: the vertical runs up, or its row's X lies east.  The
-    NE_SW reading is this one of another grid (see :func:`_reading`).
+    NE_SW reading is this one of another grid (see :func:`reading`).
     """
     n_comp = len(g.components)
     x_col, o_col = g.x_col_by_row, g.o_col_by_row
@@ -406,13 +404,13 @@ def _read_front(g: GridDiagram) -> FrontData:
     )
 
 
-def writhe(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> int:
+def writhe(g: GridDiagram, c) -> int:
     """Signed self-crossing count of component ``c``."""
     g.component(c)
-    return to_front(g, conv).crossing_matrix[c][c]
+    return to_front(g).crossing_matrix[c][c]
 
 
-def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) -> int:
+def linking_number(g: GridDiagram, c1, c2) -> int:
     """Half the signed count of crossings between two components.
 
     In a planar diagram of two closed curves the signed crossings with
@@ -424,7 +422,7 @@ def linking_number(g: GridDiagram, c1, c2, conv: Convention = Convention.NW_SE) 
     g.component(c2)
     if c1 == c2:
         raise SameComponent(f"components must differ, both are {c1}")
-    m = to_front(g, conv).crossing_matrix
+    m = to_front(g).crossing_matrix
     over, under = m[c1][c2], m[c2][c1]
     if over != under:
         raise ParityViolation(
@@ -558,7 +556,8 @@ def _parse_grid_text(text):
     try:
         n = _int_token(stripped[2:])
     except ValueError:
-        raise ParseError(ln_n, 3, f"not an integer: {stripped[2:].strip()!r}") from None
+        column = line_n.index("=") + 2  # leading whitespace counts, as in _int_list
+        raise ParseError(ln_n, column, f"not an integer: {stripped[2:].strip()!r}") from None
     xs = _int_list(ln_x, line_x, "X")
     os = _int_list(ln_o, line_o, "O")
     try:

@@ -7,10 +7,10 @@ push-off: the rectilinear curve offset by a third of a cell along the
 front's vertical direction, counted by brute force over segment pairs.
 The two routes share no counting code; :func:`classical` checks them
 against each other and raises :class:`OracleMismatch` if they ever
-disagree.  Both read NW_SE only: under NE_SW both read the same grid,
-``g`` with its rows mirrored and X and O swapped (``grid._reading``), so
-only the test suite's brute-force crossing and cusp references check
-that reading independently.
+disagree.  Both read NW_SE only: ``grid.reading`` turns the NE_SW
+reading into the NW_SE reading of another grid, so only the test
+suite's brute-force crossing and cusp references check that reading
+independently.
 
 Relative invariants of an ordered component pair are the differences
 of the per-component values; in this model every pair is homologous
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import OracleMismatch, ParityViolation, SameComponent
-from .grid import Convention, FrontData, GridDiagram, _reading, new_grid, to_front
+from .grid import FrontData, GridDiagram, new_grid, to_front
 from .simulator import _check_sign
 
 __all__ = [
@@ -125,15 +125,13 @@ def rot(f: FrontData, c) -> int:
     return (counts.down - counts.up) // 2
 
 
-def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> int:
-    """Push-off route: lk of the component with its offset copy, on the
-    reading grid of ``conv`` (see :func:`grid._reading`).
+def tb_grid_oracle(g: GridDiagram, c) -> int:
+    """Push-off route: lk of the component with its offset copy.
 
     Coordinates are scaled by 3 so that the one-third-cell offset stays
     in exact integer arithmetic; strict interior tests then never meet
     a boundary case.  Deliberately independent of :func:`to_front`.
     """
-    g = _reading(g, conv)
     comp = g.component(c)
 
     verticals = []  # (x, ylo, yhi, direction)
@@ -169,32 +167,15 @@ def tb_grid_oracle(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> in
 
 
 def component_patterns(g: GridDiagram) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every component's markers ``(xs, os)``, in component order: its
-    columns in order, with the rows of its markers compressed to ranks.
-
-    One O(n) pass: the rows bottom-up give each row its rank among the
-    rows of its component (a row's X and O belong to one component),
-    then the columns in order give each component its marker lists.
-    """
-    owner = g.component_by_column
-    x_col = g.x_col_by_row
-    count = [0] * len(g.components)
-    rank = []
-    for r in range(g.n):
-        k = owner[x_col[r]]
-        rank.append(count[k])
-        count[k] += 1
-    xs = [[] for _ in count]
-    os = [[] for _ in count]
-    for k, x, o in zip(owner, g.xs, g.os):
-        xs[k].append(rank[x])
-        os[k].append(rank[o])
-    return tuple(zip(map(tuple, xs), map(tuple, os)))
+    """Every component's pattern (see :func:`_component_pattern`), in
+    component order."""
+    return tuple(_component_pattern(g, k) for k in range(len(g.components)))
 
 
 def _component_pattern(g: GridDiagram, c):
-    """Component ``c``'s entry of :func:`component_patterns`, read off
-    its own columns and rows in O(its size), up to their sort."""
+    """Component ``c``'s markers ``(xs, os)``: its columns in order, with
+    the rows of its markers compressed to ranks, read off its own
+    columns and rows in O(its size), up to their sort."""
     comp = g.component(c)
     columns = sorted(comp.columns)
     rank = {r: i for i, r in enumerate(sorted(comp.rows))}
@@ -214,15 +195,13 @@ def component_grid(g: GridDiagram, c) -> GridDiagram:
     return new_grid(len(xs), xs, os)
 
 
-def classical(g: GridDiagram, c, conv: Convention = Convention.NW_SE) -> ClassicalInvariants:
+def classical(g: GridDiagram, c) -> ClassicalInvariants:
     """Classical triple of one component, cross-checked over both tb
     routes the first time it is asked for.
 
-    Both routes read the reading grid of ``conv``, and the result is
-    memoized per component on that grid, as :func:`to_front` memoizes
-    the front.
+    The result is memoized per component on ``g``, as :func:`to_front`
+    memoizes the front.
     """
-    g = _reading(g, conv)
     g.component(c)  # checked before the memo, which 1.0 and True would hit
     cache = g.__dict__.setdefault("_classical", {})
     inv = cache.get(c)
@@ -244,11 +223,10 @@ def relative_invariants(
     k,
     j,
     orientation: OrientationFlag = OrientationFlag(),
-    conv: Convention = Convention.NW_SE,
 ) -> RelativeInvariants:
     """Relative (tb, r, sl) of component ``k`` relative to ``j``."""
     g.component(k)
     g.component(j)
     if k == j:
         raise SameComponent(f"relative invariants need two distinct components, got {k}")
-    return RelativeInvariants.between(classical(g, k, conv), classical(g, j, conv), orientation)
+    return RelativeInvariants.between(classical(g, k), classical(g, j), orientation)

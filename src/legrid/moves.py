@@ -69,7 +69,7 @@ from .errors import (
     SameComponent,
     ScriptStepError,
 )
-from .grid import Convention, GridDiagram, _commuted, _int_token, _translated, new_grid, to_front
+from .grid import GridDiagram, _commuted, _int_token, _translated, new_grid, to_front
 from .invariants import (
     ClassicalInvariants,
     RelativeInvariants,
@@ -421,7 +421,7 @@ def _carry(values, image):
     return out
 
 
-def _snapshot(parts, index, move, pair, flags, conv, known):
+def _snapshot(parts, index, move, pair, flags, known):
     """The trace step of a grid, read off its sub-grids ``parts``; a
     component whose invariants are ``known`` keeps them."""
     invs = list(known)
@@ -429,7 +429,7 @@ def _snapshot(parts, index, move, pair, flags, conv, known):
         if invs[c] is not None:
             continue
         try:
-            invs[c] = classical(sub, 0, conv)
+            invs[c] = classical(sub, 0)
         except (OracleMismatch, ParityViolation) as e:
             # the sub-grid numbers the component 0; name it as the grid does
             detail = str(e).removeprefix("component 0")
@@ -443,9 +443,7 @@ def _snapshot(parts, index, move, pair, flags, conv, known):
     return TraceStep(index=index, move=move, invariants=tuple(invs), relative=rel, flags=flags)
 
 
-def apply_script(
-    g: GridDiagram, script: MoveScript, conv: Convention = Convention.NW_SE
-) -> ScriptResult:
+def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
     """Run a move script, recording per-component invariants and the
     anchored relative triple after every step.
 
@@ -466,8 +464,8 @@ def apply_script(
     pair = (0, 1) if len(g.components) >= 2 else None
     subs = {}  # (xs, os) -> its sub-grid, for this run only
     parts = [_intern(key, subs) for key in component_patterns(g)]
-    cusps = [to_front(sub, conv).cusps[0] for sub in parts]
-    trace = [_snapshot(parts, 0, None, pair, (), conv, [None] * len(parts))]
+    cusps = [to_front(sub).cusps[0] for sub in parts]
+    trace = [_snapshot(parts, 0, None, pair, (), [None] * len(parts))]
     current = g
     for idx, move in enumerate(script.moves, start=1):
         try:
@@ -482,12 +480,12 @@ def apply_script(
         if changed is not None:
             k = image[changed]
             moved_parts[k] = sub = _intern(_component_pattern(moved, k), subs)
-            moved_cusps[k] = to_front(sub, conv).cusps[0]
+            moved_cusps[k] = to_front(sub).cusps[0]
             known[k] = None
         flags = ("cusp-change",) if changes_cusps(move, cusps, moved_cusps, image) else ()
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
-        trace.append(_snapshot(moved_parts, idx, move, pair, flags, conv, known))
+        trace.append(_snapshot(moved_parts, idx, move, pair, flags, known))
         current, parts, cusps = moved, moved_parts, moved_cusps
     return ScriptResult(final=current, trace=tuple(trace))
 

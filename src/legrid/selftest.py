@@ -19,6 +19,7 @@ from .grid import (
     linking_number,
     new_grid,
     parse_grid,
+    reading,
     reverse_component,
     to_front,
 )
@@ -77,7 +78,7 @@ def _check_normalization(rng, cases):
     # the positive Hopf link has lk = +1 under nw-se and -1 under ne-sw
     hopf = new_grid(4, [2, 1, 0, 3], [0, 3, 2, 1])
     for conv, lk in zip(Convention, (1, -1)):
-        if linking_number(hopf, 0, 1, conv) != lk:
+        if linking_number(reading(hopf, conv), 0, 1) != lk:
             failures += 1
     return CheckResult("normalization", 5, failures)
 

@@ -480,7 +480,7 @@ def raised(fn):
 
 g = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
 odd = replace(to_front(g), crossing_matrix=((0, 1), (0, 0)))
-grid.to_front = lambda g_, conv=None: odd
+grid.to_front = lambda g_: odd
 print(raised(lambda: linking_number(g, 0, 1)))
 t = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
 t.__dict__["components"] = (Component(0, frozenset({0}), frozenset({2})),)

@@ -20,6 +20,7 @@ from legrid import (
     linking_number,
     new_grid,
     parse_grid,
+    reading,
     reverse_component,
     to_front,
     writhe,
@@ -226,9 +227,9 @@ class TestFront:
         expected = [[0] * size for _ in range(size)]
         for _, _, sign, over, under in brute_crossings(xs, os):
             expected[over][under] += sign
-        assert to_front(g, Convention.NW_SE).crossing_matrix == tuple(map(tuple, expected))
+        assert to_front(g).crossing_matrix == tuple(map(tuple, expected))
         negated = tuple(tuple(-v for v in row) for row in expected)
-        assert to_front(g, Convention.NE_SW).crossing_matrix == negated
+        assert to_front(reading(g, Convention.NE_SW)).crossing_matrix == negated
 
     def test_crossing_matrix_matches_brute_force_small(self):
         for n in (2, 3, 4, 5):
@@ -239,7 +240,7 @@ class TestFront:
     def _assert_cusps_match_brute_force(xs, os):
         g = new_grid(len(xs), xs, os)
         for conv in Convention:
-            cusps = [(cc.up, cc.down) for cc in to_front(g, conv).cusps]
+            cusps = [(cc.up, cc.down) for cc in to_front(reading(g, conv)).cusps]
             assert cusps == brute_cusps(xs, os, conv)
 
     def test_cusps_match_brute_force_small(self):
@@ -264,20 +265,17 @@ class TestFront:
                     break
             self._assert_matrix_matches_brute_force(xs, os)
 
-    def test_front_is_read_once_per_convention(self):
+    def test_front_is_read_once_per_grid(self):
         g = new_grid(*TREFOIL)
-        f = to_front(g, Convention.NW_SE)
-        assert to_front(g, Convention.NW_SE) is f
+        f = to_front(g)
         assert to_front(g) is f
-        other = to_front(g, Convention.NE_SW)
-        assert other is not f
-        assert to_front(g, Convention.NE_SW) is other
+        other = to_front(reading(g, Convention.NE_SW))
         assert other.crossing_matrix == tuple(tuple(-v for v in row) for row in f.crossing_matrix)
 
     @given(grids())
     def test_cusp_parity(self, g):
         for conv in Convention:
-            f = to_front(g, conv)
+            f = to_front(reading(g, conv))
             assert all(cc.total % 2 == 0 for cc in f.cusps)
 
     def test_convention_parse(self):
@@ -346,9 +344,19 @@ class TestLinking:
         # a global sign flip keeps every symmetry check, so one sign is pinned
         g = new_grid(*POSITIVE_HOPF)
         assert brute_linking(*POSITIVE_HOPF[1:], 0, 1) == 1
-        assert linking_number(g, 0, 1, Convention.NW_SE) == linking_number(g, 1, 0) == 1
+        assert linking_number(g, 0, 1) == linking_number(g, 1, 0) == 1
         # the mirror reading flips every crossing sign
-        assert linking_number(g, 0, 1, Convention.NE_SW) == -1
+        assert linking_number(reading(g, Convention.NE_SW), 0, 1) == -1
+
+    @pytest.mark.parametrize("conv", ["ne-sw", "nw-se", None, 1])
+    def test_only_a_convention_names_a_reading(self, conv):
+        # a value equal to a member's is no member: taken as nw-se, it
+        # would give the mirror reading's lk the wrong sign
+        g = new_grid(*POSITIVE_HOPF)
+        with pytest.raises(ValueError, match=r"is not a Convention$"):
+            reading(g, conv)
+        assert reading(g, Convention.NW_SE) is g
+        assert linking_number(reading(g, Convention.NE_SW), 0, 1) == -1
 
     def test_symmetry_and_reversal(self):
         rng = random.Random(23)
@@ -379,7 +387,7 @@ class TestLinking:
         g = new_grid(*SPLIT)
         real = to_front(g)
         odd = dataclasses.replace(real, crossing_matrix=((0, 1), (0, 0)))
-        monkeypatch.setattr(grid_mod, "to_front", lambda g_, conv=None: odd)
+        monkeypatch.setattr(grid_mod, "to_front", lambda g_: odd)
         with pytest.raises(ParityViolation):
             linking_number(g, 0, 1)
 
@@ -392,7 +400,7 @@ class TestLinking:
         real = to_front(g)
         (aa, ab), (ba, bb) = real.crossing_matrix
         skewed = dataclasses.replace(real, crossing_matrix=((aa, ab + 2), (ba, bb)))
-        monkeypatch.setattr(grid_mod, "to_front", lambda g_, conv=None: skewed)
+        monkeypatch.setattr(grid_mod, "to_front", lambda g_: skewed)
         with pytest.raises(ParityViolation) as exc:
             linking_number(g, 0, 1)
         assert str(exc.value) == "components 0 and 1 cross 3 signed times with 0 over but 1 with 1 over"
@@ -449,6 +457,11 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             parse_grid("m=2\nX=0,1\nO=1,0\n")
         assert exc.value.line == 1
+        # leading whitespace counts toward the column on every line
+        for text, position in (("  n=abc\nX=0,1\nO=1,0\n", (1, 5)), ("n=2\n  X=0,a\nO=1,0\n", (2, 7))):
+            with pytest.raises(ParseError) as exc:
+                parse_grid(text)
+            assert (exc.value.line, exc.value.column) == position
 
     @pytest.mark.parametrize(
         "text, position",

@@ -20,6 +20,7 @@ from legrid import (
     component_patterns,
     linking_number,
     new_grid,
+    reading,
     relative_invariants,
     reverse_component,
     rot,
@@ -63,11 +64,10 @@ class TestRouteEquality:
         rng = random.Random(6)
         for _ in range(50):
             g = random_grid(rng, rng.randint(2, 8))
-            f = to_front(g, Convention.NE_SW)
+            m = reading(g, Convention.NE_SW)
+            f = to_front(m)
             for comp in g.components:
-                assert tb_front(f, comp.index) == tb_grid_oracle(
-                    g, comp.index, Convention.NE_SW
-                )
+                assert tb_front(f, comp.index) == tb_grid_oracle(m, comp.index)
 
     def test_unknot_oracle_value(self):
         assert tb_grid_oracle(UNKNOT, 0) == -1
@@ -77,19 +77,20 @@ class TestRouteEquality:
 
         calls = []
 
-        def counting(g, c, conv=Convention.NW_SE):
-            calls.append((g.xs, g.os, c, conv))
-            return tb_grid_oracle(g, c, conv)
+        def counting(g, c):
+            calls.append((g.xs, g.os, c))
+            return tb_grid_oracle(g, c)
 
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", counting)
         g = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
         first = classical(g, 0)
         assert classical(g, 0) is first
-        assert calls == [(g.xs, g.os, 0, Convention.NW_SE)]
-        # NE_SW runs the oracle once, on the reading grid: rows mirrored, X and O swapped
-        classical(g, 0, Convention.NE_SW)
-        assert calls[1:] == [((2, 1, 0, 4, 3), (4, 3, 2, 1, 0), 0, Convention.NW_SE)]
-        classical(g, 0, Convention.NE_SW)
+        assert calls == [(g.xs, g.os, 0)]
+        # NE_SW runs the oracle on the reading grid: rows mirrored, X and O swapped
+        m = reading(g, Convention.NE_SW)
+        classical(m, 0)
+        assert calls[1:] == [((2, 1, 0, 4, 3), (4, 3, 2, 1, 0), 0)]
+        classical(m, 0)
         assert len(calls) == 2
         # A fresh grid with the same markers is checked again.
         assert classical(new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1]), 0) == first
@@ -137,10 +138,12 @@ class TestMirrorReading:
     def _assert_identity(n, xs, os):
         g = new_grid(n, xs, os)
         m = new_grid(n, [n - 1 - o for o in os], [n - 1 - x for x in xs])
-        assert to_front(g, Convention.NE_SW) == to_front(m)
+        mirrored = reading(g, Convention.NE_SW)
+        assert mirrored == m
+        assert to_front(mirrored) == to_front(m)
         assert [c.columns for c in g.components] == [c.columns for c in m.components]
         for comp in g.components:
-            assert tb_grid_oracle(g, comp.index, Convention.NE_SW) == tb_grid_oracle(m, comp.index)
+            assert tb_grid_oracle(mirrored, comp.index) == tb_grid_oracle(m, comp.index)
 
     def test_every_small_grid(self):
         for n in (2, 3, 4, 5):
@@ -192,10 +195,10 @@ class TestUnknownComponentText:
     @pytest.mark.parametrize("c", [1.0, True])
     def test_a_memoized_component_answers_no_other_index(self, c, conv):
         # 1.0 and True hash as 1, so the memo must not be asked first
-        g = new_grid(*SPLIT_MARKERS)
-        classical(g, 1, conv)
+        g = reading(new_grid(*SPLIT_MARKERS), conv)
+        classical(g, 1)
         with pytest.raises(UnknownComponent) as exc:
-            classical(g, c, conv)
+            classical(g, c)
         assert str(exc.value) == f"no component {c} (diagram has 2)"
 
     def test_lstab_in_a_script(self):
@@ -219,8 +222,9 @@ class TestComponentGrid:
             assert sub.n == len(comp.columns)
             assert len(sub.components) == 1
             for conv in Convention:
-                assert classical(sub, 0, conv) == classical(g, c, conv)
-                assert to_front(sub, conv).cusps[0] == to_front(g, conv).cusps[c]
+                sub_read, g_read = reading(sub, conv), reading(g, conv)
+                assert classical(sub_read, 0) == classical(g_read, c)
+                assert to_front(sub_read).cusps[0] == to_front(g_read).cusps[c]
 
     def test_every_small_grid(self):
         for n in range(2, 6):

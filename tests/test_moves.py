@@ -23,6 +23,7 @@ from legrid import (
     linking_number,
     new_grid,
     parse_move_script,
+    reading,
     relative_invariants,
     tb_grid_oracle,
     to_front,
@@ -564,9 +565,9 @@ class TestKeyedInvariants:
 
         calls = []
 
-        def counting(g, c, conv=Convention.NW_SE):
+        def counting(g, c):
             calls.append(g)
-            return tb_grid_oracle(g, c, conv)
+            return tb_grid_oracle(g, c)
 
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", counting)
         apply_script(g, script)
@@ -663,11 +664,11 @@ class TestKeyedInvariants:
     def test_parity_error_names_the_step_and_the_component(self, monkeypatch):
         import legrid.invariants as inv_mod
 
-        def odd_on_three(g, c, conv=Convention.NW_SE):
+        def odd_on_three(g, c):
             # Only the stabilized unknot has a 3x3 sub-grid.
             if g.n == 3:
                 raise ParityViolation(f"component {c} and its push-off cross an odd signed number of times (1)")
-            return tb_grid_oracle(g, c, conv)
+            return tb_grid_oracle(g, c)
 
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", odd_on_three)
         split = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
@@ -680,8 +681,9 @@ class TestKeyedInvariants:
 
 
 class TestChangesCusps:
-    """The rule, on whole fronts and on apply_script's sub-grid cusps,
-    against a whole-front comparison written out."""
+    """The rule, on whole fronts under both readings and on
+    apply_script's sub-grid cusps, against a whole-front comparison
+    written out."""
 
     @staticmethod
     def _flags(g):
@@ -691,11 +693,12 @@ class TestChangesCusps:
             moved = apply_move(g, move)
             image = follow(g, move, moved)
             for conv in Convention:
-                before, after = to_front(g, conv).cusps, to_front(moved, conv).cusps
+                before, after = to_front(reading(g, conv)).cusps, to_front(reading(moved, conv)).cusps
                 whole = any(before[c] != after[i] for c, i in enumerate(image))
                 assert changes_cusps(move, before, after, image) == whole
-                step = apply_script(g, MoveScript((move,)), conv).trace[-1]
-                assert ("cusp-change" in step.flags) == whole
+                if conv is Convention.NW_SE:
+                    step = apply_script(g, MoveScript((move,))).trace[-1]
+                    assert ("cusp-change" in step.flags) == whole
                 flags.append(whole)
         return flags
 
@@ -724,10 +727,10 @@ class TestChangesCusps:
                 moved = apply_move(g, move)
                 image = follow(g, move, moved)
                 for conv in Convention:
-                    before, after = to_front(g, conv).cusps, to_front(moved, conv).cusps
+                    before, after = to_front(reading(g, conv)).cusps, to_front(reading(moved, conv)).cusps
                     changed += any(before[c] != after[i] for c, i in enumerate(image))
                     assert not changes_cusps(move, before, after, image)
-                    assert apply_script(g, MoveScript((move,)), conv).trace[-1].flags == ()
+                assert apply_script(g, MoveScript((move,))).trace[-1].flags == ()
         assert changed > 0
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import sys
@@ -62,3 +63,20 @@ def test_the_package_has_no_assert_statements():
             tree = ast.parse(handle.read())
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_reading_takes_a_convention():
+    # The convention is chosen once, by ``grid.reading``; every other
+    # function and method reads NW_SE and has no parameter for it.
+    found = []
+    for name, module in MODULES.items():
+        classes = [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
+        for scope in [module, *classes]:
+            for fn in vars(scope).values():
+                fn = getattr(fn, "__func__", fn)  # classmethods and staticmethods
+                if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                params = inspect.signature(fn).parameters.values()
+                if any(p.name == "conv" or "Convention" in str(p.annotation) for p in params):
+                    found.append(f"{name}.{fn.__qualname__}")
+    assert found == ["grid.reading"]
