@@ -137,7 +137,7 @@ def _relative_record(rel):
 
 def _cmd_inv(args):
     g = reading(parse_grid_file(args.grid), Convention(args.conv))
-    indices = [comp.index for comp in g.components] if args.component is None else [args.component]
+    indices = range(g.component_count) if args.component is None else [args.component]
     records = [_classical_record(i, classical(g, i)) for i in indices]
     headers = ["component", "tb", "r", "sl_pos", "sl_neg"]
     payload = records if args.component is None else records[0]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from operator import countOf
 
 from .errors import (
@@ -69,7 +70,9 @@ class Convention(Enum):
 
 @dataclass(frozen=True)
 class Component:
-    """One link component: a cycle of the marker-tracing relation."""
+    """One link component: a cycle of the marker-tracing relation.  A
+    grid stores no Component; :meth:`GridDiagram.component` builds one
+    from the owner table when asked."""
 
     index: int
     columns: frozenset[int]
@@ -118,18 +121,22 @@ class GridDiagram:
 
     ``xs[c]`` and ``os[c]`` give the row of the X and O marker in
     column c; any sequences may be passed, and they are stored as
-    tuples.  Instances are immutable.  Construction checks the
-    markers (raising SizeMismatch, NotAPermutation or SharedCell, as
-    :func:`new_grid` documents) and derives, in the same pass, the
-    tables every reader shares: ``x_col_by_row`` and ``o_col_by_row``
-    (the inverse permutations), ``components`` (tracing cycles, ordered
-    by their lowest column) and ``component_by_column``.  They are plain
-    attributes outside the fields, so equality and hashing use only
-    ``(n, xs, os)``.  Commutations and translations derive the tables
-    of the grids they make from their parent's (see :meth:`_derived`).
+    tuples.  Instances are immutable.  Construction checks the size
+    and the markers (raising SizeMismatch, NotAPermutation or
+    SharedCell, as :func:`new_grid` documents) and derives, in the same
+    pass, the tables every reader shares: ``x_col_by_row`` and
+    ``o_col_by_row`` (the inverse permutations), the owner table
+    ``component_by_column`` (the tracing cycle of every column, the
+    cycles numbered by their lowest column) and ``component_count``.
+    The owner table is the grid's only record of its components:
+    :meth:`component` and :attr:`components` build :class:`Component`
+    views of it on each call, in O(n).  The tables are plain attributes
+    outside the fields, so equality and hashing use only ``(n, xs,
+    os)``.  Commutations and translations derive the tables of the
+    grids they make from their parent's (see :meth:`_derived`).
 
     >>> g = new_grid(2, [0, 1], [1, 0])
-    >>> len(g.components)
+    >>> g.component_count
     1
     """
 
@@ -139,6 +146,9 @@ class GridDiagram:
 
     def __post_init__(self):
         n = self.n
+        # floats and bools compare equal to ints, so the type is checked
+        if type(n) is not int:
+            raise SizeMismatch(f"grid size must be an integer, got {n!r}")
         if n < 1:
             raise SizeMismatch(f"grid size must be positive, got {n}")
         xs, os = tuple(self.xs), tuple(self.os)
@@ -162,18 +172,14 @@ class GridDiagram:
             x_col[x] = c
             o_col[o] = c
 
-        cycles, owner = _trace(xs, o_col)
-        components = [
-            Component(k, frozenset(cols), frozenset(map(xs.__getitem__, cols)))
-            for k, cols in enumerate(cycles)
-        ]
+        owner, count = _trace(xs, o_col)
         object.__setattr__(self, "x_col_by_row", tuple(x_col))
         object.__setattr__(self, "o_col_by_row", tuple(o_col))
-        object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "component_by_column", tuple(owner))
+        object.__setattr__(self, "component_by_column", owner)
+        object.__setattr__(self, "component_count", count)
 
     @classmethod
-    def _derived(cls, n, xs, os, x_col_by_row, o_col_by_row, components, component_by_column):
+    def _derived(cls, n, xs, os, x_col_by_row, o_col_by_row, component_by_column, component_count):
         """A grid whose tables, all tuples, its caller derived from a
         valid parent's: the one path that skips ``__post_init__`` and
         its checks.  Only :func:`_commuted` and :func:`_translated`
@@ -186,35 +192,48 @@ class GridDiagram:
             os=os,
             x_col_by_row=x_col_by_row,
             o_col_by_row=o_col_by_row,
-            components=components,
             component_by_column=component_by_column,
+            component_count=component_count,
         )
         return g
 
     def component(self, c) -> Component:
-        _check_component(c, len(self.components))
-        return self.components[c]
+        """A view of component ``c``, built from the owner table."""
+        columns, rows = _lines(self, c)
+        return Component(c, frozenset(columns), frozenset(rows))
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        """Views of every component, built from the owner table."""
+        return tuple(map(self.component, range(self.component_count)))
+
+
+def _lines(g, c):
+    """Component ``c``'s columns in ascending order, read off the owner
+    table, and the rows of their X markers, sorted: the one reading of
+    a component's lines, in O(n)."""
+    _check_component(c, g.component_count)
+    columns = list(compress(range(g.n), map(c.__eq__, g.component_by_column)))
+    return columns, sorted(map(g.xs.__getitem__, columns))
 
 
 def _trace(xs, o_col):
-    """The tracing cycles of valid markers, each from its lowest column,
-    and the cycle of every column: the X of column c shares its row
-    with the O of column ``o_col[xs[c]]``."""
+    """The owner table of valid markers and the number of tracing
+    cycles: the X of column c shares its row with the O of column
+    ``o_col[xs[c]]``, and the cycles are numbered by their lowest
+    column."""
     succ = tuple(map(o_col.__getitem__, xs))
     owner = [-1] * len(xs)
-    cycles = []
+    count = 0
     for start in range(len(xs)):
         if owner[start] >= 0:
             continue
-        k = len(cycles)
-        cols = []
         c = start
         while owner[c] < 0:
-            owner[c] = k
-            cols.append(c)
+            owner[c] = count
             c = succ[c]
-        cycles.append(cols)
-    return cycles, owner
+        count += 1
+    return tuple(owner), count
 
 
 def _exchange(table, p, q):
@@ -224,50 +243,46 @@ def _exchange(table, p, q):
     return tuple(out)
 
 
-def _numbered(comps, owner):
-    """``comps`` and ``owner``, the component of each column, numbered
-    as ``__post_init__`` numbers them: by lowest column, the order in
-    which ``owner`` first names them."""
+def _numbered(owner):
+    """The owner table ``owner`` numbered as ``__post_init__`` numbers
+    it: by lowest column, the order in which ``owner`` first names the
+    components."""
     order = list(dict.fromkeys(owner))
     if order == sorted(order):
-        return tuple(comps), owner
+        return owner
     label = [0] * len(order)
     for k, old in enumerate(order):
         label[old] = k
-    comps = tuple(Component(k, comps[old].columns, comps[old].rows) for k, old in enumerate(order))
-    return comps, tuple(map(label.__getitem__, owner))
+    return tuple(map(label.__getitem__, owner))
 
 
 def _commuted(g, by_col, i) -> GridDiagram:
     """``g`` with lines ``i`` and ``i + 1`` exchanged, columns if
     ``by_col`` and rows otherwise, for lines whose spans do not
     interleave.  The tables come from ``g``'s: the ones indexed by line
-    exchange entries i and i + 1, their inverses the two entries that
-    hold those lines, and only the two lines' owners change."""
+    exchange entries i and i + 1, and their inverses the two entries
+    that hold those lines.  A row commute keeps the owner table; a
+    column commute exchanges two of its entries, which renumbers the
+    components when two own them."""
     at, inverse = (g.xs, g.os), (g.x_col_by_row, g.o_col_by_row)
     if not by_col:
         at, inverse = inverse, at
     moved = [_exchange(t, i, i + 1) for t in at]
     moved += [_exchange(t, v[i], v[i + 1]) for t, v in zip(inverse, at)]
     xs, os, x_col, o_col = moved if by_col else moved[2:] + moved[:2]
-    comps, owner = g.components, g.component_by_column
-    # the two lines' owners; a row's is its X column's
-    a, b = (owner[i], owner[i + 1]) if by_col else (owner[at[0][i]], owner[at[0][i + 1]])
-    if a != b:  # each owner trades line i for line i + 1 or the reverse
-        comps = list(comps)
-        for k in (a, b):
-            cols, rows = comps[k].columns, comps[k].rows
-            comps[k] = Component(k, cols ^ {i, i + 1}, rows) if by_col else Component(k, cols, rows ^ {i, i + 1})
-        if by_col:
-            comps, owner = _numbered(comps, _exchange(owner, i, i + 1))
-    return GridDiagram._derived(g.n, xs, os, x_col, o_col, tuple(comps), owner)
+    owner = g.component_by_column
+    if by_col and owner[i] != owner[i + 1]:
+        owner = _numbered(_exchange(owner, i, i + 1))
+    return GridDiagram._derived(g.n, xs, os, x_col, o_col, owner, g.component_count)
 
 
 def _translated(g, dc, dr) -> GridDiagram:
     """``g`` with every marker moved ``dc`` columns and ``dr`` rows
     cyclically, one of them 0 and the other 1 or -1.  The tables come
     from ``g``'s: the ones indexed by the moving lines rotate by one
-    entry, and the lines the others hold map through one shift table."""
+    entry, and the lines the others hold map through one shift table.
+    The owner table is indexed by column, so only a column shift
+    rotates (and renumbers) it."""
     step = dc or dr
     lines = tuple(range(g.n))
     shift = (lines[step:] + lines[:step]).__getitem__  # line l -> (l + step) % n
@@ -278,27 +293,24 @@ def _translated(g, dc, dr) -> GridDiagram:
     def shifted(table):
         return tuple(map(shift, table))
 
-    comps, owner = g.components, g.component_by_column
+    owner = g.component_by_column
     if dc:
         xs, os = rotated(g.xs), rotated(g.os)
         x_col, o_col = shifted(g.x_col_by_row), shifted(g.o_col_by_row)
-        comps, owner = _numbered(
-            [Component(k, frozenset(map(shift, c.columns)), c.rows) for k, c in enumerate(comps)],
-            rotated(owner),
-        )
+        owner = _numbered(rotated(owner))
     else:
         xs, os = shifted(g.xs), shifted(g.os)
         x_col, o_col = rotated(g.x_col_by_row), rotated(g.o_col_by_row)
-        comps = tuple(Component(k, c.columns, frozenset(map(shift, c.rows))) for k, c in enumerate(comps))
-    return GridDiagram._derived(g.n, xs, os, x_col, o_col, comps, owner)
+    return GridDiagram._derived(g.n, xs, os, x_col, o_col, owner, g.component_count)
 
 
 def new_grid(n, xs, os) -> GridDiagram:
     """Build a :class:`GridDiagram` from any marker sequences.
 
     Raises SizeMismatch, NotAPermutation or SharedCell on bad input,
-    checked in that order; a marker that is not an ``int`` (a float or
-    a bool) is no row, and a shared cell is reported at its lowest
+    checked in that order; a size that is not an ``int`` (a float, a
+    bool, a string or None) is a SizeMismatch, a marker that is not an
+    ``int`` is no row, and a shared cell is reported at its lowest
     column.  The minimum legal size is 2: a 1x1 grid forces its only
     cell to hold both markers.
     """
@@ -362,7 +374,7 @@ def _read_front(g: GridDiagram) -> FrontData:
     one holds: the vertical runs up, or its row's X lies east.  The
     NE_SW reading is this one of another grid (see :func:`reading`).
     """
-    n_comp = len(g.components)
+    n_comp = g.component_count
     x_col, o_col = g.x_col_by_row, g.o_col_by_row
 
     east = [0] * n_comp
@@ -406,7 +418,7 @@ def _read_front(g: GridDiagram) -> FrontData:
 
 def writhe(g: GridDiagram, c) -> int:
     """Signed self-crossing count of component ``c``."""
-    g.component(c)
+    _check_component(c, g.component_count)
     return to_front(g).crossing_matrix[c][c]
 
 
@@ -418,8 +430,8 @@ def linking_number(g: GridDiagram, c1, c2) -> int:
     number, and two that differ raise ParityViolation: a check strictly
     stronger than the parity of their sum.
     """
-    g.component(c1)
-    g.component(c2)
+    _check_component(c1, g.component_count)
+    _check_component(c2, g.component_count)
     if c1 == c2:
         raise SameComponent(f"components must differ, both are {c1}")
     m = to_front(g).crossing_matrix
@@ -435,10 +447,9 @@ def linking_number(g: GridDiagram, c1, c2) -> int:
 def reverse_component(g: GridDiagram, c) -> GridDiagram:
     """Reverse the tracing orientation of one component by swapping its
     X and O markers; other components are untouched."""
-    comp = g.component(c)
     xs = list(g.xs)
     os = list(g.os)
-    for col in comp.columns:
+    for col in _lines(g, c)[0]:
         xs[col], os[col] = os[col], xs[col]
     return new_grid(g.n, xs, os)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import OracleMismatch, ParityViolation, SameComponent
-from .grid import FrontData, GridDiagram, new_grid, to_front
+from .grid import FrontData, GridDiagram, _check_component, _lines, new_grid, to_front
 from .simulator import _check_sign
 
 __all__ = [
@@ -132,16 +132,16 @@ def tb_grid_oracle(g: GridDiagram, c) -> int:
     in exact integer arithmetic; strict interior tests then never meet
     a boundary case.  Deliberately independent of :func:`to_front`.
     """
-    comp = g.component(c)
+    columns, rows = _lines(g, c)
 
     verticals = []  # (x, ylo, yhi, direction)
     horizontals = []  # (y, xlo, xhi, direction)
-    for col in sorted(comp.columns):
+    for col in columns:
         y_from, y_to = 3 * g.os[col], 3 * g.xs[col]
         verticals.append(
             (3 * col, min(y_from, y_to), max(y_from, y_to), 1 if y_to > y_from else -1)
         )
-    for row in sorted(comp.rows):
+    for row in rows:
         x_from, x_to = 3 * g.x_col_by_row[row], 3 * g.o_col_by_row[row]
         horizontals.append(
             (3 * row, min(x_from, x_to), max(x_from, x_to), 1 if x_to > x_from else -1)
@@ -169,16 +169,14 @@ def tb_grid_oracle(g: GridDiagram, c) -> int:
 def component_patterns(g: GridDiagram) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every component's pattern (see :func:`_component_pattern`), in
     component order."""
-    return tuple(_component_pattern(g, k) for k in range(len(g.components)))
+    return tuple(_component_pattern(g, k) for k in range(g.component_count))
 
 
 def _component_pattern(g: GridDiagram, c):
     """Component ``c``'s markers ``(xs, os)``: its columns in order, with
-    the rows of its markers compressed to ranks, read off its own
-    columns and rows in O(its size), up to their sort."""
-    comp = g.component(c)
-    columns = sorted(comp.columns)
-    rank = {r: i for i, r in enumerate(sorted(comp.rows))}
+    the rows of its markers compressed to ranks."""
+    columns, rows = _lines(g, c)
+    rank = {r: i for i, r in enumerate(rows)}
     return tuple(rank[g.xs[col]] for col in columns), tuple(rank[g.os[col]] for col in columns)
 
 
@@ -202,7 +200,7 @@ def classical(g: GridDiagram, c) -> ClassicalInvariants:
     The result is memoized per component on ``g``, as :func:`to_front`
     memoizes the front.
     """
-    g.component(c)  # checked before the memo, which 1.0 and True would hit
+    _check_component(c, g.component_count)  # before the memo, which 1.0 and True would hit
     cache = g.__dict__.setdefault("_classical", {})
     inv = cache.get(c)
     if inv is not None:
@@ -225,8 +223,8 @@ def relative_invariants(
     orientation: OrientationFlag = OrientationFlag(),
 ) -> RelativeInvariants:
     """Relative (tb, r, sl) of component ``k`` relative to ``j``."""
-    g.component(k)
-    g.component(j)
+    _check_component(k, g.component_count)
+    _check_component(j, g.component_count)
     if k == j:
         raise SameComponent(f"relative invariants need two distinct components, got {k}")
     return RelativeInvariants.between(classical(g, k), classical(g, j), orientation)

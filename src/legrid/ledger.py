@@ -9,7 +9,8 @@ free rank matters for any quantity computed here.  A change of
 trivialization restricts to the two knots with equal degrees, so its
 changes to their rotation numbers cancel in the relative one.  A
 model checks its rank and the length and entries of its Euler vector
-when it is built.
+when it is built, a surface class the entries of its offset, and an
+intersection profile its two numbers.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ __all__ = [
 ]
 
 
+def _check_ints(values, error, what):
+    # floats and bools compare equal to ints, so the type is checked
+    for value in values:
+        if type(value) is not int:
+            raise error(f"{what} must be integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ContactHomologyModel:
     rank: int
@@ -47,9 +55,7 @@ class ContactHomologyModel:
         euler = tuple(self.euler)
         if len(euler) != rank:
             raise LengthMismatch(f"euler vector has length {len(euler)}, expected rank {rank}")
-        for value in euler:
-            if type(value) is not int:
-                raise LengthMismatch(f"euler entries must be integers, got {value!r}")
+        _check_ints(euler, LengthMismatch, "euler entries")
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "tight", bool(self.tight))
 
@@ -61,18 +67,29 @@ class ContactHomologyModel:
 @dataclass(frozen=True)
 class RelativeSurfaceClass:
     """A surface class: an opaque base label plus the closed-class
-    offset added to it.  Two classes compare only over equal bases."""
+    offset added to it.  Two classes compare only over equal bases.
+    The offset is stored as a tuple, and an entry that is not an
+    ``int`` raises LengthMismatch, as an Euler entry does."""
 
     base: str
     offset: tuple[int, ...]
 
+    def __post_init__(self):
+        offset = tuple(self.offset)
+        _check_ints(offset, LengthMismatch, "offset entries")
+        object.__setattr__(self, "offset", offset)
+
 
 @dataclass(frozen=True)
 class IntersectionProfile:
-    """Algebraic intersections of the two knots with a closed class."""
+    """Algebraic intersections of the two knots with a closed class;
+    one that is not an ``int`` raises InconsistentProfile."""
 
     k_dot_A: int
     j_dot_A: int
+
+    def __post_init__(self):
+        _check_ints((self.k_dot_A, self.j_dot_A), InconsistentProfile, "intersection numbers")
 
 
 def new_model(rank, euler, tight) -> ContactHomologyModel:

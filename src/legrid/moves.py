@@ -69,7 +69,7 @@ from .errors import (
     SameComponent,
     ScriptStepError,
 )
-from .grid import GridDiagram, _commuted, _int_token, _translated, new_grid, to_front
+from .grid import GridDiagram, _check_component, _commuted, _int_token, _translated, new_grid, to_front
 from .invariants import (
     ClassicalInvariants,
     RelativeInvariants,
@@ -335,7 +335,7 @@ class LegendrianStab:
             raise BadCell(f"stabilization sign must be +1 or -1, got {self.sign!r}")
 
     def _stabilize(self, g: GridDiagram) -> Stabilize:
-        g.component(self.component)
+        _check_component(self.component, g.component_count)
         subtype = STAB_PLUS["X"] if self.sign > 0 else STAB_MINUS["X"]
         # components are numbered by their lowest column, as in follow
         return Stabilize("X", g.component_by_column.index(self.component), subtype)
@@ -374,7 +374,7 @@ def follow(g: GridDiagram, move: GridMove, moved: GridDiagram) -> tuple[int, ...
     cmap = move.column_map(g)
     lowest = g.component_by_column.index  # components are numbered by their lowest column
     owner = moved.component_by_column
-    return tuple(owner[cmap(lowest(k))] for k in range(len(g.components)))
+    return tuple(owner[cmap(lowest(k))] for k in range(g.component_count))
 
 
 def changes_cusps(move: GridMove, before, after, image) -> bool:
@@ -421,15 +421,17 @@ def _carry(values, image):
     return out
 
 
-def _snapshot(parts, index, move, pair, flags, known):
-    """The trace step of a grid, read off its sub-grids ``parts``; a
-    component whose invariants are ``known`` keeps them."""
-    invs = list(known)
+def _cusps(parts):
+    """The cusp counts of every sub-grid in ``parts``."""
+    return [to_front(sub).cusps[0] for sub in parts]
+
+
+def _snapshot(parts, index, move, pair, flags):
+    """The trace step of a grid, read off its sub-grids ``parts``."""
+    invs = []
     for c, sub in enumerate(parts):
-        if invs[c] is not None:
-            continue
         try:
-            invs[c] = classical(sub, 0)
+            invs.append(classical(sub, 0))
         except (OracleMismatch, ParityViolation) as e:
             # the sub-grid numbers the component 0; name it as the grid does
             detail = str(e).removeprefix("component 0")
@@ -457,15 +459,17 @@ def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
     :func:`component_grid`), interned per distinct pattern for this
     call.  :func:`component_patterns` splits the starting grid once;
     after that a move changes the pattern of at most the component its
-    ``footprint`` names, so every other component carries its sub-grid,
-    cusp counts and invariants through ``follow``'s image, and only the
-    named one is rebuilt from its own columns and rows.
+    ``footprint`` names, so every other component carries its sub-grid
+    through ``follow``'s image, and only the named one is rebuilt from
+    its own columns and rows.  The sub-grids are the only per-component
+    record a step keeps: invariants and cusp counts are read off them
+    through the ``classical`` and ``to_front`` memos, so a carried
+    component's are memo hits.
     """
-    pair = (0, 1) if len(g.components) >= 2 else None
+    pair = (0, 1) if g.component_count >= 2 else None
     subs = {}  # (xs, os) -> its sub-grid, for this run only
     parts = [_intern(key, subs) for key in component_patterns(g)]
-    cusps = [to_front(sub).cusps[0] for sub in parts]
-    trace = [_snapshot(parts, 0, None, pair, (), [None] * len(parts))]
+    trace = [_snapshot(parts, 0, None, pair, ())]
     current = g
     for idx, move in enumerate(script.moves, start=1):
         try:
@@ -475,18 +479,14 @@ def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
         image = follow(current, move, moved)
         changed = move.footprint(current)
         moved_parts = _carry(parts, image)
-        moved_cusps = _carry(cusps, image)
-        known = _carry(trace[-1].invariants, image)
         if changed is not None:
             k = image[changed]
-            moved_parts[k] = sub = _intern(_component_pattern(moved, k), subs)
-            moved_cusps[k] = to_front(sub).cusps[0]
-            known[k] = None
-        flags = ("cusp-change",) if changes_cusps(move, cusps, moved_cusps, image) else ()
+            moved_parts[k] = _intern(_component_pattern(moved, k), subs)
+        flags = ("cusp-change",) if changes_cusps(move, _cusps(parts), _cusps(moved_parts), image) else ()
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
-        trace.append(_snapshot(moved_parts, idx, move, pair, flags, known))
-        current, parts, cusps = moved, moved_parts, moved_cusps
+        trace.append(_snapshot(moved_parts, idx, move, pair, flags))
+        current, parts = moved, moved_parts
     return ScriptResult(final=current, trace=tuple(trace))
 
 

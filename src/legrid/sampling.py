@@ -23,7 +23,7 @@ def _draw(rng, n):
 def _count_components(xs, os):
     """Traced as the grid constructor traces, so a rejected draw builds
     no grid."""
-    return len(_trace(xs, sorted(range(len(os)), key=os.__getitem__))[0])
+    return _trace(xs, sorted(range(len(os)), key=os.__getitem__))[1]
 
 
 def random_grid(rng, n) -> GridDiagram:

@@ -88,8 +88,8 @@ def _check_route_equality(rng, cases):
     for _ in range(cases):
         g = random_grid(rng, rng.randint(2, 10))
         f = to_front(g)
-        for comp in g.components:
-            if tb_front(f, comp.index) != tb_grid_oracle(g, comp.index):
+        for c in range(g.component_count):
+            if tb_front(f, c) != tb_grid_oracle(g, c):
                 failures += 1
     return CheckResult("route-equality", cases, failures)
 
@@ -98,8 +98,11 @@ def _check_grid_invariants(rng, cases):
     failures = 0
     for _ in range(cases):
         g = random_grid(rng, rng.randint(2, 9))
-        cols = sorted(c for comp in g.components for c in comp.columns)
-        if cols != list(range(g.n)):
+        # the owner table is constant along every tracing step and numbers
+        # the components by their lowest column
+        owner = g.component_by_column
+        traced = all(owner[c] == owner[g.o_col_by_row[x]] for c, x in enumerate(g.xs))
+        if not traced or list(dict.fromkeys(owner)) != list(range(g.component_count)):
             failures += 1
         f = to_front(g)
         if any(cc.total % 2 for cc in f.cusps):
@@ -113,7 +116,7 @@ def _check_linking(rng, cases):
     failures = 0
     for _ in range(cases):
         g = random_link(rng, rng.randint(4, 9))
-        a, b = rng.sample(range(len(g.components)), 2)
+        a, b = rng.sample(range(g.component_count), 2)
         lk = linking_number(g, a, b)
         if lk != linking_number(g, b, a):
             failures += 1
@@ -128,7 +131,7 @@ def _check_stabilization_laws(rng, cases):
     for sign in (1, -1):
         for _ in range(per_sign):
             g = random_link(rng, rng.randint(4, 8))
-            k, j = rng.sample(range(len(g.components)), 2)
+            k, j = rng.sample(range(g.component_count), 2)
             before_k = classical(g, k)
             rel_before = relative_invariants(g, k, j)
             move = LegendrianStab(k, sign)
@@ -197,7 +200,7 @@ def _check_relative_algebra(rng, cases):
     failures = 0
     for _ in range(cases):
         g = random_link(rng, rng.randint(6, 9), min_components=3)
-        k, l, j = rng.sample(range(len(g.components)), 3)
+        k, l, j = rng.sample(range(g.component_count), 3)
         kj = relative_invariants(g, k, j)
         jk = relative_invariants(g, j, k)
         if kj.triple != tuple(-v for v in jk.triple):

@@ -13,6 +13,10 @@ from itertools import permutations
 
 from legrid import Convention, CrossingEvent
 
+# Every attribute of a grid before a memo is set: the markers, their
+# inverse permutations, the owner table and the component count.
+GRID_TABLES = ["n", "xs", "os", "x_col_by_row", "o_col_by_row", "component_by_column", "component_count"]
+
 
 def trace_components(xs, os):
     """Column partition into tracing cycles, lowest column first."""

@@ -468,8 +468,7 @@ class TestErrors:
         code = """
 import legrid.grid as grid, legrid.simulator as sim
 from dataclasses import replace
-from legrid import (Component, LegridError, new_grid, linking_number,
-                    tb_grid_oracle, to_front)
+from legrid import LegridError, new_grid, linking_number, tb_grid_oracle, to_front
 
 def raised(fn):
     try:
@@ -483,7 +482,7 @@ odd = replace(to_front(g), crossing_matrix=((0, 1), (0, 0)))
 grid.to_front = lambda g_: odd
 print(raised(lambda: linking_number(g, 0, 1)))
 t = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
-t.__dict__["components"] = (Component(0, frozenset({0}), frozenset({2})),)
+t.__dict__.update(component_by_column=(0, 0, 1, 0, 0), component_count=2)
 print(raised(lambda: tb_grid_oracle(t, 0)))
 sim.CrossingEvent.shift = property(lambda e: (1, 0, 0, 0, 0, 0))
 print(raised(lambda: sim.run_trace(sim.FramedPairState(), [sim.CrossingEvent(1)])))
@@ -804,6 +803,24 @@ class TestSelftest:
         assert (code, err) == (1, "")
         assert out.splitlines()[2].split() == ["broken", "2", "1", "FAIL"]
         assert out.endswith("all_passed=False\n")
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            # the cycles numbered from the highest lowest column down
+            lambda owner, count: (tuple(count - 1 - k for k in owner), count),
+            # every column a component of its own
+            lambda owner, count: (tuple(range(len(owner))), len(owner)),
+        ],
+    )
+    def test_grid_invariants_checks_the_stored_owner_table(self, monkeypatch, trace):
+        import legrid.grid as grid_mod
+        import legrid.selftest as selftest_mod
+
+        assert selftest_mod._check_grid_invariants(random.Random(5), 40).failures == 0
+        real = grid_mod._trace
+        monkeypatch.setattr(grid_mod, "_trace", lambda xs, o_col: trace(*real(xs, o_col)))
+        assert selftest_mod._check_grid_invariants(random.Random(5), 40).failures > 0
 
     def test_byte_identical_reports(self):
         runs = [

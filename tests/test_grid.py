@@ -29,6 +29,7 @@ from legrid.grid import _int_token
 from legrid.sampling import random_grid, random_knot, random_link
 
 from helpers import (
+    GRID_TABLES,
     all_marker_lists,
     brute_crossings,
     brute_cusps,
@@ -118,6 +119,11 @@ class TestConstruction:
         "n, xs, os, error",
         [
             (0, [0], [0], (SizeMismatch, "grid size must be positive, got 0")),
+            # a size that is not an int is refused before anything else
+            (2.0, [0, 1], [1, 0], (SizeMismatch, "grid size must be an integer, got 2.0")),
+            (True, [0], [1], (SizeMismatch, "grid size must be an integer, got True")),
+            ("2", [0, 1], [1, 0], (SizeMismatch, "grid size must be an integer, got '2'")),
+            (None, [0], [0], (SizeMismatch, "grid size must be an integer, got None")),
             # a size error before an X error, X length before O length
             (3, [0, 0], [0], (SizeMismatch, "X list has length 2, expected 3")),
             (3, [0, 1, 2], [0], (SizeMismatch, "O list has length 1, expected 3")),
@@ -166,13 +172,16 @@ class TestConstruction:
 
 
 def _check_tables(g):
-    """The derived tables of ``g`` against the raw marker lists."""
+    """The derived tables of ``g``, a grid with no memo yet, against the
+    raw marker lists; the grid stores nothing else."""
     n, xs, os = g.n, g.xs, g.os
+    assert list(vars(g)) == GRID_TABLES
     assert isinstance(g.x_col_by_row, tuple) and isinstance(g.o_col_by_row, tuple)
     assert [xs[c] for c in g.x_col_by_row] == list(range(n))
     assert [os[c] for c in g.o_col_by_row] == list(range(n))
     assert [g.x_col_by_row[r] for r in xs] == [g.o_col_by_row[r] for r in os] == list(range(n))
     cycles = trace_components(list(xs), list(os))
+    assert g.component_count == len(cycles)
     assert [comp.index for comp in g.components] == list(range(len(cycles)))
     assert [sorted(comp.columns) for comp in g.components] == cycles
     assert [comp.rows for comp in g.components] == [frozenset(xs[c] for c in cols) for cols in cycles]

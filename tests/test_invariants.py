@@ -4,7 +4,6 @@ import pytest
 
 from legrid import (
     ClassicalInvariants,
-    Component,
     Convention,
     LegendrianStab,
     MoveScript,
@@ -97,10 +96,11 @@ class TestRouteEquality:
         assert len(calls) == 3
 
     def test_odd_push_off_count_raises(self):
-        # A forged component of one vertical and one horizontal is an
-        # open path; it meets its push-off an odd number of times.
+        # A forged owner table that moves column 2 to a component of its
+        # own leaves component 0 an open path of four verticals and
+        # horizontals; it meets its push-off an odd number of times.
         g = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
-        g.__dict__["components"] = (Component(0, frozenset({0}), frozenset({2})),)
+        g.__dict__.update(component_by_column=(0, 0, 1, 0, 0), component_count=2)
         with pytest.raises(ParityViolation):
             tb_grid_oracle(g, 0)
 

@@ -77,6 +77,49 @@ class TestModelConstruction:
         assert m == new_model(2, (1, 2), False)
 
 
+class TestClassAndProfileConstruction:
+    """A surface class and an intersection profile check their entries
+    when they are built, as a model checks its Euler entries."""
+
+    @pytest.mark.parametrize(
+        "offset, message",
+        [
+            ((1.5,), "offset entries must be integers, got 1.5"),
+            ((True,), "offset entries must be integers, got True"),
+            ((0, "1"), "offset entries must be integers, got '1'"),
+            ([0, None], "offset entries must be integers, got None"),
+        ],
+    )
+    def test_offset_entries_must_be_integers(self, offset, message):
+        with pytest.raises(LengthMismatch) as exc:
+            RelativeSurfaceClass("sigma", offset)
+        assert str(exc.value) == message
+
+    def test_offset_is_stored_as_a_tuple(self):
+        s = RelativeSurfaceClass("sigma", [1, 2])
+        assert s.offset == (1, 2)
+        assert s == cls("sigma", 1, 2) and hash(s) == hash(cls("sigma", 1, 2))
+
+    def test_a_float_offset_never_reaches_rot_diff(self):
+        m = new_model(1, [2], False)
+        with pytest.raises(LengthMismatch):
+            rot_diff(m, RelativeSurfaceClass("sigma", (1.5,)), cls("sigma", 0))
+
+    @pytest.mark.parametrize(
+        "k, j, message",
+        [
+            (1.0, 1.0, "intersection numbers must be integers, got 1.0"),
+            (True, True, "intersection numbers must be integers, got True"),
+            (1, "1", "intersection numbers must be integers, got '1'"),
+            (None, 0, "intersection numbers must be integers, got None"),
+        ],
+    )
+    def test_profile_entries_must_be_integers(self, k, j, message):
+        with pytest.raises(InconsistentProfile) as exc:
+            IntersectionProfile(k, j)
+        assert str(exc.value) == message
+
+
 class TestTbDiff:
     def test_always_zero(self):
         rng = random.Random(1)

@@ -32,6 +32,7 @@ from legrid.moves import ISOTOPY_SUBTYPES, STAB_MINUS, STAB_PLUS, changes_cusps
 from legrid.sampling import random_grid, random_link
 
 from helpers import (
+    GRID_TABLES,
     all_marker_lists,
     brute_linking,
     cell_destabilize,
@@ -351,9 +352,12 @@ class TestDerivedTables:
             except InterleavingSpans:
                 continue
             fresh = GridDiagram(moved.n, moved.xs, moved.os)
+            # a derived grid stores every table and nothing else
+            assert list(vars(moved)) == list(vars(fresh)) == GRID_TABLES, (g, move)
             for name in ("xs", "os", "x_col_by_row", "o_col_by_row", "components", "component_by_column"):
                 table = getattr(moved, name)
                 assert type(table) is tuple and table == getattr(fresh, name), (g, move, name)
+            assert moved.component_count == fresh.component_count, (g, move)
             for comp in moved.components:
                 assert type(comp.columns) is frozenset and type(comp.rows) is frozenset
             assert moved == fresh and hash(moved) == hash(fresh)
