@@ -1,88 +1,16 @@
 """legrid: classical and relative Legendrian/transverse knot
 invariants on grid diagrams, with grid moves, a Seifert-surface
-framing ledger and a crossing-event simulator."""
+framing ledger and a crossing-event simulator.
 
-from .errors import (
-    BadCell,
-    BaseMismatch,
-    InconsistentProfile,
-    InterleavingSpans,
-    LegridError,
-    LengthMismatch,
-    MultipleSingularClasps,
-    NotAPermutation,
-    OracleMismatch,
-    ParityViolation,
-    ParseError,
-    SameComponent,
-    ScriptStepError,
-    SharedCell,
-    SizeMismatch,
-    TripleDrift,
-    UnknownComponent,
-)
-from .grid import (
-    Component,
-    Convention,
-    CuspCounts,
-    FrontData,
-    GridDiagram,
-    grid_to_json,
-    grid_to_text,
-    linking_number,
-    new_grid,
-    parse_grid,
-    reading,
-    reverse_component,
-    to_front,
-    writhe,
-)
-from .invariants import (
-    ClassicalInvariants,
-    OrientationFlag,
-    RelativeInvariants,
-    classical,
-    component_grid,
-    component_patterns,
-    relative_invariants,
-    rot,
-    tb_front,
-    tb_grid_oracle,
-)
-from .ledger import (
-    ContactHomologyModel,
-    IntersectionProfile,
-    RelativeSurfaceClass,
-    ambiguity,
-    new_model,
-    rot_diff,
-    sl_diff,
-    tb_diff,
-    twist_transfer,
-)
-from .moves import (
-    Commute,
-    Destabilize,
-    GridMove,
-    LegendrianStab,
-    MoveScript,
-    ScriptResult,
-    Stabilize,
-    TraceStep,
-    Translate,
-    apply_move,
-    apply_script,
-    follow,
-    parse_move_script,
-)
-from .simulator import (
-    CrossingEvent,
-    FramedPairState,
-    IntersectionPattern,
-    cross,
-    parse_event_script,
-    replay,
-    run_trace,
-)
+Each module's ``__all__`` is the only list of what it exports; the
+package republishes those names, and every public class of ``errors``,
+which holds nothing else."""
+
+from .errors import *
+from .grid import *
+from .invariants import *
+from .ledger import *
+from .moves import *
+from .simulator import *
 
 __version__ = "0.1.0"

@@ -1,14 +1,21 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check of a
++1/-1 sign that the invariants and the simulator share."""
 
 
 class LegridError(Exception):
     """Base class for every domain error raised by this package."""
 
 
-class NotAPermutation(LegridError):
+class _MarkerListError(LegridError):
+    """A fault of the grid's size or of one of its marker lists."""
+
     def __init__(self, message, which=None):
         super().__init__(message)
-        self.which = which  # "x" or "o" when known
+        self.which = which  # "x" or "o" when a marker list is at fault
+
+
+class NotAPermutation(_MarkerListError):
+    pass
 
 
 class SharedCell(LegridError):
@@ -17,7 +24,7 @@ class SharedCell(LegridError):
         self.column = column
 
 
-class SizeMismatch(LegridError):
+class SizeMismatch(_MarkerListError):
     pass
 
 
@@ -98,3 +105,9 @@ class ScriptStepError(LegridError):
         super().__init__(f"step {index}: {cause}")
         self.index = index
         self.cause = cause
+
+
+def _check_sign(sign, field):
+    # floats and bools compare equal to ints, so the type is checked
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"{field} must be +1 or -1, got {sign!r}")

@@ -155,9 +155,9 @@ class GridDiagram:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "os", os)
         if len(xs) != n:
-            raise SizeMismatch(f"X list has length {len(xs)}, expected {n}")
+            raise SizeMismatch(f"X list has length {len(xs)}, expected {n}", which="x")
         if len(os) != n:
-            raise SizeMismatch(f"O list has length {len(os)}, expected {n}")
+            raise SizeMismatch(f"O list has length {len(os)}, expected {n}", which="o")
         rows = list(range(n))
         # floats and bools compare equal to ints, so each marker's type is checked too
         if countOf(map(type, xs), int) != n or sorted(xs) != rows:
@@ -311,8 +311,10 @@ def new_grid(n, xs, os) -> GridDiagram:
     checked in that order; a size that is not an ``int`` (a float, a
     bool, a string or None) is a SizeMismatch, a marker that is not an
     ``int`` is no row, and a shared cell is reported at its lowest
-    column.  The minimum legal size is 2: a 1x1 grid forces its only
-    cell to hold both markers.
+    column.  SizeMismatch and NotAPermutation name the marker list at
+    fault in ``which`` ("x" or "o"; None for the size itself).  The
+    minimum legal size is 2: a 1x1 grid forces its only cell to hold
+    both markers.
     """
     return GridDiagram(n, xs, os)
 
@@ -573,10 +575,8 @@ def _parse_grid_text(text):
     os = _int_list(ln_o, line_o, "O")
     try:
         return new_grid(n, xs, os)
-    except NotAPermutation as e:
-        line = ln_x if e.which == "x" else ln_o
+    except (NotAPermutation, SizeMismatch) as e:
+        line = {"x": ln_x, "o": ln_o}.get(e.which, ln_n)  # a bad size is the n= line's
         raise type(e)(f"line {line}: {e}", which=e.which) from None
     except SharedCell as e:
         raise type(e)(f"line {ln_x}: {e}", column=e.column) from None
-    except SizeMismatch as e:
-        raise type(e)(f"line {ln_n}: {e}") from None

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import OracleMismatch, ParityViolation, SameComponent
+from .errors import OracleMismatch, ParityViolation, SameComponent, _check_sign
 from .grid import FrontData, GridDiagram, _check_component, _lines, new_grid, to_front
-from .simulator import _check_sign
 
 __all__ = [
     "ClassicalInvariants",

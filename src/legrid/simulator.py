@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift
+from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift, _check_sign
 from .grid import _int_token
 
 __all__ = [
@@ -66,12 +66,6 @@ class FramedPairState(NamedTuple):
     @property
     def triple(self):
         return (self.tb_rel, self.r_rel, self.sl_rel)
-
-
-def _check_sign(sign, field):
-    # floats and bools compare equal to ints, so the type is checked
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"{field} must be +1 or -1, got {sign!r}")
 
 
 @dataclass(frozen=True)

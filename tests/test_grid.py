@@ -501,6 +501,34 @@ class TestSerialization:
             parse_grid("n=2\nX=0,0\nO=1,0\n")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("comment", ["", "# c\n"])
+    def test_list_length_error_names_its_line(self, comment):
+        # the line of the list at fault, not the n= line
+        lines = 1 + comment.count("\n")
+        for text, line, message in (
+            ("n=2\nX=0,1\nO=1\n", lines + 2, "O list has length 1, expected 2"),
+            ("n=3\n\nX=0,1\nO=1,0,2\n", lines + 2, "X list has length 2, expected 3"),
+        ):
+            with pytest.raises(SizeMismatch) as exc:
+                parse_grid(comment + text)
+            assert str(exc.value) == f"line {line}: {message}"
+        with pytest.raises(SizeMismatch) as exc:
+            parse_grid(comment + "n=-1\nX=0\nO=1\n")
+        assert str(exc.value) == f"line {lines}: grid size must be positive, got -1"
+
+    def test_other_text_errors_name_their_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_grid("n=2\nY=0,1\nO=1,0\n")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (2, 1, "expected X=<comma-separated ints>")
+        with pytest.raises(SharedCell) as exc:
+            parse_grid("n=2\nX=0,1\nO=0,1\n")
+        assert (str(exc.value), exc.value.column) == ("line 2: column 0 holds X and O in the same cell", 0)
+
+    def test_non_ascii_whitespace_pads_a_token(self):
+        # a non-ASCII line takes the token-by-token path, which strips
+        # every token as _int_token does
+        assert parse_grid("n=2\nX=0,\u00a01\nO=1\u3000,0\n") == new_grid(*UNKNOT)
+
     def test_json_rejects_extra_keys(self):
         with pytest.raises(ParseError):
             parse_grid('{"n": 2, "x": [0, 1], "o": [1, 0], "q": 1}')

@@ -268,6 +268,12 @@ class TestReplay:
         assert str(exc.value) == "event 1: relative triple moved from (0, 0, 5) to (0, 0, 4)"
 
 
+    def test_an_event_of_another_type_is_a_type_error(self):
+        with pytest.raises(TypeError) as exc:
+            list(replay(FramedPairState(), [1]))
+        assert str(exc.value) == "event 0 is neither a crossing nor a pattern: 1"
+
+
 class TestEventParsing:
     def test_round_trip(self):
         text = (
@@ -292,6 +298,18 @@ class TestEventParsing:
         with pytest.raises(ParseError) as exc:
             parse_event_script("pattern circles=1\n")
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("pattern circles", "expected key=value, got 'circles'"),
+            ("pattern foo=1", "unknown pattern field 'foo'"),
+        ],
+    )
+    def test_bad_pattern_fields(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_event_script(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, 1, message)
 
     def test_repeated_lines_share_one_event(self):
         events = parse_event_script("cross +\n  cross +  # again\ncross -\ncross +\n")
