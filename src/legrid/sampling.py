@@ -1,4 +1,12 @@
-"""Seedable random grid diagrams for the property suite."""
+"""Seedable random grid diagrams for the property suite.
+
+A grid is its X rows ``xs`` plus its tracing permutation pi: pi(c) is
+the column of the O in row ``xs[c]``, so ``os[pi(c)] == xs[c]``.  For
+uniform markers pi is uniform and independent of ``xs``, a shared cell
+is a fixed point of pi and the components are its cycles.  So every
+sampler redraws pi alone until it fits, then draws ``xs`` once and
+builds one grid: each draw is uniform over the grids it may return.
+"""
 
 from __future__ import annotations
 
@@ -6,59 +14,40 @@ from .grid import GridDiagram, _trace, new_grid
 
 __all__ = ["random_grid", "random_knot", "random_link"]
 
-_MAX_TRIES = 64  # draws of random_knot and random_link before their fallback
 
-
-def _draw(rng, n):
-    """The marker lists of :func:`random_grid`'s draw."""
-    xs = list(range(n))
-    os = list(range(n))
-    rng.shuffle(xs)
+def _sample(rng, n, fewest, most):
+    """A uniformly random valid n-grid with between ``fewest`` and
+    ``most`` components.  A component spans at least two columns, so
+    ``n < 2 * fewest`` (or ``n < 2``) fits no grid and raises
+    ValueError before ``rng`` is used."""
+    if n < 2 * max(fewest, 1):
+        raise ValueError(f"no {n}-grid has {fewest} or more components")
+    pi = list(range(n))
     while True:
-        rng.shuffle(os)
-        if all(x != o for x, o in zip(xs, os)):
-            return xs, os
-
-
-def _count_components(xs, os):
-    """Traced as the grid constructor traces, so a rejected draw builds
-    no grid."""
-    return _trace(xs, sorted(range(len(os)), key=os.__getitem__))[1]
+        rng.shuffle(pi)
+        if all(p != c for c, p in enumerate(pi)) and fewest <= _trace(pi, range(n))[1] <= most:
+            break
+    xs = list(range(n))
+    rng.shuffle(xs)
+    os = [0] * n
+    for c, p in enumerate(pi):
+        os[p] = xs[c]
+    return new_grid(n, xs, os)
 
 
 def random_grid(rng, n) -> GridDiagram:
-    """A uniformly random valid n-grid (rejection on shared cells)."""
-    return new_grid(n, *_draw(rng, n))
+    """A uniformly random valid n-grid: about e reshuffles of pi."""
+    return _sample(rng, n, 1, n)
 
 
 def random_knot(rng, n) -> GridDiagram:
-    """A random single-component n-grid.  Falls back to a torus-style
-    spiral if rejection sampling runs out of tries."""
-    for _ in range(_MAX_TRIES):
-        xs, os = _draw(rng, n)
-        if _count_components(xs, os) == 1:
-            return new_grid(n, xs, os)
-    xs = list(range(n))
-    return new_grid(n, xs, [(r + 1) % n for r in xs])
+    """A uniformly random single-component n-grid.  One pi in n is a
+    single cycle, so it takes about n reshuffles."""
+    return _sample(rng, n, 1, 1)
 
 
 def random_link(rng, n, min_components=2) -> GridDiagram:
-    """A random n-grid with at least the requested number of
-    components.  Falls back to a block-diagonal stack of small knots."""
-    for _ in range(_MAX_TRIES):
-        xs, os = _draw(rng, n)
-        if _count_components(xs, os) >= min_components:
-            return new_grid(n, xs, os)
-    # Block-diagonal fallback: min_components unknots plus a remainder knot.
-    if n < 2 * min_components:
-        raise ValueError(f"cannot fit {min_components} components in an {n}-grid")
-    xs = []
-    os = []
-    base = 0
-    for i in range(min_components):
-        size = 2 if i < min_components - 1 else n - base
-        block = random_knot(rng, size)
-        xs.extend(base + r for r in block.xs)
-        os.extend(base + r for r in block.os)
-        base += size
-    return new_grid(n, xs, os)
+    """A uniformly random n-grid with at least ``min_components``
+    components.  The reshuffles grow quickly as ``min_components``
+    nears n/2."""
+    return _sample(rng, n, min_components, n)

@@ -156,24 +156,27 @@ def _check_stabilization_laws(rng, cases):
 
 
 def _random_isotopy_move(rng, g):
+    """A random legal move on ``g`` and the grid it gives, or None when
+    no commutation of the drawn axis is legal."""
     kind = rng.randrange(3)
     if kind == 0:
-        return Translate(rng.choice(("up", "down", "left", "right")))
-    if kind == 1:
+        move = Translate(rng.choice(("up", "down", "left", "right")))
+    elif kind == 1:
         axis = rng.choice(("row", "col"))
         candidates = list(range(g.n - 1))
         rng.shuffle(candidates)
         for index in candidates:
             move = Commute(axis, index)
             try:
-                apply_move(g, move)
+                return move, apply_move(g, move)
             except InterleavingSpans:
                 continue
-            return move
         return None
-    marker = rng.choice(("X", "O"))
-    subtype = rng.choice(("NE", "SW"))
-    return Stabilize(marker, rng.randrange(g.n), subtype)
+    else:
+        marker = rng.choice(("X", "O"))
+        subtype = rng.choice(("NE", "SW"))
+        move = Stabilize(marker, rng.randrange(g.n), subtype)
+    return move, apply_move(g, move)
 
 
 def _check_isotopy_invariance(rng, cases):
@@ -181,10 +184,10 @@ def _check_isotopy_invariance(rng, cases):
     done = 0
     while done < cases:
         g = random_grid(rng, rng.randint(3, 8))
-        move = _random_isotopy_move(rng, g)
-        if move is None:
+        drawn = _random_isotopy_move(rng, g)
+        if drawn is None:
             continue
-        moved = apply_move(g, move)
+        move, moved = drawn
         image = follow(g, move, moved)
         if changes_cusps(move, to_front(g).cusps, to_front(moved).cusps, image):
             continue  # cusp-changing translations sit outside the front-invariance test set

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -538,36 +539,92 @@ class TestSerialization:
             parse_grid("n=2\nX=0,1\n")
 
 
-class TestSampling:
-    """random_knot and random_link keep the draws of random_grid but
-    build a grid only for the draw they return."""
+class _Exhausted(Exception):
+    pass
 
-    @pytest.mark.parametrize(
-        "sample, wanted",
-        [
-            pytest.param(random_knot, range(1, 2), id="knot"),
-            pytest.param(random_link, range(2, 99), id="link"),
-            pytest.param(lambda rng, n: random_link(rng, n, 3), range(3, 99), id="link3"),
-        ],
-    )
-    def test_one_grid_per_sample_and_the_same_draws(self, monkeypatch, sample, wanted):
-        checked = 0
+
+class _Scripted:
+    """A stand-in rng whose shuffles write the given permutations, in
+    order, and which raises _Exhausted when it has none left."""
+
+    def __init__(self, *perms):
+        self.perms = list(perms)
+
+    def shuffle(self, seq):
+        if not self.perms:
+            raise _Exhausted
+        seq[:] = self.perms.pop(0)
+
+
+SAMPLERS = [
+    pytest.param(random_grid, range(1, 99), id="grid"),
+    pytest.param(random_knot, range(1, 2), id="knot"),
+    pytest.param(random_link, range(2, 99), id="link"),
+    pytest.param(lambda rng, n: random_link(rng, n, 3), range(3, 99), id="link3"),
+]
+
+
+class TestSampling:
+    """Each sampler redraws the tracing permutation pi alone until it
+    fits, then draws the X rows once and builds one grid."""
+
+    @pytest.mark.parametrize("sample, wanted", SAMPLERS)
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_exact_bijection(self, sample, wanted, n):
+        """(xs, pi) -> grid is a bijection from the X rows and the
+        derangements with a wanted number of cycles onto the valid
+        grids with that many components; any other pi is redrawn.  A
+        size that no such grid fits raises ValueError."""
+        rows = list(range(n))
+        valid = {new_grid(n, xs, os) for xs, os in all_marker_lists(n)}
+        fits = {g for g in valid if g.component_count in wanted}
+        if not fits:
+            with pytest.raises(ValueError):
+                sample(_Scripted(), n)
+            return
+        drawn = []
+        for pi in permutations(rows):
+            cycles = trace_components(list(pi), rows)
+            accepted = min(map(len, cycles)) >= 2 and len(cycles) in wanted
+            for xs in permutations(rows):
+                try:
+                    g = sample(_Scripted(pi, xs), n)
+                except _Exhausted:
+                    assert not accepted
+                    continue
+                assert accepted
+                assert g.xs == xs
+                assert all(g.os[p] == x for p, x in zip(pi, xs))
+                assert g.component_count == len(cycles) == len(trace_components(g.xs, g.os))
+                drawn.append(g)
+        assert len(set(drawn)) == len(drawn)
+        assert set(drawn) == fits
+
+    @pytest.mark.parametrize("sample, wanted", SAMPLERS)
+    def test_one_grid_per_sample(self, monkeypatch, sample, wanted):
         post_init = GridDiagram.__post_init__
         for seed in range(60):
-            n = 6 + seed % 5
-            reference = random.Random(seed)
-            for _ in range(64):
-                expected = random_grid(reference, n)
-                if len(expected.components) in wanted:
-                    break
-            else:
-                continue  # the sampler would fall back
             built = []
             monkeypatch.setattr(GridDiagram, "__post_init__", lambda g: built.append(g) or post_init(g))
-            rng = random.Random(seed)
-            got = sample(rng, n)
+            got = sample(random.Random(seed), 6 + seed % 5)
             monkeypatch.undo()
-            assert built == [got] == [expected]
-            assert rng.getstate() == reference.getstate()
-            checked += 1
-        assert checked >= 40
+            assert built == [got]
+            assert got.component_count in wanted
+
+    @pytest.mark.parametrize(
+        "sample, n",
+        [(s, n) for s in (random_grid, random_knot, random_link) for n in (0, 1)]
+        + [(lambda rng, n: random_link(rng, n, 3), 5), (lambda rng, n: random_link(rng, n, 0), 1)],
+    )
+    def test_size_that_fits_no_grid_raises_before_drawing(self, sample, n):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            sample(rng, n)
+        assert rng.getstate() == state
+
+    def test_large_knots_are_distinct(self):
+        rng = random.Random(0)
+        knots = [random_knot(rng, 200) for _ in range(20)]
+        assert all(g.component_count == 1 for g in knots)
+        assert len(set(knots)) == 20
