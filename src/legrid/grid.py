@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from operator import countOf
+from operator import countOf, eq
 
 from .errors import (
     NotAPermutation,
@@ -115,6 +115,10 @@ def _check_component(c, count):
         raise UnknownComponent(f"no component {c!r} (diagram has {count})")
 
 
+# the tables every grid derives from its markers, in the order it stores them
+_TABLES = ("x_col_by_row", "o_col_by_row", "component_by_column", "component_count")
+
+
 @dataclass(frozen=True)
 class GridDiagram:
     """A validated n x n grid diagram.
@@ -123,8 +127,8 @@ class GridDiagram:
     column c; any sequences may be passed, and they are stored as
     tuples.  Instances are immutable.  Construction checks the size
     and the markers (raising SizeMismatch, NotAPermutation or
-    SharedCell, as :func:`new_grid` documents) and derives, in the same
-    pass, the tables every reader shares: ``x_col_by_row`` and
+    SharedCell, as :func:`new_grid` documents) and then derives the
+    tables every reader shares: ``x_col_by_row`` and
     ``o_col_by_row`` (the inverse permutations), the owner table
     ``component_by_column`` (the tracing cycle of every column, the
     cycles numbered by their lowest column) and ``component_count``.
@@ -132,8 +136,9 @@ class GridDiagram:
     :meth:`component` and :attr:`components` build :class:`Component`
     views of it on each call, in O(n).  The tables are plain attributes
     outside the fields, so equality and hashing use only ``(n, xs,
-    os)``.  Commutations and translations derive the tables of the
-    grids they make from their parent's (see :meth:`_derived`).
+    os)``.  A grid move skips the checks: it derives the tables of the
+    grid it makes from its markers and its parent's owner table (see
+    :func:`_moved`).
 
     >>> g = new_grid(2, [0, 1], [1, 0])
     >>> g.component_count
@@ -164,37 +169,23 @@ class GridDiagram:
             raise NotAPermutation(f"X rows are not a permutation of 0..{n - 1}", which="x")
         if countOf(map(type, os), int) != n or sorted(os) != rows:
             raise NotAPermutation(f"O rows are not a permutation of 0..{n - 1}", which="o")
-        x_col = [0] * n
-        o_col = [0] * n
-        for c, x, o in zip(rows, xs, os):
-            if x == o:
-                raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
-            x_col[x] = c
-            o_col[o] = c
-
+        c = next(compress(rows, map(eq, xs, os)), None)
+        if c is not None:
+            raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
+        x_col, o_col = _inverses(xs, os)
         owner, count = _trace(xs, o_col)
-        object.__setattr__(self, "x_col_by_row", tuple(x_col))
-        object.__setattr__(self, "o_col_by_row", tuple(o_col))
-        object.__setattr__(self, "component_by_column", owner)
-        object.__setattr__(self, "component_count", count)
+        vars(self).update(zip(_TABLES, (x_col, o_col, owner, count)))
 
     @classmethod
-    def _derived(cls, n, xs, os, x_col_by_row, o_col_by_row, component_by_column, component_count):
-        """A grid whose tables, all tuples, its caller derived from a
-        valid parent's: the one path that skips ``__post_init__`` and
-        its checks.  Only :func:`_commuted` and :func:`_translated`
-        call it; ``tests/test_moves.py::TestDerivedTables`` proves
-        their tables equal to a fresh construction's."""
+    def _derived(cls, n, xs, os, *tables):
+        """A grid whose markers and tables, all tuples and the tables in
+        the order of ``_TABLES``, are given: the one path that skips
+        ``__post_init__`` and its checks, and its one caller is
+        :func:`_moved`.  ``tests/test_moves.py::TestDerivedTables``
+        proves every move's tables equal to a fresh construction's."""
         g = object.__new__(cls)
-        vars(g).update(
-            n=n,
-            xs=xs,
-            os=os,
-            x_col_by_row=x_col_by_row,
-            o_col_by_row=o_col_by_row,
-            component_by_column=component_by_column,
-            component_count=component_count,
-        )
+        vars(g).update(n=n, xs=xs, os=os)
+        vars(g).update(zip(_TABLES, tables))
         return g
 
     def component(self, c) -> Component:
@@ -236,11 +227,16 @@ def _trace(xs, o_col):
     return tuple(owner), count
 
 
-def _exchange(table, p, q):
-    """``table`` as a tuple, with its entries ``p`` and ``q`` exchanged."""
-    out = list(table)
-    out[p], out[q] = out[q], out[p]
-    return tuple(out)
+def _inverses(xs, os):
+    """``x_col_by_row`` and ``o_col_by_row`` of valid markers, read off
+    them in one pass: the one inversion, shared by ``__post_init__`` and
+    :func:`_moved`."""
+    x_col = [0] * len(xs)
+    o_col = [0] * len(xs)
+    for c, (x, o) in enumerate(zip(xs, os)):
+        x_col[x] = c
+        o_col[o] = c
+    return tuple(x_col), tuple(o_col)
 
 
 def _numbered(owner):
@@ -256,52 +252,15 @@ def _numbered(owner):
     return tuple(map(label.__getitem__, owner))
 
 
-def _commuted(g, by_col, i) -> GridDiagram:
-    """``g`` with lines ``i`` and ``i + 1`` exchanged, columns if
-    ``by_col`` and rows otherwise, for lines whose spans do not
-    interleave.  The tables come from ``g``'s: the ones indexed by line
-    exchange entries i and i + 1, and their inverses the two entries
-    that hold those lines.  A row commute keeps the owner table; a
-    column commute exchanges two of its entries, which renumbers the
-    components when two own them."""
-    at, inverse = (g.xs, g.os), (g.x_col_by_row, g.o_col_by_row)
-    if not by_col:
-        at, inverse = inverse, at
-    moved = [_exchange(t, i, i + 1) for t in at]
-    moved += [_exchange(t, v[i], v[i + 1]) for t, v in zip(inverse, at)]
-    xs, os, x_col, o_col = moved if by_col else moved[2:] + moved[:2]
-    owner = g.component_by_column
-    if by_col and owner[i] != owner[i + 1]:
-        owner = _numbered(_exchange(owner, i, i + 1))
-    return GridDiagram._derived(g.n, xs, os, x_col, o_col, owner, g.component_count)
-
-
-def _translated(g, dc, dr) -> GridDiagram:
-    """``g`` with every marker moved ``dc`` columns and ``dr`` rows
-    cyclically, one of them 0 and the other 1 or -1.  The tables come
-    from ``g``'s: the ones indexed by the moving lines rotate by one
-    entry, and the lines the others hold map through one shift table.
-    The owner table is indexed by column, so only a column shift
-    rotates (and renumbers) it."""
-    step = dc or dr
-    lines = tuple(range(g.n))
-    shift = (lines[step:] + lines[:step]).__getitem__  # line l -> (l + step) % n
-
-    def rotated(table):  # entry l moves to entry (l + step) % n
-        return table[-step:] + table[:-step]
-
-    def shifted(table):
-        return tuple(map(shift, table))
-
-    owner = g.component_by_column
-    if dc:
-        xs, os = rotated(g.xs), rotated(g.os)
-        x_col, o_col = shifted(g.x_col_by_row), shifted(g.o_col_by_row)
-        owner = _numbered(rotated(owner))
-    else:
-        xs, os = shifted(g.xs), shifted(g.os)
-        x_col, o_col = rotated(g.x_col_by_row), rotated(g.o_col_by_row)
-    return GridDiagram._derived(g.n, xs, os, x_col, o_col, owner, g.component_count)
+def _moved(g, xs, os, owner) -> GridDiagram:
+    """The grid a move takes ``g`` to, from the moved markers ``xs`` and
+    ``os`` and ``g``'s owner table carried along the move's columns, all
+    tuples.  A move maps a valid grid to a valid grid and keeps the
+    link, so the markers are not checked and the component count is
+    ``g``'s: the inverse tables are read off the markers and the owner
+    table is renumbered by lowest column."""
+    x_col, o_col = _inverses(xs, os)
+    return GridDiagram._derived(len(xs), xs, os, x_col, o_col, _numbered(owner), g.component_count)
 
 
 def new_grid(n, xs, os) -> GridDiagram:

@@ -8,9 +8,9 @@ Torsion is dropped: evaluation against integers kills it, so only the
 free rank matters for any quantity computed here.  A change of
 trivialization restricts to the two knots with equal degrees, so its
 changes to their rotation numbers cancel in the relative one.  A
-model checks its rank and the length and entries of its Euler vector
-when it is built, a surface class the entries of its offset, and an
-intersection profile its two numbers.
+model checks its rank, the length and entries of its Euler vector and
+the type of its tightness flag when it is built, a surface class the
+entries of its offset, and an intersection profile its two numbers.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ class ContactHomologyModel:
         if len(euler) != rank:
             raise LengthMismatch(f"euler vector has length {len(euler)}, expected rank {rank}")
         _check_ints(euler, LengthMismatch, "euler entries")
+        if type(self.tight) is not bool:
+            raise LengthMismatch(f"tight must be a bool, got {self.tight!r}")
         object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "tight", bool(self.tight))
 
     @property
     def effective_euler(self) -> tuple[int, ...]:

@@ -41,10 +41,9 @@ Every move checks its own fields when it is built, directly or by
 :func:`parse_move_script`, and raises BadCell; ``apply`` keeps only the
 checks that need the grid.
 
-A commutation or translation of a valid grid is valid, so those two
-derive the moved grid's tables from the parent's, touching only the
-entries the move changes, and skip the marker checks; stabilizations
-and destabilizations build their grids afresh, checks included.
+Every move maps a valid grid to a valid grid, so ``apply`` writes the
+moved markers and carries the owner table along its columns, and
+``grid._moved`` derives the rest without the marker checks.
 ``tests/test_moves.py::TestDerivedTables`` proves the derived tables
 equal to a fresh construction's.
 
@@ -69,7 +68,7 @@ from .errors import (
     SameComponent,
     ScriptStepError,
 )
-from .grid import GridDiagram, _check_component, _commuted, _int_token, _translated, new_grid, to_front
+from .grid import GridDiagram, _check_component, _int_token, _moved, new_grid, to_front
 from .invariants import (
     ClassicalInvariants,
     RelativeInvariants,
@@ -119,6 +118,13 @@ def _interleaving(a_pair, b_pair):
     return not (disjoint or nested)
 
 
+def _exchange(table, p, q):
+    """``table`` as a tuple, with its entries ``p`` and ``q`` exchanged."""
+    out = list(table)
+    out[p], out[q] = out[q], out[p]
+    return tuple(out)
+
+
 def _swap(i):
     """The exchange of lines ``i`` and ``i + 1``, as a map on line
     indices."""
@@ -145,8 +151,18 @@ class Translate:
             raise BadCell(f"unknown direction {self.direction!r}")
 
     def apply(self, g: GridDiagram) -> GridDiagram:
-        """Cyclically shift all markers one step in the given direction."""
-        return _translated(g, *_STEPS[self.direction])
+        """Cyclically shift all markers one step in the given direction:
+        a column shift rotates the tables indexed by column, and a row
+        shift maps every marker's row through one shift table."""
+        dc, dr = _STEPS[self.direction]
+        owner = g.component_by_column
+        if dc:  # entry c moves to entry (c + dc) % n
+            xs, os, owner = (t[-dc:] + t[:-dc] for t in (g.xs, g.os, owner))
+        else:
+            rows = tuple(range(g.n))
+            shift = (rows[dr:] + rows[:dr]).__getitem__  # row r -> (r + dr) % n
+            xs, os = tuple(map(shift, g.xs)), tuple(map(shift, g.os))
+        return _moved(g, xs, os, owner)
 
     def column_map(self, g: GridDiagram):
         dc = _STEPS[self.direction][0]
@@ -190,7 +206,12 @@ class Commute:
         x_at, o_at = (g.xs, g.os) if by_col else (g.x_col_by_row, g.o_col_by_row)
         if _interleaving((x_at[i], o_at[i]), (x_at[i + 1], o_at[i + 1])):
             raise InterleavingSpans(f"{'columns' if by_col else 'rows'} {i} and {i + 1} interleave")
-        return _commuted(g, by_col, i)
+        owner = g.component_by_column
+        if by_col:
+            xs, os, owner = (_exchange(t, i, i + 1) for t in (g.xs, g.os, owner))
+        else:  # the two columns that hold rows i and i + 1 exchange them
+            xs, os = (_exchange(t, at[i], at[i + 1]) for t, at in ((g.xs, x_at), (g.os, o_at)))
+        return _moved(g, xs, os, owner)
 
     def column_map(self, g: GridDiagram):
         return _swap(self.index) if self.axis == "col" else lambda col: col
@@ -248,7 +269,8 @@ class Stabilize:
         # copy of each kind then moves to row r + north.
         same[c + 1 - east] = other[c + east] = r + north
         xs, os = (same, other) if marker == "X" else (other, same)
-        return new_grid(n + 1, xs, os)
+        owner = g.component_by_column
+        return _moved(g, tuple(xs), tuple(os), owner[: c + 1] + owner[c:])
 
     def column_map(self, g: GridDiagram):
         c = self.column
@@ -299,9 +321,10 @@ class Destabilize:
             # with column full's two, three of the four markers lie in rows rr, rr + 1
             if (xs[other] in (rr, rr + 1)) + (os[other] in (rr, rr + 1)) == 1:
                 def merged(rows):  # column ``full`` deleted, rows rr and rr + 1 merged
-                    return [v if v <= rr else v - 1 for v in rows[:full] + rows[full + 1 :]]
+                    return tuple(v if v <= rr else v - 1 for v in rows[:full] + rows[full + 1 :])
 
-                return new_grid(n - 1, merged(xs), merged(os))
+                owner = g.component_by_column
+                return _moved(g, merged(xs), merged(os), owner[:full] + owner[full + 1 :])
         raise BadCell(f"no destabilizable L-block in columns {c},{c + 1}")
 
     def column_map(self, g: GridDiagram):

@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass
 
 from . import ledger, simulator
-from .errors import InterleavingSpans
+from .errors import InterleavingSpans, LegridError
 from .grid import (
     Convention,
+    _TABLES,
     grid_to_json,
     grid_to_text,
     linking_number,
@@ -125,6 +126,17 @@ def _check_linking(rng, cases):
     return CheckResult("linking-symmetry", cases, failures)
 
 
+def _tables_differ(moved):
+    """Whether a moved grid's tables differ from those of a fresh
+    construction from its markers, which must pass every check: the
+    guard on the path by which a move derives its grid."""
+    try:
+        fresh = new_grid(moved.n, moved.xs, moved.os)
+    except LegridError:
+        return True
+    return any(getattr(moved, name) != getattr(fresh, name) for name in _TABLES)
+
+
 def _check_stabilization_laws(rng, cases):
     failures = 0
     per_sign = max(1, cases // 2)
@@ -136,6 +148,7 @@ def _check_stabilization_laws(rng, cases):
             rel_before = relative_invariants(g, k, j)
             move = LegendrianStab(k, sign)
             g2 = apply_move(g, move)
+            failures += _tables_differ(g2)
             image = follow(g, move, g2)
             k2, j2 = image[k], image[j]
             after_k = classical(g2, k2)
@@ -149,6 +162,7 @@ def _check_stabilization_laws(rng, cases):
             # stabilize the reference knot as well: tb_rel recovers
             move = LegendrianStab(j2, sign)
             g3 = apply_move(g2, move)
+            failures += _tables_differ(g3)
             image = follow(g2, move, g3)
             if relative_invariants(g3, image[k2], image[j2]).tb_rel != rel_before.tb_rel:
                 failures += 1
@@ -188,6 +202,7 @@ def _check_isotopy_invariance(rng, cases):
         if drawn is None:
             continue
         move, moved = drawn
+        failures += _tables_differ(moved)  # every drawn move, the cusp-changing ones too
         image = follow(g, move, moved)
         if changes_cusps(move, to_front(g).cusps, to_front(moved).cusps, image):
             continue  # cusp-changing translations sit outside the front-invariance test set

@@ -72,9 +72,17 @@ class TestModelConstruction:
             assert str(exc.value) == message
 
     def test_fields_are_stored_as_tuple_and_bool(self):
-        m = ContactHomologyModel(2, [1, 2], 0)
+        m = ContactHomologyModel(2, [1, 2], False)
         assert (m.euler, m.tight) == ((1, 2), False)
+        assert type(m.tight) is bool
         assert m == new_model(2, (1, 2), False)
+
+    @pytest.mark.parametrize("tight", ["false", 0, 1, 0.0, None])
+    def test_tight_must_be_a_bool(self, tight):
+        for build in (ContactHomologyModel, new_model):
+            with pytest.raises(LengthMismatch) as exc:
+                build(1, [2], tight)
+            assert str(exc.value) == f"tight must be a bool, got {tight!r}"
 
 
 class TestClassAndProfileConstruction:

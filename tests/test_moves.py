@@ -338,46 +338,70 @@ class TestFollow:
 
 
 class TestDerivedTables:
-    """Commutations and translations derive the moved grid's tables from
-    the parent's instead of building it afresh; every table must be the
-    one a fresh construction gives."""
+    """Every move derives the moved grid's tables from its markers and
+    the parent's owner table instead of building it afresh; every table
+    must be the one a fresh construction gives."""
 
     @staticmethod
-    def _check(g, renumbered):
+    def _moves(g):
+        n = g.n
         moves = [Translate(d) for d in DIRECTIONS]
-        moves += [Commute(axis, i) for axis in ("row", "col") for i in range(g.n - 1)]
-        for move in moves:
+        moves += [Commute(axis, i) for axis in ("row", "col") for i in range(n - 1)]
+        moves += [Stabilize(m, c, t) for m in "XO" for c in range(n) for t in ("NE", "NW", "SE", "SW")]
+        moves += [Destabilize(c, r) for c in range(n - 1) for r in (None, *range(n - 1))]
+        moves += [LegendrianStab(k, s) for k in range(g.component_count) for s in (1, -1)]
+        return moves
+
+    @staticmethod
+    def _variant(move):
+        """A move's script line with its integers blanked: its kind with
+        the direction, axis, marker, subtype or sign, and whether a
+        destabilization names its row."""
+        return tuple("#" if word.isdigit() else word for word in move.text().split())
+
+    def _check(self, g, renumbered, applied):
+        for move in self._moves(g):
             try:
                 moved = apply_move(g, move)
-            except InterleavingSpans:
+            except (BadCell, InterleavingSpans):
                 continue
+            applied.add(self._variant(move))
             fresh = GridDiagram(moved.n, moved.xs, moved.os)
             # a derived grid stores every table and nothing else
             assert list(vars(moved)) == list(vars(fresh)) == GRID_TABLES, (g, move)
             for name in ("xs", "os", "x_col_by_row", "o_col_by_row", "components", "component_by_column"):
                 table = getattr(moved, name)
                 assert type(table) is tuple and table == getattr(fresh, name), (g, move, name)
-            assert moved.component_count == fresh.component_count, (g, move)
+            assert moved.n == fresh.n and moved.component_count == fresh.component_count, (g, move)
             for comp in moved.components:
                 assert type(comp.columns) is frozenset and type(comp.rows) is frozenset
             assert moved == fresh and hash(moved) == hash(fresh)
-            if follow(g, move, moved) != tuple(range(len(g.components))):
+            if follow(g, move, moved) != tuple(range(g.component_count)):
                 renumbered.add(move.text())
 
+    def _assert_every_variant(self, applied):
+        # the unknot's candidates hold every variant: each direction and
+        # axis, both markers with all four subtypes, a destabilization with
+        # and without its row, and a Legendrian stabilization of either sign
+        assert applied == set(map(self._variant, self._moves(UNKNOT)))
+        assert len(applied) == 4 + 2 + 8 + 2 + 2
+
     def test_every_small_grid(self):
-        renumbered = set()
+        renumbered, applied = set(), set()
         for n in range(2, 5):
             for xs, os in all_marker_lists(n):
-                self._check(new_grid(n, xs, os), renumbered)
+                self._check(new_grid(n, xs, os), renumbered, applied)
+        self._assert_every_variant(applied)
         # components trade numbers under a column commute and a sideways shift
         assert {"translate left", "translate right"} <= renumbered
         assert any(text.startswith("commute col") for text in renumbered)
 
     def test_random_links(self):
         rng = random.Random(28)
-        renumbered = set()
+        renumbered, applied = set(), set()
         for _ in range(60):
-            self._check(random_link(rng, rng.randint(4, 40)), renumbered)
+            self._check(random_link(rng, rng.randint(4, 40)), renumbered, applied)
+        self._assert_every_variant(applied)
         assert {"translate left", "translate right"} <= renumbered
         assert any(text.startswith("commute col") for text in renumbered)
         assert not any(text.startswith(("commute row", "translate up", "translate down")) for text in renumbered)
@@ -634,13 +658,13 @@ class TestKeyedInvariants:
         monkeypatch.setattr(GridDiagram, "__post_init__", counting_checks)
         result = apply_script(g, MoveScript(moves))
         assert result.final == grids[-1]
-        total = len(built) + len(derived)
-        assert total == len(moves) + len(distinct) < len(moves) + sum(len(h.components) for h in grids)
-        # every commutation and translation step derives its grid, which
-        # skips the checks; every other grid runs them once
-        steps = [moved for move, moved in zip(moves, grids[1:]) if isinstance(move, (Commute, Translate))]
-        assert derived == steps and any(isinstance(move, Commute) for move in moves)
+        # every move step derives its grid, which skips the checks; the
+        # checked constructions are exactly the distinct sub-grids, one each
+        assert derived == grids[1:]
+        assert {type(move) for move in moves} == {Translate, Commute, Stabilize, Destabilize, LegendrianStab}
         assert list(map(id, checked)) == list(map(id, built))
+        assert sorted((sub.xs, sub.os) for sub in built) == sorted(distinct)
+        assert len(distinct) < sum(len(h.components) for h in grids)
 
     def test_front_is_swept_once_per_distinct_pattern_per_call(self, monkeypatch):
         import legrid.grid as grid_mod
