@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and the check of a
-+1/-1 sign that the invariants and the simulator share."""
+"""Exception types shared across the toolkit, the check of a +1/-1
+sign that the invariants and the simulator share, and the base of the
+package's immutable value classes."""
+
+from operator import attrgetter as _attrgetter
 
 
 class LegridError(Exception):
@@ -111,3 +114,39 @@ def _check_sign(sign, field):
     # floats and bools compare equal to ints, so the type is checked
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"{field} must be +1 or -1, got {sign!r}")
+
+
+class _Value:
+    """Base of the package's immutable value classes.  A subclass names
+    its fields in ``__slots__``, or in the ``fields`` class argument
+    when it keeps a ``__dict__`` for state outside them, and its
+    ``__init__`` sets them with ``object.__setattr__``.  Equality holds
+    only between objects of the same type; it, the hash and the repr
+    ``Name(field=value, ...)`` read the fields alone."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields=None):
+        cls._fields = fields = fields or cls.__slots__
+        cls._key = _attrgetter(*fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a value through its checks
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -18,7 +18,6 @@ unknot grid has tb = -1 and rotation number 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import countOf, eq
@@ -31,6 +30,7 @@ from .errors import (
     SharedCell,
     SizeMismatch,
     UnknownComponent,
+    _Value,
 )
 
 __all__ = [
@@ -68,29 +68,32 @@ class Convention(Enum):
     NE_SW = "ne-sw"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Value):
     """One link component: a cycle of the marker-tracing relation.  A
     grid stores no Component; :meth:`GridDiagram.component` builds one
     from the owner table when asked."""
 
-    index: int
-    columns: frozenset[int]
-    rows: frozenset[int]
+    __slots__ = ("index", "columns", "rows")
+
+    def __init__(self, index: int, columns: frozenset[int], rows: frozenset[int]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class CuspCounts:
-    up: int
-    down: int
+class CuspCounts(_Value):
+    __slots__ = ("up", "down")
+
+    def __init__(self, up: int, down: int):
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
     @property
     def total(self):
         return self.up + self.down
 
 
-@dataclass(frozen=True)
-class FrontData:
+class FrontData(_Value):
     """Front-projection combinatorics derived from a grid diagram: the
     signed crossing matrix and per-component up/down cusp counts.
 
@@ -100,8 +103,11 @@ class FrontData:
     under direction) is a positively oriented frame.
     """
 
-    crossing_matrix: tuple[tuple[int, ...], ...]
-    cusps: tuple[CuspCounts, ...]
+    __slots__ = ("crossing_matrix", "cusps")
+
+    def __init__(self, crossing_matrix: tuple[tuple[int, ...], ...], cusps: tuple[CuspCounts, ...]):
+        object.__setattr__(self, "crossing_matrix", crossing_matrix)
+        object.__setattr__(self, "cusps", cusps)
 
     def cusp_counts(self, c) -> CuspCounts:
         _check_component(c, len(self.cusps))
@@ -119,8 +125,7 @@ def _check_component(c, count):
 _TABLES = ("x_col_by_row", "o_col_by_row", "component_by_column", "component_count")
 
 
-@dataclass(frozen=True)
-class GridDiagram:
+class GridDiagram(_Value, fields=("n", "xs", "os")):
     """A validated n x n grid diagram.
 
     ``xs[c]`` and ``os[c]`` give the row of the X and O marker in
@@ -134,31 +139,25 @@ class GridDiagram:
     cycles numbered by their lowest column) and ``component_count``.
     The owner table is the grid's only record of its components:
     :meth:`component` and :attr:`components` build :class:`Component`
-    views of it on each call, in O(n).  The tables are plain attributes
-    outside the fields, so equality and hashing use only ``(n, xs,
-    os)``.  A grid move skips the checks: it derives the tables of the
-    grid it makes from its markers and its parent's owner table (see
-    :func:`_moved`).
+    views of it on each call, in O(n).  The tables, like the memos of
+    :func:`to_front` and ``classical``, sit in the grid's ``__dict__``
+    beside the three fields, and equality and hashing read only ``(n,
+    xs, os)``.  A grid move skips the checks: it derives the tables of
+    the grid it makes from its markers and its parent's owner table
+    (see :func:`_moved`).
 
     >>> g = new_grid(2, [0, 1], [1, 0])
     >>> g.component_count
     1
     """
 
-    n: int
-    xs: tuple[int, ...]
-    os: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, xs, os):
         # floats and bools compare equal to ints, so the type is checked
         if type(n) is not int:
             raise SizeMismatch(f"grid size must be an integer, got {n!r}")
         if n < 1:
             raise SizeMismatch(f"grid size must be positive, got {n}")
-        xs, os = tuple(self.xs), tuple(self.os)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "os", os)
+        xs, os = tuple(xs), tuple(os)
         if len(xs) != n:
             raise SizeMismatch(f"X list has length {len(xs)}, expected {n}", which="x")
         if len(os) != n:
@@ -174,13 +173,14 @@ class GridDiagram:
             raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
         x_col, o_col = _inverses(xs, os)
         owner, count = _trace(xs, o_col)
+        vars(self).update(n=n, xs=xs, os=os)
         vars(self).update(zip(_TABLES, (x_col, o_col, owner, count)))
 
     @classmethod
     def _derived(cls, n, xs, os, *tables):
         """A grid whose markers and tables, all tuples and the tables in
         the order of ``_TABLES``, are given: the one path that skips
-        ``__post_init__`` and its checks, and its one caller is
+        ``__init__`` and its checks, and its one caller is
         :func:`_moved`.  ``tests/test_moves.py::TestDerivedTables``
         proves every move's tables equal to a fresh construction's."""
         g = object.__new__(cls)
@@ -229,7 +229,7 @@ def _trace(xs, o_col):
 
 def _inverses(xs, os):
     """``x_col_by_row`` and ``o_col_by_row`` of valid markers, read off
-    them in one pass: the one inversion, shared by ``__post_init__`` and
+    them in one pass: the one inversion, shared by ``__init__`` and
     :func:`_moved`."""
     x_col = [0] * len(xs)
     o_col = [0] * len(xs)
@@ -240,7 +240,7 @@ def _inverses(xs, os):
 
 
 def _numbered(owner):
-    """The owner table ``owner`` numbered as ``__post_init__`` numbers
+    """The owner table ``owner`` numbered as ``__init__`` numbers
     it: by lowest column, the order in which ``owner`` first names the
     components."""
     order = list(dict.fromkeys(owner))

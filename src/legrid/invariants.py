@@ -20,9 +20,7 @@ the full content of the pair invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-from .errors import OracleMismatch, ParityViolation, SameComponent, _check_sign
+from .errors import OracleMismatch, ParityViolation, SameComponent, _Value, _check_sign
 from .grid import FrontData, GridDiagram, _check_component, _lines, new_grid, to_front
 
 __all__ = [
@@ -39,27 +37,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassicalInvariants:
+class ClassicalInvariants(_Value):
     """The classical triple of one component, with both transverse
     push-offs: sl_pos = tb - r and sl_neg = tb + r."""
 
-    tb: int
-    r: int
-    sl_pos: int
-    sl_neg: int
+    __slots__ = ("tb", "r", "sl_pos", "sl_neg")
 
-    def __post_init__(self):
-        if self.sl_pos != self.tb - self.r or self.sl_neg != self.tb + self.r:
+    def __init__(self, tb: int, r: int, sl_pos: int, sl_neg: int):
+        if sl_pos != tb - r or sl_neg != tb + r:
             raise ValueError("push-off relation violated: sl_pos = tb - r, sl_neg = tb + r")
+        object.__setattr__(self, "tb", tb)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "sl_pos", sl_pos)
+        object.__setattr__(self, "sl_neg", sl_neg)
 
     @classmethod
     def from_tb_rot(cls, tb, r):
         return cls(tb=tb, r=r, sl_pos=tb - r, sl_neg=tb + r)
 
 
-@dataclass(frozen=True)
-class OrientationFlag:
+class OrientationFlag(_Value):
     """Surface-orientation and coorientation choices for a pair.
 
     Flipping the surface orientation negates both the relative rotation
@@ -68,15 +65,16 @@ class OrientationFlag:
     both.
     """
 
-    surface: int = 1
-    coorientation: int = 1
+    __slots__ = ("surface", "coorientation")
 
-    def __post_init__(self):
-        _check_sign(self.surface, "surface")
-        _check_sign(self.coorientation, "coorientation")
+    def __init__(self, surface: int = 1, coorientation: int = 1):
+        _check_sign(surface, "surface")
+        _check_sign(coorientation, "coorientation")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "coorientation", coorientation)
 
     def flipped(self):
-        return replace(self, surface=-self.surface)
+        return OrientationFlag(-self.surface, self.coorientation)
 
     @property
     def rot_sign(self):
@@ -87,14 +85,16 @@ class OrientationFlag:
         return self.surface * self.coorientation
 
 
-@dataclass(frozen=True)
-class RelativeInvariants:
+class RelativeInvariants(_Value):
     """Relative (tb, r, sl) of an ordered, homologous component pair."""
 
-    tb_rel: int
-    r_rel: int
-    sl_rel: int
-    orientation: OrientationFlag = field(default_factory=OrientationFlag)
+    __slots__ = ("tb_rel", "r_rel", "sl_rel", "orientation")
+
+    def __init__(self, tb_rel: int, r_rel: int, sl_rel: int, orientation=OrientationFlag()):
+        object.__setattr__(self, "tb_rel", tb_rel)
+        object.__setattr__(self, "r_rel", r_rel)
+        object.__setattr__(self, "sl_rel", sl_rel)
+        object.__setattr__(self, "orientation", orientation)
 
     @classmethod
     def between(cls, inv_k, inv_j, orientation: OrientationFlag = OrientationFlag()):

@@ -16,9 +16,8 @@ entries of its offset, and an intersection profile its two numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import BaseMismatch, InconsistentProfile, LengthMismatch
+from .errors import BaseMismatch, InconsistentProfile, LengthMismatch, _Value
 
 __all__ = [
     "ContactHomologyModel",
@@ -40,57 +39,54 @@ def _check_ints(values, error, what):
             raise error(f"{what} must be integers, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ContactHomologyModel:
-    rank: int
-    euler: tuple[int, ...]
-    tight: bool
+class ContactHomologyModel(_Value):
+    __slots__ = ("rank", "euler", "tight")
 
-    def __post_init__(self):
-        rank = self.rank
+    def __init__(self, rank: int, euler, tight: bool):
         if type(rank) is not int:
             raise LengthMismatch(f"rank must be an integer, got {rank!r}")
         if rank < 0:
             raise LengthMismatch(f"rank must be non-negative, got {rank}")
-        euler = tuple(self.euler)
+        euler = tuple(euler)
         if len(euler) != rank:
             raise LengthMismatch(f"euler vector has length {len(euler)}, expected rank {rank}")
         _check_ints(euler, LengthMismatch, "euler entries")
-        if type(self.tight) is not bool:
-            raise LengthMismatch(f"tight must be a bool, got {self.tight!r}")
+        if type(tight) is not bool:
+            raise LengthMismatch(f"tight must be a bool, got {tight!r}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "tight", tight)
 
     @property
     def effective_euler(self) -> tuple[int, ...]:
         return (0,) * self.rank if self.tight else self.euler
 
 
-@dataclass(frozen=True)
-class RelativeSurfaceClass:
+class RelativeSurfaceClass(_Value):
     """A surface class: an opaque base label plus the closed-class
     offset added to it.  Two classes compare only over equal bases.
     The offset is stored as a tuple, and an entry that is not an
     ``int`` raises LengthMismatch, as an Euler entry does."""
 
-    base: str
-    offset: tuple[int, ...]
+    __slots__ = ("base", "offset")
 
-    def __post_init__(self):
-        offset = tuple(self.offset)
+    def __init__(self, base: str, offset):
+        offset = tuple(offset)
         _check_ints(offset, LengthMismatch, "offset entries")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(_Value):
     """Algebraic intersections of the two knots with a closed class;
     one that is not an ``int`` raises InconsistentProfile."""
 
-    k_dot_A: int
-    j_dot_A: int
+    __slots__ = ("k_dot_A", "j_dot_A")
 
-    def __post_init__(self):
-        _check_ints((self.k_dot_A, self.j_dot_A), InconsistentProfile, "intersection numbers")
+    def __init__(self, k_dot_A: int, j_dot_A: int):
+        _check_ints((k_dot_A, j_dot_A), InconsistentProfile, "intersection numbers")
+        object.__setattr__(self, "k_dot_A", k_dot_A)
+        object.__setattr__(self, "j_dot_A", j_dot_A)
 
 
 def new_model(rank, euler, tight) -> ContactHomologyModel:

@@ -1,11 +1,11 @@
 """Grid moves: translations, commutations and (de)stabilizations.
 
 Every move is a total function returning a new diagram, so traces are
-trivially reproducible.  Each move kind is one frozen dataclass with
-``apply(g)``, the moved diagram; ``column_map(g)``, taking a column of
-``g`` to a column of the moved diagram on the same strand (see
-:func:`follow`); ``footprint(g)``, the one component of ``g`` whose
-pattern (see :func:`component_patterns`) the move may change, or
+trivially reproducible.  Each move kind is one immutable value class
+with ``apply(g)``, the moved diagram; ``column_map(g)``, taking a
+column of ``g`` to a column of the moved diagram on the same strand
+(see :func:`follow`); ``footprint(g)``, the one component of ``g``
+whose pattern (see :func:`component_patterns`) the move may change, or
 None; and ``text()``, its script line.
 
 Footprints, for a move that applies to ``g``: a translation names the
@@ -55,9 +55,6 @@ be excluded from front-invariance checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
-
 from .errors import (
     BadCell,
     InterleavingSpans,
@@ -67,6 +64,7 @@ from .errors import (
     ParseError,
     SameComponent,
     ScriptStepError,
+    _Value,
 )
 from .grid import GridDiagram, _check_component, _int_token, _moved, new_grid, to_front
 from .invariants import (
@@ -142,13 +140,13 @@ def _check_int(value, field):
         raise BadCell(f"{field} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Translate:
-    direction: str
+class Translate(_Value):
+    __slots__ = ("direction",)
 
-    def __post_init__(self):
-        if self.direction not in _STEPS:
-            raise BadCell(f"unknown direction {self.direction!r}")
+    def __init__(self, direction: str):
+        if direction not in _STEPS:
+            raise BadCell(f"unknown direction {direction!r}")
+        object.__setattr__(self, "direction", direction)
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Cyclically shift all markers one step in the given direction:
@@ -168,7 +166,7 @@ class Translate:
         dc = _STEPS[self.direction][0]
         return lambda col: (col + dc) % g.n
 
-    def footprint(self, g: GridDiagram) -> Optional[int]:
+    def footprint(self, g: GridDiagram) -> int | None:
         """The owner of the line that wraps round the boundary; every
         other line keeps its place in the cyclic order."""
         dc, dr = _STEPS[self.direction]
@@ -181,15 +179,15 @@ class Translate:
         return f"translate {self.direction}"
 
 
-@dataclass(frozen=True)
-class Commute:
-    axis: str  # "row" or "col"
-    index: int
+class Commute(_Value):
+    __slots__ = ("axis", "index")  # axis "row" or "col"
 
-    def __post_init__(self):
-        if self.axis not in ("row", "col"):
-            raise BadCell(f"axis must be row or col, got {self.axis!r}")
-        _check_int(self.index, "index")
+    def __init__(self, axis: str, index: int):
+        if axis not in ("row", "col"):
+            raise BadCell(f"axis must be row or col, got {axis!r}")
+        _check_int(index, "index")
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "index", index)
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Swap adjacent rows or columns ``index`` and ``index + 1``.
@@ -216,7 +214,7 @@ class Commute:
     def column_map(self, g: GridDiagram):
         return _swap(self.index) if self.axis == "col" else lambda col: col
 
-    def footprint(self, g: GridDiagram) -> Optional[int]:
+    def footprint(self, g: GridDiagram) -> int | None:
         """The owner of both lines, or None when two components own
         them: each then keeps the order of its own lines."""
         i = self.index
@@ -230,18 +228,18 @@ class Commute:
         return f"commute {self.axis} {self.index}"
 
 
-@dataclass(frozen=True)
-class Stabilize:
-    marker: str  # "X" or "O"
-    column: int
-    subtype: str  # "NE", "NW", "SE", "SW"
+class Stabilize(_Value):
+    __slots__ = ("marker", "column", "subtype")  # "X" or "O"; "NE", "NW", "SE" or "SW"
 
-    def __post_init__(self):
-        if self.marker not in ("X", "O"):
-            raise BadCell(f"marker must be X or O, got {self.marker!r}")
-        _check_int(self.column, "column")
-        if self.subtype not in _SUBTYPES:
+    def __init__(self, marker: str, column: int, subtype: str):
+        if marker not in ("X", "O"):
+            raise BadCell(f"marker must be X or O, got {marker!r}")
+        _check_int(column, "column")
+        if subtype not in _SUBTYPES:
             raise BadCell(f"subtype must be one of {', '.join(_SUBTYPES)}")
+        object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "subtype", subtype)
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Replace one marker by the L-pattern of the given subtype on an
@@ -276,7 +274,7 @@ class Stabilize:
         c = self.column
         return lambda col: col if col <= c else col + 1
 
-    def footprint(self, g: GridDiagram) -> Optional[int]:
+    def footprint(self, g: GridDiagram) -> int | None:
         """The owner of the stabilized marker."""
         return g.component_by_column[self.column]
 
@@ -284,15 +282,15 @@ class Stabilize:
         return f"stab {self.marker} {self.column} {self.subtype}"
 
 
-@dataclass(frozen=True)
-class Destabilize:
-    column: int
-    row: Optional[int] = None
+class Destabilize(_Value):
+    __slots__ = ("column", "row")
 
-    def __post_init__(self):
-        _check_int(self.column, "column")
-        if self.row is not None:
-            _check_int(self.row, "row")
+    def __init__(self, column: int, row: int | None = None):
+        _check_int(column, "column")
+        if row is not None:
+            _check_int(row, "row")
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "row", row)
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Collapse the three-marker L-block found in columns
@@ -331,7 +329,7 @@ class Destabilize:
         c = self.column
         return lambda col: col if col <= c else col - 1
 
-    def footprint(self, g: GridDiagram) -> Optional[int]:
+    def footprint(self, g: GridDiagram) -> int | None:
         """The owner of the block: its three markers share rows, so
         both of its columns belong to one component."""
         return g.component_by_column[self.column]
@@ -342,20 +340,20 @@ class Destabilize:
         return f"destab {self.column} {self.row}"
 
 
-@dataclass(frozen=True)
-class LegendrianStab:
+class LegendrianStab(_Value):
     """The grid subtype realizing the signed Legendrian stabilization of
     one component: tb drops by 1 and the rotation number moves by
     ``sign``.  The X marker in the component's lowest column is
     stabilized."""
 
-    component: int
-    sign: int
+    __slots__ = ("component", "sign")
 
-    def __post_init__(self):
-        _check_int(self.component, "component")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise BadCell(f"stabilization sign must be +1 or -1, got {self.sign!r}")
+    def __init__(self, component: int, sign: int):
+        _check_int(component, "component")
+        if type(sign) is not int or sign not in (1, -1):
+            raise BadCell(f"stabilization sign must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "sign", sign)
 
     def _stabilize(self, g: GridDiagram) -> Stabilize:
         _check_component(self.component, g.component_count)
@@ -369,7 +367,7 @@ class LegendrianStab:
     def column_map(self, g: GridDiagram):
         return self._stabilize(g).column_map(g)
 
-    def footprint(self, g: GridDiagram) -> Optional[int]:
+    def footprint(self, g: GridDiagram) -> int | None:
         """The stabilized component."""
         return self.component
 
@@ -377,12 +375,15 @@ class LegendrianStab:
         return f"lstab {self.component} {'+' if self.sign > 0 else '-'}"
 
 
-GridMove = Union[Translate, Commute, Stabilize, Destabilize, LegendrianStab]
+# the move kinds, as ``isinstance`` takes them
+GridMove = (Translate, Commute, Stabilize, Destabilize, LegendrianStab)
 
 
-@dataclass(frozen=True)
-class MoveScript:
-    moves: tuple[GridMove, ...]
+class MoveScript(_Value):
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: tuple[GridMove, ...]):
+        object.__setattr__(self, "moves", moves)
 
 
 def apply_move(g: GridDiagram, move: GridMove) -> GridDiagram:
@@ -408,19 +409,30 @@ def changes_cusps(move: GridMove, before, after, image) -> bool:
     return isinstance(move, Translate) and any(before[c] != after[i] for c, i in enumerate(image))
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    move: Optional[GridMove]
-    invariants: tuple[ClassicalInvariants, ...]
-    relative: Optional[RelativeInvariants]
-    flags: tuple[str, ...]
+class TraceStep(_Value):
+    __slots__ = ("index", "move", "invariants", "relative", "flags")
+
+    def __init__(
+        self,
+        index: int,
+        move: GridMove | None,
+        invariants: tuple[ClassicalInvariants, ...],
+        relative: RelativeInvariants | None,
+        flags: tuple[str, ...],
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "relative", relative)
+        object.__setattr__(self, "flags", flags)
 
 
-@dataclass(frozen=True)
-class ScriptResult:
-    final: GridDiagram
-    trace: tuple[TraceStep, ...]
+class ScriptResult(_Value):
+    __slots__ = ("final", "trace")
+
+    def __init__(self, final: GridDiagram, trace: tuple[TraceStep, ...]):
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "trace", trace)
 
 
 def _intern(key, subs):

@@ -8,7 +8,6 @@ across runs.  Case counts scale with the requested ``cases`` value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import ledger, simulator
 from .errors import InterleavingSpans, LegridError
@@ -45,11 +44,11 @@ from .sampling import random_grid, random_link
 __all__ = ["run_selftest", "CHECKS"]
 
 
-@dataclass
 class CheckResult:
-    name: str
-    cases: int
-    failures: int
+    __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int, failures: int):
+        self.name, self.cases, self.failures = name, cases, failures
 
     @property
     def passed(self):

@@ -22,11 +22,10 @@ integer addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
-from typing import NamedTuple
 
-from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift, _check_sign
+from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift, _Value, _check_sign
 from .grid import _int_token
 
 __all__ = [
@@ -40,16 +39,11 @@ __all__ = [
 ]
 
 
-class FramedPairState(NamedTuple):
+class FramedPairState(namedtuple("FramedPairState", "tw_K tw_J w_K w_J sK sJ", defaults=(0,) * 6)):
     """The six boundary fields, each 0 unless given; as a tuple it is
     the row that :func:`replay` yields."""
 
-    tw_K: int = 0
-    tw_J: int = 0
-    w_K: int = 0
-    w_J: int = 0
-    sK: int = 0
-    sJ: int = 0
+    __slots__ = ()
 
     @property
     def tb_rel(self):
@@ -68,15 +62,15 @@ class FramedPairState(NamedTuple):
         return (self.tb_rel, self.r_rel, self.sl_rel)
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(_Value):
     """One transverse crossing of the moving knot through the fixed
     one, with its intersection sign."""
 
-    sign: int
+    __slots__ = ("sign",)
 
-    def __post_init__(self):
-        _check_sign(self.sign, "crossing sign")
+    def __init__(self, sign: int):
+        _check_sign(sign, "crossing sign")
+        object.__setattr__(self, "sign", sign)
 
     @property
     def shift(self):
@@ -86,8 +80,7 @@ class CrossingEvent:
         return (-e, -e, -e, -e, e, e)
 
 
-@dataclass(frozen=True)
-class IntersectionPattern:
+class IntersectionPattern(_Value):
     """Counts of the intersection arcs between the old surface and the
     isotopy annulus, plus the sign of the singular clasp if present.
 
@@ -104,21 +97,19 @@ class IntersectionPattern:
     full crossing shift) move any field.
     """
 
-    circles: int = 0
-    ribbon_arcs: int = 0
-    boundary_parallel_arcs: int = 0
-    clasps: int = 0
-    singular: tuple[int, ...] = ()
+    __slots__ = ("circles", "ribbon_arcs", "boundary_parallel_arcs", "clasps", "singular")
 
-    def __post_init__(self):
-        for name in ("circles", "ribbon_arcs", "boundary_parallel_arcs", "clasps"):
-            count = getattr(self, name)
+    def __init__(self, circles=0, ribbon_arcs=0, boundary_parallel_arcs=0, clasps=0, singular=()):
+        values = (circles, ribbon_arcs, boundary_parallel_arcs, clasps, singular)
+        for name, count in zip(self.__slots__, values[:4]):
             if type(count) is not int or count < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
-        if not isinstance(self.singular, tuple):
-            raise ValueError(f"singular must be a tuple of signs, got {self.singular!r}")
-        for sign in self.singular:
+        if not isinstance(singular, tuple):
+            raise ValueError(f"singular must be a tuple of signs, got {singular!r}")
+        for sign in singular:
             _check_sign(sign, "singular clasp sign")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @property
     def shift(self):
@@ -152,8 +143,8 @@ def replay(s0: FramedPairState, events):
     :class:`ScriptStepError` with its index.
 
     Events are looked up by identity first, so a repeated object (the
-    parser shares one per distinct line) skips the dataclass hash; an
-    equal but distinct object falls back to the equality-keyed dict.
+    parser shares one per distinct line) is not hashed again; an equal
+    but distinct object falls back to the equality-keyed dict.
     Only the first object of each value gets an identity entry: that
     dict keeps it alive, so no id is reused while the dicts live, and a
     caller that builds a fresh object per event adds no entries.

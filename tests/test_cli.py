@@ -467,8 +467,7 @@ class TestErrors:
         # Each check is forced to fail; under -O an assert would vanish.
         code = """
 import legrid.grid as grid, legrid.simulator as sim
-from dataclasses import replace
-from legrid import LegridError, new_grid, linking_number, tb_grid_oracle, to_front
+from legrid import FrontData, LegridError, new_grid, linking_number, tb_grid_oracle, to_front
 
 def raised(fn):
     try:
@@ -478,7 +477,7 @@ def raised(fn):
     return None
 
 g = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
-odd = replace(to_front(g), crossing_matrix=((0, 1), (0, 0)))
+odd = FrontData(((0, 1), (0, 0)), to_front(g).cusps)
 grid.to_front = lambda g_: odd
 print(raised(lambda: linking_number(g, 0, 1)))
 t = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
 import sys
 
 import legrid
@@ -53,6 +54,17 @@ def test_the_package_imports_only_the_standard_library():
             else:
                 continue
             assert [t for t in tops if t not in sys.stdlib_module_names] == [], f"{name}:{node.lineno}"
+
+
+def test_import_loads_no_class_generation_machinery():
+    # Every CLI call pays for ``import legrid.cli``: the value classes
+    # share one base, so neither ``dataclasses`` (with ``inspect``) nor
+    # ``typing`` is imported.  ``-S`` keeps a site ``.pth`` file from
+    # importing them first.
+    code = "import sys, legrid.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(legrid.__path__[0]))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_the_package_has_no_assert_statements():
