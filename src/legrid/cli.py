@@ -20,10 +20,9 @@ import sys
 from . import ledger as ledger_mod
 from . import simulator
 from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
-from .grid import Convention, GridDiagram, _int_token, _is_int, _load_json, parse_grid, reading
+from .grid import Convention, GridDiagram, _int_token, _read_json, parse_grid, reading
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, parse_move_script
-from .selftest import run_selftest
 
 __all__ = ["main", "parse_grid_file"]
 
@@ -188,25 +187,18 @@ def _cmd_moves(args):
 
 def _parse_model(text):
     """A model file: a JSON object with an integer "rank", a list of
-    integers "euler" and a boolean "tight", and no other key."""
-    data = _load_json(text)
-    if not isinstance(data, dict) or set(data) != {"rank", "euler", "tight"}:
-        raise ParseError(1, 1, 'model file needs exactly the keys "rank", "euler", "tight"')
-    rank, euler, tight = data["rank"], data["euler"], data["tight"]
-    if not _is_int(rank):
-        raise ParseError(1, 1, '"rank" must be an integer')
-    if not isinstance(euler, list) or not all(_is_int(v) for v in euler):
-        raise ParseError(1, 1, '"euler" must be a list of integers')
-    if not isinstance(tight, bool):
-        raise ParseError(1, 1, '"tight" must be true or false')
-    return ledger_mod.new_model(rank, euler, tight)
+    integers "euler" and a boolean "tight", and no other key, read by
+    the reader of JSON grid files."""
+    fields = _read_json(text, rank="an integer", euler="a list of integers", tight="true or false")
+    return ledger_mod.new_model(*fields)
 
 
 def _cmd_ledger(args):
     model = _parse_model(_read_input(args.model))
     zero = (0,) * model.rank
-    s1 = ledger_mod.RelativeSurfaceClass(args.base, zero if args.offset1 is None else args.offset1)
-    s2 = ledger_mod.RelativeSurfaceClass(args.base, zero if args.offset2 is None else args.offset2)
+    # both classes lie over one base, so its label changes no output
+    s1 = ledger_mod.RelativeSurfaceClass("sigma", zero if args.offset1 is None else args.offset1)
+    s2 = ledger_mod.RelativeSurfaceClass("sigma", zero if args.offset2 is None else args.offset2)
     payload = {
         "tb_diff": ledger_mod.tb_diff(model, s1, s2),
         "rot_diff": ledger_mod.rot_diff(model, s1, s2),
@@ -244,6 +236,9 @@ def _write_states(rows, triple):
 
 
 def _cmd_selftest(args):
+    # imported here, so no other verb loads the suite and its sampler
+    from .selftest import run_selftest
+
     report = run_selftest(args.seed, args.cases)
 
     def table():
@@ -288,7 +283,6 @@ def _build_parser():
 
     led = sub.add_parser("ledger", help="evaluate a homology-model query")
     led.add_argument("model")
-    led.add_argument("--base", default="sigma")
     led.add_argument("--offset1", type=_offsets_arg, default=None)
     led.add_argument("--offset2", type=_offsets_arg, default=None)
     led.set_defaults(func=_cmd_ledger)

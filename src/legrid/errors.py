@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, the check of a +1/-1
-sign that the invariants and the simulator share, and the base of the
+"""Exception types shared across the toolkit, the one check of an
+integer field and the one check of a +1/-1 sign that the modules
+share, each raising the error its caller names, and the base of the
 package's immutable value classes."""
 
 from operator import attrgetter as _attrgetter
@@ -102,7 +103,7 @@ class ParseError(LegridError):
 
 
 class ScriptStepError(LegridError):
-    """A move or event script failed at a specific step."""
+    """A move script failed at a specific step."""
 
     def __init__(self, index, cause):
         super().__init__(f"step {index}: {cause}")
@@ -110,10 +111,16 @@ class ScriptStepError(LegridError):
         self.cause = cause
 
 
-def _check_sign(sign, field):
+def _check_int(value, field, error):
+    # floats and bools compare equal to ints, so the type is checked
+    if type(value) is not int:
+        raise error(f"{field} must be an integer, got {value!r}")
+
+
+def _check_sign(sign, field, error=ValueError):
     # floats and bools compare equal to ints, so the type is checked
     if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"{field} must be +1 or -1, got {sign!r}")
+        raise error(f"{field} must be +1 or -1, got {sign!r}")
 
 
 class _Value:

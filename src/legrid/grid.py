@@ -30,6 +30,7 @@ from .errors import (
     SharedCell,
     SizeMismatch,
     UnknownComponent,
+    _check_int,
     _Value,
 )
 
@@ -152,9 +153,7 @@ class GridDiagram(_Value, fields=("n", "xs", "os")):
     """
 
     def __init__(self, n: int, xs, os):
-        # floats and bools compare equal to ints, so the type is checked
-        if type(n) is not int:
-            raise SizeMismatch(f"grid size must be an integer, got {n!r}")
+        _check_int(n, "grid size", SizeMismatch)
         if n < 1:
             raise SizeMismatch(f"grid size must be positive, got {n}")
         xs, os = tuple(xs), tuple(os)
@@ -438,12 +437,6 @@ def parse_grid(text: str) -> GridDiagram:
     return _parse_grid_text(text)
 
 
-def _is_int(value):
-    """JSON integers only: ``true`` and ``false`` load as bool, a
-    subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_token(text):
     """The integer a text format writes: ASCII digits with an optional
     sign, inside optional surrounding whitespace.  Anything else raises
@@ -469,19 +462,34 @@ def _load_json(text):
         raise ParseError(1, 1, f"undecodable JSON: {e}") from None
 
 
-def _parse_grid_json(text):
+# each kind a JSON field may have, by the text that names it; ``true``
+# and ``false`` load as bool, a subclass of int, so types are compared
+_JSON_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a list of integers": lambda v: type(v) is list and all(type(e) is int for e in v),
+    "true or false": lambda v: type(v) is bool,
+}
+
+
+def _read_json(text, /, **kinds):
+    """The fields of a JSON input, in the order of ``kinds``, which
+    maps each key to the text of its kind in ``_JSON_KINDS``: the one
+    reader of grid and model files.  The text must hold one object with
+    exactly those keys, and each field must be of its kind; the first
+    refusal, checked in that order, is a ParseError at 1:1."""
     data = _load_json(text)
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ParseError(1, 1, "expected a JSON object")
-    if set(data) != {"n", "x", "o"}:
-        raise ParseError(1, 1, 'expected exactly the keys "n", "x", "o"')
-    n, x, o = data["n"], data["x"], data["o"]
-    if not _is_int(n):
-        raise ParseError(1, 1, '"n" must be an integer')
-    for key, value in (("x", x), ("o", o)):
-        if not isinstance(value, list) or not all(_is_int(v) for v in value):
-            raise ParseError(1, 1, f'"{key}" must be a list of integers')
-    return new_grid(n, x, o)
+    if data.keys() != kinds.keys():
+        raise ParseError(1, 1, "expected exactly the keys " + ", ".join(f'"{key}"' for key in kinds))
+    for key, kind in kinds.items():
+        if not _JSON_KINDS[kind](data[key]):
+            raise ParseError(1, 1, f'"{key}" must be {kind}')
+    return [data[key] for key in kinds]
+
+
+def _parse_grid_json(text):
+    return new_grid(*_read_json(text, n="an integer", x="a list of integers", o="a list of integers"))
 
 
 def _int_list(line_no, line, key):

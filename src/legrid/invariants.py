@@ -38,22 +38,24 @@ __all__ = [
 
 
 class ClassicalInvariants(_Value):
-    """The classical triple of one component, with both transverse
-    push-offs: sl_pos = tb - r and sl_neg = tb + r."""
+    """The classical invariants of one component: it stores tb and r,
+    and derives the self-linking numbers of both transverse push-offs
+    from them, sl_pos = tb - r and sl_neg = tb + r, so the push-off
+    relation holds by construction."""
 
-    __slots__ = ("tb", "r", "sl_pos", "sl_neg")
+    __slots__ = ("tb", "r")
 
-    def __init__(self, tb: int, r: int, sl_pos: int, sl_neg: int):
-        if sl_pos != tb - r or sl_neg != tb + r:
-            raise ValueError("push-off relation violated: sl_pos = tb - r, sl_neg = tb + r")
+    def __init__(self, tb: int, r: int):
         object.__setattr__(self, "tb", tb)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "sl_pos", sl_pos)
-        object.__setattr__(self, "sl_neg", sl_neg)
 
-    @classmethod
-    def from_tb_rot(cls, tb, r):
-        return cls(tb=tb, r=r, sl_pos=tb - r, sl_neg=tb + r)
+    @property
+    def sl_pos(self):
+        return self.tb - self.r
+
+    @property
+    def sl_neg(self):
+        return self.tb + self.r
 
 
 class OrientationFlag(_Value):
@@ -211,7 +213,7 @@ def classical(g: GridDiagram, c) -> ClassicalInvariants:
         raise OracleMismatch(
             f"component {c}: front route gives tb={tb}, push-off route gives {oracle}"
         )
-    inv = cache[c] = ClassicalInvariants.from_tb_rot(tb, rot(f, c))
+    inv = cache[c] = ClassicalInvariants(tb, rot(f, c))
     return inv
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BaseMismatch, InconsistentProfile, LengthMismatch, _Value
+from .errors import BaseMismatch, InconsistentProfile, LengthMismatch, _check_int, _Value
 
 __all__ = [
     "ContactHomologyModel",
@@ -43,8 +43,7 @@ class ContactHomologyModel(_Value):
     __slots__ = ("rank", "euler", "tight")
 
     def __init__(self, rank: int, euler, tight: bool):
-        if type(rank) is not int:
-            raise LengthMismatch(f"rank must be an integer, got {rank!r}")
+        _check_int(rank, "rank", LengthMismatch)
         if rank < 0:
             raise LengthMismatch(f"rank must be non-negative, got {rank}")
         euler = tuple(euler)

@@ -64,6 +64,8 @@ from .errors import (
     ParseError,
     SameComponent,
     ScriptStepError,
+    _check_int,
+    _check_sign,
     _Value,
 )
 from .grid import GridDiagram, _check_component, _int_token, _moved, new_grid, to_front
@@ -134,12 +136,6 @@ def _row_owner(g, row):
     return g.component_by_column[g.x_col_by_row[row]]
 
 
-def _check_int(value, field):
-    # floats and bools compare equal to ints, so the type is checked
-    if type(value) is not int:
-        raise BadCell(f"{field} must be an integer, got {value!r}")
-
-
 class Translate(_Value):
     __slots__ = ("direction",)
 
@@ -185,7 +181,7 @@ class Commute(_Value):
     def __init__(self, axis: str, index: int):
         if axis not in ("row", "col"):
             raise BadCell(f"axis must be row or col, got {axis!r}")
-        _check_int(index, "index")
+        _check_int(index, "index", BadCell)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "index", index)
 
@@ -234,7 +230,7 @@ class Stabilize(_Value):
     def __init__(self, marker: str, column: int, subtype: str):
         if marker not in ("X", "O"):
             raise BadCell(f"marker must be X or O, got {marker!r}")
-        _check_int(column, "column")
+        _check_int(column, "column", BadCell)
         if subtype not in _SUBTYPES:
             raise BadCell(f"subtype must be one of {', '.join(_SUBTYPES)}")
         object.__setattr__(self, "marker", marker)
@@ -286,9 +282,9 @@ class Destabilize(_Value):
     __slots__ = ("column", "row")
 
     def __init__(self, column: int, row: int | None = None):
-        _check_int(column, "column")
+        _check_int(column, "column", BadCell)
         if row is not None:
-            _check_int(row, "row")
+            _check_int(row, "row", BadCell)
         object.__setattr__(self, "column", column)
         object.__setattr__(self, "row", row)
 
@@ -349,9 +345,8 @@ class LegendrianStab(_Value):
     __slots__ = ("component", "sign")
 
     def __init__(self, component: int, sign: int):
-        _check_int(component, "component")
-        if type(sign) is not int or sign not in (1, -1):
-            raise BadCell(f"stabilization sign must be +1 or -1, got {sign!r}")
+        _check_int(component, "component", BadCell)
+        _check_sign(sign, "stabilization sign", BadCell)
         object.__setattr__(self, "component", component)
         object.__setattr__(self, "sign", sign)
 

@@ -232,13 +232,13 @@ def _check_relative_algebra(rng, cases):
     return CheckResult("relative-algebra", cases, failures)
 
 
-def _random_class_pair(rng, rank, base="sigma"):
+def _random_class_pair(rng, rank):
     def offsets():
         return tuple(rng.randint(-4, 4) for _ in range(rank))
 
     return (
-        ledger.RelativeSurfaceClass(base, offsets()),
-        ledger.RelativeSurfaceClass(base, offsets()),
+        ledger.RelativeSurfaceClass("sigma", offsets()),
+        ledger.RelativeSurfaceClass("sigma", offsets()),
     )
 
 

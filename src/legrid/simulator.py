@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add
 
-from .errors import MultipleSingularClasps, ParseError, ScriptStepError, TripleDrift, _Value, _check_sign
+from .errors import MultipleSingularClasps, ParseError, TripleDrift, _Value, _check_sign
 from .grid import _int_token
 
 __all__ = [
@@ -85,8 +85,9 @@ class IntersectionPattern(_Value):
     isotopy annulus, plus the sign of the singular clasp if present.
 
     ``singular`` is a tuple of clasp signs, each +1 or -1, and empty
-    when there is no singular clasp; anything longer than one entry is
-    rejected when resolved, since a second singular clasp would force a
+    when there is no singular clasp.  A pattern with more than one
+    raises :class:`MultipleSingularClasps` when it is built, after the
+    sign checks, since a second singular clasp would force a
     self-intersection of the embedded surface.
 
     Resolution order: circles, boundary-parallel arcs, ribbon arcs,
@@ -108,18 +109,17 @@ class IntersectionPattern(_Value):
             raise ValueError(f"singular must be a tuple of signs, got {singular!r}")
         for sign in singular:
             _check_sign(sign, "singular clasp sign")
+        if len(singular) > 1:
+            raise MultipleSingularClasps(f"at most one singular clasp is possible, got {len(singular)}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @property
     def shift(self):
         """+ribbon_arcs on both twists, plus the crossing shift of the
-        singular clasp; O(1) whatever the counts.  Several singular
-        clasps raise :class:`MultipleSingularClasps`."""
-        if len(self.singular) > 1:
-            raise MultipleSingularClasps(
-                f"at most one singular clasp is possible, got {len(self.singular)}"
-            )
+        singular clasp if there is one; O(1) whatever the counts.  A
+        pattern holds at most one singular clasp, so this never
+        raises."""
         r = self.ribbon_arcs
         clasp = CrossingEvent(self.singular[0]).shift if self.singular else (0,) * 6
         return tuple(map(add, (r, r, 0, 0, 0, 0), clasp))
@@ -136,11 +136,13 @@ def replay(s0: FramedPairState, events):
 
     Returns an iterator over the states, each a plain tuple
     ``(tw_K, tw_J, w_K, w_J, sK, sJ)``, starting with ``s0``.  Each
-    event's ``shift`` is read once per distinct event.  Every shift is
-    checked before the first state comes out: one that would move the
-    relative triple raises :class:`TripleDrift` naming the first event
-    with that shift, and a pattern with several singular clasps raises
-    :class:`ScriptStepError` with its index.
+    event's ``shift`` is read once per distinct event.  Every event is
+    checked before the first state comes out: one that is neither a
+    crossing nor a pattern raises TypeError, and a shift that would
+    move the relative triple raises :class:`TripleDrift`, each naming
+    the event's index.  A pattern with several singular clasps cannot
+    be built (see :class:`IntersectionPattern`), so it never reaches
+    this function.
 
     Events are looked up by identity first, so a repeated object (the
     parser shares one per distinct line) is not hashed again; an equal
@@ -160,10 +162,7 @@ def replay(s0: FramedPairState, events):
         if shift is None:
             if not isinstance(event, (CrossingEvent, IntersectionPattern)):
                 raise TypeError(f"event {idx} is neither a crossing nor a pattern: {event!r}")
-            try:
-                shift = event.shift
-            except MultipleSingularClasps as err:
-                raise ScriptStepError(idx, err) from err
+            shift = event.shift
             a, b, c, d, e, f = shift
             if a != b or c != d or e != f:
                 moved = (triple[0] + a - b, triple[1] + c - d, triple[2] + e - f)

@@ -313,9 +313,10 @@ class TestCrossSim:
             "tb_rel": 0, "r_rel": 0, "sl_rel": 0,
         }
 
-    def test_two_singular_clasps_record_names_step_and_cause(self, capsys, tmp_path, monkeypatch):
+    def test_two_singular_clasps_are_refused_when_built(self, capsys, tmp_path, monkeypatch):
         # The text format writes at most one clasp sign, so the two-clasp
-        # pattern is appended after parsing.
+        # pattern is built after parsing; building it raises, so nothing
+        # is replayed and the record names no step.
         import legrid.simulator as sim_mod
 
         real = sim_mod.parse_event_script
@@ -328,12 +329,10 @@ class TestCrossSim:
         code, out, err = run_cli(capsys, "cross-sim", str(events))
         assert (code, out) == (1, "")
         error = _single_json_error(err)
-        assert list(error) == ["type", "message", "step", "cause"]
+        assert list(error) == ["type", "message"]
         assert error == {
-            "type": "ScriptStepError",
-            "message": "step 2: at most one singular clasp is possible, got 2",
-            "step": 2,
-            "cause": "MultipleSingularClasps",
+            "type": "MultipleSingularClasps",
+            "message": "at most one singular clasp is possible, got 2",
         }
 
     @pytest.mark.parametrize("key", ["circles", "ribbon", "bparallel", "clasps", "singular"])
@@ -708,26 +707,33 @@ class TestInputFiles:
 
 
 class TestLedgerModel:
+    # the model file is read by the grid files' JSON reader, so these
+    # are its refusals too (tests/test_grid.py pins them for grids)
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            '{"rank": "2", "euler": [4, 6], "tight": false}',
-            '{"rank": 2.0, "euler": [4, 6], "tight": false}',
-            '{"rank": true, "euler": [4], "tight": false}',
-            '{"rank": 1, "euler": 5, "tight": false}',
-            '{"rank": 1, "euler": ["a"], "tight": false}',
-            '{"rank": 1, "euler": [null], "tight": false}',
-            '{"rank": 1, "euler": [true], "tight": false}',
-            '{"rank": 2, "euler": [4, 6], "tight": "false"}',
-            '{"rank": 2, "euler": [4, 6], "tight": 0}',
+            ('{"rank": "2", "euler": [4, 6], "tight": false}', '"rank" must be an integer'),
+            ('{"rank": 2.0, "euler": [4, 6], "tight": false}', '"rank" must be an integer'),
+            ('{"rank": true, "euler": [4], "tight": false}', '"rank" must be an integer'),
+            ('{"rank": null, "euler": [], "tight": false}', '"rank" must be an integer'),
+            ('{"rank": 1, "euler": 5, "tight": false}', '"euler" must be a list of integers'),
+            ('{"rank": 1, "euler": ["a"], "tight": false}', '"euler" must be a list of integers'),
+            ('{"rank": 1, "euler": [null], "tight": false}', '"euler" must be a list of integers'),
+            ('{"rank": 1, "euler": [true], "tight": false}', '"euler" must be a list of integers'),
+            ('{"rank": 1, "euler": [[1]], "tight": false}', '"euler" must be a list of integers'),
+            ('{"rank": 2, "euler": [4, 6], "tight": "false"}', '"tight" must be true or false'),
+            ('{"rank": 2, "euler": [4, 6], "tight": 0}', '"tight" must be true or false'),
+            ('{"rank": 2, "euler": [4, 6], "tight": null}', '"tight" must be true or false'),
+            # the fields are checked in key order, whatever order the text has
+            ('{"tight": 0, "euler": 5, "rank": true}', '"rank" must be an integer'),
         ],
     )
-    def test_field_of_the_wrong_type_is_a_parse_error(self, capsys, tmp_path, text):
+    def test_field_of_the_wrong_type_is_a_parse_error(self, capsys, tmp_path, text, message):
         model = tmp_path / "model.json"
         model.write_text(text)
         code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1,0")
         assert (code, out) == (1, "")
-        assert _single_json_error(err)["type"] == "ParseError"
+        assert _single_json_error(err) == {"type": "ParseError", "message": message, "line": 1, "column": 1}
 
     @pytest.mark.parametrize("entry", ["1.5", "true"])
     def test_non_integer_euler_entry_keeps_its_parse_text(self, capsys, tmp_path, entry):
@@ -739,6 +745,34 @@ class TestLedgerModel:
         assert _single_json_error(err) == {
             "type": "ParseError", "message": '"euler" must be a list of integers', "line": 1, "column": 1,
         }
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[2, [4, 6], false]", "expected a JSON object"),
+            ("2", "expected a JSON object"),
+            ('"rank"', "expected a JSON object"),
+            ("null", "expected a JSON object"),
+            ("{}", 'expected exactly the keys "rank", "euler", "tight"'),
+            ('{"rank": 2, "euler": [4, 6]}', 'expected exactly the keys "rank", "euler", "tight"'),
+            ('{"rank": 2, "euler": [4, 6], "tight": false, "q": 1}',
+             'expected exactly the keys "rank", "euler", "tight"'),
+        ],
+    )
+    def test_not_an_object_or_other_keys_is_a_parse_error(self, capsys, tmp_path, text, message):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code, out, err = run_cli(capsys, "ledger", str(model), "--offset1", "1,0")
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == {"type": "ParseError", "message": message, "line": 1, "column": 1}
+
+    def test_base_is_no_option(self, capsys, tmp_path):
+        # both classes lie over one fixed label, which no option sets
+        model = tmp_path / "model.json"
+        model.write_text('{"rank": 1, "euler": [2], "tight": false}')
+        code, out, err = run_cli(capsys, "ledger", str(model), "--base", "tau")
+        assert (code, out) == (2, "")
+        assert _single_json_error(err) == {"type": "UsageError", "message": "unrecognized arguments: --base tau"}
 
     def test_unknown_key_is_a_parse_error(self, capsys, tmp_path):
         model = tmp_path / "model.json"

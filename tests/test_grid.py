@@ -27,7 +27,7 @@ from legrid import (
     to_front,
     writhe,
 )
-from legrid.grid import _int_token
+from legrid.grid import _int_token, _read_json
 from legrid.sampling import random_grid, random_knot, random_link
 
 from helpers import (
@@ -541,6 +541,45 @@ class TestSerialization:
     def test_json_rejects_extra_keys(self):
         with pytest.raises(ParseError):
             parse_grid('{"n": 2, "x": [0, 1], "o": [1, 0], "q": 1}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 2, "x": [0, 1]}', 'expected exactly the keys "n", "x", "o"'),
+            ('{"n": 2, "x": [0, 1], "o": [1, 0], "q": 1}', 'expected exactly the keys "n", "x", "o"'),
+            ('{"n": 2, "x": [0, 1], "O": [1, 0]}', 'expected exactly the keys "n", "x", "o"'),
+            ("{}", 'expected exactly the keys "n", "x", "o"'),
+            ('{"n": true, "x": [0, 1], "o": [1, 0]}', '"n" must be an integer'),
+            ('{"n": 2.0, "x": [0, 1], "o": [1, 0]}', '"n" must be an integer'),
+            ('{"n": "2", "x": [0, 1], "o": [1, 0]}', '"n" must be an integer'),
+            ('{"n": null, "x": [0, 1], "o": [1, 0]}', '"n" must be an integer'),
+            ('{"n": [2], "x": [0, 1], "o": [1, 0]}', '"n" must be an integer'),
+            ('{"n": 2, "x": true, "o": [1, 0]}', '"x" must be a list of integers'),
+            ('{"n": 2, "x": [0, true], "o": [1, 0]}', '"x" must be a list of integers'),
+            ('{"n": 2, "x": [0, 1.0], "o": [1, 0]}', '"x" must be a list of integers'),
+            ('{"n": 2, "x": "01", "o": [1, 0]}', '"x" must be a list of integers'),
+            ('{"n": 2, "x": {"0": 1}, "o": [1, 0]}', '"x" must be a list of integers'),
+            ('{"n": 2, "x": [0, 1], "o": [false, 0]}', '"o" must be a list of integers'),
+            ('{"n": 2, "x": [0, 1], "o": [[1], 0]}', '"o" must be a list of integers'),
+            ('{"n": 2, "x": [0, 1], "o": null}', '"o" must be a list of integers'),
+            # the fields are checked in key order, whatever order the text has
+            ('{"o": null, "x": 0, "n": true}', '"n" must be an integer'),
+        ],
+    )
+    def test_json_refusals_are_pinned(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_grid(text)
+        assert type(exc.value) is ParseError
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, 1, message)
+
+    @pytest.mark.parametrize("text", ["[2]", "2", '"n"', "null", "true"])
+    def test_json_reader_refuses_what_is_not_an_object(self, text):
+        # parse_grid reads only a text that starts with "{" as JSON, and
+        # such a text loads as an object or not at all; the model file's
+        # reader is the same function (tests/test_cli.py::TestLedgerModel)
+        with pytest.raises(ParseError) as exc:
+            _read_json(text, n="an integer", x="a list of integers", o="a list of integers")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, 1, "expected a JSON object")
 
     def test_missing_lines(self):
         with pytest.raises(ParseError):

@@ -282,8 +282,15 @@ class TestRotation:
 
 
 class TestClassicalBundle:
-    def test_pushoff_relation_enforced(self):
-        with pytest.raises(ValueError):
+    def test_pushoff_relation_holds_by_construction(self):
+        # tb and r are the only fields; both push-offs derive from them
+        rng = random.Random(10)
+        for _ in range(200):
+            tb, r = rng.randint(-50, 50), rng.randint(-50, 50)
+            inv = ClassicalInvariants(tb, r)
+            assert (inv.sl_pos, inv.sl_neg) == (tb - r, tb + r)
+            assert inv == ClassicalInvariants(tb=tb, r=r)
+        with pytest.raises(TypeError):
             ClassicalInvariants(tb=-1, r=0, sl_pos=0, sl_neg=-1)
 
     def test_sl_sum_identity(self):

@@ -67,6 +67,22 @@ def test_import_loads_no_class_generation_machinery():
     assert run.stdout == "[]\n"
 
 
+def test_only_the_selftest_verb_loads_the_suite():
+    # ``legrid.selftest`` and the sampler it draws from are imported by
+    # the selftest verb alone, so no other verb compiles them.
+    code = (
+        "import contextlib, io, sys, legrid.cli\n"
+        "suite = {'legrid.selftest', 'legrid.sampling'}\n"
+        "print(sorted(suite & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = legrid.cli.main(['selftest', '--cases', '0'])\n"
+        "print(code, sorted(suite & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(legrid.__path__[0]))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n0 ['legrid.sampling', 'legrid.selftest']\n"
+
+
 def test_the_package_has_no_assert_statements():
     # An invariant the code relies on raises a LegridError; an assert
     # would vanish under ``python -O``.

@@ -9,7 +9,6 @@ from legrid import (
     IntersectionPattern,
     MultipleSingularClasps,
     ParseError,
-    ScriptStepError,
     TripleDrift,
     classical,
     cross,
@@ -114,12 +113,15 @@ class TestResolvePattern:
         assert out.tb_rel == s.tb_rel
         assert (out.w_K, out.w_J, out.sK, out.sJ) == (0, 0, 0, 0)
 
-    def test_multiple_singular_clasps_rejected(self):
-        pattern = IntersectionPattern(singular=(1, -1))
-        with pytest.raises(MultipleSingularClasps):
-            pattern.shift
-        with pytest.raises(MultipleSingularClasps):
-            cross(FramedPairState(), pattern)
+    def test_multiple_singular_clasps_rejected_when_built(self):
+        for singular in ((1, -1), (1, 1), (-1, -1, 1)):
+            with pytest.raises(MultipleSingularClasps) as exc:
+                IntersectionPattern(singular=singular)
+            assert str(exc.value) == f"at most one singular clasp is possible, got {len(singular)}"
+        # the sign checks come first
+        with pytest.raises(ValueError) as exc:
+            IntersectionPattern(singular=(1, 2))
+        assert type(exc.value) is ValueError
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
@@ -188,10 +190,10 @@ class TestRunTrace:
             assert run_trace(s0, events)[-1] == final
 
     def test_error_carries_event_index(self):
-        events = [CrossingEvent(1), IntersectionPattern(singular=(1, 1))]
-        with pytest.raises(ScriptStepError) as exc:
+        events = [CrossingEvent(1), IntersectionPattern(), "cross +"]
+        with pytest.raises(TypeError) as exc:
             run_trace(FramedPairState(), events)
-        assert exc.value.index == 1
+        assert str(exc.value) == "event 2 is neither a crossing nor a pattern: 'cross +'"
 
     def test_drift_raises(self, monkeypatch):
         monkeypatch.setattr(CrossingEvent, "shift", property(lambda e: (-e.sign, 0, 0, 0, 0, 0)))
@@ -256,10 +258,13 @@ class TestReplay:
         assert [row[4] for row in rows] == [sum(signs[:i]) for i in range(201)]
 
     def test_errors_raise_before_the_first_state(self, monkeypatch):
-        events = [CrossingEvent(1)] * 3 + [IntersectionPattern(singular=(1, -1))]
-        with pytest.raises(ScriptStepError) as exc:
+        # a two-clasp pattern cannot be built, so no event list holds one
+        with pytest.raises(MultipleSingularClasps):
+            IntersectionPattern(singular=(1, -1))
+        events = [CrossingEvent(1)] * 3 + [(1, -1)]
+        with pytest.raises(TypeError) as exc:
             replay(FramedPairState(), events)
-        assert exc.value.index == 3
+        assert str(exc.value) == "event 3 is neither a crossing nor a pattern: (1, -1)"
 
         monkeypatch.setattr(CrossingEvent, "shift", property(lambda e: (0, 0, 0, 0, e.sign, 0)))
         events = [IntersectionPattern(ribbon_arcs=4), CrossingEvent(-1), CrossingEvent(1)]

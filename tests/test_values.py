@@ -26,6 +26,7 @@ from legrid import (
     LegendrianStab,
     LengthMismatch,
     MoveScript,
+    MultipleSingularClasps,
     NotAPermutation,
     OrientationFlag,
     RelativeInvariants,
@@ -44,7 +45,7 @@ UNKNOT = (2, [0, 1], [1, 0])
 
 
 def _step():
-    return TraceStep(0, None, (ClassicalInvariants.from_tb_rot(-1, 0),), None, ())
+    return TraceStep(0, None, (ClassicalInvariants(-1, 0),), None, ())
 
 
 # (build one value, its pinned repr): one row per value class; each
@@ -56,7 +57,7 @@ VALUES = [
     (lambda: to_front(new_grid(*UNKNOT)),
      "FrontData(crossing_matrix=((0,),), cusps=(CuspCounts(up=1, down=1),))"),
     (lambda: new_grid(*UNKNOT), "GridDiagram(n=2, xs=(0, 1), os=(1, 0))"),
-    (lambda: ClassicalInvariants.from_tb_rot(-1, 0), "ClassicalInvariants(tb=-1, r=0, sl_pos=-1, sl_neg=-1)"),
+    (lambda: ClassicalInvariants(-1, 0), "ClassicalInvariants(tb=-1, r=0)"),
     (lambda: OrientationFlag(), "OrientationFlag(surface=1, coorientation=1)"),
     (lambda: RelativeInvariants(1, 2, 3),
      "RelativeInvariants(tb_rel=1, r_rel=2, sl_rel=3, orientation=OrientationFlag(surface=1, coorientation=1))"),
@@ -71,11 +72,11 @@ VALUES = [
     (lambda: MoveScript((Translate("up"), Destabilize(2, 4))),
      "MoveScript(moves=(Translate(direction='up'), Destabilize(column=2, row=4)))"),
     (_step,
-     "TraceStep(index=0, move=None, invariants=(ClassicalInvariants(tb=-1, r=0, sl_pos=-1, sl_neg=-1),),"
+     "TraceStep(index=0, move=None, invariants=(ClassicalInvariants(tb=-1, r=0),),"
      " relative=None, flags=())"),
     (lambda: ScriptResult(new_grid(*UNKNOT), (_step(),)),
      "ScriptResult(final=GridDiagram(n=2, xs=(0, 1), os=(1, 0)), trace=(TraceStep(index=0, move=None,"
-     " invariants=(ClassicalInvariants(tb=-1, r=0, sl_pos=-1, sl_neg=-1),), relative=None, flags=()),))"),
+     " invariants=(ClassicalInvariants(tb=-1, r=0),), relative=None, flags=()),))"),
     (lambda: CrossingEvent(1), "CrossingEvent(sign=1)"),
     (lambda: IntersectionPattern(1, 2, 0, 1, (-1,)),
      "IntersectionPattern(circles=1, ribbon_arcs=2, boundary_parallel_arcs=0, clasps=1, singular=(-1,))"),
@@ -108,7 +109,8 @@ def test_equality_is_type_strict():
     assert Translate("up") != ("up",)
     assert CuspCounts(1, 2) != IntersectionProfile(1, 2)
     assert CrossingEvent(1) != (1,)
-    assert ClassicalInvariants.from_tb_rot(-1, 0) != (-1, 0, -1, -1)
+    assert ClassicalInvariants(-1, 0) != (-1, 0)
+    assert ClassicalInvariants(0, 1) != CuspCounts(0, 1)
     assert new_grid(*UNKNOT) != (2, (0, 1), (1, 0))
     assert Commute("row", 2) != Commute("col", 2)
 
@@ -174,7 +176,7 @@ def test_positional_and_keyword_construction_share_defaults():
     assert GridDiagram(os=[1, 0], n=2, xs=[0, 1]).xs == (0, 1)
     assert ContactHomologyModel(rank=1, euler=[3], tight=True).euler == (3,)
     assert RelativeSurfaceClass(offset=[1], base="S").offset == (1,)
-    assert ClassicalInvariants(tb=-1, r=0, sl_pos=-1, sl_neg=-1) == ClassicalInvariants.from_tb_rot(-1, 0)
+    assert ClassicalInvariants(r=0, tb=-1) == ClassicalInvariants(-1, 0)
     assert Stabilize(subtype="NE", column=0, marker="X") == Stabilize("X", 0, "NE")
     assert OrientationFlag(1, -1).flipped() == OrientationFlag(-1, -1)
 
@@ -190,8 +192,6 @@ INVALID = [
     (lambda: GridDiagram(2, [0, 0], [1, 0]), NotAPermutation, "X rows are not a permutation of 0..1"),
     (lambda: GridDiagram(2, [0, 1], [1.0, 0]), NotAPermutation, "O rows are not a permutation of 0..1"),
     (lambda: GridDiagram(2, [0, 1], [0, 1]), SharedCell, "column 0 holds X and O in the same cell"),
-    (lambda: ClassicalInvariants(-1, 0, -1, 0), ValueError,
-     "push-off relation violated: sl_pos = tb - r, sl_neg = tb + r"),
     (lambda: OrientationFlag(2), ValueError, "surface must be +1 or -1, got 2"),
     (lambda: OrientationFlag(1, True), ValueError, "coorientation must be +1 or -1, got True"),
     (lambda: ContactHomologyModel("1", [0], False), LengthMismatch, "rank must be an integer, got '1'"),
@@ -206,6 +206,8 @@ INVALID = [
     (lambda: IntersectionPattern(clasps=True), ValueError, "clasps must be a non-negative integer, got True"),
     (lambda: IntersectionPattern(singular=[1]), ValueError, "singular must be a tuple of signs, got [1]"),
     (lambda: IntersectionPattern(singular=(2,)), ValueError, "singular clasp sign must be +1 or -1, got 2"),
+    (lambda: IntersectionPattern(singular=(1, 1)), MultipleSingularClasps,
+     "at most one singular clasp is possible, got 2"),
 ]
 
 
