@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from operator import countOf, eq
 
 from .errors import (
@@ -437,6 +437,31 @@ def parse_grid(text: str) -> GridDiagram:
     return _parse_grid_text(text)
 
 
+# text is split into lines about this many characters at a time, so no
+# list of all its lines is ever held
+_CHUNK = 1 << 16
+
+
+def _text_lines(text):
+    """``(line_no, line)`` for each line of ``text``, numbered from 1,
+    exactly as ``enumerate(text.splitlines(), start=1)`` gives them: the
+    one line splitter of every text format.  The text is cut into
+    chunks, each ending just after the first ``"\\n"`` at or beyond
+    ``_CHUNK`` characters, and each chunk is split on its own.  A cut
+    after ``"\\n"`` never divides a line break (``"\\r\\n"`` included),
+    so the lines and their numbers are those of the whole text, while
+    only one chunk's lines are held at a time."""
+    return enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), start=1)
+
+
+def _chunks(text):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _int_token(text):
     """The integer a text format writes: ASCII digits with an optional
     sign, inside optional surrounding whitespace.  Anything else raises
@@ -520,7 +545,7 @@ def _int_list(line_no, line, key):
 def _parse_grid_text(text):
     content = []
     last_line = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _text_lines(text):
         last_line = line_no
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

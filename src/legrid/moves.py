@@ -68,7 +68,7 @@ from .errors import (
     _check_sign,
     _Value,
 )
-from .grid import GridDiagram, _check_component, _int_token, _moved, new_grid, to_front
+from .grid import GridDiagram, _check_component, _int_token, _moved, _text_lines, new_grid, to_front
 from .invariants import (
     ClassicalInvariants,
     RelativeInvariants,
@@ -535,7 +535,7 @@ def parse_move_script(text: str) -> MoveScript:
     integers are read first; the move it builds then checks its words,
     and a BadCell it raises is the ParseError of that line."""
     moves = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in _text_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

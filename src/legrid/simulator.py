@@ -26,7 +26,7 @@ from collections import namedtuple
 from operator import add
 
 from .errors import MultipleSingularClasps, ParseError, TripleDrift, _Value, _check_sign
-from .grid import _int_token
+from .grid import _int_token, _text_lines
 
 __all__ = [
     "FramedPairState",
@@ -191,12 +191,12 @@ def run_trace(s0: FramedPairState, events) -> tuple[FramedPairState, ...]:
     return tuple(map(FramedPairState._make, replay(s0, events)))
 
 
-def _parse_sign(token, line_no):
+def _parse_sign(token, error, at):
     if token == "+":
         return 1
     if token == "-":
         return -1
-    raise ParseError(line_no, 1, f"expected + or -, got {token!r}")
+    raise error(f"expected + or -, got {token!r}", at)
 
 
 _PATTERN_KEYS = ("circles", "ribbon", "bparallel", "clasps", "singular")
@@ -210,54 +210,72 @@ def parse_event_script(text: str):
     Events are immutable, so each distinct raw line is parsed once, and
     one event object is shared by every line of equal value, however it
     is spelled.  Blank lines are never cached, and a raw line is cached
-    only once it has parsed.
+    only once it has parsed.  The text is split into lines a chunk at a
+    time (see ``grid._text_lines``), so no list of all its lines is
+    held: what grows with the script is one pointer per event.
     """
     seen = {}  # raw line -> its event
     shared = {}  # event -> the one object of its value
     events = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in _text_lines(text):
         event = seen.get(raw)
         if event is None:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            event = seen[raw] = shared.setdefault(e := _parse_event(line, line_no), e)
+            event = seen[raw] = shared.setdefault(e := _parse_event(raw, line, line_no), e)
         events.append(event)
     return tuple(events)
 
 
-def _parse_event(line, line_no):
+def _parse_event(raw, line, line_no):
+    """The event of one line; ``line`` is ``raw`` without its comment
+    and outer whitespace.  A ParseError names the 1-based column in
+    ``raw`` of the token at fault."""
     parts = line.split()
+
+    def error(message, at=0):
+        # at parts[at], or at the value of field `at` when `at` is a key
+        # (at its key=value part when the value is empty)
+        index = at if type(at) is int else next(i for i, p in enumerate(parts) if p.startswith(at + "="))
+        end = 0
+        for part in parts[: index + 1]:
+            end = raw.index(part, end) + len(part)
+        column = end - len(part) + 1
+        if type(at) is str and len(part) > len(at) + 1:
+            column += len(at) + 1
+        return ParseError(line_no, column, message)
+
     if parts[0] == "cross" and len(parts) == 2:
-        return CrossingEvent(_parse_sign(parts[1], line_no))
+        return CrossingEvent(_parse_sign(parts[1], error, 1))
     if parts[0] != "pattern":
-        raise ParseError(line_no, 1, f"unrecognized event: {line!r}")
+        raise error(f"unrecognized event: {line!r}")
     fields = {}
-    for part in parts[1:]:
+    for i, part in enumerate(parts[1:], start=1):
         if "=" not in part:
-            raise ParseError(line_no, 1, f"expected key=value, got {part!r}")
+            raise error(f"expected key=value, got {part!r}", i)
         key, value = part.split("=", 1)
         if key not in _PATTERN_KEYS:
-            raise ParseError(line_no, 1, f"unknown pattern field {key!r}")
+            raise error(f"unknown pattern field {key!r}", i)
         if key in fields:
-            raise ParseError(line_no, 1, f"repeated pattern field {key!r}")
+            raise error(f"repeated pattern field {key!r}", i)
         fields[key] = value
     missing = [k for k in _PATTERN_KEYS if k not in fields]
     if missing:
-        raise ParseError(line_no, 1, f"pattern is missing {', '.join(missing)}")
+        raise error(f"pattern is missing {', '.join(missing)}")
     counts = {}
     for key in _PATTERN_KEYS[:-1]:
         try:
             counts[key] = _int_token(fields[key])
         except ValueError:
-            raise ParseError(line_no, 1, f"{key} must be an integer") from None
+            raise error(f"{key} must be an integer", key) from None
         if counts[key] < 0:
-            raise ParseError(line_no, 1, f"{key} must be non-negative, got {counts[key]}")
+            raise error(f"{key} must be non-negative, got {counts[key]}", key)
     singular = fields["singular"]
     return IntersectionPattern(
         circles=counts["circles"],
         ribbon_arcs=counts["ribbon"],
         boundary_parallel_arcs=counts["bparallel"],
         clasps=counts["clasps"],
-        singular=() if singular == "none" else (_parse_sign(singular, line_no),),
+        singular=() if singular == "none" else (_parse_sign(singular, error, "singular"),),
     )

@@ -344,7 +344,8 @@ class TestCrossSim:
         code, out, err = run_cli(capsys, "cross-sim", str(events))
         assert (code, out) == (1, "")
         error = _single_json_error(err)
-        assert (error["type"], error["line"], error["column"]) == ("ParseError", 3, 1)
+        # the repeated field is the sixth field, after "pattern " and five
+        assert (error["type"], error["line"], error["column"]) == ("ParseError", 3, len(f"pattern {fields} ") + 1)
         assert error["message"] == f"repeated pattern field {key!r}"
 
     def test_negative_pattern_count_is_a_parse_error(self, capsys, tmp_path):

@@ -1,7 +1,12 @@
+import ast
 import random
+import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import legrid.grid as grid_mod
 
 from legrid import (
     CrossingEvent,
@@ -18,6 +23,7 @@ from legrid import (
     replay,
     run_trace,
 )
+from legrid.grid import _text_lines
 
 states = st.builds(
     FramedPairState,
@@ -305,16 +311,16 @@ class TestEventParsing:
         assert exc.value.line == 1
 
     @pytest.mark.parametrize(
-        "text, message",
+        "text, column, message",
         [
-            ("pattern circles", "expected key=value, got 'circles'"),
-            ("pattern foo=1", "unknown pattern field 'foo'"),
+            ("pattern circles", 9, "expected key=value, got 'circles'"),
+            ("pattern foo=1", 9, "unknown pattern field 'foo'"),
         ],
     )
-    def test_bad_pattern_fields(self, text, message):
+    def test_bad_pattern_fields(self, text, column, message):
         with pytest.raises(ParseError) as exc:
             parse_event_script(text)
-        assert (exc.value.line, exc.value.column, exc.value.message) == (1, 1, message)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, column, message)
 
     def test_repeated_lines_share_one_event(self):
         events = parse_event_script("cross +\n  cross +  # again\ncross -\ncross +\n")
@@ -341,7 +347,7 @@ class TestEventParsing:
         assert events[0] is events[1] is events[2]
         with pytest.raises(ParseError) as exc:
             parse_event_script("cross + # a\ncross + # a\n\ncross * # a\ncross * # a\n")
-        assert (exc.value.line, exc.value.column) == (4, 1)
+        assert (exc.value.line, exc.value.column) == (4, 7)
 
     @pytest.mark.parametrize("key", ["circles", "ribbon", "bparallel", "clasps"])
     def test_negative_count_is_a_parse_error(self, key):
@@ -357,5 +363,149 @@ class TestEventParsing:
         line = f"pattern circles=0 ribbon={value} bparallel=0 clasps=0 singular=none"
         with pytest.raises(ParseError) as exc:
             parse_event_script("cross +\n" + line + "\n")
-        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert (exc.value.line, exc.value.column) == (2, len("pattern circles=0 ribbon=") + 1)
         assert parse_event_script(line.replace(value, "+10"))[0].ribbon_arcs == 10
+
+
+# every line break `str.splitlines` knows of (a "\r" line break before a
+# "\n" one makes "\r\n"), lines that parse, and tokens for lines that may not
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_GOOD_LINES = [
+    "", "  ", "\t", "# note", "cross +", "cross -", "  cross  - # back", "cross +#",
+    "pattern circles=0 ribbon=1 bparallel=0 clasps=2 singular=+",
+    "pattern singular=+ clasps=2 bparallel=0 ribbon=1 circles=0  # the same",
+    "pattern circles=3 ribbon=+0 bparallel=1 clasps=0 singular=none",
+]
+_TOKENS = [
+    " ", "  ", "\t", "#", "cross", "+", "-", "*", "pattern", "circles=1", "ribbon=0",
+    "bparallel=3", "clasps=0", "singular=none", "singular=-", "singular=", "circles=-1",
+    "clasps=x", "ribbon=1_0", "foo=1", "circles", "=",
+]
+
+
+@st.composite
+def event_texts(draw):
+    """A script of good lines, perhaps with one line of any tokens, each
+    line ended by any line break, the last perhaps by none."""
+    lines = draw(st.lists(st.sampled_from(_GOOD_LINES), max_size=40))
+    if draw(st.booleans()):
+        bad = draw(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=8))
+        lines.insert(draw(st.integers(0, len(lines))), "".join(bad))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(map(str.__add__, lines, breaks))
+
+
+def _reference_parse(text):
+    """parse_event_script run on each line alone: the events, or the
+    (line, column, message) of the first error."""
+    events = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        try:
+            events.extend(parse_event_script(raw))
+        except ParseError as e:
+            assert e.line == 1
+            return None, (line_no, e.column, e.message)
+    return events, None
+
+
+def _check_error_token(raw, column, message):
+    """The column lies inside the line, a token (or a field's value)
+    starts there, and it is the token the message names."""
+    assert 1 <= column <= len(raw)
+    at, before = raw[column - 1:], raw[:column - 1]
+    assert not at[0].isspace()
+    assert before == "" or before[-1].isspace() or before[-1] == "="
+    m = re.fullmatch(r"(.*?)((?:'|\").*)", message)
+    named = ast.literal_eval(m[2]) if m else None  # the token a message quotes
+    if message.startswith(("unrecognized event: ", "expected key=value, got ")):
+        assert at.startswith(named)
+    elif message.startswith("unknown pattern field "):
+        assert at.startswith(named + "=")
+    elif message.startswith("repeated pattern field "):
+        # at the second of the two
+        assert at.startswith(named + "=") and re.search(r"\s" + re.escape(named) + "=", before)
+    elif message.startswith("pattern is missing "):
+        assert at.startswith("pattern") and before.strip() == ""
+    elif m := re.fullmatch(r"(\w+) must be (?:an integer|non-negative, got -\d+)", message):
+        # at the value, or at the field when its value is empty
+        assert before.endswith(m[1] + "=") or re.match(m[1] + r"=(\s|#|$)", at)
+    else:
+        assert message.startswith("expected + or -, got "), message
+        if named:
+            assert at.startswith(named) and (before.endswith("singular=") or before.split() == ["cross"])
+        else:
+            assert re.match(r"singular=(\s|#|$)", at)
+
+
+class TestChunkedLines:
+    """Scripts are split into lines a chunk at a time; every chunk size
+    gives the lines, numbers, events and errors of the whole text."""
+
+    @settings(max_examples=300)
+    @given(event_texts())
+    def test_chunks_change_nothing(self, text):
+        lines = list(enumerate(text.splitlines(), start=1))
+        events, error = _reference_parse(text)
+        for chunk in (1, 2, 7, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(grid_mod, "_CHUNK", chunk)
+                assert list(_text_lines(text)) == lines
+                if error is None:
+                    parsed = parse_event_script(text)
+                    assert parsed == tuple(events)
+                    # one object per value
+                    assert len(set(map(id, parsed))) == len(set(parsed))
+                else:
+                    with pytest.raises(ParseError) as exc:
+                        parse_event_script(text)
+                    assert (exc.value.line, exc.value.column, exc.value.message) == error
+        if error is not None:
+            line, column, message = error
+            _check_error_token(lines[line - 1][1], column, message)
+
+    @pytest.mark.parametrize(
+        "raw, column, message",
+        [
+            ("cross *", 7, "expected + or -, got '*'"),
+            ("  cross   - -  # note", 3, "unrecognized event: 'cross   - -'"),
+            ("\tpattern circles=1", 2, "pattern is missing ribbon, bparallel, clasps, singular"),
+            ("pattern circles=1 ribbon=2 =3", 28, "unknown pattern field ''"),
+            ("pattern circles=1 ribbon=2 circles=1", 28, "repeated pattern field 'circles'"),
+            ("pattern circles=x ribbon=0 bparallel=0 clasps=0 singular=none", 17, "circles must be an integer"),
+            ("pattern circles=0 ribbon=0 bparallel=0 clasps= singular=none", 40, "clasps must be an integer"),
+            ("pattern circles=0 ribbon=0 bparallel=-2 clasps=0 singular=none", 38,
+             "bparallel must be non-negative, got -2"),
+            ("pattern circles=0 ribbon=0 bparallel=0 clasps=0 singular=x", 58, "expected + or -, got 'x'"),
+            ("pattern singular= circles=0 ribbon=0 bparallel=0 clasps=0", 9, "expected + or -, got ''"),
+        ],
+    )
+    def test_each_error_points_at_its_token(self, raw, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_event_script("cross +\n\n" + raw + "\ncross -\n")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (3, column, message)
+        _check_error_token(raw, column, message)
+
+    def test_no_list_of_all_lines_is_held(self):
+        # 10^5 lines of the benchmark's kinds; at most the events' tuple
+        # and its list (one pointer each) grow with the script
+        rng = random.Random(25)
+        lines = []
+        for i in range(100_000):
+            if rng.random() < 0.7:
+                lines.append("cross " + rng.choice("+-"))
+            else:
+                c, r, b, k = (rng.randint(0, 3) for _ in range(4))
+                lines.append(
+                    f"pattern circles={c} ribbon={r} bparallel={b} clasps={k} singular={rng.choice(('none', '+', '-'))}"
+                )
+        text = "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            events = parse_event_script(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == len(lines)
+        assert peak / len(lines) < 40
