@@ -73,7 +73,9 @@ class InterleavingSpans(LegridError):
 
 
 class BadCell(LegridError):
-    pass
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field  # the word field a move refused when built, if any
 
 
 class LengthMismatch(LegridError):

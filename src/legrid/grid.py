@@ -462,6 +462,22 @@ def _chunks(text):
         start = end
 
 
+def _token_column(raw, tokens, index):
+    """The 1-based column in ``raw`` of ``tokens[index]``, where
+    ``tokens`` are the whitespace-separated tokens of a part of ``raw``,
+    in order: each is found from the end of the one before it."""
+    end = 0
+    for token in tokens[: index + 1]:
+        start = raw.index(token, end)
+        end = start + len(token)
+    return start + 1
+
+
+def _lead_column(line):
+    """The 1-based column of the first token of ``line``."""
+    return len(line) - len(line.lstrip()) + 1
+
+
 def _int_token(text):
     """The integer a text format writes: ASCII digits with an optional
     sign, inside optional surrounding whitespace.  Anything else raises
@@ -517,10 +533,19 @@ def _parse_grid_json(text):
     return new_grid(*_read_json(text, n="an integer", x="a list of integers", o="a list of integers"))
 
 
+def _refused_int(line_no, line, start, part):
+    """The ParseError of ``part``, the text at 0-based ``start`` of
+    ``line`` that is not an integer: at its token, or at the line's key
+    when it is blank.  Leading whitespace counts toward the column."""
+    token = part.strip()
+    column = start + _lead_column(part) if token else _lead_column(line)
+    return ParseError(line_no, column, f"not an integer: {token!r}")
+
+
 def _int_list(line_no, line, key):
     stripped = line.strip()
     if not stripped.startswith(key + "="):
-        raise ParseError(line_no, 1, f"expected {key}=<comma-separated ints>")
+        raise ParseError(line_no, _lead_column(line), f"expected {key}=<comma-separated ints>")
     offset = line.index("=") + 1
     body = line[offset:].rstrip("\n")
     parts = body.split(",")
@@ -537,7 +562,7 @@ def _int_list(line_no, line, key):
         try:
             values.append(_int_token(part))
         except ValueError:
-            raise ParseError(line_no, offset + pos + 1, f"not an integer: {part.strip()!r}") from None
+            raise _refused_int(line_no, line, offset + pos, part) from None
         pos += len(part) + 1
     return values
 
@@ -552,17 +577,20 @@ def _parse_grid_text(text):
             continue
         content.append((line_no, line))
     if len(content) != 3:
-        raise ParseError(last_line or 1, 1, f"expected 3 content lines (n=, X=, O=), found {len(content)}")
+        # at the first surplus line, or at the end when one is missing
+        line_no, line = content[3] if len(content) > 3 else (last_line or 1, "")
+        message = f"expected 3 content lines (n=, X=, O=), found {len(content)}"
+        raise ParseError(line_no, _lead_column(line), message)
 
     (ln_n, line_n), (ln_x, line_x), (ln_o, line_o) = content
     stripped = line_n.strip()
     if not stripped.startswith("n="):
-        raise ParseError(ln_n, 1, "expected n=<int>")
+        raise ParseError(ln_n, _lead_column(line_n), "expected n=<int>")
     try:
         n = _int_token(stripped[2:])
     except ValueError:
-        column = line_n.index("=") + 2  # leading whitespace counts, as in _int_list
-        raise ParseError(ln_n, column, f"not an integer: {stripped[2:].strip()!r}") from None
+        offset = line_n.index("=") + 1
+        raise _refused_int(ln_n, line_n, offset, line_n[offset:]) from None
     xs = _int_list(ln_x, line_x, "X")
     os = _int_list(ln_o, line_o, "O")
     try:

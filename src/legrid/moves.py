@@ -68,7 +68,16 @@ from .errors import (
     _check_sign,
     _Value,
 )
-from .grid import GridDiagram, _check_component, _int_token, _moved, _text_lines, new_grid, to_front
+from .grid import (
+    GridDiagram,
+    _check_component,
+    _int_token,
+    _moved,
+    _text_lines,
+    _token_column,
+    new_grid,
+    to_front,
+)
 from .invariants import (
     ClassicalInvariants,
     RelativeInvariants,
@@ -141,7 +150,7 @@ class Translate(_Value):
 
     def __init__(self, direction: str):
         if direction not in _STEPS:
-            raise BadCell(f"unknown direction {direction!r}")
+            raise BadCell(f"unknown direction {direction!r}", "direction")
         object.__setattr__(self, "direction", direction)
 
     def apply(self, g: GridDiagram) -> GridDiagram:
@@ -180,7 +189,7 @@ class Commute(_Value):
 
     def __init__(self, axis: str, index: int):
         if axis not in ("row", "col"):
-            raise BadCell(f"axis must be row or col, got {axis!r}")
+            raise BadCell(f"axis must be row or col, got {axis!r}", "axis")
         _check_int(index, "index", BadCell)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "index", index)
@@ -229,10 +238,10 @@ class Stabilize(_Value):
 
     def __init__(self, marker: str, column: int, subtype: str):
         if marker not in ("X", "O"):
-            raise BadCell(f"marker must be X or O, got {marker!r}")
+            raise BadCell(f"marker must be X or O, got {marker!r}", "marker")
         _check_int(column, "column", BadCell)
         if subtype not in _SUBTYPES:
-            raise BadCell(f"subtype must be one of {', '.join(_SUBTYPES)}")
+            raise BadCell(f"subtype must be one of {', '.join(_SUBTYPES)}", "subtype")
         object.__setattr__(self, "marker", marker)
         object.__setattr__(self, "column", column)
         object.__setattr__(self, "subtype", subtype)
@@ -451,11 +460,6 @@ def _carry(values, image):
     return out
 
 
-def _cusps(parts):
-    """The cusp counts of every sub-grid in ``parts``."""
-    return [to_front(sub).cusps[0] for sub in parts]
-
-
 def _snapshot(parts, index, move, pair, flags):
     """The trace step of a grid, read off its sub-grids ``parts``."""
     invs = []
@@ -492,9 +496,11 @@ def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
     ``footprint`` names, so every other component carries its sub-grid
     through ``follow``'s image, and only the named one is rebuilt from
     its own columns and rows.  The sub-grids are the only per-component
-    record a step keeps: invariants and cusp counts are read off them
-    through the ``classical`` and ``to_front`` memos, so a carried
-    component's are memo hits.
+    record a step keeps: invariants are read off them through the
+    ``classical`` memo, so a carried component's are memo hits.  For the
+    same reason only the rebuilt component's cusp counts can change
+    (the rule of :func:`changes_cusps`), so a translation compares
+    those alone.
     """
     pair = (0, 1) if g.component_count >= 2 else None
     subs = {}  # (xs, os) -> its sub-grid, for this run only
@@ -509,10 +515,14 @@ def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
         image = follow(current, move, moved)
         changed = move.footprint(current)
         moved_parts = _carry(parts, image)
+        flags = ()
         if changed is not None:
             k = image[changed]
             moved_parts[k] = _intern(_component_pattern(moved, k), subs)
-        flags = ("cusp-change",) if changes_cusps(move, _cusps(parts), _cusps(moved_parts), image) else ()
+            # only the footprint's pattern can change, so only its cusps
+            before, after = parts[changed], moved_parts[k]
+            if isinstance(move, Translate) and to_front(before).cusps[0] != to_front(after).cusps[0]:
+                flags = ("cusp-change",)
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
         trace.append(_snapshot(moved_parts, idx, move, pair, flags))
@@ -522,42 +532,50 @@ def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
 
 # -- script text format ------------------------------------------------------
 
-def _parse_int(token, line_no, what):
+# the token index of each word field a move checks when it is built
+_WORD_TOKENS = {"direction": 1, "axis": 1, "marker": 1, "subtype": 3}
+
+
+def _parse_int(line_no, raw, tokens, index, what):
     try:
-        return _int_token(token)
+        return _int_token(tokens[index])
     except ValueError:
-        raise ParseError(line_no, 1, f"{what} must be an integer, got {token!r}") from None
+        message = f"{what} must be an integer, got {tokens[index]!r}"
+        raise ParseError(line_no, _token_column(raw, tokens, index), message) from None
 
 
 def parse_move_script(text: str) -> MoveScript:
     """Parse the one-move-per-line script format; ``#`` comments and
-    blank lines are ignored and errors carry line numbers.  A line's
-    integers are read first; the move it builds then checks its words,
-    and a BadCell it raises is the ParseError of that line."""
+    blank lines are ignored.  A line's integers are read first; the move
+    it builds then checks its words, and a BadCell it raises is the
+    ParseError of that line.  Every ParseError names the 1-based column
+    of the token at fault: the verb of an unrecognized move, or the
+    index, sign or word refused."""
     moves = []
     for line_no, raw in _text_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        verb, *args = line.split()
+        verb, *args = tokens = line.split()
         try:
             if verb == "translate" and len(args) == 1:
                 move = Translate(args[0])
             elif verb == "commute" and len(args) == 2:
-                move = Commute(args[0], _parse_int(args[1], line_no, "index"))
+                move = Commute(args[0], _parse_int(line_no, raw, tokens, 2, "index"))
             elif verb == "stab" and len(args) == 3:
-                move = Stabilize(args[0], _parse_int(args[1], line_no, "column"), args[2])
+                move = Stabilize(args[0], _parse_int(line_no, raw, tokens, 2, "column"), args[2])
             elif verb == "destab" and len(args) in (1, 2):
-                row = _parse_int(args[1], line_no, "row") if len(args) == 2 else None
-                move = Destabilize(_parse_int(args[0], line_no, "column"), row)
+                row = _parse_int(line_no, raw, tokens, 2, "row") if len(args) == 2 else None
+                move = Destabilize(_parse_int(line_no, raw, tokens, 1, "column"), row)
             elif verb == "lstab" and len(args) == 2:
-                component = _parse_int(args[0], line_no, "component")
+                component = _parse_int(line_no, raw, tokens, 1, "component")
                 if args[1] not in ("+", "-"):
-                    raise ParseError(line_no, 1, f"sign must be + or -, got {args[1]!r}")
+                    message = f"sign must be + or -, got {args[1]!r}"
+                    raise ParseError(line_no, _token_column(raw, tokens, 2), message)
                 move = LegendrianStab(component, 1 if args[1] == "+" else -1)
             else:
-                raise ParseError(line_no, 1, f"unrecognized move: {line!r}")
+                raise ParseError(line_no, _token_column(raw, tokens, 0), f"unrecognized move: {line!r}")
         except BadCell as e:
-            raise ParseError(line_no, 1, str(e)) from None
+            raise ParseError(line_no, _token_column(raw, tokens, _WORD_TOKENS[e.field]), str(e)) from None
         moves.append(move)
     return MoveScript(moves=tuple(moves))

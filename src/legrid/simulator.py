@@ -26,7 +26,7 @@ from collections import namedtuple
 from operator import add
 
 from .errors import MultipleSingularClasps, ParseError, TripleDrift, _Value, _check_sign
-from .grid import _int_token, _text_lines
+from .grid import _int_token, _text_lines, _token_column
 
 __all__ = [
     "FramedPairState",
@@ -238,11 +238,8 @@ def _parse_event(raw, line, line_no):
         # at parts[at], or at the value of field `at` when `at` is a key
         # (at its key=value part when the value is empty)
         index = at if type(at) is int else next(i for i, p in enumerate(parts) if p.startswith(at + "="))
-        end = 0
-        for part in parts[: index + 1]:
-            end = raw.index(part, end) + len(part)
-        column = end - len(part) + 1
-        if type(at) is str and len(part) > len(at) + 1:
+        column = _token_column(raw, parts, index)
+        if type(at) is str and len(parts[index]) > len(at) + 1:
             column += len(at) + 1
         return ParseError(line_no, column, message)
 

@@ -9,12 +9,13 @@ expected keys and values of any type, so that inputs get past the
 first token and the key check.
 """
 
+import ast
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from legrid import (
     Commute,
@@ -24,6 +25,7 @@ from legrid import (
     LegendrianStab,
     LegridError,
     MoveScript,
+    ParseError,
     Stabilize,
     Translate,
     parse_event_script,
@@ -125,6 +127,141 @@ EVENTS = st.one_of(
 @given(st.lists(EVENTS, max_size=20))
 def test_event_text_round_trip(events):
     assert parse_event_script(write_events(events)) == tuple(events)
+
+
+# -- every ParseError of a move script or a text grid names its token --------
+
+SPACES = [" ", "  ", "\t", "\u00a0", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r"]
+GOOD_MOVE_LINES = ["translate up", "commute col 0", "stab X 0 NE", "destab 1", "destab 1 0", "lstab 0 +", "# c", ""]
+# verb -> the good tokens of each of its arguments
+MOVE_ARGS = {
+    "translate": [["up", "down"]],
+    "commute": [["row", "col"], ["0", "1"]],
+    "stab": [["X", "O"], ["0", "1"], ["NE", "SW"]],
+    "destab": [["0", "1"], ["0", "1"]],
+    "lstab": [["0", "1"], ["+", "-"]],
+    "wiggle": [["1"]],
+}
+ARGS = ["0", "-1", "0_1", "\u0661", "x", "up", "diag", "row", "X", "Y", "NE", "N", "+", "?"]
+
+
+@st.composite
+def move_line(draw):
+    """A verb and mostly as many arguments as it takes, each mostly good,
+    joined by any whitespace, with perhaps a margin on either side and a
+    comment."""
+    verb = draw(st.sampled_from(sorted(MOVE_ARGS) + ["stab", "stab"]))
+    count = draw(st.sampled_from([len(MOVE_ARGS[verb])] * 8 + [0, 1, 3, 4]))
+    pools = (MOVE_ARGS[verb] + [ARGS] * 4)[:count]
+    words = [verb] + [draw(st.sampled_from(pool if draw(st.booleans()) else ARGS)) for pool in pools]
+    gaps = draw(st.lists(st.sampled_from(SPACES), min_size=len(words) + 1, max_size=len(words) + 1))
+    if not draw(st.booleans()):
+        gaps[0] = ""
+    gaps[-1] += draw(st.sampled_from(["", "# c", "#x 1"]))
+    return "".join(map(str.__add__, gaps, words + [""]))
+
+
+@st.composite
+def move_texts(draw):
+    """Good lines with perhaps one ``move_line`` among them, each ended
+    by any line break."""
+    lines = draw(st.lists(st.sampled_from(GOOD_MOVE_LINES), max_size=8))
+    if draw(st.integers(0, 3)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(move_line()))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+def _token_at(raw, column):
+    """The part of ``raw`` at 1-based ``column``, and the text before it;
+    the column lies inside the line, and a token starts there."""
+    assert 1 <= column <= len(raw)
+    at, before = raw[column - 1:], raw[: column - 1]
+    assert not at[0].isspace() and (before == "" or before[-1].isspace() or before[-1] in "=,")
+    return at, before
+
+
+# (verb, first word of the message) -> the index of the token at fault
+REFUSED_AT = {
+    ("commute", "index"): 2,
+    ("stab", "column"): 2,
+    ("destab", "column"): 1,
+    ("destab", "row"): 2,
+    ("lstab", "component"): 1,
+    ("lstab", "sign"): 2,
+    ("translate", "unknown"): 1,
+    ("commute", "axis"): 1,
+    ("stab", "marker"): 1,
+    ("stab", "subtype"): 3,
+}
+
+
+@settings(max_examples=300)
+@given(move_texts())
+def test_move_script_errors_name_their_token(text):
+    lines = text.splitlines()
+    try:
+        parse_move_script(text)
+    except ParseError as e:
+        # the first line that fails on its own
+        assert all(_raises_only_legrid_errors(parse_move_script, line) is not None for line in lines[: e.line - 1])
+        raw = lines[e.line - 1]
+        at, before = _token_at(raw, e.column)
+        tokens = raw.split("#", 1)[0].split()
+        index = len(before.split())
+        assert at.startswith(tokens[index])
+        # an unrecognized move at its verb
+        assert index == (0 if e.message.startswith("unrecognized move: ") else REFUSED_AT[tokens[0], e.message.split()[0]])
+        if "got " in e.message:
+            assert repr(tokens[index]) == e.message.split("got ", 1)[1]
+
+
+GRID_ITEMS = ["0", "1", "2", "0", "1", "2", "a", "", "0_1", "\u0661", " 1", "1 ", "\u00a01", "1 2", " a", "\u3000x "]
+
+
+@st.composite
+def grid_texts(draw):
+    """The n=, X= and O= lines, each perhaps with a wrong key, an indent
+    or bad items, perhaps one line too few or too many, between comment
+    and blank lines."""
+    lines = []
+    for key in ("n=", "X=", "O="):
+        key = draw(st.sampled_from([key] * 4 + ["m=", "Y=", ""]))
+        items = draw(st.lists(st.sampled_from(GRID_ITEMS), min_size=1, max_size=1 if key == "n=" else 3))
+        lines.append(draw(st.sampled_from(["", "", " ", "\t\u00a0"])) + key + ",".join(items))
+    count = draw(st.sampled_from([3] * 6 + [2, 4, 0]))
+    lines = (lines + ["O=1,0"])[:count]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# c", " #"])))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+@settings(max_examples=300)
+@given(grid_texts())
+def test_text_grid_errors_name_their_token(text):
+    lines = text.splitlines()
+    try:
+        parse_grid(text)
+    except ParseError as e:
+        content = [(i, line) for i, line in enumerate(lines, 1) if line.strip() and not line.strip().startswith("#")]
+        if e.message.startswith("expected 3 content lines"):
+            assert e.message.endswith(f"found {len(content)}")
+            if len(content) < 3:
+                # no token is at fault: the end of the text
+                assert (e.line, e.column) == (len(lines) or 1, 1)
+                return
+            assert e.line == content[3][0]
+        at, before = _token_at(lines[e.line - 1], e.column)
+        named = e.message.removeprefix("not an integer: ")
+        if named == e.message or named == "''":
+            # a key at fault, or a blank integer named at its line's key
+            assert before.strip() == ""
+            if named == "''":
+                assert at.startswith(("n=", "X=", "O="))
+        else:
+            assert at.startswith(ast.literal_eval(named)) and before.rstrip()[-1] in "=,"
+    except LegridError:
+        pass
 
 
 def _main_keeps_the_error_contract(argv):

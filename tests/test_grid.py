@@ -1,7 +1,11 @@
 import inspect
 import random
 import re
+from collections import Counter
+from fractions import Fraction
+from functools import cache
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -27,6 +31,7 @@ from legrid import (
     to_front,
     writhe,
 )
+from legrid import sampling
 from legrid.grid import _int_token, _read_json
 from legrid.sampling import random_grid, random_knot, random_link
 
@@ -533,6 +538,27 @@ class TestSerialization:
             parse_grid("n=2\nX=0,1\nO=0,1\n")
         assert (str(exc.value), exc.value.column) == ("line 2: column 0 holds X and O in the same cell", 0)
 
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            (" m=2\nX=0,1\nO=1,0\n", (1, 2), "expected n=<int>"),
+            ("n=2\n\t Y=0,1\nO=1,0\n", (2, 3), "expected X=<comma-separated ints>"),
+            ("n=2\nX=0,1\n# c\nO=1,0\n\n  n=3\nX=\n", (6, 3), "expected 3 content lines (n=, X=, O=), found 5"),
+            ("n=2\nX=0,1\n# end\n", (3, 1), "expected 3 content lines (n=, X=, O=), found 2"),
+            ("n=2\nX=0, a\nO=1,0\n", (2, 6), "not an integer: 'a'"),
+            ("n=2\nX=0,1\nO=1,\u3000x \n", (3, 6), "not an integer: 'x'"),
+            ("n=2\nX=0,,1\nO=1,0\n", (2, 1), "not an integer: ''"),
+            ("n= x\nX=0,1\nO=1,0\n", (1, 4), "not an integer: 'x'"),
+            (" n=\nX=0,1\nO=1,0\n", (1, 2), "not an integer: ''"),
+        ],
+    )
+    def test_each_error_points_at_its_token(self, text, position, message):
+        # a blank integer is named at its line's key; too few content
+        # lines at the end of the text, where no token is at fault
+        with pytest.raises(ParseError) as exc:
+            parse_grid(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (*position, message)
+
     def test_non_ascii_whitespace_pads_a_token(self):
         # a non-ASCII line takes the token-by-token path, which strips
         # every token as _int_token does
@@ -586,21 +612,64 @@ class TestSerialization:
             parse_grid("n=2\nX=0,1\n")
 
 
-class _Exhausted(Exception):
-    pass
+class _Path:
+    """A stand-in rng that follows one outcome path.  Its i-th call,
+    ``randrange(k)`` or ``shuffle`` of a k-list (k! outcomes, in the
+    order of ``permutations``), takes outcome ``path[i]``, or 0 past the
+    end of the path, and records its number of outcomes in ``ranges``."""
 
+    def __init__(self, path):
+        self.path = path
+        self.ranges = []
 
-class _Scripted:
-    """A stand-in rng whose shuffles write the given permutations, in
-    order, and which raises _Exhausted when it has none left."""
+    def _outcome(self, k):
+        assert k >= 1
+        i = len(self.ranges)
+        self.ranges.append(k)
+        return self.path[i] if i < len(self.path) else 0
 
-    def __init__(self, *perms):
-        self.perms = list(perms)
+    def randrange(self, k):
+        return self._outcome(k)
 
     def shuffle(self, seq):
-        if not self.perms:
-            raise _Exhausted
-        seq[:] = self.perms.pop(0)
+        orders = _orders(len(seq))
+        seq[:] = [seq[i] for i in orders[self._outcome(len(orders))]]
+
+
+@cache
+def _orders(k):
+    """Every permutation of range(k): the outcomes of a shuffle."""
+    return list(permutations(range(k)))
+
+
+def _draw_weights(sample, n, monkeypatch):
+    """The probability of each (xs, os) that ``sample(rng, n)`` passes to
+    ``new_grid``: the sum over every outcome path of its weight, one over
+    the product of its ranges.  The paths are walked like an odometer,
+    the last call that has an outcome left stepping first."""
+    monkeypatch.setattr(sampling, "new_grid", lambda n, xs, os: bytes(xs + os))
+    weights = {}  # xs + os -> probability
+    units = {}  # product of ranges -> one Fraction, shared by its paths
+    path = []
+    while True:
+        rng = _Path(path)
+        drawn = sample(rng, n)
+        size = prod(rng.ranges)
+        if size not in units:
+            units[size] = Fraction(1, size)
+        weights[drawn] = weights.get(drawn, 0) + units[size]
+        path += [0] * (len(rng.ranges) - len(path))
+        while path and path[-1] + 1 == rng.ranges[len(path) - 1]:
+            path.pop()
+        if not path:
+            return weights
+        path[-1] += 1
+
+
+@cache
+def _components_of_small_grids(n):
+    """How many valid n-grids have each number of components."""
+    return Counter(len(trace_components(xs, os)) for xs, os in all_marker_lists(n))
 
 
 SAMPLERS = [
@@ -612,40 +681,29 @@ SAMPLERS = [
 
 
 class TestSampling:
-    """Each sampler redraws the tracing permutation pi alone until it
-    fits, then draws the X rows once and builds one grid."""
+    """Each sampler draws the tracing permutation pi directly, then the
+    X rows once, and builds one grid."""
 
     @pytest.mark.parametrize("sample, wanted", SAMPLERS)
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_exact_bijection(self, sample, wanted, n):
-        """(xs, pi) -> grid is a bijection from the X rows and the
-        derangements with a wanted number of cycles onto the valid
-        grids with that many components; any other pi is redrawn.  A
-        size that no such grid fits raises ValueError."""
-        rows = list(range(n))
-        valid = {new_grid(n, xs, os) for xs, os in all_marker_lists(n)}
-        fits = {g for g in valid if g.component_count in wanted}
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exact_weights(self, monkeypatch, sample, wanted, n):
+        """Over every outcome path of the rng, each valid n-grid with a
+        wanted number of components is drawn with probability exactly
+        1/|fits|, and nothing else is drawn.  A size that no such grid
+        fits raises ValueError."""
+        fits = sum(count for k, count in _components_of_small_grids(n).items() if k in wanted)
         if not fits:
             with pytest.raises(ValueError):
-                sample(_Scripted(), n)
+                sample(_Path([]), n)
             return
-        drawn = []
-        for pi in permutations(rows):
-            cycles = trace_components(list(pi), rows)
-            accepted = min(map(len, cycles)) >= 2 and len(cycles) in wanted
-            for xs in permutations(rows):
-                try:
-                    g = sample(_Scripted(pi, xs), n)
-                except _Exhausted:
-                    assert not accepted
-                    continue
-                assert accepted
-                assert g.xs == xs
-                assert all(g.os[p] == x for p, x in zip(pi, xs))
-                assert g.component_count == len(cycles) == len(trace_components(g.xs, g.os))
-                drawn.append(g)
-        assert len(set(drawn)) == len(drawn)
-        assert set(drawn) == fits
+        weights = _draw_weights(sample, n, monkeypatch)
+        assert set(weights.values()) == {Fraction(1, fits)}
+        assert len(weights) == fits
+        rows = set(range(n))
+        for drawn in weights:
+            xs, os = list(drawn[:n]), list(drawn[n:])
+            assert set(xs) == set(os) == rows and all(x != o for x, o in zip(xs, os))
+            assert len(trace_components(xs, os)) in wanted
 
     @pytest.mark.parametrize("sample, wanted", SAMPLERS)
     def test_one_grid_per_sample(self, monkeypatch, sample, wanted):
@@ -669,6 +727,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(rng, n)
         assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "sample, wanted",
+        [
+            pytest.param(random_grid, range(1, 1601), id="grid"),
+            pytest.param(random_knot, range(1, 2), id="knot"),
+            pytest.param(lambda rng, n: random_link(rng, n, 3), range(3, 1601), id="link3"),
+        ],
+    )
+    def test_large_sizes(self, monkeypatch, sample, wanted):
+        # the counts of n = 3200 run to 34k bits; drop them after the test
+        monkeypatch.setattr(sampling, "_COUNTS", {})
+        g = sample(random.Random(26), 3200)
+        assert sorted(g.xs) == sorted(g.os) == list(range(3200))
+        assert all(x != o for x, o in zip(g.xs, g.os))
+        assert g.component_count == len(trace_components(g.xs, g.os)) and g.component_count in wanted
 
     def test_large_knots_are_distinct(self):
         rng = random.Random(0)

@@ -854,12 +854,12 @@ class TestScriptParsing:
             parse_move_script("destab 1 2 3\n")
 
     @pytest.mark.parametrize(
-        "line", ["commute col 0_1", "stab X \u0661 NE", "destab 1 \u0660", "lstab 0_0 +"]
+        "line, column", [("commute col 0_1", 13), ("stab X \u0661 NE", 8), ("destab 1 \u0660", 10), ("lstab 0_0 +", 7)]
     )
-    def test_integers_are_ascii_digits(self, line):
+    def test_integers_are_ascii_digits(self, line, column):
         with pytest.raises(ParseError) as exc:
             parse_move_script("translate up\n" + line + "\n")
-        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert (exc.value.line, exc.value.column) == (2, column)
 
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -947,32 +947,32 @@ class TestScriptLines:
         assert kinds == {Translate, Commute, Stabilize, Destabilize, LegendrianStab}
 
     @pytest.mark.parametrize(
-        "line, message",
+        "line, column, message",
         [
-            ("commute diag x", "index must be an integer, got 'x'"),
-            ("stab Y x NE", "column must be an integer, got 'x'"),
-            ("stab X x N", "column must be an integer, got 'x'"),
-            ("lstab x ?", "component must be an integer, got 'x'"),
-            ("destab x y", "row must be an integer, got 'y'"),
+            ("commute diag x", 14, "index must be an integer, got 'x'"),
+            ("stab Y x NE", 8, "column must be an integer, got 'x'"),
+            ("stab X x N", 8, "column must be an integer, got 'x'"),
+            ("lstab x ?", 7, "component must be an integer, got 'x'"),
+            ("destab x y", 10, "row must be an integer, got 'y'"),
         ],
     )
-    def test_a_line_reports_its_bad_integer_before_its_words(self, line, message):
+    def test_a_line_reports_its_bad_integer_before_its_words(self, line, column, message):
         with pytest.raises(ParseError) as exc:
             parse_move_script("translate up\n" + line + "\n")
-        assert str(exc.value) == f"line 2, column 1: {message}"
+        assert str(exc.value) == f"line 2, column {column}: {message}"
 
     @pytest.mark.parametrize(
-        "line, message",
+        "line, column, message",
         [
-            ("translate diag", "unknown direction 'diag'"),
-            ("commute diag 0", "axis must be row or col, got 'diag'"),
-            ("stab Y 0 NE", "marker must be X or O, got 'Y'"),
-            ("stab X 0 N", "subtype must be one of NE, NW, SE, SW"),
-            ("stab Y 0 N", "marker must be X or O, got 'Y'"),
-            ("lstab 0 ?", "sign must be + or -, got '?'"),
+            ("translate diag", 11, "unknown direction 'diag'"),
+            ("commute diag 0", 9, "axis must be row or col, got 'diag'"),
+            ("stab Y 0 NE", 6, "marker must be X or O, got 'Y'"),
+            ("stab X 0 N", 10, "subtype must be one of NE, NW, SE, SW"),
+            ("stab Y 0 N", 6, "marker must be X or O, got 'Y'"),
+            ("lstab 0 ?", 9, "sign must be + or -, got '?'"),
         ],
     )
-    def test_a_bad_word_is_the_move_message_at_its_line(self, line, message):
+    def test_a_bad_word_is_the_move_message_at_its_line(self, line, column, message):
         with pytest.raises(ParseError) as exc:
             parse_move_script("translate up\n" + line + "\n")
-        assert str(exc.value) == f"line 2, column 1: {message}"
+        assert str(exc.value) == f"line 2, column {column}: {message}"
