@@ -190,15 +190,14 @@ def _parse_model(text):
     integers "euler" and a boolean "tight", and no other key, read by
     the reader of JSON grid files."""
     fields = _read_json(text, rank="an integer", euler="a list of integers", tight="true or false")
-    return ledger_mod.new_model(*fields)
+    return ledger_mod.ContactHomologyModel(*fields)
 
 
 def _cmd_ledger(args):
     model = _parse_model(_read_input(args.model))
     zero = (0,) * model.rank
-    # both classes lie over one base, so its label changes no output
-    s1 = ledger_mod.RelativeSurfaceClass("sigma", zero if args.offset1 is None else args.offset1)
-    s2 = ledger_mod.RelativeSurfaceClass("sigma", zero if args.offset2 is None else args.offset2)
+    s1 = ledger_mod.RelativeSurfaceClass(zero if args.offset1 is None else args.offset1)
+    s2 = ledger_mod.RelativeSurfaceClass(zero if args.offset2 is None else args.offset2)
     payload = {
         "tb_diff": ledger_mod.tb_diff(model, s1, s2),
         "rot_diff": ledger_mod.rot_diff(model, s1, s2),

@@ -82,10 +82,6 @@ class LengthMismatch(LegridError):
     pass
 
 
-class BaseMismatch(LegridError):
-    pass
-
-
 class InconsistentProfile(LegridError):
     pass
 

@@ -1,6 +1,12 @@
 """Framing ledger: how relative invariants react to a change of
 Seifert-surface class, modeled on abstract homological data.
 
+The pair of knots is fixed, and any two Seifert surfaces for it
+differ by a closed class in second homology, so a surface class is
+exactly its offset from one reference surface: a closed class, one
+integer per free generator, with no other label.  Every ledger
+function checks that both offsets have the model's rank.
+
 A model carries the free rank of second homology, the evaluation of
 the Euler class on its generators, and a tightness flag under which
 the effective evaluation vector is zero and every ambiguity vanishes.
@@ -17,13 +23,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import BaseMismatch, InconsistentProfile, LengthMismatch, _check_int, _Value
+from .errors import InconsistentProfile, LengthMismatch, _check_int, _Value
 
 __all__ = [
     "ContactHomologyModel",
     "RelativeSurfaceClass",
     "IntersectionProfile",
-    "new_model",
     "tb_diff",
     "twist_transfer",
     "rot_diff",
@@ -62,17 +67,16 @@ class ContactHomologyModel(_Value):
 
 
 class RelativeSurfaceClass(_Value):
-    """A surface class: an opaque base label plus the closed-class
-    offset added to it.  Two classes compare only over equal bases.
-    The offset is stored as a tuple, and an entry that is not an
-    ``int`` raises LengthMismatch, as an Euler entry does."""
+    """A surface class of the fixed pair: its closed-class offset, one
+    entry per free generator of second homology, stored as a tuple.
+    An entry that is not an ``int`` raises LengthMismatch, as an Euler
+    entry does."""
 
-    __slots__ = ("base", "offset")
+    __slots__ = ("offset",)
 
-    def __init__(self, base: str, offset):
+    def __init__(self, offset):
         offset = tuple(offset)
         _check_ints(offset, LengthMismatch, "offset entries")
-        object.__setattr__(self, "base", base)
         object.__setattr__(self, "offset", offset)
 
 
@@ -88,13 +92,7 @@ class IntersectionProfile(_Value):
         object.__setattr__(self, "j_dot_A", j_dot_A)
 
 
-def new_model(rank, euler, tight) -> ContactHomologyModel:
-    return ContactHomologyModel(rank, euler, tight)
-
-
 def _offset_delta(m, s1, s2):
-    if s1.base != s2.base:
-        raise BaseMismatch(f"classes over different bases: {s1.base!r} vs {s2.base!r}")
     for s in (s1, s2):
         if len(s.offset) != m.rank:
             raise LengthMismatch(

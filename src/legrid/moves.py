@@ -93,7 +93,6 @@ __all__ = [
     "Destabilize",
     "LegendrianStab",
     "GridMove",
-    "MoveScript",
     "TraceStep",
     "ScriptResult",
     "ISOTOPY_SUBTYPES",
@@ -383,13 +382,6 @@ class LegendrianStab(_Value):
 GridMove = (Translate, Commute, Stabilize, Destabilize, LegendrianStab)
 
 
-class MoveScript(_Value):
-    __slots__ = ("moves",)
-
-    def __init__(self, moves: tuple[GridMove, ...]):
-        object.__setattr__(self, "moves", moves)
-
-
 def apply_move(g: GridDiagram, move: GridMove) -> GridDiagram:
     """The diagram that ``move`` takes ``g`` to: ``move.apply(g)``."""
     return move.apply(g)
@@ -479,9 +471,10 @@ def _snapshot(parts, index, move, pair, flags):
     return TraceStep(index=index, move=move, invariants=tuple(invs), relative=rel, flags=flags)
 
 
-def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
-    """Run a move script, recording per-component invariants and the
-    anchored relative triple after every step.
+def apply_script(g: GridDiagram, moves) -> ScriptResult:
+    """Run a move script, any iterable of moves (such as the tuple that
+    :func:`parse_move_script` returns), recording per-component
+    invariants and the anchored relative triple after every step.
 
     The relative triple follows the first two components of the
     starting diagram through the moves (see :func:`follow`, so cyclic
@@ -507,7 +500,7 @@ def apply_script(g: GridDiagram, script: MoveScript) -> ScriptResult:
     parts = [_intern(key, subs) for key in component_patterns(g)]
     trace = [_snapshot(parts, 0, None, pair, ())]
     current = g
-    for idx, move in enumerate(script.moves, start=1):
+    for idx, move in enumerate(moves, start=1):
         try:
             moved = apply_move(current, move)
         except LegridError as e:
@@ -544,13 +537,14 @@ def _parse_int(line_no, raw, tokens, index, what):
         raise ParseError(line_no, _token_column(raw, tokens, index), message) from None
 
 
-def parse_move_script(text: str) -> MoveScript:
-    """Parse the one-move-per-line script format; ``#`` comments and
-    blank lines are ignored.  A line's integers are read first; the move
-    it builds then checks its words, and a BadCell it raises is the
-    ParseError of that line.  Every ParseError names the 1-based column
-    of the token at fault: the verb of an unrecognized move, or the
-    index, sign or word refused."""
+def parse_move_script(text: str) -> tuple[GridMove, ...]:
+    """Parse the one-move-per-line script format into the tuple of its
+    moves, in script order; ``#`` comments and blank lines are ignored.
+    A line's integers are read first; the move it builds then checks
+    its words, and a BadCell it raises is the ParseError of that line.
+    Every ParseError names the 1-based column of the token at fault:
+    the verb of an unrecognized move, or the index, sign or word
+    refused."""
     moves = []
     for line_no, raw in _text_lines(text):
         line = raw.split("#", 1)[0].strip()
@@ -578,4 +572,4 @@ def parse_move_script(text: str) -> MoveScript:
         except BadCell as e:
             raise ParseError(line_no, _token_column(raw, tokens, _WORD_TOKENS[e.field]), str(e)) from None
         moves.append(move)
-    return MoveScript(moves=tuple(moves))
+    return tuple(moves)

@@ -13,6 +13,13 @@ of n elements with between lo and hi cycles, read off the recursion
 c(m, lo, hi) = (m - 1) * (c(m - 1, lo, hi) + c(m - 2, lo - 1, hi - 1)):
 the last of m elements either follows one of the other m - 1 in a
 cycle of three or more, or is paired with one of them in a 2-cycle.
+
+The counts are memoized in ``_COUNTS`` for the whole process, which
+is never trimmed.  A draw at size n keeps O(n) counts of up to
+O(n log n) bits, so one draw at n = 3200 keeps 6.7 MB of integers
+(``random_knot``), 13 MB (``random_grid``) or 26 MB
+(``random_link(rng, n, 3)``), plus 0.7 to 1.4 MB of keys.  selftest
+draws only n <= 10: all its draws keep 54 counts, about 7 kB.
 """
 
 from __future__ import annotations

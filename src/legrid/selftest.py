@@ -236,10 +236,7 @@ def _random_class_pair(rng, rank):
     def offsets():
         return tuple(rng.randint(-4, 4) for _ in range(rank))
 
-    return (
-        ledger.RelativeSurfaceClass("sigma", offsets()),
-        ledger.RelativeSurfaceClass("sigma", offsets()),
-    )
+    return ledger.RelativeSurfaceClass(offsets()), ledger.RelativeSurfaceClass(offsets())
 
 
 def _check_ledger(rng, cases):
@@ -248,7 +245,7 @@ def _check_ledger(rng, cases):
         rank = rng.randint(0, 4)
         euler = [rng.randint(-5, 5) for _ in range(rank)]
         tight = rng.random() < 0.3
-        m = ledger.new_model(rank, euler, tight)
+        m = ledger.ContactHomologyModel(rank, euler, tight)
         s1, s2 = _random_class_pair(rng, rank)
         if ledger.tb_diff(m, s1, s2) != 0:
             failures += 1

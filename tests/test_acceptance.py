@@ -17,6 +17,7 @@ import time
 from itertools import product
 
 from legrid import (
+    ContactHomologyModel,
     CrossingEvent,
     FramedPairState,
     IntersectionPattern,
@@ -24,7 +25,6 @@ from legrid import (
     RelativeSurfaceClass,
     ambiguity,
     cross,
-    new_model,
     new_grid,
     rot_diff,
     run_trace,
@@ -105,10 +105,10 @@ def test_criterion_6_ledger():
     failures = 0
     for _ in range(1000):
         rank = rng.randint(0, 4)
-        m = new_model(rank, [rng.randint(-5, 5) for _ in range(rank)], rng.random() < 0.3)
+        m = ContactHomologyModel(rank, [rng.randint(-5, 5) for _ in range(rank)], rng.random() < 0.3)
         off1 = tuple(rng.randint(-4, 4) for _ in range(rank))
         off2 = tuple(rng.randint(-4, 4) for _ in range(rank))
-        s1, s2 = RelativeSurfaceClass("b", off1), RelativeSurfaceClass("b", off2)
+        s1, s2 = RelativeSurfaceClass(off1), RelativeSurfaceClass(off2)
         if tb_diff(m, s1, s2) != 0:
             failures += 1
         value = rot_diff(m, s1, s2)
@@ -130,7 +130,7 @@ def test_criterion_6_ledger():
     # gcd versus brute-force enumeration over the offset box, rank <= 3
     for rank in (0, 1, 2, 3):
         for _ in range(30):
-            m = new_model(rank, [rng.randint(-6, 6) for _ in range(rank)], False)
+            m = ContactHomologyModel(rank, [rng.randint(-6, 6) for _ in range(rank)], False)
             values = {
                 sum(e * v for e, v in zip(m.effective_euler, vec))
                 for vec in product(range(-3, 4), repeat=rank)

@@ -24,7 +24,6 @@ from legrid import (
     IntersectionPattern,
     LegendrianStab,
     LegridError,
-    MoveScript,
     ParseError,
     Stabilize,
     Translate,
@@ -91,7 +90,7 @@ def test_parse_grid_raises_only_legrid_errors(text):
 def test_parse_move_script_raises_only_legrid_errors(text):
     script = _raises_only_legrid_errors(parse_move_script, text)
     if script is not None:
-        assert parse_move_script("\n".join(move.text() for move in script.moves)) == script
+        assert parse_move_script("\n".join(move.text() for move in script)) == script
 
 
 @given(text_near(EVENT_TOKENS))
@@ -112,7 +111,7 @@ MOVES = st.one_of(
 @given(st.lists(MOVES, max_size=20))
 def test_move_text_round_trip(moves):
     text = "".join(move.text() + "\n" for move in moves)
-    assert parse_move_script(text) == MoveScript(tuple(moves))
+    assert parse_move_script(text) == tuple(moves)
 
 
 COUNTS = st.integers(0, 10**12)

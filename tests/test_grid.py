@@ -749,3 +749,27 @@ class TestSampling:
         knots = [random_knot(rng, 200) for _ in range(20)]
         assert all(g.component_count == 1 for g in knots)
         assert len(set(knots)) == 20
+
+    def test_golden_draws(self):
+        # the draws of one string seed, pinned on every supported Python
+        # version: a change of the draw that still passes every property
+        # check changes no digest of selftest output, but fails here
+        rng = random.Random("golden")
+        drawn = [
+            random_grid(rng, 8),
+            random_knot(rng, 8),
+            random_link(rng, 8),
+            random_link(rng, 9, 3),
+            random_grid(rng, 50),
+        ]
+        assert [grid_to_text(g) for g in drawn] == [
+            "n=8\nX=1,6,4,5,0,7,3,2\nO=4,2,5,7,1,0,6,3\n",
+            "n=8\nX=7,0,4,1,5,3,6,2\nO=0,1,7,6,3,2,5,4\n",
+            "n=8\nX=3,1,2,4,0,6,7,5\nO=0,2,4,7,5,3,1,6\n",
+            "n=9\nX=0,6,5,2,4,7,3,8,1\nO=7,0,8,4,6,2,1,5,3\n",
+            "n=50\n"
+            "X=40,11,28,26,1,18,38,5,30,44,20,23,17,27,2,29,33,36,47,32,10,37,46,3,14,"
+            "4,43,25,49,39,8,24,0,13,7,6,45,12,41,16,34,19,31,42,15,9,35,22,48,21\n"
+            "O=29,42,37,0,25,45,16,4,2,43,38,40,24,33,19,20,28,18,44,30,32,23,48,34,22,"
+            "49,17,14,3,8,47,1,7,12,13,31,46,5,36,41,27,6,39,10,11,35,26,15,21,9\n",
+        ]

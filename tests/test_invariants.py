@@ -6,7 +6,6 @@ from legrid import (
     ClassicalInvariants,
     Convention,
     LegendrianStab,
-    MoveScript,
     OrientationFlag,
     ParityViolation,
     SameComponent,
@@ -203,7 +202,7 @@ class TestUnknownComponentText:
 
     def test_lstab_in_a_script(self):
         with pytest.raises(ScriptStepError) as exc:
-            apply_script(SPLIT, MoveScript((Translate("up"), LegendrianStab(9, 1))))
+            apply_script(SPLIT, (Translate("up"), LegendrianStab(9, 1)))
         assert type(exc.value.cause) is UnknownComponent
         assert str(exc.value) == "step 2: no component 9 (diagram has 2)"
 

@@ -10,7 +10,6 @@ from legrid import (
     GridDiagram,
     InterleavingSpans,
     LegendrianStab,
-    MoveScript,
     ParityViolation,
     ParseError,
     ScriptStepError,
@@ -471,17 +470,31 @@ class TestFootprint:
         for _ in range(10):
             g = random_link(rng, rng.randint(4, 20))
             calls.clear()
-            result = apply_script(g, MoveScript(_legal_script(rng, g, 30)))
+            result = apply_script(g, _legal_script(rng, g, 30))
             assert calls == [g]
             assert len(result.trace) == 31
 
 
 class TestApplyScript:
     def test_empty_script_is_identity(self):
-        result = apply_script(UNKNOT, MoveScript(()))
+        result = apply_script(UNKNOT, ())
         assert result.final == UNKNOT
         assert len(result.trace) == 1
         assert result.trace[0].move is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_iterable_of_moves_is_a_script(self, seed):
+        # a script is the tuple of its moves, and any iterable of the
+        # same moves runs the same steps
+        rng = random.Random(seed)
+        g = random_link(rng, rng.randint(4, 12))
+        moves = _legal_script(rng, g, 20)
+        parsed = parse_move_script("".join(move.text() + "\n" for move in moves))
+        assert type(parsed) is tuple and parsed == tuple(moves)
+        result = apply_script(g, parsed)
+        assert apply_script(g, list(parsed)) == result
+        assert apply_script(g, iter(parsed)) == result
+        assert len(result.trace) == 21
 
     def test_isotopy_script_keeps_relative_triple(self):
         rng = random.Random(12)
@@ -499,7 +512,7 @@ class TestApplyScript:
             if not moves:
                 continue
             runs += 1
-            result = apply_script(g, MoveScript(tuple(moves)))
+            result = apply_script(g, moves)
             triples = [
                 step.relative.triple
                 for step in result.trace
@@ -509,19 +522,19 @@ class TestApplyScript:
 
     def test_single_positive_stabilization_shifts_trace(self):
         g = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
-        result = apply_script(g, MoveScript((LegendrianStab(0, 1),)))
+        result = apply_script(g, (LegendrianStab(0, 1),))
         first, last = result.trace[0].relative, result.trace[-1].relative
         assert last.tb_rel == first.tb_rel - 1
         assert last.r_rel == first.r_rel + 1
 
     def test_illegal_step_reports_index(self):
-        script = MoveScript((Translate("up"), Commute("col", 0)))
+        script = (Translate("up"), Commute("col", 0))
         with pytest.raises(ScriptStepError) as exc:
             apply_script(UNKNOT, script)
         assert exc.value.index == 2
 
     def test_domain_error_is_wrapped_with_its_step(self):
-        script = MoveScript((Translate("up"), Commute("col", 5)))
+        script = (Translate("up"), Commute("col", 5))
         with pytest.raises(ScriptStepError) as exc:
             apply_script(UNKNOT, script)
         assert exc.value.index == 2
@@ -537,7 +550,7 @@ class TestApplyScript:
 
         monkeypatch.setattr(legrid.moves, "apply_move", broken)
         with pytest.raises(RuntimeError) as exc:
-            apply_script(UNKNOT, MoveScript((Translate("up"),)))
+            apply_script(UNKNOT, (Translate("up"),))
         assert exc.value is bug
 
     def test_translate_cusp_change_is_flagged(self):
@@ -548,7 +561,7 @@ class TestApplyScript:
         for _ in range(200):
             g = random_grid(rng, rng.randint(3, 6))
             d = rng.choice(("up", "down", "left", "right"))
-            result = apply_script(g, MoveScript((Translate(d),)))
+            result = apply_script(g, (Translate(d),))
             step = result.trace[-1]
             before = to_front(g)
             after = to_front(result.final)
@@ -572,7 +585,7 @@ class TestKeyedInvariants:
         for _ in range(40):
             g = random_link(rng, rng.randint(4, 14))
             moves = _legal_script(rng, g, 12)
-            result = apply_script(g, MoveScript(moves))
+            result = apply_script(g, moves)
             current = g
             for step, move in zip(result.trace, (None,) + moves):
                 if move is not None:
@@ -585,9 +598,9 @@ class TestKeyedInvariants:
         import legrid.invariants as inv_mod
 
         g = new_grid(6, [1, 4, 3, 0, 2, 5], [4, 2, 0, 3, 5, 1])
-        script = MoveScript((Translate("up"),) * g.n + (Translate("left"),) * g.n)
+        script = (Translate("up"),) * g.n + (Translate("left"),) * g.n
         grids = [g]
-        for move in script.moves:
+        for move in script:
             grids.append(apply_move(grids[-1], move))
         distinct = set().union(*map(_component_patterns, grids))
 
@@ -621,7 +634,7 @@ class TestKeyedInvariants:
             g = random_link(rng, rng.randint(4, 14))
             moves = _legal_script(rng, g, 15)
             seen.clear()
-            apply_script(g, MoveScript(moves))
+            apply_script(g, moves)
             current = g
             for index, move in enumerate((None,) + moves):
                 if move is not None:
@@ -651,7 +664,7 @@ class TestKeyedInvariants:
 
         monkeypatch.setattr(GridDiagram, "__init__", counting)
         monkeypatch.setattr(GridDiagram, "_derived", classmethod(counting_derived))
-        result = apply_script(g, MoveScript(moves))
+        result = apply_script(g, moves)
         assert result.final == grids[-1]
         # every move step derives its grid, which skips ``__init__`` and its
         # checks; the checked constructions are exactly the distinct
@@ -681,7 +694,7 @@ class TestKeyedInvariants:
             return read_front(g)
 
         monkeypatch.setattr(grid_mod, "_read_front", counting)
-        result = apply_script(g, MoveScript(moves))
+        result = apply_script(g, moves)
         assert any("cusp-change" in step.flags for step in result.trace)
         assert len(sweeps) == len(distinct)
 
@@ -697,7 +710,7 @@ class TestKeyedInvariants:
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", odd_on_three)
         split = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
         with pytest.raises(ParityViolation) as exc:
-            apply_script(split, MoveScript((Translate("up"), LegendrianStab(1, 1))))
+            apply_script(split, (Translate("up"), LegendrianStab(1, 1)))
         assert str(exc.value) == (
             "step 2, component 1 and its push-off cross an odd signed number of times (1)"
         )
@@ -721,7 +734,7 @@ class TestChangesCusps:
                 whole = any(before[c] != after[i] for c, i in enumerate(image))
                 assert changes_cusps(move, before, after, image) == whole
                 if conv is Convention.NW_SE:
-                    step = apply_script(g, MoveScript((move,))).trace[-1]
+                    step = apply_script(g, (move,)).trace[-1]
                     assert ("cusp-change" in step.flags) == whole
                 flags.append(whole)
         return flags
@@ -754,7 +767,7 @@ class TestChangesCusps:
                     before, after = to_front(reading(g, conv)).cusps, to_front(reading(moved, conv)).cusps
                     changed += any(before[c] != after[i] for c, i in enumerate(image))
                     assert not changes_cusps(move, before, after, image)
-                assert apply_script(g, MoveScript((move,))).trace[-1].flags == ()
+                assert apply_script(g, (move,)).trace[-1].flags == ()
         assert changed > 0
 
 
@@ -823,7 +836,7 @@ class TestScriptParsing:
             "lstab 0 -\n"
         )
         script = parse_move_script(text)
-        assert [m.text() for m in script.moves] == [
+        assert [m.text() for m in script] == [
             "translate up",
             "commute col 2",
             "stab X 1 NW",
@@ -838,7 +851,7 @@ class TestScriptParsing:
         moves += [Destabilize(1), Destabilize(1, 0), Destabilize(1, 4)]
         moves += [LegendrianStab(0, 1), LegendrianStab(2, -1)]
         for move in moves:
-            assert parse_move_script(move.text()) == MoveScript((move,))
+            assert parse_move_script(move.text()) == (move,)
 
     def test_destab_row_is_applied(self):
         # Columns 1,2 of this grid hold an L-block at rows 0,1 only.
@@ -942,7 +955,7 @@ class TestScriptLines:
         for n in (2, 3, 4):
             for xs, os in all_marker_lists(n):
                 for move in _legal_moves(new_grid(n, xs, os)):
-                    assert parse_move_script(move.text()) == MoveScript((move,))
+                    assert parse_move_script(move.text()) == (move,)
                     kinds.add(type(move))
         assert kinds == {Translate, Commute, Stabilize, Destabilize, LegendrianStab}
 

@@ -25,7 +25,6 @@ from legrid import (
     IntersectionProfile,
     LegendrianStab,
     LengthMismatch,
-    MoveScript,
     MultipleSingularClasps,
     NotAPermutation,
     OrientationFlag,
@@ -62,15 +61,13 @@ VALUES = [
     (lambda: RelativeInvariants(1, 2, 3),
      "RelativeInvariants(tb_rel=1, r_rel=2, sl_rel=3, orientation=OrientationFlag(surface=1, coorientation=1))"),
     (lambda: ContactHomologyModel(2, [2, -4], False), "ContactHomologyModel(rank=2, euler=(2, -4), tight=False)"),
-    (lambda: RelativeSurfaceClass("S", [1, 0]), "RelativeSurfaceClass(base='S', offset=(1, 0))"),
+    (lambda: RelativeSurfaceClass([1, 0]), "RelativeSurfaceClass(offset=(1, 0))"),
     (lambda: IntersectionProfile(1, 2), "IntersectionProfile(k_dot_A=1, j_dot_A=2)"),
     (lambda: Translate("up"), "Translate(direction='up')"),
     (lambda: Commute("row", 2), "Commute(axis='row', index=2)"),
     (lambda: Stabilize("O", 3, "SE"), "Stabilize(marker='O', column=3, subtype='SE')"),
     (lambda: Destabilize(3), "Destabilize(column=3, row=None)"),
     (lambda: LegendrianStab(1, -1), "LegendrianStab(component=1, sign=-1)"),
-    (lambda: MoveScript((Translate("up"), Destabilize(2, 4))),
-     "MoveScript(moves=(Translate(direction='up'), Destabilize(column=2, row=4)))"),
     (_step,
      "TraceStep(index=0, move=None, invariants=(ClassicalInvariants(tb=-1, r=0),),"
      " relative=None, flags=())"),
@@ -109,6 +106,7 @@ def test_equality_is_type_strict():
     assert Translate("up") != ("up",)
     assert CuspCounts(1, 2) != IntersectionProfile(1, 2)
     assert CrossingEvent(1) != (1,)
+    assert RelativeSurfaceClass([1, 0]) != (1, 0)
     assert ClassicalInvariants(-1, 0) != (-1, 0)
     assert ClassicalInvariants(0, 1) != CuspCounts(0, 1)
     assert new_grid(*UNKNOT) != (2, (0, 1), (1, 0))
@@ -118,7 +116,6 @@ def test_equality_is_type_strict():
 def test_grid_move_names_the_move_kinds():
     moves = (Translate("up"), Commute("row", 2), Stabilize("O", 3, "SE"), Destabilize(3), LegendrianStab(1, -1))
     assert all(isinstance(move, GridMove) for move in moves)
-    assert not isinstance(MoveScript(moves), GridMove)
 
 
 def test_framed_pair_state_stays_a_tuple():
@@ -175,7 +172,8 @@ def test_positional_and_keyword_construction_share_defaults():
     assert new_grid(*UNKNOT) == GridDiagram(n=2, xs=[0, 1], os=(1, 0))
     assert GridDiagram(os=[1, 0], n=2, xs=[0, 1]).xs == (0, 1)
     assert ContactHomologyModel(rank=1, euler=[3], tight=True).euler == (3,)
-    assert RelativeSurfaceClass(offset=[1], base="S").offset == (1,)
+    assert RelativeSurfaceClass(offset=[1]) == RelativeSurfaceClass([1])
+    assert RelativeSurfaceClass(offset=[1]).offset == (1,)
     assert ClassicalInvariants(r=0, tb=-1) == ClassicalInvariants(-1, 0)
     assert Stabilize(subtype="NE", column=0, marker="X") == Stabilize("X", 0, "NE")
     assert OrientationFlag(1, -1).flipped() == OrientationFlag(-1, -1)
@@ -199,7 +197,7 @@ INVALID = [
     (lambda: ContactHomologyModel(1, [], False), LengthMismatch, "euler vector has length 0, expected rank 1"),
     (lambda: ContactHomologyModel(1, [1.0], False), LengthMismatch, "euler entries must be integers, got 1.0"),
     (lambda: ContactHomologyModel(0, [], 1), LengthMismatch, "tight must be a bool, got 1"),
-    (lambda: RelativeSurfaceClass("S", [1.5]), LengthMismatch, "offset entries must be integers, got 1.5"),
+    (lambda: RelativeSurfaceClass([1.5]), LengthMismatch, "offset entries must be integers, got 1.5"),
     (lambda: IntersectionProfile(1, None), InconsistentProfile, "intersection numbers must be integers, got None"),
     (lambda: CrossingEvent(0), ValueError, "crossing sign must be +1 or -1, got 0"),
     (lambda: IntersectionPattern(circles=-1), ValueError, "circles must be a non-negative integer, got -1"),
