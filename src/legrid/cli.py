@@ -20,7 +20,7 @@ import sys
 from . import ledger as ledger_mod
 from . import simulator
 from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
-from .grid import Convention, GridDiagram, _int_token, _read_json, parse_grid, reading
+from .grid import _CHUNK, Convention, GridDiagram, _int_token, _read_json, parse_grid, reading
 from .invariants import OrientationFlag, classical, relative_invariants
 from .moves import apply_script, parse_move_script
 
@@ -83,29 +83,61 @@ def _cases_arg(text):
     return cases
 
 
-def _read_input(path) -> str:
-    """Read an input file as UTF-8 text with universal newlines.  Bytes
-    that are not UTF-8 are a ParseError at their line and column.  A
+def _read_input(path):
+    """The text of an input file, read as UTF-8 with universal newlines,
+    in blocks of whole lines: ``grid._CHUNK`` characters are read at a
+    time, and each block ends just after the last ``"\\n"`` read so far
+    (the last block may end without one).  Script parsers take the
+    blocks, so no whole script is held; other readers join them.
+
+    Bytes that are not UTF-8 are a ParseError at their line and column,
+    raised once every whole line before theirs has been yielded, so a
+    parser that reads line by line reports the first fault in file
+    order.  The file is opened when the first block is asked for.  A
     path that no file can have (a NUL byte, a lone surrogate) is an
     OSError like a missing file."""
     try:
-        handle = open(path, "rb")
+        handle = open(path, encoding="utf-8", newline=None)
     except ValueError as e:
         raise OSError(f"cannot open {path!r}: {e}") from None
+    done = 0  # characters yielded
     with handle:
+        rest = []  # the text read after the last "\n"
+        try:
+            while chunk := handle.read(_CHUNK):
+                cut = chunk.rfind("\n") + 1
+                if cut:
+                    block = "".join(rest) + chunk[:cut]
+                    done += len(block)
+                    yield block
+                    rest.clear()
+                rest.append(chunk[cut:])
+        except UnicodeDecodeError:
+            yield from _undecodable(path, done)
+            return
+        yield "".join(rest)
+
+
+def _undecodable(path, done):
+    """The whole lines of an undecodable file that come after its first
+    ``done`` characters and before its first non-UTF-8 byte, then the
+    ParseError at that byte's line and column."""
+    with open(path, "rb") as handle:
         data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         start = data.rfind(b"\n", 0, e.start) + 1
+        yield data[:start].decode("utf-8")[done:]
         line = data.count(b"\n", 0, start) + 1
         column = len(data[start:e.start].decode("utf-8")) + 1
         raise ParseError(line, column, f"not UTF-8: {e.reason}") from None
+    yield text[done:]  # the file was rewritten between the two reads
 
 
 def parse_grid_file(path) -> GridDiagram:
     """Load a grid diagram from a text or JSON file."""
-    return parse_grid(_read_input(path))
+    return parse_grid("".join(_read_input(path)))
 
 
 def _table(rows, headers):
@@ -194,7 +226,7 @@ def _parse_model(text):
 
 
 def _cmd_ledger(args):
-    model = _parse_model(_read_input(args.model))
+    model = _parse_model("".join(_read_input(args.model)))
     zero = (0,) * model.rank
     s1 = ledger_mod.RelativeSurfaceClass(zero if args.offset1 is None else args.offset1)
     s2 = ledger_mod.RelativeSurfaceClass(zero if args.offset2 is None else args.offset2)
@@ -214,14 +246,15 @@ def _cmd_cross_sim(args):
     return (rows, triple), lambda: _table([row + triple for row in rows], headers)
 
 
-_STATE_CHUNK = 4096
+# about 64 KiB of JSON, the window the input is read through
+_STATE_CHUNK = 512
 
 
 def _write_states(rows, triple):
     """Stream the states as the JSON list ``json.dumps`` would give for
-    one nine-key record per state, in chunks of ``_STATE_CHUNK``.
-    replay() has already checked that the triple never moves, so it is
-    formatted once."""
+    one nine-key record per state, in chunks of ``_STATE_CHUNK``, each
+    separator written on its own.  replay() has already checked that
+    the triple never moves, so it is formatted once."""
     template = (
         '{"tw_K": %d, "tw_J": %d, "w_K": %d, "w_J": %d, "sK": %d, "sJ": %d, '
         + '"tb_rel": %d, "r_rel": %d, "sl_rel": %d}' % triple
@@ -229,7 +262,8 @@ def _write_states(rows, triple):
     write = sys.stdout.write
     sep = "["
     while chunk := list(itertools.islice(rows, _STATE_CHUNK)):
-        write(sep + ", ".join([template % row for row in chunk]))
+        write(sep)
+        write(", ".join([template % row for row in chunk]))
         sep = ", "
     write("]\n")
 

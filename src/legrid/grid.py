@@ -437,21 +437,24 @@ def parse_grid(text: str) -> GridDiagram:
     return _parse_grid_text(text)
 
 
-# text is split into lines about this many characters at a time, so no
-# list of all its lines is ever held
+# text is split into lines, and input files are read, about this many
+# characters at a time, so no list of all its lines is ever held
 _CHUNK = 1 << 16
 
 
 def _text_lines(text):
     """``(line_no, line)`` for each line of ``text``, numbered from 1,
     exactly as ``enumerate(text.splitlines(), start=1)`` gives them: the
-    one line splitter of every text format.  The text is cut into
-    chunks, each ending just after the first ``"\\n"`` at or beyond
-    ``_CHUNK`` characters, and each chunk is split on its own.  A cut
-    after ``"\\n"`` never divides a line break (``"\\r\\n"`` included),
-    so the lines and their numbers are those of the whole text, while
-    only one chunk's lines are held at a time."""
-    return enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), start=1)
+    one line splitter of every text format.  ``text`` is a str, or an
+    iterable of blocks whose concatenation is the text, each ending
+    just after a ``"\\n"`` but perhaps the last (as the CLI reads a
+    file).  A str is cut into such blocks, each ending just after the
+    first ``"\\n"`` at or beyond ``_CHUNK`` characters.  Each block is
+    split on its own: a cut after ``"\\n"`` never divides a line break
+    (``"\\r\\n"`` included), so the lines and their numbers are those of
+    the whole text, while only one block's lines are held at a time."""
+    blocks = _chunks(text) if isinstance(text, str) else text
+    return enumerate(chain.from_iterable(map(str.splitlines, blocks)), start=1)
 
 
 def _chunks(text):

@@ -5,7 +5,8 @@ The pair of knots is fixed, and any two Seifert surfaces for it
 differ by a closed class in second homology, so a surface class is
 exactly its offset from one reference surface: a closed class, one
 integer per free generator, with no other label.  Every ledger
-function checks that both offsets have the model's rank.
+function checks that both offsets have the model's rank, and names
+the class at fault by its position, first or second.
 
 A model carries the free rank of second homology, the evaluation of
 the Euler class on its generators, and a tightness flag under which
@@ -93,10 +94,10 @@ class IntersectionProfile(_Value):
 
 
 def _offset_delta(m, s1, s2):
-    for s in (s1, s2):
+    for which, s in (("first", s1), ("second", s2)):
         if len(s.offset) != m.rank:
             raise LengthMismatch(
-                f"offset has length {len(s.offset)}, expected rank {m.rank}"
+                f"offset of the {which} class has length {len(s.offset)}, expected rank {m.rank}"
             )
     return tuple(a - b for a, b in zip(s1.offset, s2.offset))
 

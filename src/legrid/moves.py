@@ -537,9 +537,11 @@ def _parse_int(line_no, raw, tokens, index, what):
         raise ParseError(line_no, _token_column(raw, tokens, index), message) from None
 
 
-def parse_move_script(text: str) -> tuple[GridMove, ...]:
+def parse_move_script(text) -> tuple[GridMove, ...]:
     """Parse the one-move-per-line script format into the tuple of its
     moves, in script order; ``#`` comments and blank lines are ignored.
+    ``text`` is a str or an iterable of whole-line blocks (see
+    ``grid._text_lines``).
     A line's integers are read first; the move it builds then checks
     its words, and a BadCell it raises is the ParseError of that line.
     Every ParseError names the 1-based column of the token at fault:

@@ -202,7 +202,7 @@ def _parse_sign(token, error, at):
 _PATTERN_KEYS = ("circles", "ribbon", "bparallel", "clasps", "singular")
 
 
-def parse_event_script(text: str):
+def parse_event_script(text):
     """Parse the one-event-per-line format: ``cross <+|->`` or
     ``pattern circles=<n> ribbon=<n> bparallel=<n> clasps=<n>
     singular=<+|-|none>``, each field exactly once.
@@ -210,9 +210,10 @@ def parse_event_script(text: str):
     Events are immutable, so each distinct raw line is parsed once, and
     one event object is shared by every line of equal value, however it
     is spelled.  Blank lines are never cached, and a raw line is cached
-    only once it has parsed.  The text is split into lines a chunk at a
-    time (see ``grid._text_lines``), so no list of all its lines is
-    held: what grows with the script is one pointer per event.
+    only once it has parsed.  ``text`` is a str or an iterable of
+    whole-line blocks, and it is split into lines a block at a time
+    (see ``grid._text_lines``), so no list of all its lines is held:
+    what grows with the script is one pointer per event.
     """
     seen = {}  # raw line -> its event
     shared = {}  # event -> the one object of its value

@@ -73,6 +73,46 @@ def brute_linking(xs, os, c1, c2):
     return total // 2
 
 
+def _strand_span(a, b):
+    """The lines a strand from line ``a`` to line ``b`` steps from."""
+    return range(a, b, 1 if b > a else -1)
+
+
+def crossings_and_seifert_circles(xs, os):
+    """(c, s): the crossings of the grid's diagram and the circles that
+    Seifert's algorithm gives on it, so that its Seifert surface has
+    Euler characteristic s - c.
+
+    A walk steps one cell at a time along the link's orientation.  At a
+    marker it turns onto the other strand, as the link does; at a
+    crossing it turns too, which is the oriented smoothing.  Each state
+    (point, strand) has one successor and one predecessor, and the
+    circles are the cycles."""
+    n = len(xs)
+    x_col = {xs[c]: c for c in range(n)}
+    o_col = {os[c]: c for c in range(n)}
+    crossings = {(c, r) for c, r, *_ in brute_crossings(xs, os)}
+
+    def step(col, row, vertical):
+        if vertical:  # along the column from its O to its X
+            row += 1 if xs[col] > os[col] else -1
+            turn = row == xs[col]
+        else:  # along the row from its X to its O
+            col += 1 if o_col[row] > x_col[row] else -1
+            turn = col == o_col[row]
+        return col, row, vertical != (turn or (col, row) in crossings)
+
+    states = {(c, r, True) for c in range(n) for r in _strand_span(os[c], xs[c])}
+    states |= {(c, r, False) for r in range(n) for c in _strand_span(x_col[r], o_col[r])}
+    circles = 0
+    while states:
+        circles += 1
+        start = state = states.pop()
+        while (state := step(*state)) != start:
+            states.remove(state)
+    return len(crossings), circles
+
+
 def brute_cusps(xs, os, conv):
     """Per component, the (up, down) cusp counts, corner by corner.
 

@@ -1,12 +1,15 @@
+import contextlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from legrid.cli import _table, main, parse_grid_file
+from legrid.cli import _read_input, _table, main, parse_grid_file
+from legrid.grid import _CHUNK, _text_lines
 from legrid import CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, run_trace
 
 from helpers import event_to_text
@@ -220,6 +223,17 @@ class TestLedger:
         )
         assert json.loads(out) == {"tb_diff": 0, "rot_diff": 0, "sl_diff": 0, "ambiguity": 0}
 
+    @pytest.mark.parametrize("option, which", [("--offset1", "first"), ("--offset2", "second")])
+    def test_wrong_length_offset_names_its_class(self, capsys, tmp_path, option, which):
+        model = tmp_path / "model.json"
+        model.write_text('{"rank": 2, "euler": [2, -4], "tight": false}')
+        code, out, err = run_cli(capsys, "ledger", str(model), option, "1")
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == {
+            "type": "LengthMismatch",
+            "message": f"offset of the {which} class has length 1, expected rank 2",
+        }
+
 
 class TestCrossSim:
     def test_replay(self, capsys, tmp_path):
@@ -275,9 +289,11 @@ class TestCrossSim:
 
     def test_streamed_output_matches_the_old_payload(self, capsys, tmp_path):
         # The old emitter built one nine-key dict per run_trace state and
-        # called json.dumps; lengths around 4096 cross the chunk edges.
+        # called json.dumps; lengths around multiples of 512 cross the
+        # chunk edges (replay yields one state more than the events).
         rng = random.Random(11)
-        lengths = [0, 1, 4095, 4096, 4097] + [rng.randint(0, 300) for _ in range(195)]
+        edges = [0, 1, 510, 511, 512, 1023, 1024, 4095, 4096, 4097]
+        lengths = edges + [rng.randint(0, 300) for _ in range(195)]
         path = tmp_path / "events.txt"
         for length in lengths:
             init = [rng.randint(-10**6, 10**6) for _ in range(6)]
@@ -298,7 +314,7 @@ class TestCrossSim:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "")
             assert out == json.dumps([dict(zip(STATE_HEADERS, row)) for row in rows]) + "\n"
-            if length in lengths[:5] or rng.random() < 0.1:
+            if length in edges or rng.random() < 0.1:
                 code, out, err = run_cli(capsys, *argv, "--pretty")
                 assert (code, err) == (0, "")
                 assert out == _table(rows, STATE_HEADERS) + "\n"
@@ -369,6 +385,31 @@ class TestCrossSim:
         error = json.loads(err)["error"]
         assert error["type"] == "TripleDrift"
         assert error["message"].startswith("event 10000: ")
+
+    def test_peak_memory_is_a_few_pointers_per_event(self, tmp_path):
+        # 2 * 10^5 events of the benchmark's kinds.  The script is read
+        # and the states written through windows of about 64 KiB, so what
+        # grows with the script is the events' tuple and its list.
+        rng = random.Random(28)
+        lines = []
+        for _ in range(200_000):
+            if rng.random() < 0.7:
+                lines.append("cross " + rng.choice("+-"))
+            else:
+                c, r, b, k = (rng.randint(0, 3) for _ in range(4))
+                singular = rng.choice(("none", "+", "-"))
+                lines.append(f"pattern circles={c} ribbon={r} bparallel={b} clasps={k} singular={singular}")
+        path = tmp_path / "events.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["cross-sim", str(path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak / len(lines) < 30
 
 
 class TestUnknownComponent:
@@ -705,6 +746,107 @@ class TestInputFiles:
         code, _, err = run_cli(capsys, "inv", str(path))
         assert code == 1
         assert _single_json_error(err)["line"] == 3
+
+
+def _edge_cases():
+    """Inputs whose line breaks and characters sit at the edges of the
+    reader's blocks and of its decoder's 8 KiB reads."""
+    filler = b"cross +\n" * (_CHUNK // 8 - 1)  # one line short of the first block
+    cases = []
+    for at in range(-2, 3):
+        # a "\r\n" pair whose "\r" is the block's last character, plus `at`
+        data = filler + b"x" * (7 + at) + b"\r\ncross -\r\n" * 3
+        assert data[_CHUNK - 1 + at:_CHUNK + 1 + at] == b"\r\n"
+        cases.append(pytest.param(data, id=f"crlf{at:+d}"))
+    cases.append(pytest.param(b"cross +\r" * (3 * _CHUNK // 8) + b"cross -\r", id="lone-cr"))
+    cases.append(pytest.param(filler + b"cross +\n" * 100 + b"cross -", id="no-final-break"))
+    cases.append(pytest.param(b"x" * (2 * _CHUNK + 5), id="one-long-line"))
+    for char in ("\u00e9", "\u20ac", "\U0001d11e"):
+        encoded = char.encode()
+        for at in (-1, 0, 1):
+            # the character is the block's last character, plus `at`
+            data = filler + b"#" * (7 + at) + encoded + b" y\nz\n"
+            assert data[_CHUNK - 1 + at:].startswith(encoded)
+            cases.append(pytest.param(data, id=f"{len(encoded)}-byte{at:+d}"))
+        # its bytes across the decoder's first 8 KiB read
+        cases.append(pytest.param(b"#" * (8192 - 1) + encoded + b"\n" + filler, id=f"{len(encoded)}-byte-8k"))
+    return cases
+
+
+class TestStreamedRead:
+    """Input files are read in blocks of whole lines; the lines and the
+    errors are those of the whole text, whatever falls on a block edge."""
+
+    @pytest.mark.parametrize("data", _edge_cases())
+    def test_blocks_give_the_lines_of_the_whole_text(self, tmp_path, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        text = data.decode("utf-8")
+        blocks = list(_read_input(path))
+        assert "".join(blocks) == text.replace("\r\n", "\n").replace("\r", "\n")
+        assert all(block.endswith("\n") for block in blocks[:-1])
+        assert list(_text_lines(_read_input(path))) == list(enumerate(text.splitlines(), 1))
+
+    @pytest.mark.parametrize(
+        "verb, data, error",
+        [
+            ("moves", b"translate up\n" * 6000 + b"translate caf\xe9 up\ntranslate up\n",
+             ("not UTF-8: invalid continuation byte", 6001, 14)),
+            ("moves", b"translate up\r\n" * 6000 + b"# caf\xc3",
+             ("not UTF-8: unexpected end of data", 6001, 6)),
+            ("cross-sim", b"cross +\r" * 10000 + b"cross \xff\rcross -\r",
+             ("not UTF-8: invalid start byte", 10001, 7)),
+            ("cross-sim", b"cross +\n" * 10000 + b"  # \xe2\x82\n",
+             ("not UTF-8: invalid continuation byte", 10001, 5)),
+        ],
+    )
+    def test_undecodable_byte_past_the_first_block(self, capsys, tmp_path, unknot_file, verb, data, error):
+        # the message, line and column of the whole file's first bad byte
+        assert len(data) > _CHUNK
+        path = tmp_path / "script"
+        path.write_bytes(data)
+        argv = ["moves", unknot_file, str(path)] if verb == "moves" else ["cross-sim", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == dict(zip(["type", "message", "line", "column"], ["ParseError", *error]))
+
+    @pytest.mark.parametrize("lines_before", [1, 9000])
+    @pytest.mark.parametrize(
+        "verb, bad_line, bad_byte_line, error",
+        [
+            ("moves", b"translate north", b"translate \xff", "unknown direction 'north'"),
+            ("cross-sim", b"cross *", b"cross \xff", "expected + or -, got '*'"),
+        ],
+    )
+    def test_the_first_fault_in_file_order_is_reported(
+        self, capsys, tmp_path, unknot_file, lines_before, verb, bad_line, bad_byte_line, error
+    ):
+        # A parse error on a line before the first bad byte is reported,
+        # in the same block as the byte or in an earlier one.  Reading
+        # the whole file first reported the bad byte.
+        good = b"translate up\n" if verb == "moves" else b"cross +\n"
+        path = tmp_path / "script"
+
+        def run(first, second):
+            path.write_bytes(good * lines_before + first + b"\n" + good * 1000 + second + b"\n" + good)
+            argv = ["moves", unknot_file, str(path)] if verb == "moves" else ["cross-sim", str(path)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            return _single_json_error(err)
+
+        parse_error = run(bad_line, bad_byte_line)
+        assert (parse_error["message"], parse_error["line"]) == (error, lines_before + 1)
+        utf8_error = run(bad_byte_line, bad_line)
+        assert (utf8_error["message"], utf8_error["line"]) == ("not UTF-8: invalid start byte", lines_before + 1)
+
+    def test_a_line_with_a_bad_byte_is_undecodable_whatever_else_it_holds(self, capsys, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_bytes(b"cross +\ncrosx \xff\n")
+        code, out, err = run_cli(capsys, "cross-sim", str(path))
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == {
+            "type": "ParseError", "message": "not UTF-8: invalid start byte", "line": 2, "column": 7
+        }
 
 
 class TestLedgerModel:

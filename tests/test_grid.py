@@ -8,7 +8,7 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from legrid import (
     Convention,
@@ -21,6 +21,7 @@ from legrid import (
     SharedCell,
     SizeMismatch,
     UnknownComponent,
+    classical,
     grid_to_json,
     grid_to_text,
     linking_number,
@@ -42,6 +43,7 @@ from helpers import (
     brute_cusps,
     brute_linking,
     brute_writhe,
+    crossings_and_seifert_circles,
     trace_components,
 )
 
@@ -431,6 +433,55 @@ class TestLinking:
     def test_unknown_component(self):
         with pytest.raises(UnknownComponent):
             linking_number(new_grid(*SPLIT), 0, 5)
+
+
+class TestBennequinBound:
+    """Bennequin's inequality on the surface that Seifert's algorithm
+    gives on the grid's diagram: tb(L) + |r(L)| <= c - s, with c
+    crossings and s Seifert circles, where tb(L) = sum of the tb_i + 2 *
+    sum of the lk(i, j) and r(L) = sum of the r_i.  The front of either
+    reading has the grid's diagram up to isotopy of the plane and
+    crossing signs, so c and s do not depend on the reading."""
+
+    @pytest.mark.parametrize(
+        "markers, counts",
+        [
+            (UNKNOT, (0, 1)),  # one rectangle
+            (SPLIT, (0, 2)),  # two disjoint rectangles
+            # two rectangles that cross twice; smoothing both crossings
+            # gives the two Seifert circles of the annulus
+            (HOPF, (2, 2)),
+            (POSITIVE_HOPF, (2, 2)),
+            # crossings at (column, row) (1, 2), (2, 3) and (3, 1), all of
+            # one sign: the closed 2-braid, with two Seifert circles
+            (TREFOIL, (3, 2)),
+        ],
+    )
+    def test_counter_matches_hand_counts(self, markers, counts):
+        _, xs, os = markers
+        assert crossings_and_seifert_circles(xs, os) == counts
+
+    @staticmethod
+    def _sides(g):
+        """(tb(L) + |r(L)|, c - s) of ``g``'s NW_SE reading."""
+        count = g.component_count
+        invariants = [classical(g, i) for i in range(count)]
+        lk = sum(linking_number(g, i, j) for i in range(count) for j in range(i + 1, count))
+        c, s = crossings_and_seifert_circles(g.xs, g.os)
+        return sum(inv.tb for inv in invariants) + 2 * lk + abs(sum(inv.r for inv in invariants)), c - s
+
+    @pytest.mark.parametrize("markers, conv", [(UNKNOT, Convention.NW_SE), (TREFOIL, Convention.NE_SW)])
+    def test_sharp_on_the_unknot_and_the_mirror_trefoil(self, markers, conv):
+        # tb = -1 with c - s = -1, and the maximal tb = 1 with c - s = 1
+        left, right = self._sides(reading(new_grid(*markers), conv))
+        assert left == right
+
+    @settings(max_examples=200)
+    @given(grids(max_n=8))
+    def test_holds_under_both_readings(self, g):
+        for conv in Convention:
+            left, right = self._sides(reading(g, conv))
+            assert left <= right
 
 
 class TestReverse:

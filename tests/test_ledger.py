@@ -217,6 +217,17 @@ class TestEulerDifferences:
         with pytest.raises(LengthMismatch):
             rot_diff(m, cls(0), cls(0, 0))
 
+    @pytest.mark.parametrize("f", [tb_diff, rot_diff, sl_diff], ids=lambda f: f.__name__)
+    def test_length_guard_names_the_class_at_fault(self, f):
+        m = ContactHomologyModel(2, [1, 1], False)
+        for pair, which in (((cls(0), cls(0, 0)), "first"), ((cls(0, 0), cls(0)), "second")):
+            with pytest.raises(LengthMismatch) as exc:
+                f(m, *pair)
+            assert str(exc.value) == f"offset of the {which} class has length 1, expected rank 2"
+        # both wrong: the first is named
+        with pytest.raises(LengthMismatch, match="^offset of the first class has length 3,"):
+            f(m, cls(0, 0, 0), cls())
+
     def test_vanishes_exactly_on_kernel_of_euler(self):
         m = ContactHomologyModel(2, [2, -3], False)
         # (3, 2) lies in the kernel of (2, -3); (1, 0) does not.
