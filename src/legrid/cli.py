@@ -93,46 +93,56 @@ def _read_input(path):
     Bytes that are not UTF-8 are a ParseError at their line and column,
     raised once every whole line before theirs has been yielded, so a
     parser that reads line by line reports the first fault in file
-    order.  The file is opened when the first block is asked for.  A
-    path that no file can have (a NUL byte, a lone surrogate) is an
-    OSError like a missing file."""
+    order.  The file is read once, as a single stream, so a pipe works
+    like a regular file.  The file is opened when the first block is
+    asked for.  A path that no file can have (a NUL byte, a lone
+    surrogate) is an OSError like a missing file."""
     try:
-        handle = open(path, encoding="utf-8", newline=None)
+        handle = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
     except ValueError as e:
         raise OSError(f"cannot open {path!r}: {e}") from None
-    done = 0  # characters yielded
+    line = 1  # the number of the first line not yet yielded
     with handle:
-        rest = []  # the text read after the last "\n"
-        try:
-            while chunk := handle.read(_CHUNK):
-                cut = chunk.rfind("\n") + 1
-                if cut:
-                    block = "".join(rest) + chunk[:cut]
-                    done += len(block)
-                    yield block
-                    rest.clear()
-                rest.append(chunk[cut:])
-        except UnicodeDecodeError:
-            yield from _undecodable(path, done)
-            return
-        yield "".join(rest)
+        for block in _line_blocks(handle):
+            if not block.isascii() and _ESCAPED.search(block):
+                yield from _undecodable(block, line)
+            yield block
+            line += block.count("\n")
 
 
-def _undecodable(path, done):
-    """The whole lines of an undecodable file that come after its first
-    ``done`` characters and before its first non-UTF-8 byte, then the
-    ParseError at that byte's line and column."""
-    with open(path, "rb") as handle:
-        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+def _line_blocks(handle):
+    """The text of ``handle`` in blocks that end just after their last
+    ``"\\n"``, read ``grid._CHUNK`` characters at a time."""
+    rest = []  # the text read after the last "\n"
+    while chunk := handle.read(_CHUNK):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join(rest) + chunk[:cut]
+            rest.clear()
+        rest.append(chunk[cut:])
+    yield "".join(rest)
+
+
+# A byte that is not UTF-8, as the "surrogateescape" error handler
+# decodes it; strict UTF-8 decodes no surrogate, so nothing else matches.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(block, line):
+    """The whole lines of ``block`` (whose first line is number ``line``)
+    before its first byte that is not UTF-8, then the ParseError at that
+    byte's line and column.  The message is that of a strict decode of
+    the byte's line, which fails where the stream's decode escaped it."""
+    bad = _ESCAPED.search(block).start()
+    start = block.rfind("\n", 0, bad) + 1
+    if start:
+        yield block[:start]
+    end = block.find("\n", bad) + 1 or len(block)
     try:
-        text = data.decode("utf-8")
+        block[start:end].encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeDecodeError as e:
-        start = data.rfind(b"\n", 0, e.start) + 1
-        yield data[:start].decode("utf-8")[done:]
-        line = data.count(b"\n", 0, start) + 1
-        column = len(data[start:e.start].decode("utf-8")) + 1
-        raise ParseError(line, column, f"not UTF-8: {e.reason}") from None
-    yield text[done:]  # the file was rewritten between the two reads
+        raise ParseError(line + block.count("\n", 0, start), bad - start + 1, f"not UTF-8: {e.reason}") from None
+    raise AssertionError("an escaped byte decoded as UTF-8")
 
 
 def parse_grid_file(path) -> GridDiagram:

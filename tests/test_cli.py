@@ -4,13 +4,18 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legrid.cli import _read_input, _table, main, parse_grid_file
 from legrid.grid import _CHUNK, _text_lines
-from legrid import CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, run_trace
+from legrid import (
+    CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, ParseError, run_trace
+)
 
 from helpers import event_to_text
 
@@ -773,6 +778,15 @@ def _edge_cases():
     return cases
 
 
+# Pieces of input files: ASCII, line ends, whole 2-, 3- and 4-byte
+# characters, and bytes that are not UTF-8 (a stray or cut-off lead byte,
+# an encoded surrogate).
+BYTE_PIECES = [
+    b"a", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9d\x84\x9e",
+    b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9d", b"\xed\xa0\x80",
+]
+
+
 class TestStreamedRead:
     """Input files are read in blocks of whole lines; the lines and the
     errors are those of the whole text, whatever falls on a block edge."""
@@ -847,6 +861,83 @@ class TestStreamedRead:
         assert _single_json_error(err) == {
             "type": "ParseError", "message": "not UTF-8: invalid start byte", "line": 2, "column": 7
         }
+
+    @settings(max_examples=300)
+    @given(
+        data=st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join),
+        chunk=st.integers(1, 9),
+    )
+    def test_blocks_and_errors_are_those_of_the_whole_file(self, tmp_path_factory, data, chunk):
+        # The whole file decoded at once, as a reader that holds it would:
+        # its text, or the line and column of its first bad byte.  Small
+        # blocks put every piece on a block edge somewhere.
+        path = tmp_path_factory.mktemp("read") / "input"
+        path.write_bytes(data)
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            whole = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            start = data.rfind(b"\n", 0, e.start) + 1
+            line = data.count(b"\n", 0, start) + 1
+            column = len(data[start:e.start].decode("utf-8")) + 1
+            whole = (data[:start].decode("utf-8"), (line, column, f"not UTF-8: {e.reason}"))
+        blocks = []
+        with mock.patch("legrid.cli._CHUNK", chunk):
+            try:
+                blocks.extend(_read_input(path))
+            except ParseError as e:
+                assert whole == ("".join(blocks), (e.line, e.column, e.message))
+            else:
+                assert whole == "".join(blocks)
+
+    @staticmethod
+    def _run_on_pipe(capsys, data, argv):
+        """Run ``argv`` with ``{}`` replaced by a /dev/fd path to a pipe
+        that a thread fills with ``data``: bytes read once are gone."""
+        read_end, write_end = os.pipe()
+
+        def write():
+            try:
+                with open(write_end, "wb") as writer:
+                    writer.write(data)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return run_cli(capsys, *[f"/dev/fd/{read_end}" if arg == "{}" else arg for arg in argv])
+        finally:
+            os.close(read_end)
+            writer.join()
+
+    @pytest.mark.parametrize(
+        "verb, data, error",
+        [
+            pytest.param("moves", b"translate up\n" * 6000 + b"translate caf\xe9 up\ntranslate up\n",
+                         ("not UTF-8: invalid continuation byte", 6001, 14), id="moves-past-first-block"),
+            pytest.param("cross-sim", b"cross +\r" * 10000 + b"cross \xff\rcross -\r",
+                         ("not UTF-8: invalid start byte", 10001, 7), id="cross-sim-past-first-block"),
+            pytest.param("cross-sim", b"cross \xff\n",
+                         ("not UTF-8: invalid start byte", 1, 7), id="cross-sim-first-line"),
+            pytest.param("cross-sim", b"cross +\n" * 10000 + b"  # \xe2\x82",
+                         ("not UTF-8: unexpected end of data", 10001, 5), id="cross-sim-cut-at-the-end"),
+        ],
+    )
+    def test_undecodable_byte_on_a_pipe(self, capsys, unknot_file, verb, data, error):
+        # a pipe cannot be read twice, so the bad byte is found in the one read
+        argv = ["moves", unknot_file, "{}"] if verb == "moves" else ["cross-sim", "{}"]
+        code, out, err = self._run_on_pipe(capsys, data, argv)
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == dict(zip(["type", "message", "line", "column"], ["ParseError", *error]))
+
+    def test_a_script_on_a_pipe_runs_as_from_a_file(self, capsys, tmp_path):
+        data = b"cross +\r\n" * 9000 + b"# caf\xc3\xa9\rcross -\n" * 100
+        path = tmp_path / "events.txt"
+        path.write_bytes(data)
+        from_file = run_cli(capsys, "cross-sim", str(path))
+        assert from_file[0] == 0
+        assert self._run_on_pipe(capsys, data, ["cross-sim", "{}"]) == from_file
 
 
 class TestLedgerModel:
