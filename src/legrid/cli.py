@@ -17,12 +17,12 @@ import json
 import re
 import sys
 
-from . import ledger as ledger_mod
-from . import simulator
 from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
 from .grid import _CHUNK, Convention, GridDiagram, _int_token, _read_json, parse_grid, reading
-from .invariants import OrientationFlag, classical, relative_invariants
-from .moves import apply_script, parse_move_script
+
+# Each verb imports its own modules when it runs, so a call loads only
+# what it uses.  Names are imported from their module: ``from . import
+# ledger`` would ask the package for ``ledger``, which loads every module.
 
 __all__ = ["main", "parse_grid_file"]
 
@@ -73,7 +73,9 @@ def _offsets_arg(text):
 def _init_arg(text):
     if text.count(",") != 5:
         raise _UsageError("--init expects six comma-separated integers")
-    return simulator.FramedPairState._make(_ints(text, "--init expects integers"))
+    from .simulator import FramedPairState
+
+    return FramedPairState._make(_ints(text, "--init expects integers"))
 
 
 def _cases_arg(text):
@@ -112,14 +114,20 @@ def _read_input(path):
 
 def _line_blocks(handle):
     """The text of ``handle`` in blocks that end just after their last
-    ``"\\n"``, read ``grid._CHUNK`` characters at a time."""
+    ``"\\n"``, read ``grid._CHUNK`` characters at a time.  A read that
+    returns fewer is the end of the file, so its text ends the last
+    block, and a file shorter than ``_CHUNK`` is one read and one
+    block."""
     rest = []  # the text read after the last "\n"
     while chunk := handle.read(_CHUNK):
+        if len(chunk) < _CHUNK:
+            break
         cut = chunk.rfind("\n") + 1
         if cut:
             yield "".join(rest) + chunk[:cut]
             rest.clear()
         rest.append(chunk[cut:])
+    rest.append(chunk)  # what a short read returned, or ""
     yield "".join(rest)
 
 
@@ -177,6 +185,8 @@ def _relative_record(rel):
 
 
 def _cmd_inv(args):
+    from .invariants import classical
+
     g = reading(parse_grid_file(args.grid), Convention(args.conv))
     indices = range(g.component_count) if args.component is None else [args.component]
     records = [_classical_record(i, classical(g, i)) for i in indices]
@@ -186,6 +196,8 @@ def _cmd_inv(args):
 
 
 def _cmd_rel(args):
+    from .invariants import OrientationFlag, relative_invariants
+
     g = parse_grid_file(args.grid)
     k, j = args.pair
     flag = OrientationFlag(surface=1 if args.orient == "+" else -1)
@@ -196,6 +208,8 @@ def _cmd_rel(args):
 
 
 def _cmd_moves(args):
+    from .moves import apply_script, parse_move_script
+
     g = parse_grid_file(args.grid)
     script = parse_move_script(_read_input(args.script))
     result = apply_script(g, script)
@@ -231,27 +245,34 @@ def _parse_model(text):
     """A model file: a JSON object with an integer "rank", a list of
     integers "euler" and a boolean "tight", and no other key, read by
     the reader of JSON grid files."""
+    from .ledger import ContactHomologyModel
+
     fields = _read_json(text, rank="an integer", euler="a list of integers", tight="true or false")
-    return ledger_mod.ContactHomologyModel(*fields)
+    return ContactHomologyModel(*fields)
 
 
 def _cmd_ledger(args):
+    from .ledger import RelativeSurfaceClass, ambiguity, rot_diff, sl_diff, tb_diff
+
     model = _parse_model("".join(_read_input(args.model)))
     zero = (0,) * model.rank
-    s1 = ledger_mod.RelativeSurfaceClass(zero if args.offset1 is None else args.offset1)
-    s2 = ledger_mod.RelativeSurfaceClass(zero if args.offset2 is None else args.offset2)
+    s1 = RelativeSurfaceClass(zero if args.offset1 is None else args.offset1)
+    s2 = RelativeSurfaceClass(zero if args.offset2 is None else args.offset2)
     payload = {
-        "tb_diff": ledger_mod.tb_diff(model, s1, s2),
-        "rot_diff": ledger_mod.rot_diff(model, s1, s2),
-        "sl_diff": ledger_mod.sl_diff(model, s1, s2),
-        "ambiguity": ledger_mod.ambiguity(model),
+        "tb_diff": tb_diff(model, s1, s2),
+        "rot_diff": rot_diff(model, s1, s2),
+        "sl_diff": sl_diff(model, s1, s2),
+        "ambiguity": ambiguity(model),
     }
     return payload, lambda: _table([[k, v] for k, v in payload.items()], ["quantity", "value"])
 
 
 def _cmd_cross_sim(args):
-    events = simulator.parse_event_script(_read_input(args.events))
-    rows, triple = simulator.replay(args.init, events), args.init.triple
+    from .simulator import FramedPairState, parse_event_script, replay
+
+    init = FramedPairState() if args.init is None else args.init
+    events = parse_event_script(_read_input(args.events))
+    rows, triple = replay(init, events), init.triple
     headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
     return (rows, triple), lambda: _table([row + triple for row in rows], headers)
 
@@ -279,7 +300,6 @@ def _write_states(rows, triple):
 
 
 def _cmd_selftest(args):
-    # imported here, so no other verb loads the suite and its sampler
     from .selftest import run_selftest
 
     report = run_selftest(args.seed, args.cases)
@@ -332,7 +352,7 @@ def _build_parser():
 
     sim = sub.add_parser("cross-sim", help="replay an event script")
     sim.add_argument("events")
-    sim.add_argument("--init", type=_init_arg, default=simulator.FramedPairState(),
+    sim.add_argument("--init", type=_init_arg, default=None,  # the zero state
                      help="tw_K,tw_J,w_K,w_J,sK,sJ")
     sim.set_defaults(func=_cmd_cross_sim)
 

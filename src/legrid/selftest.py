@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 
-from . import ledger, simulator
 from .errors import InterleavingSpans, LegridError
 from .grid import (
     Convention,
@@ -30,6 +29,16 @@ from .invariants import (
     tb_front,
     tb_grid_oracle,
 )
+from .ledger import (
+    ContactHomologyModel,
+    IntersectionProfile,
+    RelativeSurfaceClass,
+    ambiguity,
+    rot_diff,
+    sl_diff,
+    tb_diff,
+    twist_transfer,
+)
 from .moves import (
     Commute,
     LegendrianStab,
@@ -40,6 +49,7 @@ from .moves import (
     follow,
 )
 from .sampling import random_grid, random_link
+from .simulator import CrossingEvent, FramedPairState, IntersectionPattern, cross, run_trace
 
 __all__ = ["run_selftest", "CHECKS"]
 
@@ -236,7 +246,7 @@ def _random_class_pair(rng, rank):
     def offsets():
         return tuple(rng.randint(-4, 4) for _ in range(rank))
 
-    return ledger.RelativeSurfaceClass(offsets()), ledger.RelativeSurfaceClass(offsets())
+    return RelativeSurfaceClass(offsets()), RelativeSurfaceClass(offsets())
 
 
 def _check_ledger(rng, cases):
@@ -245,25 +255,25 @@ def _check_ledger(rng, cases):
         rank = rng.randint(0, 4)
         euler = [rng.randint(-5, 5) for _ in range(rank)]
         tight = rng.random() < 0.3
-        m = ledger.ContactHomologyModel(rank, euler, tight)
+        m = ContactHomologyModel(rank, euler, tight)
         s1, s2 = _random_class_pair(rng, rank)
-        if ledger.tb_diff(m, s1, s2) != 0:
+        if tb_diff(m, s1, s2) != 0:
             failures += 1
-        value = ledger.rot_diff(m, s1, s2)
-        if value != ledger.sl_diff(m, s1, s2):
+        value = rot_diff(m, s1, s2)
+        if value != sl_diff(m, s1, s2):
             failures += 1
         expected = sum(
             e * (a - b) for e, a, b in zip(m.effective_euler, s1.offset, s2.offset)
         )
         if value != expected:
             failures += 1
-        d = ledger.ambiguity(m)
+        d = ambiguity(m)
         if tight and d != 0:
             failures += 1
         if value != 0 and (d == 0 or value % d != 0):
             failures += 1
         k = rng.randint(-3, 3)
-        if ledger.twist_transfer(m, s1, s2, ledger.IntersectionProfile(k, k)) != (k, k):
+        if twist_transfer(m, s1, s2, IntersectionProfile(k, k)) != (k, k):
             failures += 1
     return CheckResult("ledger-rules", cases, failures)
 
@@ -272,14 +282,14 @@ def _check_simulator(rng, cases):
     failures = 0
     runs = max(1, cases // 10)
     for _ in range(runs):
-        s0 = simulator.FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
+        s0 = FramedPairState(*(rng.randint(-5, 5) for _ in range(6)))
         events = []
         for _ in range(rng.randint(0, 200)):
             if rng.random() < 0.7:
-                events.append(simulator.CrossingEvent(rng.choice((1, -1))))
+                events.append(CrossingEvent(rng.choice((1, -1))))
             else:
                 events.append(
-                    simulator.IntersectionPattern(
+                    IntersectionPattern(
                         circles=rng.randint(0, 3),
                         ribbon_arcs=rng.randint(0, 3),
                         boundary_parallel_arcs=rng.randint(0, 3),
@@ -287,15 +297,15 @@ def _check_simulator(rng, cases):
                         singular=rng.choice(((), (1,), (-1,))),
                     )
                 )
-        trace = simulator.run_trace(s0, events)
+        trace = run_trace(s0, events)
         if any(state.triple != s0.triple for state in trace):
             failures += 1
         shuffled = events[:]
         rng.shuffle(shuffled)
-        if simulator.run_trace(s0, shuffled)[-1] != trace[-1]:
+        if run_trace(s0, shuffled)[-1] != trace[-1]:
             failures += 1
-        plus = simulator.cross(s0, simulator.CrossingEvent(1))
-        if simulator.cross(plus, simulator.CrossingEvent(-1)) != s0:
+        plus = cross(s0, CrossingEvent(1))
+        if cross(plus, CrossingEvent(-1)) != s0:
             failures += 1
     return CheckResult("simulator-replay", runs, failures)
 
