@@ -117,7 +117,7 @@ class RelativeInvariants(_Value):
 def tb_front(f: FrontData, c) -> int:
     """Front route: writhe minus half the cusp count."""
     counts = f.cusp_counts(c)
-    return f.crossing_matrix[c][c] - counts.total // 2
+    return f.writhes[c] - counts.total // 2
 
 
 def rot(f: FrontData, c) -> int:

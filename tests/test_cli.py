@@ -513,7 +513,7 @@ class TestErrors:
         # Each check is forced to fail; under -O an assert would vanish.
         code = """
 import legrid.grid as grid, legrid.simulator as sim
-from legrid import FrontData, LegridError, new_grid, linking_number, tb_grid_oracle, to_front
+from legrid import LegridError, new_grid, linking_number, tb_grid_oracle
 
 def raised(fn):
     try:
@@ -523,8 +523,12 @@ def raised(fn):
     return None
 
 g = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
-odd = FrontData(((0, 1), (0, 0)), to_front(g).cusps)
-grid.to_front = lambda g_: odd
+sweep = grid._sweep
+def odd(g_, against):
+    crossings, up, down = sweep(g_, against)
+    crossings[0] += 1
+    return crossings, up, down
+grid._sweep = odd
 print(raised(lambda: linking_number(g, 0, 1)))
 t = new_grid(5, [0, 1, 2, 3, 4], [2, 3, 4, 0, 1])
 t.__dict__.update(component_by_column=(0, 0, 1, 0, 0), component_count=2)

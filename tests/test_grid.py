@@ -4,7 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from legrid import (
     Convention,
-    FrontData,
     GridDiagram,
     NotAPermutation,
     ParityViolation,
@@ -33,7 +32,7 @@ from legrid import (
     writhe,
 )
 from legrid import sampling
-from legrid.grid import _int_token, _read_json
+from legrid.grid import _int_token, _read_json, _sweep
 from legrid.sampling import random_grid, random_knot, random_link
 
 from helpers import (
@@ -231,35 +230,53 @@ class TestDerivedTables:
         assert a != new_grid(*HOPF)
 
 
+def _pair_sweep(g, a, b):
+    """The crossings of every component in the sweep that
+    :func:`linking_number` runs for ``a`` and ``b``: ``a`` over ``b`` at
+    ``a``, ``b`` over ``a`` at ``b``, and 0 for every other component."""
+    against = [None] * g.component_count
+    against[a], against[b] = b, a
+    return _sweep(g, against)[0]
+
+
 class TestFront:
     def test_unknot_front(self):
         n, xs, os = UNKNOT
         f = to_front(new_grid(n, xs, os))
         assert brute_crossings(xs, os) == []
-        assert f.crossing_matrix == ((0,),)
+        assert f.writhes == (0,)
         assert f.cusps[0].total == 2
 
     def test_split_grid_has_no_inter_component_crossings(self):
         n, xs, os = SPLIT
-        f = to_front(new_grid(n, xs, os))
+        g = new_grid(n, xs, os)
         assert all(over == under for _, _, _, over, under in brute_crossings(xs, os))
-        assert f.crossing_matrix[0][1] == f.crossing_matrix[1][0] == 0
+        assert to_front(g).writhes == (0, 0)
+        assert _pair_sweep(g, 0, 1) == _pair_sweep(g, 1, 0) == [0, 0]
 
     @staticmethod
-    def _assert_matrix_matches_brute_force(xs, os):
+    def _assert_crossings_match_brute_force(xs, os):
+        """Every component's writhe, read off the front, and both
+        one-sided counts of every pair, read through the pair sweep,
+        against the brute-force crossings: every signed count
+        ``expected[over][under]``, negated under NE_SW."""
         g = new_grid(len(xs), xs, os)
-        size = len(g.components)
+        size = g.component_count
         expected = [[0] * size for _ in range(size)]
         for _, _, sign, over, under in brute_crossings(xs, os):
             expected[over][under] += sign
-        assert to_front(g).crossing_matrix == tuple(map(tuple, expected))
-        negated = tuple(tuple(-v for v in row) for row in expected)
-        assert to_front(reading(g, Convention.NE_SW)).crossing_matrix == negated
+        for conv, sign in zip(Convention, (1, -1)):
+            read = reading(g, conv)
+            assert to_front(read).writhes == tuple(sign * expected[k][k] for k in range(size))
+            for a, b in combinations(range(size), 2):
+                sides = [0] * size
+                sides[a], sides[b] = sign * expected[a][b], sign * expected[b][a]
+                assert _pair_sweep(read, a, b) == sides
 
-    def test_crossing_matrix_matches_brute_force_small(self):
+    def test_crossings_match_brute_force_small(self):
         for n in (2, 3, 4, 5):
             for xs, os in all_marker_lists(n):
-                self._assert_matrix_matches_brute_force(xs, os)
+                self._assert_crossings_match_brute_force(xs, os)
 
     @staticmethod
     def _assert_cusps_match_brute_force(xs, os):
@@ -279,7 +296,7 @@ class TestFront:
             g = random_link(rng, rng.randint(4, 200), rng.randint(2, 3))
             self._assert_cusps_match_brute_force(list(g.xs), list(g.os))
 
-    def test_crossing_matrix_matches_brute_force_random(self):
+    def test_crossings_match_brute_force_random(self):
         rng = random.Random(31)
         for _ in range(60):
             n = rng.randint(2, 200)
@@ -288,14 +305,15 @@ class TestFront:
                 os = rng.sample(range(n), n)
                 if all(x != o for x, o in zip(xs, os)):
                     break
-            self._assert_matrix_matches_brute_force(xs, os)
+            self._assert_crossings_match_brute_force(xs, os)
 
     def test_front_is_read_once_per_grid(self):
         g = new_grid(*TREFOIL)
         f = to_front(g)
         assert to_front(g) is f
+        assert f.writhes == (-3,)
         other = to_front(reading(g, Convention.NE_SW))
-        assert other.crossing_matrix == tuple(tuple(-v for v in row) for row in f.crossing_matrix)
+        assert other.writhes == tuple(-w for w in f.writhes)
 
     @given(grids())
     def test_cusp_parity(self, g):
@@ -406,26 +424,31 @@ class TestLinking:
         with pytest.raises(SameComponent):
             linking_number(new_grid(*SPLIT), 1, 1)
 
-    def test_odd_crossing_sum_raises(self, monkeypatch):
+    @staticmethod
+    def _skew(monkeypatch, component, change):
+        """Make every sweep count ``change`` more crossings at ``component``."""
         import legrid.grid as grid_mod
 
+        def skewed(g, against):
+            crossings, up, down = _sweep(g, against)
+            crossings[component] += change
+            return crossings, up, down
+
+        monkeypatch.setattr(grid_mod, "_sweep", skewed)
+
+    def test_odd_crossing_sum_raises(self, monkeypatch):
         g = new_grid(*SPLIT)
-        real = to_front(g)
-        odd = FrontData(((0, 1), (0, 0)), real.cusps)
-        monkeypatch.setattr(grid_mod, "to_front", lambda g_: odd)
-        with pytest.raises(ParityViolation):
+        self._skew(monkeypatch, 0, 1)
+        with pytest.raises(ParityViolation) as exc:
             linking_number(g, 0, 1)
+        assert str(exc.value) == "components 0 and 1 cross 1 signed times with 0 over but 0 with 1 over"
 
     def test_one_sided_even_change_raises(self, monkeypatch):
         # the parity of the sum survives an even change to one side, but
         # a planar diagram's two sides agree exactly
-        import legrid.grid as grid_mod
-
         g = new_grid(*POSITIVE_HOPF)
-        real = to_front(g)
-        (aa, ab), (ba, bb) = real.crossing_matrix
-        skewed = FrontData(((aa, ab + 2), (ba, bb)), real.cusps)
-        monkeypatch.setattr(grid_mod, "to_front", lambda g_: skewed)
+        assert _pair_sweep(g, 0, 1) == [1, 1]
+        self._skew(monkeypatch, 0, 2)
         with pytest.raises(ParityViolation) as exc:
             linking_number(g, 0, 1)
         assert str(exc.value) == "components 0 and 1 cross 3 signed times with 0 over but 1 with 1 over"

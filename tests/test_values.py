@@ -54,7 +54,7 @@ VALUES = [
      "Component(index=0, columns=frozenset({0, 1}), rows=frozenset({0, 1}))"),
     (lambda: CuspCounts(1, 1), "CuspCounts(up=1, down=1)"),
     (lambda: to_front(new_grid(*UNKNOT)),
-     "FrontData(crossing_matrix=((0,),), cusps=(CuspCounts(up=1, down=1),))"),
+     "FrontData(writhes=(0,), cusps=(CuspCounts(up=1, down=1),))"),
     (lambda: new_grid(*UNKNOT), "GridDiagram(n=2, xs=(0, 1), os=(1, 0))"),
     (lambda: ClassicalInvariants(-1, 0), "ClassicalInvariants(tb=-1, r=0)"),
     (lambda: OrientationFlag(), "OrientationFlag(surface=1, coorientation=1)"),
