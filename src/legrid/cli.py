@@ -140,17 +140,19 @@ def _undecodable(block, line):
     """The whole lines of ``block`` (whose first line is number ``line``)
     before its first byte that is not UTF-8, then the ParseError at that
     byte's line and column.  The message is that of a strict decode of
-    the byte's line, which fails where the stream's decode escaped it."""
+    the byte's line, which fails where the stream's decode escaped it;
+    should the decode pass, the error still stands, without a reason."""
     bad = _ESCAPED.search(block).start()
     start = block.rfind("\n", 0, bad) + 1
     if start:
         yield block[:start]
     end = block.find("\n", bad) + 1 or len(block)
+    message = "not UTF-8"
     try:
         block[start:end].encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(line + block.count("\n", 0, start), bad - start + 1, f"not UTF-8: {e.reason}") from None
-    raise AssertionError("an escaped byte decoded as UTF-8")
+        message += f": {e.reason}"
+    raise ParseError(line + block.count("\n", 0, start), bad - start + 1, message)
 
 
 def parse_grid_file(path) -> GridDiagram:
@@ -158,30 +160,18 @@ def parse_grid_file(path) -> GridDiagram:
     return parse_grid("".join(_read_input(path)))
 
 
-def _table(rows, headers):
-    """Render a small aligned text table."""
+def _table(rows, headers, footer=""):
+    """The arguments of :func:`_write_chunks` for an aligned text table.
+    ``rows`` is called twice, once for the column widths and once for
+    the lines, and each call gives the rows afresh, each a tuple of
+    cells; a cell is written as ``str`` of it.  ``footer`` follows the
+    last line."""
     widths = [len(h) for h in headers]
-    cells = [[str(v) for v in row] for row in rows]
-    for row in cells:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells)
-    return "\n".join(lines)
-
-
-def _classical_record(index, inv):
-    return {
-        "component": index,
-        "tb": inv.tb,
-        "r": inv.r,
-        "sl_pos": inv.sl_pos,
-        "sl_neg": inv.sl_neg,
-    }
-
-
-def _relative_record(rel):
-    return {"tb_rel": rel.tb_rel, "r_rel": rel.r_rel, "sl_rel": rel.sl_rel}
+    for row in rows():
+        widths = [max(w, len(str(c))) for w, c in zip(widths, row)]
+    head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)) + "\n" + "  ".join("-" * w for w in widths)
+    line = "\n" + "  ".join(f"%-{w}s" for w in widths)  # each cell as str(cell).ljust(w)
+    return head, rows(), line, "", footer + "\n"
 
 
 def _cmd_inv(args):
@@ -189,10 +179,14 @@ def _cmd_inv(args):
 
     g = reading(parse_grid_file(args.grid), Convention(args.conv))
     indices = range(g.component_count) if args.component is None else [args.component]
-    records = [_classical_record(i, classical(g, i)) for i in indices]
+    rows = []
+    for i in indices:
+        inv = classical(g, i)
+        rows.append((i, inv.tb, inv.r, inv.sl_pos, inv.sl_neg))
     headers = ["component", "tb", "r", "sl_pos", "sl_neg"]
+    records = [dict(zip(headers, row)) for row in rows]
     payload = records if args.component is None else records[0]
-    return payload, lambda: _table([[rec[h] for h in headers] for rec in records], headers)
+    return payload, lambda: _table(lambda: rows, headers)
 
 
 def _cmd_rel(args):
@@ -203,42 +197,52 @@ def _cmd_rel(args):
     flag = OrientationFlag(surface=1 if args.orient == "+" else -1)
     rel = relative_invariants(g, k, j, flag)
     headers = ["pair", "tb_rel", "r_rel", "sl_rel"]
-    row = [f"({k},{j})", rel.tb_rel, rel.r_rel, rel.sl_rel]
-    return {"pair": [k, j], **_relative_record(rel)}, lambda: _table([row], headers)
+    row = (f"({k},{j})", rel.tb_rel, rel.r_rel, rel.sl_rel)
+    record = {"pair": [k, j], "tb_rel": rel.tb_rel, "r_rel": rel.r_rel, "sl_rel": rel.sl_rel}
+    return record, lambda: _table(lambda: [row], headers)
+
+
+# A trace step and its parts, each as json.dumps writes its record.
+_STEP = '{"step": %d, "move": %s, "components": [%s], "relative": %s, "flags": %s}'
+_COMPONENT = '{"component": %d, "tb": %d, "r": %d, "sl_pos": %d, "sl_neg": %d}'
+_RELATIVE = '{"tb_rel": %d, "r_rel": %d, "sl_rel": %d}'
+
+
+def _step_fields(step):
+    """The fields of a trace step's ``_STEP`` record: its integers
+    formatted, its move text and flags passed through json.dumps."""
+    rel = step.relative
+    return (
+        step.index,
+        json.dumps(None if step.move is None else step.move.text()),
+        ", ".join([_COMPONENT % (c, inv.tb, inv.r, inv.sl_pos, inv.sl_neg) for c, inv in enumerate(step.invariants)]),
+        "null" if rel is None else _RELATIVE % (rel.tb_rel, rel.r_rel, rel.sl_rel),
+        json.dumps(step.flags),
+    )
 
 
 def _cmd_moves(args):
     from .moves import apply_script, parse_move_script
 
     g = parse_grid_file(args.grid)
-    script = parse_move_script(_read_input(args.script))
-    result = apply_script(g, script)
-    final = result.final
-    trace = [
-        {
-            "step": step.index,
-            "move": None if step.move is None else step.move.text(),
-            "components": [
-                _classical_record(i, inv) for i, inv in enumerate(step.invariants)
-            ],
-            "relative": None if step.relative is None else _relative_record(step.relative),
-            "flags": list(step.flags),
-        }
-        for step in result.trace
-    ]
+    result = apply_script(g, parse_move_script(_read_input(args.script)))
+    final, trace = result.final, result.trace
 
-    def table():
-        rows = []
-        for step in result.trace:
+    def rows():
+        for step in trace:
             rel = step.relative
-            move = "-" if step.move is None else step.move.text()
-            comps = " ".join(f"({inv.tb},{inv.r})" for inv in step.invariants)
-            rel_text = "-" if rel is None else f"({rel.tb_rel},{rel.r_rel},{rel.sl_rel})"
-            rows.append([step.index, move, comps, rel_text, ",".join(step.flags) or "-"])
-        headers = ["step", "move", "per-component (tb, r)", "relative", "flags"]
-        return _table(rows, headers) + f"\nfinal: n={final.n} X={list(final.xs)} O={list(final.os)}"
+            yield (
+                step.index,
+                "-" if step.move is None else step.move.text(),
+                " ".join(f"({inv.tb},{inv.r})" for inv in step.invariants),
+                "-" if rel is None else f"({rel.tb_rel},{rel.r_rel},{rel.sl_rel})",
+                ",".join(step.flags) or "-",
+            )
 
-    return {"final": {"n": final.n, "x": list(final.xs), "o": list(final.os)}, "trace": trace}, table
+    head = '{"final": %s, "trace": [' % json.dumps({"n": final.n, "x": list(final.xs), "o": list(final.os)})
+    headers = ["step", "move", "per-component (tb, r)", "relative", "flags"]
+    footer = f"\nfinal: n={final.n} X={list(final.xs)} O={list(final.os)}"
+    return (head, map(_step_fields, trace), _STEP, ", ", "]}\n"), lambda: _table(rows, headers, footer)
 
 
 def _parse_model(text):
@@ -264,7 +268,7 @@ def _cmd_ledger(args):
         "sl_diff": sl_diff(model, s1, s2),
         "ambiguity": ambiguity(model),
     }
-    return payload, lambda: _table([[k, v] for k, v in payload.items()], ["quantity", "value"])
+    return payload, lambda: _table(lambda: payload.items(), ["quantity", "value"])
 
 
 def _cmd_cross_sim(args):
@@ -273,30 +277,41 @@ def _cmd_cross_sim(args):
     init = FramedPairState() if args.init is None else args.init
     events = parse_event_script(_read_input(args.events))
     rows, triple = replay(init, events), init.triple
-    headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
-    return (rows, triple), lambda: _table([row + triple for row in rows], headers)
-
-
-# about 64 KiB of JSON, the window the input is read through
-_STATE_CHUNK = 512
-
-
-def _write_states(rows, triple):
-    """Stream the states as the JSON list ``json.dumps`` would give for
-    one nine-key record per state, in chunks of ``_STATE_CHUNK``, each
-    separator written on its own.  replay() has already checked that
-    the triple never moves, so it is formatted once."""
-    template = (
+    # replay() has already checked that the triple never moves, so it is
+    # formatted once
+    state = (
         '{"tw_K": %d, "tw_J": %d, "w_K": %d, "w_J": %d, "sK": %d, "sJ": %d, '
         + '"tb_rel": %d, "r_rel": %d, "sl_rel": %d}' % triple
     )
+    headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
+
+    def table():  # replays the events again, once per pass
+        return _table(lambda: (row + triple for row in replay(init, events)), headers)
+
+    return ("[", rows, state, ", ", "]\n"), table
+
+
+# about 64 KiB, the window the input is read through
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_chunks(head, rows, template, sep, tail):
+    """Write ``head``, ``template % row`` for each row of the iterator
+    ``rows``, joined by ``sep``, and ``tail`` to stdout.  The rows are
+    formatted and written a chunk at a time: the first alone, then each
+    chunk as many as would fill about ``_WRITE_CHUNK`` characters at
+    the mean length of the chunk before it."""
     write = sys.stdout.write
-    sep = "["
-    while chunk := list(itertools.islice(rows, _STATE_CHUNK)):
-        write(sep)
-        write(", ".join([template % row for row in chunk]))
-        sep = ", "
-    write("]\n")
+    write(head)
+    rows = iter(rows)
+    between, count = "", 1
+    while chunk := list(itertools.islice(rows, count)):
+        text = sep.join([template % row for row in chunk])
+        write(between)
+        write(text)
+        between = sep
+        count = max(1, _WRITE_CHUNK * len(chunk) // (len(text) + len(sep) or 1))
+    write(tail)
 
 
 def _cmd_selftest(args):
@@ -306,11 +321,11 @@ def _cmd_selftest(args):
 
     def table():
         rows = [
-            [c["name"], c["cases"], c["failures"], "pass" if c["passed"] else "FAIL"]
+            (c["name"], c["cases"], c["failures"], "pass" if c["passed"] else "FAIL")
             for c in report["checks"]
         ]
-        footer = f"seed={report['seed']} cases={report['cases']} all_passed={report['all_passed']}"
-        return _table(rows, ["check", "cases", "failures", "status"]) + "\n" + footer
+        footer = f"\nseed={report['seed']} cases={report['cases']} all_passed={report['all_passed']}"
+        return _table(lambda: rows, ["check", "cases", "failures", "status"], footer)
 
     return report, table
 
@@ -369,16 +384,22 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # Each verb returns its JSON record and a thunk for its table.
-        # cross-sim streams its states; selftest exits 1 when a check fails.
+        # Each verb returns its JSON record and a thunk that gives its
+        # table as the arguments of _write_chunks.  moves and cross-sim
+        # give their JSON as such arguments too (no other record is a
+        # tuple), so a long output is never held whole.  selftest exits 1
+        # when a check fails.
         record, table = args.func(args)
+        code = 1 if args.verb == "selftest" and not record["all_passed"] else 0
         if args.pretty:
-            print(table())
-        elif args.verb == "cross-sim":
-            _write_states(*record)
+            output = table()
+        elif type(record) is tuple:
+            output = record
         else:
-            print(json.dumps(record))
-        return 1 if args.verb == "selftest" and not record["all_passed"] else 0
+            output = json.dumps(record), (), "", "", "\n"
+        table = None  # cross-sim's holds the events, which its JSON does not need
+        _write_chunks(*output)
+        return code
     except SystemExit as e:  # argparse's help action, once the help is printed
         return e.code
     except _UsageError as e:

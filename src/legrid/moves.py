@@ -546,32 +546,35 @@ def parse_move_script(text) -> tuple[GridMove, ...]:
     its words, and a BadCell it raises is the ParseError of that line.
     Every ParseError names the 1-based column of the token at fault:
     the verb of an unrecognized move, or the index, sign or word
-    refused."""
-    moves = []
-    for line_no, raw in _text_lines(text):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        verb, *args = tokens = line.split()
-        try:
-            if verb == "translate" and len(args) == 1:
-                move = Translate(args[0])
-            elif verb == "commute" and len(args) == 2:
-                move = Commute(args[0], _parse_int(line_no, raw, tokens, 2, "index"))
-            elif verb == "stab" and len(args) == 3:
-                move = Stabilize(args[0], _parse_int(line_no, raw, tokens, 2, "column"), args[2])
-            elif verb == "destab" and len(args) in (1, 2):
-                row = _parse_int(line_no, raw, tokens, 2, "row") if len(args) == 2 else None
-                move = Destabilize(_parse_int(line_no, raw, tokens, 1, "column"), row)
-            elif verb == "lstab" and len(args) == 2:
-                component = _parse_int(line_no, raw, tokens, 1, "component")
-                if args[1] not in ("+", "-"):
-                    message = f"sign must be + or -, got {args[1]!r}"
-                    raise ParseError(line_no, _token_column(raw, tokens, 2), message)
-                move = LegendrianStab(component, 1 if args[1] == "+" else -1)
-            else:
-                raise ParseError(line_no, _token_column(raw, tokens, 0), f"unrecognized move: {line!r}")
-        except BadCell as e:
-            raise ParseError(line_no, _token_column(raw, tokens, _WORD_TOKENS[e.field]), str(e)) from None
-        moves.append(move)
-    return tuple(moves)
+    refused.  The moves go straight into the tuple; no list of them is
+    held."""
+
+    def parsed():
+        for line_no, raw in _text_lines(text):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            verb, *args = tokens = line.split()
+            try:
+                if verb == "translate" and len(args) == 1:
+                    move = Translate(args[0])
+                elif verb == "commute" and len(args) == 2:
+                    move = Commute(args[0], _parse_int(line_no, raw, tokens, 2, "index"))
+                elif verb == "stab" and len(args) == 3:
+                    move = Stabilize(args[0], _parse_int(line_no, raw, tokens, 2, "column"), args[2])
+                elif verb == "destab" and len(args) in (1, 2):
+                    row = _parse_int(line_no, raw, tokens, 2, "row") if len(args) == 2 else None
+                    move = Destabilize(_parse_int(line_no, raw, tokens, 1, "column"), row)
+                elif verb == "lstab" and len(args) == 2:
+                    component = _parse_int(line_no, raw, tokens, 1, "component")
+                    if args[1] not in ("+", "-"):
+                        message = f"sign must be + or -, got {args[1]!r}"
+                        raise ParseError(line_no, _token_column(raw, tokens, 2), message)
+                    move = LegendrianStab(component, 1 if args[1] == "+" else -1)
+                else:
+                    raise ParseError(line_no, _token_column(raw, tokens, 0), f"unrecognized move: {line!r}")
+            except BadCell as e:
+                raise ParseError(line_no, _token_column(raw, tokens, _WORD_TOKENS[e.field]), str(e)) from None
+            yield move
+
+    return tuple(parsed())

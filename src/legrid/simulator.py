@@ -211,22 +211,25 @@ def parse_event_script(text):
     one event object is shared by every line of equal value, however it
     is spelled.  Blank lines are never cached, and a raw line is cached
     only once it has parsed.  ``text`` is a str or an iterable of
-    whole-line blocks, and it is split into lines a block at a time
-    (see ``grid._text_lines``), so no list of all its lines is held:
-    what grows with the script is one pointer per event.
+    whole-line blocks.  It is split into lines a block at a time (see
+    ``grid._text_lines``), and the events go straight into the tuple,
+    so no list of all its lines or events is held: what grows with the
+    script is the tuple, one pointer per event.
     """
     seen = {}  # raw line -> its event
     shared = {}  # event -> the one object of its value
-    events = []
-    for line_no, raw in _text_lines(text):
-        event = seen.get(raw)
-        if event is None:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            event = seen[raw] = shared.setdefault(e := _parse_event(raw, line, line_no), e)
-        events.append(event)
-    return tuple(events)
+
+    def events():
+        for line_no, raw in _text_lines(text):
+            event = seen.get(raw)
+            if event is None:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                event = seen[raw] = shared.setdefault(e := _parse_event(raw, line, line_no), e)
+            yield event
+
+    return tuple(events())
 
 
 def _parse_event(raw, line, line_no):

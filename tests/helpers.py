@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to pin expected values, a
-cell-by-cell reference for (de)stabilization, and an event-script
-writer.
+cell-by-cell reference for (de)stabilization, an event-script writer,
+a random legal move script, and the CLI's outputs as it built them
+whole, before it wrote them in chunks.
 
 The oracles work straight from the raw marker lists so that they
 share no code with the library paths they check.  Verticals join the O
@@ -11,7 +12,7 @@ vertical strands cross over horizontal ones, and a crossing is +1 when
 
 from itertools import permutations
 
-from legrid import Convention, CrossingEvent
+from legrid import Convention, CrossingEvent, LegridError, apply_move, parse_move_script
 
 # Every attribute of a grid before a memo is set: the markers, their
 # inverse permutations, the owner table and the component count.
@@ -248,3 +249,85 @@ def event_to_text(event):
 
 def write_events(events):
     return "".join(event_to_text(event) + "\n" for event in events)
+
+
+# the kinds of move in a random legal script, with their weights
+MOVE_KINDS = {"translate": 15, "commute": 35, "stab": 15, "lstab": 10, "destab": 25}
+
+
+def legal_script(rng, g, moves, band=4):
+    """The lines of a random script of ``moves`` legal moves from the
+    grid ``g``, of every kind, keeping the grid size within ``band`` of
+    ``g.n``.  A drawn move is kept only if it applies."""
+    lo, hi = g.n - band, g.n + band
+    lines = []
+    while len(lines) < moves:
+        n = g.n
+        kind = rng.choices(list(MOVE_KINDS), list(MOVE_KINDS.values()))[0]
+        if kind == "translate":
+            line = f"translate {rng.choice(('up', 'down', 'left', 'right'))}"
+        elif kind == "commute":
+            line = f"commute {rng.choice(('row', 'col'))} {rng.randrange(n - 1)}"
+        elif kind == "stab" and n < hi:
+            line = f"stab {rng.choice('XO')} {rng.randrange(n)} {rng.choice(('NE', 'NW', 'SE', 'SW'))}"
+        elif kind == "lstab" and n < hi:
+            line = f"lstab {rng.randrange(g.component_count)} {rng.choice('+-')}"
+        elif kind == "destab" and n > lo:
+            line = f"destab {rng.randrange(n - 1)}"
+        else:
+            continue
+        try:
+            g = apply_move(g, parse_move_script(line)[0])
+        except LegridError:
+            continue
+        lines.append(line)
+    return lines
+
+
+def table(rows, headers):
+    """A small aligned text table, as the CLI rendered it whole."""
+    widths = [len(h) for h in headers]
+    cells = [[str(v) for v in row] for row in rows]
+    for row in cells:
+        widths = [max(w, len(c)) for w, c in zip(widths, row)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+    lines.append("  ".join("-" * w for w in widths))
+    lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells)
+    return "\n".join(lines)
+
+
+def moves_payload(result):
+    """The JSON value of ``legrid moves`` for a ScriptResult, built as
+    nested dicts."""
+    final = result.final
+    trace = [
+        {
+            "step": step.index,
+            "move": None if step.move is None else step.move.text(),
+            "components": [
+                {"component": i, "tb": inv.tb, "r": inv.r, "sl_pos": inv.sl_pos, "sl_neg": inv.sl_neg}
+                for i, inv in enumerate(step.invariants)
+            ],
+            "relative": None if step.relative is None else {
+                "tb_rel": step.relative.tb_rel, "r_rel": step.relative.r_rel, "sl_rel": step.relative.sl_rel
+            },
+            "flags": list(step.flags),
+        }
+        for step in result.trace
+    ]
+    return {"final": {"n": final.n, "x": list(final.xs), "o": list(final.os)}, "trace": trace}
+
+
+def moves_table(result):
+    """The text of ``legrid moves --pretty`` for a ScriptResult, without
+    its last newline."""
+    rows = []
+    for step in result.trace:
+        rel = step.relative
+        move = "-" if step.move is None else step.move.text()
+        comps = " ".join(f"({inv.tb},{inv.r})" for inv in step.invariants)
+        rel_text = "-" if rel is None else f"({rel.tb_rel},{rel.r_rel},{rel.sl_rel})"
+        rows.append([step.index, move, comps, rel_text, ",".join(step.flags) or "-"])
+    headers = ["step", "move", "per-component (tb, r)", "relative", "flags"]
+    final = result.final
+    return table(rows, headers) + f"\nfinal: n={final.n} X={list(final.xs)} O={list(final.os)}"

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -11,13 +12,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legrid.cli import _read_input, _table, main, parse_grid_file
+import legrid.cli as cli
+from legrid.cli import _read_input, main, parse_grid_file
 from legrid.grid import _CHUNK, _text_lines
+from legrid.sampling import random_knot, random_link
 from legrid import (
-    CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, ParseError, run_trace
+    CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, ParseError,
+    apply_script, grid_to_text, parse_grid, parse_move_script, run_trace
 )
 
-from helpers import event_to_text
+from helpers import event_to_text, legal_script, moves_payload, moves_table, table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -195,6 +199,90 @@ class TestMoves:
             "component": 1,
         }
 
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_streamed_trace_matches_the_old_payload(self, capsys, tmp_path, components):
+        # The old emitter built nested dicts for the whole trace and called
+        # json.dumps once.  The writer sends step 0 alone, then as many
+        # steps as would fill _WRITE_CHUNK at step 0's length, so with
+        # count - 1, count and count + 1 moves the last step falls just
+        # before, on and just after the end of that second chunk.
+        rng = random.Random(31 + components)
+        if components == 1:
+            g = random_knot(rng, 8)
+        else:
+            g = random_link(rng, 4 * components, components)
+            while g.component_count != components:
+                g = random_link(rng, 4 * components, components)
+        grid, script = tmp_path / "grid.txt", tmp_path / "script.txt"
+        grid.write_text(grid_to_text(g))
+        first = moves_payload(apply_script(g, ()))["trace"][0]
+        count = cli._WRITE_CHUNK // (len(", ") + len(json.dumps(first)))
+        flagged = 0
+        for moves in (0, 1, count - 1, count, count + 1, 3 * count + 5):
+            script.write_text("".join(line + "\n" for line in legal_script(rng, g, moves)))
+            result = apply_script(g, parse_move_script(script.read_text()))
+            flagged += sum(bool(step.flags) for step in result.trace)
+            code, out, err = run_cli(capsys, "moves", str(grid), str(script))
+            assert (code, err) == (0, "")
+            assert out == json.dumps(moves_payload(result)) + "\n"
+            code, out, err = run_cli(capsys, "moves", str(grid), str(script), "--pretty")
+            assert (code, err) == (0, "")
+            assert out == moves_table(result) + "\n"
+        assert (first["relative"] is None) == (components == 1)
+        assert flagged
+
+    @pytest.mark.parametrize("chunk", [1, 1000, 5000])
+    def test_every_chunk_size_writes_the_same_bytes(self, capsys, tmp_path, monkeypatch, chunk):
+        # one step or row per chunk, then a few and a few dozen, so the
+        # output holds many chunk edges
+        rng = random.Random(chunk)
+        g = parse_grid(LINK_TEXT)
+        grid, script = tmp_path / "grid.txt", tmp_path / "script.txt"
+        grid.write_text(LINK_TEXT)
+        script.write_text("".join(line + "\n" for line in legal_script(rng, g, 300)))
+        result = apply_script(g, parse_move_script(script.read_text()))
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+        for pretty, expected in (((), json.dumps(moves_payload(result))), (("--pretty",), moves_table(result))):
+            code, out, err = run_cli(capsys, "moves", str(grid), str(script), *pretty)
+            assert (code, out, err) == (0, expected + "\n", "")
+
+    def test_an_illegal_last_step_of_a_long_script_writes_nothing(self, capsys, tmp_path):
+        # stdout stays empty: the whole script runs before the first chunk
+        rng = random.Random(5)
+        g = parse_grid(LINK_TEXT)
+        script = tmp_path / "script.txt"
+        lines = legal_script(rng, g, 3000)
+        script.write_text("".join(line + "\n" for line in lines) + "commute col 500\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text(LINK_TEXT)
+        code, out, err = run_cli(capsys, "moves", str(grid), str(script))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert (error["type"], error["step"], error["cause"]) == ("ScriptStepError", 3001, "BadCell")
+
+    def test_peak_memory_is_the_compact_trace(self, tmp_path):
+        # 10^4 legal steps on a 36-grid with 3 components.  The trace is
+        # written in chunks of about 64 KiB, so what grows with the script
+        # is the parsed moves, the compact trace and the sub-grids that
+        # apply_script interns for the call.
+        rng = random.Random(31)
+        g = random_link(rng, 36, 3)
+        while g.component_count != 3:
+            g = random_link(rng, 36, 3)
+        steps = 10_000
+        grid, script = tmp_path / "grid.txt", tmp_path / "script.txt"
+        grid.write_text(grid_to_text(g))
+        script.write_text("".join(line + "\n" for line in legal_script(rng, g, steps)))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["moves", str(grid), str(script)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak / steps < 1200
+
     def test_invariant_error_outside_a_script_has_no_step(self, capsys, split_file, monkeypatch):
         import legrid.invariants as inv_mod
 
@@ -322,7 +410,7 @@ class TestCrossSim:
             if length in edges or rng.random() < 0.1:
                 code, out, err = run_cli(capsys, *argv, "--pretty")
                 assert (code, err) == (0, "")
-                assert out == _table(rows, STATE_HEADERS) + "\n"
+                assert out == table(rows, STATE_HEADERS) + "\n"
 
     def test_huge_ribbon_count_is_replayed_in_closed_form(self, capsys, tmp_path):
         events = tmp_path / "events.txt"
@@ -394,7 +482,8 @@ class TestCrossSim:
     def test_peak_memory_is_a_few_pointers_per_event(self, tmp_path):
         # 2 * 10^5 events of the benchmark's kinds.  The script is read
         # and the states written through windows of about 64 KiB, so what
-        # grows with the script is the events' tuple and its list.
+        # grows with the script is the events' tuple and replay's list of
+        # their shifts.
         rng = random.Random(28)
         lines = []
         for _ in range(200_000):
@@ -746,6 +835,17 @@ class TestInputFiles:
         code, out, err = run_cli(capsys, *_argv(verb, path, unknot_file, tmp_path))
         assert (code, out) == (1, "")
         assert _single_json_error(err)["type"] == "ParseError"
+
+    def test_an_escaped_byte_that_decodes_is_still_a_parse_error(self, capsys, tmp_path, unknot_file, monkeypatch):
+        # Only a byte that is not UTF-8 can match _ESCAPED; were an ordinary
+        # character to match, the strict decode of its line would pass,
+        # and the error would still be one JSON record.
+        monkeypatch.setattr(cli, "_ESCAPED", re.compile("\u00e9"))
+        path = tmp_path / "script.txt"
+        path.write_text("translate up\n# caf\u00e9\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "moves", unknot_file, str(path))
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == {"type": "ParseError", "message": "not UTF-8", "line": 2, "column": 6}
 
     def test_carriage_returns_end_lines(self, capsys, tmp_path):
         # Files are read with universal newlines: a lone CR ends a line

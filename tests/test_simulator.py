@@ -488,8 +488,11 @@ class TestChunkedLines:
         _check_error_token(raw, column, message)
 
     def test_no_list_of_all_lines_is_held(self):
-        # 10^5 lines of the benchmark's kinds; at most the events' tuple
-        # and its list (one pointer each) grow with the script
+        # 10^5 lines of the benchmark's kinds; the events go straight
+        # into their tuple, so what grows with the script is that tuple,
+        # over-allocated by at most a quarter while it grows (about 14 B
+        # per event on Python 3.11; a list and a tuple copied from it gave
+        # about 18)
         rng = random.Random(25)
         lines = []
         for i in range(100_000):
@@ -508,4 +511,4 @@ class TestChunkedLines:
         finally:
             tracemalloc.stop()
         assert len(events) == len(lines)
-        assert peak / len(lines) < 40
+        assert peak / len(lines) < 20
