@@ -36,14 +36,12 @@ from .errors import (
 
 __all__ = [
     "Convention",
-    "Component",
     "CuspCounts",
     "FrontData",
     "GridDiagram",
     "new_grid",
     "reading",
     "to_front",
-    "writhe",
     "linking_number",
     "reverse_component",
     "grid_to_text",
@@ -67,19 +65,6 @@ class Convention(Enum):
 
     NW_SE = "nw-se"
     NE_SW = "ne-sw"
-
-
-class Component(_Value):
-    """One link component: a cycle of the marker-tracing relation.  A
-    grid stores no Component; :meth:`GridDiagram.component` builds one
-    from the owner table when asked."""
-
-    __slots__ = ("index", "columns", "rows")
-
-    def __init__(self, index: int, columns: frozenset[int], rows: frozenset[int]):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
 
 
 class CuspCounts(_Value):
@@ -141,14 +126,12 @@ class GridDiagram(_Value, fields=("n", "xs", "os")):
     ``o_col_by_row`` (the inverse permutations), the owner table
     ``component_by_column`` (the tracing cycle of every column, the
     cycles numbered by their lowest column) and ``component_count``.
-    The owner table is the grid's only record of its components:
-    :meth:`component` and :attr:`components` build :class:`Component`
-    views of it on each call, in O(n).  The tables, like the memos of
-    :func:`to_front` and ``classical``, sit in the grid's ``__dict__``
-    beside the three fields, and equality and hashing read only ``(n,
-    xs, os)``.  A grid move skips the checks: it derives the tables of
-    the grid it makes from its markers and its parent's owner table
-    (see :func:`_moved`).
+    The owner table is the grid's only record of its components.  The
+    tables, like the memos of :func:`to_front` and ``classical``, sit
+    in the grid's ``__dict__`` beside the three fields, and equality
+    and hashing read only ``(n, xs, os)``.  A grid move skips the
+    checks: it derives the tables of the grid it makes from its markers
+    and its parent's owner table (see :func:`_moved`).
 
     >>> g = new_grid(2, [0, 1], [1, 0])
     >>> g.component_count
@@ -189,16 +172,6 @@ class GridDiagram(_Value, fields=("n", "xs", "os")):
         vars(g).update(n=n, xs=xs, os=os)
         vars(g).update(zip(_TABLES, tables))
         return g
-
-    def component(self, c) -> Component:
-        """A view of component ``c``, built from the owner table."""
-        columns, rows = _lines(self, c)
-        return Component(c, frozenset(columns), frozenset(rows))
-
-    @property
-    def components(self) -> tuple[Component, ...]:
-        """Views of every component, built from the owner table."""
-        return tuple(map(self.component, range(self.component_count)))
 
 
 def _lines(g, c):
@@ -383,12 +356,6 @@ def _sweep(g: GridDiagram, against):
             down[k] += cusps
 
     return crossings, up, down
-
-
-def writhe(g: GridDiagram, c) -> int:
-    """Signed self-crossing count of component ``c``."""
-    _check_component(c, g.component_count)
-    return to_front(g).writhes[c]
 
 
 def linking_number(g: GridDiagram, c1, c2) -> int:

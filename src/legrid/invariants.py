@@ -21,7 +21,7 @@ the full content of the pair invariants.
 from __future__ import annotations
 
 from .errors import OracleMismatch, ParityViolation, SameComponent, _Value, _check_sign
-from .grid import FrontData, GridDiagram, _check_component, _lines, new_grid, to_front
+from .grid import FrontData, GridDiagram, _check_component, _lines, to_front
 
 __all__ = [
     "ClassicalInvariants",
@@ -32,7 +32,6 @@ __all__ = [
     "rot",
     "classical",
     "component_patterns",
-    "component_grid",
     "relative_invariants",
 ]
 
@@ -179,19 +178,6 @@ def _component_pattern(g: GridDiagram, c):
     columns, rows = _lines(g, c)
     rank = {r: i for i, r in enumerate(rows)}
     return tuple(rank[g.xs[col]] for col in columns), tuple(rank[g.os[col]] for col in columns)
-
-
-def component_grid(g: GridDiagram, c) -> GridDiagram:
-    """Component ``c`` alone, as a one-component grid: its entry of
-    :func:`component_patterns`.
-
-    Every self-crossing and cusp of a component involves only its own
-    segments, and rank compression keeps the strict order of their
-    ends, so the sub-grid has the component's front and tb and r.
-    Equal components give equal (and equally hashed) sub-grids.
-    """
-    xs, os = _component_pattern(g, c)
-    return new_grid(len(xs), xs, os)
 
 
 def classical(g: GridDiagram, c) -> ClassicalInvariants:

@@ -202,7 +202,7 @@ class Commute(_Value):
         n = g.n
         i = self.index
         if not 0 <= i <= n - 2:
-            raise BadCell(f"cannot commute lines {i},{i + 1} of an {n}-grid")
+            raise BadCell(f"cannot commute lines {i},{i + 1} of the {n}x{n} grid")
         by_col = self.axis == "col"
         # each line's span: the rows of a column's markers, the columns of a row's
         x_at, o_at = (g.xs, g.os) if by_col else (g.x_col_by_row, g.o_col_by_row)
@@ -256,7 +256,7 @@ class Stabilize(_Value):
         """
         n, c, marker = g.n, self.column, self.marker
         if not 0 <= c < n:
-            raise BadCell(f"no column {c} in an {n}-grid")
+            raise BadCell(f"no column {c} in the {n}x{n} grid")
         east = 1 if "E" in self.subtype else 0
         north = 1 if "N" in self.subtype else 0
         same, other = (g.xs, g.os) if marker == "X" else (g.os, g.xs)
@@ -310,13 +310,13 @@ class Destabilize(_Value):
         n = g.n
         c = self.column
         if not 0 <= c <= n - 2:
-            raise BadCell(f"no column pair {c},{c + 1} in an {n}-grid")
+            raise BadCell(f"no column pair {c},{c + 1} in the {n}x{n} grid")
         xs, os = g.xs, g.os
         # (lower row, column) of each column whose two markers are adjacent
         blocks = [(min(xs[k], os[k]), k) for k in (c, c + 1) if abs(xs[k] - os[k]) == 1]
         if self.row is not None:
             if not 0 <= self.row <= n - 2:
-                raise BadCell(f"no row pair {self.row},{self.row + 1} in an {n}-grid")
+                raise BadCell(f"no row pair {self.row},{self.row + 1} in the {n}x{n} grid")
             blocks = [block for block in blocks if block[0] == self.row]
         for rr, full in blocks:
             other = 2 * c + 1 - full
@@ -433,10 +433,13 @@ class ScriptResult(_Value):
 
 def _intern(key, subs):
     """The sub-grid of a component pattern ``key`` (see
-    :func:`component_grid`), one per distinct pattern: ``subs`` interns
-    them by their marker tuples for one script run, so a repeated
-    pattern costs a lookup and the front and the oracle run once per
-    distinct pattern."""
+    :func:`component_patterns`): the component alone, as a
+    one-component grid.  Every self-crossing and cusp of a component
+    involves only its own segments, and rank compression keeps the
+    strict order of their ends, so the sub-grid has the component's tb
+    and r.  ``subs`` interns the sub-grids by their marker tuples for
+    one script run, so a repeated pattern costs a lookup and the front
+    and the oracle run once per distinct pattern."""
     sub = subs.get(key)
     if sub is None:
         sub = subs[key] = new_grid(len(key[0]), *key)
@@ -483,17 +486,16 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
     first illegal step aborts the run with its index.
 
     Each component's invariants are read off its own sub-grid (see
-    :func:`component_grid`), interned per distinct pattern for this
-    call.  :func:`component_patterns` splits the starting grid once;
-    after that a move changes the pattern of at most the component its
+    :func:`_intern`), interned per distinct pattern for this call.
+    :func:`component_patterns` splits the starting grid once; after
+    that a move changes the pattern of at most the component its
     ``footprint`` names, so every other component carries its sub-grid
     through ``follow``'s image, and only the named one is rebuilt from
     its own columns and rows.  The sub-grids are the only per-component
     record a step keeps: invariants are read off them through the
     ``classical`` memo, so a carried component's are memo hits.  For the
-    same reason only the rebuilt component's cusp counts can change
-    (the rule of :func:`changes_cusps`), so a translation compares
-    those alone.
+    same reason only the rebuilt component's cusp counts can change, so
+    the step calls :func:`changes_cusps` on that component alone.
     """
     pair = (0, 1) if g.component_count >= 2 else None
     subs = {}  # (xs, os) -> its sub-grid, for this run only
@@ -513,8 +515,7 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
             k = image[changed]
             moved_parts[k] = _intern(_component_pattern(moved, k), subs)
             # only the footprint's pattern can change, so only its cusps
-            before, after = parts[changed], moved_parts[k]
-            if isinstance(move, Translate) and to_front(before).cusps[0] != to_front(after).cusps[0]:
+            if changes_cusps(move, to_front(parts[changed]).cusps, to_front(moved_parts[k]).cusps, (0,)):
                 flags = ("cusp-change",)
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])

@@ -146,7 +146,10 @@ class TestMoves:
         script = tmp_path / "script.txt"
         for text, step, cause, message in [
             ("commute col 0\n", 1, "InterleavingSpans", "step 1: columns 0 and 1 interleave"),
-            ("lstab 0 +\ncommute col 5\n", 2, "BadCell", "step 2: cannot commute lines 5,6 of an 3-grid"),
+            ("lstab 0 +\ncommute col 5\n", 2, "BadCell", "step 2: cannot commute lines 5,6 of the 3x3 grid"),
+            ("stab X 99 NE\n", 1, "BadCell", "step 1: no column 99 in the 2x2 grid"),
+            ("destab 5\n", 1, "BadCell", "step 1: no column pair 5,6 in the 2x2 grid"),
+            ("destab 0 7\n", 1, "BadCell", "step 1: no row pair 7,8 in the 2x2 grid"),
         ]:
             script.write_text(text)
             code, out, err = run_cli(capsys, "moves", unknot_file, str(script))

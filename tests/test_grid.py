@@ -29,7 +29,6 @@ from legrid import (
     reading,
     reverse_component,
     to_front,
-    writhe,
 )
 from legrid import sampling
 from legrid.grid import _int_token, _read_json, _sweep
@@ -68,11 +67,11 @@ def grids(draw, min_n=2, max_n=7):
 class TestNewGrid:
     def test_minimal_unknot(self):
         g = new_grid(*UNKNOT)
-        assert len(g.components) == 1
+        assert g.component_count == 1
 
     def test_split_grid_has_two_components(self):
         g = new_grid(*SPLIT)
-        assert [sorted(c.columns) for c in g.components] == [[0, 1], [2, 3]]
+        assert (g.component_count, g.component_by_column) == (2, (0, 0, 1, 1))
 
     def test_shared_cell(self):
         with pytest.raises(SharedCell):
@@ -96,9 +95,10 @@ class TestNewGrid:
 
     @given(grids())
     def test_components_partition_columns(self, g):
-        cols = sorted(c for comp in g.components for c in comp.columns)
-        assert cols == list(range(g.n))
-        assert [sorted(c.columns) for c in g.components] == trace_components(g.xs, g.os)
+        owner = g.component_by_column
+        assert len(owner) == g.n and set(owner) == set(range(g.component_count))
+        columns = [[c for c in range(g.n) if owner[c] == k] for k in range(g.component_count)]
+        assert columns == trace_components(g.xs, g.os)
 
 
 def _grid_error(build):
@@ -190,11 +190,8 @@ def _check_tables(g):
     assert [g.x_col_by_row[r] for r in xs] == [g.o_col_by_row[r] for r in os] == list(range(n))
     cycles = trace_components(list(xs), list(os))
     assert g.component_count == len(cycles)
-    assert [comp.index for comp in g.components] == list(range(len(cycles)))
-    assert [sorted(comp.columns) for comp in g.components] == cycles
-    assert [comp.rows for comp in g.components] == [frozenset(xs[c] for c in cols) for cols in cycles]
     assert g.component_by_column == tuple(
-        next(comp.index for comp in g.components if c in comp.columns) for c in range(n)
+        next(k for k, cols in enumerate(cycles) if c in cols) for c in range(n)
     )
 
 
@@ -222,8 +219,8 @@ class TestDerivedTables:
     def test_equal_markers_compare_and_hash_equal(self):
         a, b = new_grid(*TREFOIL), new_grid(*TREFOIL)
         to_front(a)  # memoized on ``a`` only
-        assert (a.x_col_by_row, a.o_col_by_row, a.components, a.component_by_column) == (
-            b.x_col_by_row, b.o_col_by_row, b.components, b.component_by_column
+        assert (a.x_col_by_row, a.o_col_by_row, a.component_by_column, a.component_count) == (
+            b.x_col_by_row, b.o_col_by_row, b.component_by_column, b.component_count
         )
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
@@ -330,17 +327,15 @@ class TestFront:
 
 class TestWrithe:
     def test_unknot(self):
-        assert writhe(new_grid(*UNKNOT), 0) == 0
+        assert to_front(new_grid(*UNKNOT)).writhes[0] == 0
 
     def test_split_components(self):
-        g = new_grid(*SPLIT)
-        assert writhe(g, 0) == 0
-        assert writhe(g, 1) == 0
+        assert to_front(new_grid(*SPLIT)).writhes == (0, 0)
 
     def test_trefoil_matches_brute_force(self):
         n, xs, os = TREFOIL
         assert brute_writhe(xs, os, 0) == -3  # frozen from the sign oracle
-        assert writhe(new_grid(n, xs, os), 0) == -3
+        assert to_front(new_grid(n, xs, os)).writhes[0] == -3
 
     def test_random_grids_match_brute_force(self):
         rng = random.Random(11)
@@ -351,13 +346,8 @@ class TestWrithe:
                 os = rng.sample(range(n), n)
                 if all(x != o for x, o in zip(xs, os)):
                     break
-            g = new_grid(n, xs, os)
-            for comp in g.components:
-                assert writhe(g, comp.index) == brute_writhe(xs, os, comp.index)
-
-    def test_unknown_component(self):
-        with pytest.raises(UnknownComponent):
-            writhe(new_grid(*UNKNOT), 1)
+            writhes = to_front(new_grid(n, xs, os)).writhes
+            assert list(writhes) == [brute_writhe(xs, os, c) for c in range(len(trace_components(xs, os)))]
 
 
 class TestLinking:
@@ -411,10 +401,10 @@ class TestLinking:
             if any(x == o for x, o in zip(xs, os)):
                 continue
             g = new_grid(n, xs, os)
-            if len(g.components) < 2:
+            if g.component_count < 2:
                 continue
             seen += 1
-            a, b = rng.sample(range(len(g.components)), 2)
+            a, b = rng.sample(range(g.component_count), 2)
             lk = linking_number(g, a, b)
             assert lk == linking_number(g, b, a)
             assert lk == brute_linking(xs, os, a, b)
@@ -515,7 +505,7 @@ class TestReverse:
 
     def test_reversed_unknot_is_valid(self):
         g = reverse_component(new_grid(*UNKNOT), 0)
-        assert len(g.components) == 1
+        assert g.component_count == 1
 
     def test_unknown_component(self):
         with pytest.raises(UnknownComponent):

@@ -14,7 +14,6 @@ from legrid import (
     UnknownComponent,
     apply_script,
     classical,
-    component_grid,
     component_patterns,
     linking_number,
     new_grid,
@@ -25,11 +24,10 @@ from legrid import (
     tb_front,
     tb_grid_oracle,
     to_front,
-    writhe,
 )
 from legrid.sampling import random_grid, random_knot, random_link
 
-from helpers import all_marker_lists
+from helpers import all_marker_lists, trace_components
 
 UNKNOT = new_grid(2, [0, 1], [1, 0])
 SPLIT_MARKERS = (4, [0, 1, 2, 3], [1, 0, 3, 2])
@@ -55,8 +53,8 @@ class TestRouteEquality:
         for _ in range(200):
             g = random_grid(rng, rng.randint(2, 10))
             f = to_front(g)
-            for comp in g.components:
-                assert tb_front(f, comp.index) == tb_grid_oracle(g, comp.index)
+            for c in range(g.component_count):
+                assert tb_front(f, c) == tb_grid_oracle(g, c)
 
     def test_mirror_convention_also_agrees(self):
         rng = random.Random(6)
@@ -64,8 +62,8 @@ class TestRouteEquality:
             g = random_grid(rng, rng.randint(2, 8))
             m = reading(g, Convention.NE_SW)
             f = to_front(m)
-            for comp in g.components:
-                assert tb_front(f, comp.index) == tb_grid_oracle(m, comp.index)
+            for c in range(g.component_count):
+                assert tb_front(f, c) == tb_grid_oracle(m, c)
 
     def test_unknot_oracle_value(self):
         assert tb_grid_oracle(UNKNOT, 0) == -1
@@ -140,9 +138,9 @@ class TestMirrorReading:
         mirrored = reading(g, Convention.NE_SW)
         assert mirrored == m
         assert to_front(mirrored) == to_front(m)
-        assert [c.columns for c in g.components] == [c.columns for c in m.components]
-        for comp in g.components:
-            assert tb_grid_oracle(mirrored, comp.index) == tb_grid_oracle(m, comp.index)
+        assert g.component_by_column == m.component_by_column
+        for c in range(g.component_count):
+            assert tb_grid_oracle(mirrored, c) == tb_grid_oracle(m, c)
 
     def test_every_small_grid(self):
         for n in (2, 3, 4, 5):
@@ -163,9 +161,7 @@ class TestUnknownComponentText:
 
     PATHS = {
         "classical": lambda g, c: classical(g, c),
-        "component": lambda g, c: g.component(c),
         "cusp_counts": lambda g, c: to_front(g).cusp_counts(c),
-        "writhe": lambda g, c: writhe(g, c),
         "linking_number": lambda g, c: linking_number(g, 0, c),
         "tb_grid_oracle": lambda g, c: tb_grid_oracle(g, c),
         "tb_front": lambda g, c: tb_front(to_front(g), c),
@@ -208,18 +204,17 @@ class TestUnknownComponentText:
 
 
 class TestComponentGrid:
-    """A component's sub-grid carries its invariants and cusps: checked
+    """A component's sub-grid, built from its entry of
+    ``component_patterns``, carries its invariants and cusps: checked
     against the whole-grid route, which reads the full front and runs
     the oracle on the full grid."""
 
     @staticmethod
     def _check_locality(g):
-        for comp in g.components:
-            c = comp.index
-            sub = component_grid(g, c)
-            assert new_grid(sub.n, sub.xs, sub.os) == sub
-            assert sub.n == len(comp.columns)
-            assert len(sub.components) == 1
+        for c, (xs, os) in enumerate(component_patterns(g)):
+            sub = new_grid(len(xs), xs, os)
+            assert sub.n == g.component_by_column.count(c)
+            assert sub.component_count == 1
             for conv in Convention:
                 sub_read, g_read = reading(sub, conv), reading(g, conv)
                 assert classical(sub_read, 0) == classical(g_read, c)
@@ -237,25 +232,19 @@ class TestComponentGrid:
 
     def test_equal_components_give_equal_sub_grids(self):
         # Two split unknots, one of them shifted: the same pattern.
-        assert component_grid(SPLIT, 0) == component_grid(SPLIT, 1) == UNKNOT
-
-    def test_unknown_component(self):
-        with pytest.raises(UnknownComponent):
-            component_grid(SPLIT, 2)
+        assert [new_grid(len(xs), xs, os) for xs, os in component_patterns(SPLIT)] == [UNKNOT, UNKNOT]
 
     def test_patterns_are_the_sub_grids_in_component_order(self):
         rng = random.Random(19)
         for _ in range(100):
             g = random_link(rng, rng.randint(4, 40))
             patterns = component_patterns(g)
-            assert len(patterns) == len(g.components)
-            for comp, (xs, os) in zip(g.components, patterns):
-                cols = sorted(comp.columns)
-                rows = sorted(comp.rows)
+            cycles = trace_components(g.xs, g.os)
+            assert len(patterns) == len(cycles)
+            for cols, (xs, os) in zip(cycles, patterns):
+                rows = sorted(g.xs[col] for col in cols)
                 assert xs == tuple(rows.index(g.xs[col]) for col in cols)
                 assert os == tuple(rows.index(g.os[col]) for col in cols)
-                sub = component_grid(g, comp.index)
-                assert (sub.xs, sub.os) == (xs, os)
 
 
 class TestRotation:
@@ -266,7 +255,7 @@ class TestRotation:
         rng = random.Random(7)
         for _ in range(100):
             g = random_grid(rng, rng.randint(2, 8))
-            c = rng.randrange(len(g.components))
+            c = rng.randrange(g.component_count)
             before = classical(g, c)
             after = classical(reverse_component(g, c), c)
             assert after.r == -before.r
@@ -296,8 +285,8 @@ class TestClassicalBundle:
         rng = random.Random(9)
         for _ in range(100):
             g = random_grid(rng, rng.randint(2, 8))
-            for comp in g.components:
-                inv = classical(g, comp.index)
+            for c in range(g.component_count):
+                inv = classical(g, c)
                 assert inv.sl_pos + inv.sl_neg == 2 * inv.tb
 
 
@@ -310,7 +299,7 @@ class TestRelativeInvariants:
         rng = random.Random(10)
         for _ in range(200):
             g = random_link(rng, rng.randint(4, 9))
-            k, j = rng.sample(range(len(g.components)), 2)
+            k, j = rng.sample(range(g.component_count), 2)
             kj = relative_invariants(g, k, j)
             jk = relative_invariants(g, j, k)
             assert kj.triple == tuple(-v for v in jk.triple)
@@ -319,7 +308,7 @@ class TestRelativeInvariants:
         rng = random.Random(11)
         for _ in range(100):
             g = random_link(rng, rng.randint(6, 9), min_components=3)
-            k, l, j = rng.sample(range(len(g.components)), 3)
+            k, l, j = rng.sample(range(g.component_count), 3)
             kj = relative_invariants(g, k, j).triple
             kl = relative_invariants(g, k, l).triple
             lj = relative_invariants(g, l, j).triple
@@ -329,7 +318,7 @@ class TestRelativeInvariants:
         rng = random.Random(12)
         for _ in range(100):
             g = random_link(rng, rng.randint(4, 8))
-            k, j = rng.sample(range(len(g.components)), 2)
+            k, j = rng.sample(range(g.component_count), 2)
             plain = relative_invariants(g, k, j)
             flipped = relative_invariants(g, k, j, OrientationFlag().flipped())
             assert flipped.tb_rel == plain.tb_rel

@@ -59,7 +59,7 @@ class TestTranslate:
         for _ in range(100):
             g = random_grid(rng, rng.randint(2, 8))
             d = rng.choice(("up", "down", "left", "right"))
-            assert len(apply_move(g, Translate(d)).components) == len(g.components)
+            assert apply_move(g, Translate(d)).component_count == g.component_count
 
     def test_preserves_linking_number(self):
         rng = random.Random(4)
@@ -68,7 +68,7 @@ class TestTranslate:
             d = rng.choice(("up", "down", "left", "right"))
             g2 = apply_move(g, Translate(d))
             image = follow(g, Translate(d), g2)
-            a, b = rng.sample(range(len(g.components)), 2)
+            a, b = rng.sample(range(g.component_count), 2)
             assert linking_number(g2, image[a], image[b]) == brute_linking(
                 list(g.xs), list(g.os), a, b
             )
@@ -143,7 +143,7 @@ class TestStabilize:
             g2 = apply_move(
                 g, Stabilize(rng.choice(("X", "O")), rng.randrange(g.n), rng.choice(("NE", "NW", "SE", "SW")))
             )
-            assert len(g2.components) == len(g.components)
+            assert g2.component_count == g.component_count
 
     def test_subtype_classification_exhaustive(self):
         # Over every marker of every grid with n <= 4: two subtypes per
@@ -185,11 +185,11 @@ class TestLegendrianStabilize:
         for sign in (1, -1):
             for _ in range(200):
                 g = random_grid(rng, rng.randint(2, 8))
-                c = rng.randrange(len(g.components))
+                c = rng.randrange(g.component_count)
                 before = classical(g, c)
                 g2 = apply_move(g, LegendrianStab(c, sign))
                 cmap = LegendrianStab(c, sign).column_map(g)
-                after = classical(g2, g2.component_by_column[cmap(min(g.component(c).columns))])
+                after = classical(g2, g2.component_by_column[cmap(trace_components(g.xs, g.os)[c][0])])
                 assert after.tb == before.tb - 1
                 assert after.r == before.r + sign
 
@@ -198,12 +198,13 @@ class TestLegendrianStabilize:
         for sign in (1, -1):
             for _ in range(100):
                 g = random_link(rng, rng.randint(4, 8))
-                k, j = rng.sample(range(len(g.components)), 2)
+                k, j = rng.sample(range(g.component_count), 2)
                 before = relative_invariants(g, k, j)
                 g2 = apply_move(g, LegendrianStab(k, sign))
                 cmap = LegendrianStab(k, sign).column_map(g)
-                k2 = g2.component_by_column[cmap(min(g.component(k).columns))]
-                j2 = g2.component_by_column[cmap(min(g.component(j).columns))]
+                cycles = trace_components(g.xs, g.os)
+                k2 = g2.component_by_column[cmap(cycles[k][0])]
+                j2 = g2.component_by_column[cmap(cycles[j][0])]
                 after = relative_invariants(g2, k2, j2)
                 assert after.r_rel == before.r_rel + sign
                 assert after.tb_rel == before.tb_rel - 1
@@ -214,10 +215,10 @@ class TestLegendrianStabilize:
             for sj in (1, -1):
                 for _ in range(25):
                     g = random_link(rng, rng.randint(4, 8))
-                    k, j = rng.sample(range(len(g.components)), 2)
+                    k, j = rng.sample(range(g.component_count), 2)
                     before = relative_invariants(g, k, j)
-                    anchor_k = min(g.component(k).columns)
-                    anchor_j = min(g.component(j).columns)
+                    cycles = trace_components(g.xs, g.os)
+                    anchor_k, anchor_j = cycles[k][0], cycles[j][0]
                     g2 = apply_move(g, LegendrianStab(k, sk))
                     m1 = LegendrianStab(k, sk).column_map(g)
                     j2 = g2.component_by_column[m1(anchor_j)]
@@ -320,7 +321,7 @@ class TestFollow:
             cases = [
                 (g, Translate(rng.choice(("up", "down", "left", "right")))),
                 (g, Stabilize(rng.choice(("X", "O")), c, rng.choice(("NE", "NW", "SE", "SW")))),
-                (g, LegendrianStab(rng.randrange(len(g.components)), rng.choice((1, -1)))),
+                (g, LegendrianStab(rng.randrange(g.component_count), rng.choice((1, -1)))),
                 (stabilized, Destabilize(c)),
             ]
             commute_move = _legal_isotopy_move(rng, g)
@@ -329,11 +330,11 @@ class TestFollow:
             for before, move in cases:
                 moved = apply_move(before, move)
                 image = follow(before, move, moved)
-                assert sorted(image) == list(range(len(moved.components)))
+                assert sorted(image) == list(range(moved.component_count))
                 cmap = move.column_map(before)
-                for comp in before.components:
-                    owners = {moved.component_by_column[cmap(col)] for col in comp.columns}
-                    assert owners == {image[comp.index]}
+                for k, cols in enumerate(trace_components(before.xs, before.os)):
+                    owners = {moved.component_by_column[cmap(col)] for col in cols}
+                    assert owners == {image[k]}
 
 
 class TestDerivedTables:
@@ -368,12 +369,10 @@ class TestDerivedTables:
             fresh = GridDiagram(moved.n, moved.xs, moved.os)
             # a derived grid stores every table and nothing else
             assert list(vars(moved)) == list(vars(fresh)) == GRID_TABLES, (g, move)
-            for name in ("xs", "os", "x_col_by_row", "o_col_by_row", "components", "component_by_column"):
+            for name in ("xs", "os", "x_col_by_row", "o_col_by_row", "component_by_column"):
                 table = getattr(moved, name)
                 assert type(table) is tuple and table == getattr(fresh, name), (g, move, name)
             assert moved.n == fresh.n and moved.component_count == fresh.component_count, (g, move)
-            for comp in moved.components:
-                assert type(comp.columns) is frozenset and type(comp.rows) is frozenset
             assert moved == fresh and hash(moved) == hash(fresh)
             if follow(g, move, moved) != tuple(range(g.component_count)):
                 renumbered.add(move.text())
@@ -418,7 +417,7 @@ class TestFootprint:
         candidates += [Commute(axis, i) for axis in ("row", "col") for i in range(n - 1)]
         candidates += [Stabilize(m, c, t) for m in "XO" for c in range(n) for t in ("NE", "NW", "SE", "SW")]
         candidates += [Destabilize(c, r) for c in range(n - 1) for r in (None, *range(n - 1))]
-        candidates += [LegendrianStab(k, s) for k in range(len(g.components)) for s in (1, -1)]
+        candidates += [LegendrianStab(k, s) for k in range(g.component_count) for s in (1, -1)]
         for move in candidates:
             try:
                 yield move, apply_move(g, move)
@@ -567,9 +566,8 @@ class TestApplyScript:
             after = to_front(result.final)
             cmap = Translate(d).column_map(g)
             changed = any(
-                before.cusps[comp.index]
-                != after.cusps[result.final.component_by_column[cmap(min(comp.columns))]]
-                for comp in g.components
+                before.cusps[k] != after.cusps[result.final.component_by_column[cmap(cols[0])]]
+                for k, cols in enumerate(trace_components(g.xs, g.os))
             )
             assert ("cusp-change" in step.flags) == changed
             flagged += bool(changed)
@@ -590,7 +588,7 @@ class TestKeyedInvariants:
             for step, move in zip(result.trace, (None,) + moves):
                 if move is not None:
                     current = apply_move(current, move)
-                whole = tuple(classical(current, c) for c in range(len(current.components)))
+                whole = tuple(classical(current, c) for c in range(current.component_count))
                 assert step.invariants == whole
             assert result.final == current
 
@@ -612,7 +610,7 @@ class TestKeyedInvariants:
 
         monkeypatch.setattr(inv_mod, "tb_grid_oracle", counting)
         apply_script(g, script)
-        assert len(calls) == len(distinct) < len(grids) * len(g.components)
+        assert len(calls) == len(distinct) < len(grids) * g.component_count
         # The memo belongs to one call: a second call computes again.
         calls.clear()
         apply_script(g, script)
@@ -673,7 +671,7 @@ class TestKeyedInvariants:
         assert {type(move) for move in moves} == {Translate, Commute, Stabilize, Destabilize, LegendrianStab}
         assert set(map(id, derived)).isdisjoint(map(id, built))
         assert sorted((sub.xs, sub.os) for sub in built) == sorted(distinct)
-        assert len(distinct) < sum(len(h.components) for h in grids)
+        assert len(distinct) < sum(h.component_count for h in grids)
 
     def test_front_is_swept_once_per_distinct_pattern_per_call(self, monkeypatch):
         import legrid.grid as grid_mod
@@ -770,10 +768,40 @@ class TestChangesCusps:
                 assert apply_script(g, (move,)).trace[-1].flags == ()
         assert changed > 0
 
+    def test_apply_script_takes_its_flag_from_the_rule(self, monkeypatch):
+        # The rule, negated, must be what flags every step whose move has
+        # a footprint: apply_script writes no cusp test of its own.
+        import legrid.moves as moves_mod
+
+        real = moves_mod.changes_cusps
+        answers = []
+
+        def negated(move, before, after, image):
+            answers.append((move, not real(move, before, after, image)))
+            return answers[-1][1]
+
+        monkeypatch.setattr(moves_mod, "changes_cusps", negated)
+        rng = random.Random(29)
+        g = random_link(rng, 12)
+        moves = (Translate("up"),) * g.n + _legal_script(rng, g, 60)
+        result = apply_script(g, moves)
+        named = []
+        current = g
+        for move in moves:
+            named.append(move.footprint(current) is not None)
+            current = apply_move(current, move)
+        assert [move for move, _ in answers] == [move for move, has in zip(moves, named) if has]
+        flags = iter(answer for _, answer in answers)
+        for step, has in zip(result.trace[1:], named):
+            assert step.flags == (("cusp-change",) if has and next(flags) else ())
+        # the negated rule flags non-translations and clears translations
+        assert any(answer and not isinstance(move, Translate) for move, answer in answers)
+        assert any(not answer and isinstance(move, Translate) for move, answer in answers)
+
 
 def _component_patterns(g):
     """Each component's markers, columns in order and rows ranked, in
-    component order, written out apart from ``component_grid``."""
+    component order, written out apart from ``component_patterns``."""
     patterns = []
     for cols in trace_components(list(g.xs), list(g.os)):
         rows = sorted(g.xs[c] for c in cols)
@@ -796,7 +824,7 @@ def _legal_script(rng, g, length):
         elif kind == 2:
             move = Stabilize(rng.choice("XO"), rng.randrange(current.n), rng.choice(("NE", "NW", "SE", "SW")))
         elif kind == 3:
-            move = LegendrianStab(rng.randrange(len(current.components)), rng.choice((1, -1)))
+            move = LegendrianStab(rng.randrange(current.component_count), rng.choice((1, -1)))
         else:
             move = Destabilize(rng.randrange(current.n - 1))
         try:
@@ -940,7 +968,7 @@ def _legal_moves(g):
         Stabilize(m, c, t) for m in ("X", "O") for c in range(g.n) for t in ("NE", "NW", "SE", "SW")
     ]
     candidates += [Destabilize(c, r) for c in range(g.n - 1) for r in (None, *range(g.n - 1))]
-    candidates += [LegendrianStab(k, s) for k in range(len(g.components)) for s in (1, -1)]
+    candidates += [LegendrianStab(k, s) for k in range(g.component_count) for s in (1, -1)]
     for move in candidates:
         try:
             apply_move(g, move)

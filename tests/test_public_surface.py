@@ -40,7 +40,7 @@ def test_every_package_export_is_listed_by_its_module():
         listed = MODULES[name].__all__
         assert not set(listed) & set(expected), name
         expected.update((n, getattr(MODULES[name], n)) for n in listed)
-    assert len(expected) == 71
+    assert len(expected) == 68
     assert sorted(legrid.__all__) == sorted(expected)
     assert [n for n, v in expected.items() if getattr(legrid, n) is not v] == []
     star = {}

@@ -12,7 +12,6 @@ import pytest
 from legrid import (
     ClassicalInvariants,
     Commute,
-    Component,
     ContactHomologyModel,
     CrossingEvent,
     CuspCounts,
@@ -50,8 +49,6 @@ def _step():
 # (build one value, its pinned repr): one row per value class; each
 # builder makes a fresh, equal object on every call
 VALUES = [
-    (lambda: Component(0, frozenset({0, 1}), frozenset({0, 1})),
-     "Component(index=0, columns=frozenset({0, 1}), rows=frozenset({0, 1}))"),
     (lambda: CuspCounts(1, 1), "CuspCounts(up=1, down=1)"),
     (lambda: to_front(new_grid(*UNKNOT)),
      "FrontData(writhes=(0,), cusps=(CuspCounts(up=1, down=1),))"),
