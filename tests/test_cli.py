@@ -142,21 +142,25 @@ class TestMoves:
         assert payload["trace"][1]["components"][0]["tb"] == -2
         assert payload["final"]["n"] == 3
 
-    def test_illegal_step_fails_with_index(self, capsys, unknot_file, tmp_path):
-        script = tmp_path / "script.txt"
-        for text, step, cause, message in [
+    @pytest.mark.parametrize(
+        "text, step, cause, message",
+        [
             ("commute col 0\n", 1, "InterleavingSpans", "step 1: columns 0 and 1 interleave"),
             ("lstab 0 +\ncommute col 5\n", 2, "BadCell", "step 2: cannot commute lines 5,6 of the 3x3 grid"),
             ("stab X 99 NE\n", 1, "BadCell", "step 1: no column 99 in the 2x2 grid"),
             ("destab 5\n", 1, "BadCell", "step 1: no column pair 5,6 in the 2x2 grid"),
             ("destab 0 7\n", 1, "BadCell", "step 1: no row pair 7,8 in the 2x2 grid"),
-        ]:
-            script.write_text(text)
-            code, out, err = run_cli(capsys, "moves", unknot_file, str(script))
-            assert (code, out) == (1, "")
-            error = _single_json_error(err)
-            assert list(error) == ["type", "message", "step", "cause"]
-            assert error == {"type": "ScriptStepError", "message": message, "step": step, "cause": cause}
+        ],
+        ids=["interleave", "commute", "stab", "destab-column", "destab-row"],
+    )
+    def test_illegal_step_fails_with_index(self, capsys, unknot_file, tmp_path, text, step, cause, message):
+        script = tmp_path / "script.txt"
+        script.write_text(text)
+        code, out, err = run_cli(capsys, "moves", unknot_file, str(script))
+        assert (code, out) == (1, "")
+        error = _single_json_error(err)
+        assert list(error) == ["type", "message", "step", "cause"]
+        assert error == {"type": "ScriptStepError", "message": message, "step": step, "cause": cause}
 
     def test_oracle_mismatch_names_the_step_and_the_component(self, capsys, split_file, tmp_path, monkeypatch):
         import legrid.invariants as inv_mod

@@ -12,6 +12,7 @@ from legrid import (
     ScriptStepError,
     Translate,
     UnknownComponent,
+    apply_move,
     apply_script,
     classical,
     component_patterns,
@@ -163,11 +164,13 @@ class TestUnknownComponentText:
         "classical": lambda g, c: classical(g, c),
         "cusp_counts": lambda g, c: to_front(g).cusp_counts(c),
         "linking_number": lambda g, c: linking_number(g, 0, c),
+        "linking_number_first": lambda g, c: linking_number(g, c, 0),
         "tb_grid_oracle": lambda g, c: tb_grid_oracle(g, c),
         "tb_front": lambda g, c: tb_front(to_front(g), c),
         "rot": lambda g, c: rot(to_front(g), c),
         "reverse_component": lambda g, c: reverse_component(g, c),
         "relative_invariants": lambda g, c: relative_invariants(g, 0, c),
+        "relative_invariants_first": lambda g, c: relative_invariants(g, c, 0),
     }
 
     @pytest.mark.parametrize("path", sorted(PATHS))
@@ -194,6 +197,15 @@ class TestUnknownComponentText:
         classical(g, 1)
         with pytest.raises(UnknownComponent) as exc:
             classical(g, c)
+        assert str(exc.value) == f"no component {c} (diagram has 2)"
+
+    @pytest.mark.parametrize("path", ["apply_move", "column_map"])
+    @pytest.mark.parametrize("c", [2, 99, -1])
+    def test_an_lstab_of_an_unknown_component(self, path, c):
+        # 1.0 and True are refused when the move is built (INVALID_MOVES)
+        move = LegendrianStab(c, 1)
+        with pytest.raises(UnknownComponent) as exc:
+            apply_move(SPLIT, move) if path == "apply_move" else move.column_map(SPLIT)
         assert str(exc.value) == f"no component {c} (diagram has 2)"
 
     def test_lstab_in_a_script(self):
