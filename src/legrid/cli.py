@@ -272,13 +272,14 @@ def _cmd_ledger(args):
 
 
 def _cmd_cross_sim(args):
-    from .simulator import FramedPairState, parse_event_script, replay
+    from .simulator import FramedPairState, _parse_script, _replay
 
     init = FramedPairState() if args.init is None else args.init
-    events = parse_event_script(_read_input(args.events))
-    rows, triple = replay(init, events), init.triple
-    # replay() has already checked that the triple never moves, so it is
-    # formatted once
+    # the script as its distinct events and one 4-byte index per line
+    events, indices = _parse_script(_read_input(args.events))
+    rows, triple = _replay(init, events, indices), init.triple
+    # _replay() has already checked that the triple never moves, so it
+    # is formatted once
     state = (
         '{"tw_K": %d, "tw_J": %d, "w_K": %d, "w_J": %d, "sK": %d, "sJ": %d, '
         + '"tb_rel": %d, "r_rel": %d, "sl_rel": %d}' % triple
@@ -286,7 +287,7 @@ def _cmd_cross_sim(args):
     headers = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
 
     def table():  # replays the events again, once per pass
-        return _table(lambda: (row + triple for row in replay(init, events)), headers)
+        return _table(lambda: (row + triple for row in _replay(init, events, indices)), headers)
 
     return ("[", rows, state, ", ", "]\n"), table
 
@@ -397,7 +398,6 @@ def main(argv=None) -> int:
             output = record
         else:
             output = json.dumps(record), (), "", "", "\n"
-        table = None  # cross-sim's holds the events, which its JSON does not need
         _write_chunks(*output)
         return code
     except SystemExit as e:  # argparse's help action, once the help is printed

@@ -144,32 +144,54 @@ def replay(s0: FramedPairState, events):
     be built (see :class:`IntersectionPattern`), so it never reaches
     this function.
 
-    Events are looked up by identity first, so a repeated object (the
-    parser shares one per distinct line) is not hashed again; an equal
-    but distinct object falls back to the equality-keyed dict.
-    Only the first object of each value gets an identity entry: that
-    dict keeps it alive, so no id is reused while the dicts live, and a
-    caller that builds a fresh object per event adds no entries.
+    The events are interned into a table of distinct values, in order
+    of first use, and a list of their indices in it, which
+    :func:`_replay` replays.  Events are looked up by identity first,
+    so a repeated object (the parser shares one per distinct line) is
+    not hashed again; an equal but distinct object falls back to the
+    equality-keyed dict.  Only the first object of each value gets an
+    identity entry: that dict keeps it alive, so no id is reused while
+    the dicts live, and a caller that builds a fresh object per event
+    adds no entries.  An object's type is checked before it is hashed,
+    so a non-event ends the table, unhashed, and :func:`_replay`
+    raises at it or at an earlier entry.
     """
-    triple = s0.triple
-    by_id = {}  # id(event) -> shift, for the events that key `found`
-    found = {}  # event -> shift
-    shifts = []
-    for idx, event in enumerate(events):
-        shift = by_id.get(id(event))
-        if shift is None:
-            shift = found.get(event)
-        if shift is None:
+    table = []
+    by_id = {}  # id(event) -> index, for the events that key `found`
+    found = {}  # event -> index in table
+    indices = []
+    for event in events:
+        k = by_id.get(id(event))
+        if k is None:
             if not isinstance(event, (CrossingEvent, IntersectionPattern)):
-                raise TypeError(f"event {idx} is neither a crossing nor a pattern: {event!r}")
-            shift = event.shift
-            a, b, c, d, e, f = shift
-            if a != b or c != d or e != f:
-                moved = (triple[0] + a - b, triple[1] + c - d, triple[2] + e - f)
-                raise TripleDrift(f"event {idx}: relative triple moved from {triple} to {moved}")
-            found[event] = by_id[id(event)] = shift
+                indices.append(len(table))
+                table.append(event)
+                break
+            k = found.get(event)
+            if k is None:
+                k = found[event] = by_id[id(event)] = len(table)
+                table.append(event)
+        indices.append(k)
+    return _replay(s0, table, indices)
+
+
+def _replay(s0, table, indices):
+    """Replay the events ``table[i]`` for each ``i`` in ``indices``, as
+    :func:`replay` does; ``table`` holds each distinct event once, in
+    order of first use.  Each entry is checked, in table order, before
+    the first state comes out, and an error names the first event that
+    uses the entry; by the table's order, that is the first bad event."""
+    triple = s0.triple
+    shifts = []
+    for k, event in enumerate(table):
+        if not isinstance(event, (CrossingEvent, IntersectionPattern)):
+            raise TypeError(f"event {indices.index(k)} is neither a crossing nor a pattern: {event!r}")
+        shift = a, b, c, d, e, f = event.shift
+        if a != b or c != d or e != f:
+            moved = (triple[0] + a - b, triple[1] + c - d, triple[2] + e - f)
+            raise TripleDrift(f"event {indices.index(k)}: relative triple moved from {triple} to {moved}")
         shifts.append(shift)
-    return _accumulate(tuple(s0), shifts)
+    return _accumulate(tuple(s0), map(shifts.__getitem__, indices))
 
 
 def _accumulate(start, shifts):
@@ -207,29 +229,49 @@ def parse_event_script(text):
     ``pattern circles=<n> ribbon=<n> bparallel=<n> clasps=<n>
     singular=<+|-|none>``, each field exactly once.
 
-    Events are immutable, so each distinct raw line is parsed once, and
-    one event object is shared by every line of equal value, however it
-    is spelled.  Blank lines are never cached, and a raw line is cached
-    only once it has parsed.  ``text`` is a str or an iterable of
-    whole-line blocks.  It is split into lines a block at a time (see
-    ``grid._text_lines``), and the events go straight into the tuple,
-    so no list of all its lines or events is held: what grows with the
-    script is the tuple, one pointer per event.
+    Returns a tuple of the events, one shared object per value however
+    its lines spell it (see :func:`_parse_script`).  ``text`` is a str
+    or an iterable of whole-line blocks.  What grows with the script is
+    the tuple, one pointer per event, and the parser's 4-byte index per
+    event.
     """
-    seen = {}  # raw line -> its event
-    shared = {}  # event -> the one object of its value
+    table, indices = _parse_script(text)
+    return tuple(map(table.__getitem__, indices))
 
-    def events():
-        for line_no, raw in _text_lines(text):
-            event = seen.get(raw)
-            if event is None:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                event = seen[raw] = shared.setdefault(e := _parse_event(raw, line, line_no), e)
-            yield event
 
-    return tuple(events())
+def _parse_script(text):
+    """An event script as ``(table, indices)``: its distinct events in
+    order of first use, and an ``array("I")`` of each event line's index
+    in ``table``, 4 bytes per event.
+
+    Events are immutable, so each distinct raw line is parsed once, and
+    lines of equal value share one entry, however they are spelled.
+    Blank lines are never cached, and a raw line is cached only once it
+    has parsed.  ``text`` is split into lines a block at a time (see
+    ``grid._text_lines``), so no list of all its lines or events is
+    held.
+    """
+    from array import array  # here, not at import: selftest imports this module but parses no script
+
+    table = []
+    seen = {}  # raw line -> its event's index in table
+    shared = {}  # event -> its index in table
+    indices = array("I")
+    append = indices.append
+    for line_no, raw in _text_lines(text):
+        k = seen.get(raw)
+        if k is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            event = _parse_event(raw, line, line_no)
+            k = shared.get(event)
+            if k is None:
+                k = shared[event] = len(table)
+                table.append(event)
+            seen[raw] = k
+        append(k)
+    return table, indices
 
 
 def _parse_event(raw, line, line_no):

@@ -1,4 +1,8 @@
 import ast
+import contextlib
+import copy
+import io
+import json
 import random
 import re
 import tracemalloc
@@ -6,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legrid.cli as cli_mod
 import legrid.grid as grid_mod
 
 from legrid import (
@@ -23,6 +28,7 @@ from legrid import (
     replay,
     run_trace,
 )
+from legrid.cli import main
 from legrid.grid import _text_lines
 
 states = st.builds(
@@ -277,12 +283,41 @@ class TestReplay:
         with pytest.raises(TripleDrift) as exc:
             replay(FramedPairState(0, 0, 0, 0, 7, 2), events)
         assert str(exc.value) == "event 1: relative triple moved from (0, 0, 5) to (0, 0, 4)"
-
+        # a drifting event before a non-event is the first error
+        with pytest.raises(TripleDrift, match="^event 1: "):
+            replay(FramedPairState(), events + [[1]])
 
     def test_an_event_of_another_type_is_a_type_error(self):
         with pytest.raises(TypeError) as exc:
             list(replay(FramedPairState(), [1]))
         assert str(exc.value) == "event 0 is neither a crossing nor a pattern: 1"
+        # an unhashable one too: its type is checked before it is hashed
+        for other in ([1], {}, {1}):
+            with pytest.raises(TypeError) as exc:
+                replay(FramedPairState(), [CrossingEvent(1), other])
+            assert str(exc.value) == f"event 1 is neither a crossing nor a pattern: {other!r}"
+
+    def test_a_drift_first_used_late_names_its_first_use(self, capsys, tmp_path, monkeypatch):
+        # a pattern with a clasp drifts; the first is line 9000, after
+        # 9000 repeats of four valid events, and it is used again later
+        monkeypatch.setattr(IntersectionPattern, "shift", property(lambda p: (p.clasps, 0, 0, 0, 0, 0)))
+        valid = ["cross +", "cross -", "pattern circles=1 ribbon=0 bparallel=0 clasps=0 singular=none", "cross  +"]
+        drifting = "pattern circles=0 ribbon=0 bparallel=0 clasps=1 singular=none"
+        lines = [valid[i % 4] for i in range(9000)] + [drifting] + valid * 10 + [drifting]
+        text = "\n".join(lines) + "\n"
+        message = "event 9000: relative triple moved from (0, 0, 0) to (1, 0, 0)"
+        events = parse_event_script(text)
+        # the shared objects, and a generator of a fresh object per event
+        for replayed in (events, map(copy.copy, events)):
+            with pytest.raises(TripleDrift) as exc:
+                replay(FramedPairState(), replayed)
+            assert str(exc.value) == message
+        path = tmp_path / "events.txt"
+        path.write_text(text)
+        assert main(["cross-sim", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": {"type": "TripleDrift", "message": message}}
 
 
 class TestEventParsing:
@@ -366,6 +401,8 @@ class TestEventParsing:
         assert (exc.value.line, exc.value.column) == (2, len("pattern circles=0 ribbon=") + 1)
         assert parse_event_script(line.replace(value, "+10"))[0].ribbon_arcs == 10
 
+
+_STATE_HEADERS = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
 
 # every line break `str.splitlines` knows of (a "\r" line break before a
 # "\n" one makes "\r\n"), lines that parse, and tokens for lines that may not
@@ -464,6 +501,30 @@ class TestChunkedLines:
         if error is not None:
             line, column, message = error
             _check_error_token(lines[line - 1][1], column, message)
+
+    @settings(max_examples=100)
+    @given(text=event_texts(), init=states)
+    def test_cross_sim_matches_the_public_path(self, tmp_path_factory, text, init):
+        # the CLI replays the parser's table and indices; the public path
+        # replays the tuple of events
+        path = tmp_path_factory.mktemp("events") / "events.txt"
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        try:
+            trace = run_trace(init, parse_event_script(text))
+            expected = json.dumps([dict(zip(_STATE_HEADERS, s + s.triple)) for s in trace]) + "\n", "", 0
+        except ParseError as e:
+            record = {"type": "ParseError", "message": e.message, "line": e.line, "column": e.column}
+            expected = "", json.dumps({"error": record}) + "\n", 1
+        argv = ["cross-sim", str(path), "--init=" + ",".join(map(str, init))]
+        for chunk in (1, 7, 64):
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(grid_mod, "_CHUNK", chunk)
+                mp.setattr(cli_mod, "_CHUNK", chunk)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            assert (out.getvalue(), err.getvalue(), code) == expected
 
     @pytest.mark.parametrize(
         "raw, column, message",
