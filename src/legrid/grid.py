@@ -158,8 +158,11 @@ class GridDiagram(_Value, fields=("n", "xs", "os")):
             raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
         x_col, o_col = _inverses(xs, os)
         owner, count = _trace(xs, o_col)
-        vars(self).update(n=n, xs=xs, os=os)
-        vars(self).update(zip(_TABLES, (x_col, o_col, owner, count)))
+        # the fields, then the tables in the order of _TABLES
+        vars(self).update(
+            n=n, xs=xs, os=os, x_col_by_row=x_col, o_col_by_row=o_col,
+            component_by_column=owner, component_count=count,
+        )
 
     @classmethod
     def _derived(cls, n, xs, os, *tables):
@@ -188,16 +191,17 @@ def _trace(xs, o_col):
     cycles: the X of column c shares its row with the O of column
     ``o_col[xs[c]]``, and the cycles are numbered by their lowest
     column."""
-    succ = tuple(map(o_col.__getitem__, xs))
     owner = [-1] * len(xs)
     count = 0
     for start in range(len(xs)):
         if owner[start] >= 0:
             continue
         c = start
+        # stepping through both tables is faster under CPython 3.11 than
+        # building the successor table first
         while owner[c] < 0:
             owner[c] = count
-            c = succ[c]
+            c = o_col[xs[c]]
         count += 1
     return tuple(owner), count
 
@@ -206,11 +210,13 @@ def _inverses(xs, os):
     """``x_col_by_row`` and ``o_col_by_row`` of valid markers, read off
     them in one pass: the one inversion, shared by ``__init__`` and
     :func:`_moved`."""
-    x_col = [0] * len(xs)
-    o_col = [0] * len(xs)
-    for c, (x, o) in enumerate(zip(xs, os)):
-        x_col[x] = c
-        o_col[o] = c
+    n = len(xs)
+    x_col = [0] * n
+    o_col = [0] * n
+    # an index loop is faster under CPython 3.11 than unpacking enumerate(zip())
+    for c in range(n):
+        x_col[xs[c]] = c
+        o_col[os[c]] = c
     return tuple(x_col), tuple(o_col)
 
 
@@ -233,9 +239,13 @@ def _moved(g, xs, os, owner) -> GridDiagram:
     tuples.  A move maps a valid grid to a valid grid and keeps the
     link, so the markers are not checked and the component count is
     ``g``'s: the inverse tables are read off the markers and the owner
-    table is renumbered by lowest column."""
+    table is renumbered by lowest column, unless it is ``g``'s own
+    table, which a row commutation and an up or down translation pass
+    on unmoved and which is numbered already."""
     x_col, o_col = _inverses(xs, os)
-    return GridDiagram._derived(len(xs), xs, os, x_col, o_col, _numbered(owner), g.component_count)
+    if owner is not g.component_by_column:
+        owner = _numbered(owner)
+    return GridDiagram._derived(len(xs), xs, os, x_col, o_col, owner, g.component_count)
 
 
 def new_grid(n, xs, os) -> GridDiagram:

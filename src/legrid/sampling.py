@@ -36,7 +36,9 @@ def _count(m, lo, hi):
     can have (0 to m // 2).  The counts are memoized for the process and
     filled bottom-up from an explicit stack, so any n works under the
     default recursion limit; a sampler at size n touches O(n) of them."""
-    key = (m, max(lo, 0), min(hi, m // 2))
+    # conditional clamps are faster under CPython 3.11 than max and min
+    half = m // 2
+    key = (m, lo if lo > 0 else 0, hi if hi < half else half)
     count = _COUNTS.get(key)
     if count is None:
         stack = [key]

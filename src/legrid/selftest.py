@@ -298,7 +298,8 @@ def _check_simulator(rng, cases):
                     )
                 )
         trace = run_trace(s0, events)
-        if any(state.triple != s0.triple for state in trace):
+        triple = s0.triple
+        if any(state.triple != triple for state in trace):
             failures += 1
         shuffled = events[:]
         rng.shuffle(shuffled)

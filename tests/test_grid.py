@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import re
@@ -205,6 +206,14 @@ class TestDerivedTables:
         rng = random.Random(31)
         for _ in range(200):
             _check_tables(random_link(rng, rng.randint(4, 40)))
+
+    def test_ladder_sizes(self, monkeypatch):
+        # the sizes inv-ladder parses; the counts of n = 800 are dropped after the test
+        monkeypatch.setattr(sampling, "_COUNTS", {})
+        rng = random.Random(32)
+        for n in (200, 800):
+            for sample in (random_grid, random_knot, random_link):
+                _check_tables(sample(rng, n))
 
     def test_fields_are_the_markers_only(self):
         assert list(inspect.signature(GridDiagram).parameters) == ["n", "xs", "os"]
@@ -744,6 +753,15 @@ SAMPLERS = [
 ]
 
 
+# every sampler with the smallest size that it fits
+_EVERY_SAMPLER = (
+    (random_grid, 2),
+    (random_knot, 2),
+    (random_link, 4),
+    (lambda rng, n: random_link(rng, n, 3), 6),
+)
+
+
 class TestSampling:
     """Each sampler draws the tracing permutation pi directly, then the
     X rows once, and builds one grid."""
@@ -813,6 +831,28 @@ class TestSampling:
         knots = [random_knot(rng, 200) for _ in range(20)]
         assert all(g.component_count == 1 for g in knots)
         assert len(set(knots)) == 20
+
+    def test_memo_keeps_clamped_keys(self, monkeypatch):
+        # the memo sizes that the sampling docstring states count clamped keys only
+        monkeypatch.setattr(sampling, "_COUNTS", {})
+        rng = random.Random(33)
+        for sample, fewest in _EVERY_SAMPLER:
+            for n in range(fewest, 61):
+                sample(rng, n)
+        assert len(sampling._COUNTS) > 100
+        assert all(0 <= lo and hi <= m // 2 for m, lo, hi in sampling._COUNTS)
+
+    def test_draw_digest(self):
+        # a few hundred draws of every sampler at n = 2-12 and a few at
+        # n = 50, from one string seed: test_golden_draws shows a changed
+        # draw's text, this digest pins many more draws
+        rng = random.Random("digest")
+        texts = []
+        for sample, fewest in _EVERY_SAMPLER:
+            texts += [grid_to_text(sample(rng, fewest + k % (13 - fewest))) for k in range(300)]
+            texts += [grid_to_text(sample(rng, 50)) for _ in range(3)]
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "eea2c400de42c58df29038fbff37f6f0e361ae82a41937aea3439439161f117c"
 
     def test_golden_draws(self):
         # the draws of one string seed, pinned on every supported Python

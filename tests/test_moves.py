@@ -404,6 +404,31 @@ class TestDerivedTables:
         assert any(text.startswith("commute col") for text in renumbered)
         assert not any(text.startswith(("commute row", "translate up", "translate down")) for text in renumbered)
 
+    def test_an_unmoved_owner_table_is_not_renumbered(self, monkeypatch):
+        # a row commutation and an up or down translation pass the parent's
+        # owner table on as it is; every other move carries it along its
+        # columns and renumbers it once
+        import legrid.grid as grid_mod
+
+        calls = []
+        numbered = grid_mod._numbered
+        monkeypatch.setattr(grid_mod, "_numbered", lambda owner: calls.append(owner) or numbered(owner))
+        made = {}
+        rng = random.Random(29)
+        for _ in range(20):
+            g = random_link(rng, rng.randint(4, 12))
+            for move in self._moves(g):
+                calls.clear()
+                try:
+                    apply_move(g, move)
+                except (BadCell, InterleavingSpans):
+                    continue
+                made.setdefault(self._variant(move)[:2], set()).add(len(calls))
+        unmoved = [("commute", "row"), ("translate", "up"), ("translate", "down")]
+        moved = [("commute", "col"), ("translate", "left"), ("translate", "right")]
+        moved += [("stab", "X"), ("stab", "O"), ("destab", "#"), ("lstab", "#")]
+        assert made == {**dict.fromkeys(unmoved, {0}), **dict.fromkeys(moved, {1})}
+
 
 class TestFootprint:
     """A move changes the pattern of at most the component its
