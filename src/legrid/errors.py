@@ -58,9 +58,10 @@ class OracleMismatch(_InvariantError):
 
 
 class ParityViolation(_InvariantError):
-    """A signed crossing count that closed curves force to be even came
-    out odd, or two that they force to be equal differ.  Signals a
-    bookkeeping bug, never expected on valid input."""
+    """A count that closed curves force to be even (a signed crossing
+    count, or a component's cusps) came out odd, or two that they force
+    to be equal differ.  Signals a bookkeeping bug, never expected on
+    valid input."""
 
 
 class TripleDrift(LegridError):

@@ -99,8 +99,14 @@ class FrontData(_Value):
         object.__setattr__(self, "cusps", cusps)
 
     def cusp_counts(self, c) -> CuspCounts:
+        """Component ``c``'s cusps, whose total a closed front forces to
+        be even: an odd one raises ParityViolation, so neither half that
+        tb and r take is floored."""
         _check_component(c, len(self.cusps))
-        return self.cusps[c]
+        counts = self.cusps[c]
+        if counts.total % 2:
+            raise ParityViolation(f"component {c} has an odd number of cusps ({counts.total})")
+        return counts
 
 
 def _check_component(c, count):
@@ -541,7 +547,7 @@ def _int_list(line_no, line, key):
     if not stripped.startswith(key + "="):
         raise ParseError(line_no, _lead_column(line), f"expected {key}=<comma-separated ints>")
     offset = line.index("=") + 1
-    body = line[offset:].rstrip("\n")
+    body = line[offset:]
     parts = body.split(",")
     if body.isascii() and "_" not in body:
         # where int() takes every token, _int_token takes each alike; the

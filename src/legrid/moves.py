@@ -62,7 +62,6 @@ from .errors import (
     OracleMismatch,
     ParityViolation,
     ParseError,
-    SameComponent,
     ScriptStepError,
     _check_int,
     _check_sign,
@@ -468,8 +467,6 @@ def _snapshot(parts, index, move, pair, flags):
     rel = None
     if pair is not None:
         k, j = pair
-        if k == j:
-            raise SameComponent(f"relative invariants need two distinct components, got {k}")
         rel = RelativeInvariants.between(invs[k], invs[j])
     return TraceStep(index=index, move=move, invariants=tuple(invs), relative=rel, flags=flags)
 
@@ -481,9 +478,11 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
 
     The relative triple follows the first two components of the
     starting diagram through the moves (see :func:`follow`, so cyclic
-    translations cannot silently swap the pair).  A translation that
-    changes a component's cusp counts is flagged ``cusp-change``.  The
-    first illegal step aborts the run with its index.
+    translations cannot silently swap the pair); ``follow``'s image is
+    a permutation of the components, so the two stay distinct.  A
+    translation that changes a component's cusp counts is flagged
+    ``cusp-change``.  The first illegal step aborts the run with its
+    index.
 
     Each component's invariants are read off its own sub-grid (see
     :func:`_intern`), interned per distinct pattern for this call.

@@ -54,23 +54,9 @@ from .simulator import CrossingEvent, FramedPairState, IntersectionPattern, cros
 __all__ = ["run_selftest", "CHECKS"]
 
 
-class CheckResult:
-    __slots__ = ("name", "cases", "failures")
-
-    def __init__(self, name: str, cases: int, failures: int):
-        self.name, self.cases, self.failures = name, cases, failures
-
-    @property
-    def passed(self):
-        return self.failures == 0
-
-    def as_record(self):
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+def _record(name, cases, failures):
+    """One check's entry in the report's ``"checks"``."""
+    return {"name": name, "cases": cases, "failures": failures, "passed": failures == 0}
 
 
 def _check_normalization(rng, cases):
@@ -90,7 +76,7 @@ def _check_normalization(rng, cases):
     for conv, lk in zip(Convention, (1, -1)):
         if linking_number(reading(hopf, conv), 0, 1) != lk:
             failures += 1
-    return CheckResult("normalization", 5, failures)
+    return _record("normalization", 5, failures)
 
 
 def _check_route_equality(rng, cases):
@@ -101,7 +87,7 @@ def _check_route_equality(rng, cases):
         for c in range(g.component_count):
             if tb_front(f, c) != tb_grid_oracle(g, c):
                 failures += 1
-    return CheckResult("route-equality", cases, failures)
+    return _record("route-equality", cases, failures)
 
 
 def _check_grid_invariants(rng, cases):
@@ -119,7 +105,7 @@ def _check_grid_invariants(rng, cases):
             failures += 1
         if parse_grid(grid_to_text(g)) != g or parse_grid(grid_to_json(g)) != g:
             failures += 1
-    return CheckResult("grid-invariants", cases, failures)
+    return _record("grid-invariants", cases, failures)
 
 
 def _check_linking(rng, cases):
@@ -132,7 +118,7 @@ def _check_linking(rng, cases):
             failures += 1
         if linking_number(reverse_component(g, a), a, b) != -lk:
             failures += 1
-    return CheckResult("linking-symmetry", cases, failures)
+    return _record("linking-symmetry", cases, failures)
 
 
 def _tables_differ(moved):
@@ -175,7 +161,7 @@ def _check_stabilization_laws(rng, cases):
             image = follow(g2, move, g3)
             if relative_invariants(g3, image[k2], image[j2]).tb_rel != rel_before.tb_rel:
                 failures += 1
-    return CheckResult("stabilization-laws", 2 * per_sign, failures)
+    return _record("stabilization-laws", 2 * per_sign, failures)
 
 
 def _random_isotopy_move(rng, g):
@@ -220,7 +206,7 @@ def _check_isotopy_invariance(rng, cases):
         # the pair apply_script tracks: components 0 and 1, followed through the move
         if len(image) >= 2 and relative_invariants(g, 0, 1) != relative_invariants(moved, *image[:2]):
             failures += 1
-    return CheckResult("isotopy-invariance", cases, failures)
+    return _record("isotopy-invariance", cases, failures)
 
 
 def _check_relative_algebra(rng, cases):
@@ -239,7 +225,7 @@ def _check_relative_algebra(rng, cases):
         flipped = relative_invariants(g, k, j, OrientationFlag().flipped())
         if (flipped.tb_rel, flipped.r_rel, flipped.sl_rel) != (kj.tb_rel, -kj.r_rel, -kj.sl_rel):
             failures += 1
-    return CheckResult("relative-algebra", cases, failures)
+    return _record("relative-algebra", cases, failures)
 
 
 def _random_class_pair(rng, rank):
@@ -275,7 +261,7 @@ def _check_ledger(rng, cases):
         k = rng.randint(-3, 3)
         if twist_transfer(m, s1, s2, IntersectionProfile(k, k)) != (k, k):
             failures += 1
-    return CheckResult("ledger-rules", cases, failures)
+    return _record("ledger-rules", cases, failures)
 
 
 def _check_simulator(rng, cases):
@@ -308,7 +294,7 @@ def _check_simulator(rng, cases):
         plus = cross(s0, CrossingEvent(1))
         if cross(plus, CrossingEvent(-1)) != s0:
             failures += 1
-    return CheckResult("simulator-replay", runs, failures)
+    return _record("simulator-replay", runs, failures)
 
 
 CHECKS = (
@@ -326,14 +312,14 @@ CHECKS = (
 
 def run_selftest(seed: int, cases: int) -> dict:
     """Run every check and return the JSON-ready report."""
-    results = []
+    records = []
     for check in CHECKS:
         rng = random.Random(f"{seed}:{check.__name__}")
-        results.append(check(rng, cases))
+        records.append(check(rng, cases))
     return {
         "suite": "legrid-selftest",
         "seed": seed,
         "cases": cases,
-        "checks": [r.as_record() for r in results],
-        "all_passed": all(r.passed for r in results),
+        "checks": records,
+        "all_passed": all(r["passed"] for r in records),
     }

@@ -144,33 +144,25 @@ def replay(s0: FramedPairState, events):
     be built (see :class:`IntersectionPattern`), so it never reaches
     this function.
 
-    The events are interned into a table of distinct values, in order
-    of first use, and a list of their indices in it, which
-    :func:`_replay` replays.  Events are looked up by identity first,
-    so a repeated object (the parser shares one per distinct line) is
-    not hashed again; an equal but distinct object falls back to the
-    equality-keyed dict.  Only the first object of each value gets an
-    identity entry: that dict keeps it alive, so no id is reused while
-    the dicts live, and a caller that builds a fresh object per event
-    adds no entries.  An object's type is checked before it is hashed,
-    so a non-event ends the table, unhashed, and :func:`_replay`
-    raises at it or at an earlier entry.
+    The events are interned by value into a table of distinct events,
+    in order of first use, and a list of their indices in it, which
+    :func:`_replay` replays; every event is hashed once, whether or not
+    it is the same object as an earlier one.  An object's type is
+    checked before it is hashed, so a non-event ends the table,
+    unhashed, and :func:`_replay` raises at it or at an earlier entry.
     """
     table = []
-    by_id = {}  # id(event) -> index, for the events that key `found`
     found = {}  # event -> index in table
     indices = []
     for event in events:
-        k = by_id.get(id(event))
+        if not isinstance(event, (CrossingEvent, IntersectionPattern)):
+            indices.append(len(table))
+            table.append(event)
+            break
+        k = found.get(event)
         if k is None:
-            if not isinstance(event, (CrossingEvent, IntersectionPattern)):
-                indices.append(len(table))
-                table.append(event)
-                break
-            k = found.get(event)
-            if k is None:
-                k = found[event] = by_id[id(event)] = len(table)
-                table.append(event)
+            k = found[event] = len(table)
+            table.append(event)
         indices.append(k)
     return _replay(s0, table, indices)
 

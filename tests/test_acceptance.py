@@ -69,35 +69,35 @@ def test_criterion_1_route_equality():
                     mismatches += 1
     result = _registry("route_equality", 1, 1000)
     elapsed = time.monotonic() - start
-    ok = mismatches == 0 and (result.cases, result.failures) == (1000, 0) and elapsed < 120.0
+    ok = mismatches == 0 and (result["cases"], result["failures"]) == (1000, 0) and elapsed < 120.0
     _report(1, "tb routes agree exhaustively (n<=5) and on 1000 random grids (n<=10)", ok,
             f"{checked} exhaustive checks, {mismatches} mismatches, "
-            f"{result.failures} random failures, {elapsed:.1f}s")
+            f"{result['failures']} random failures, {elapsed:.1f}s")
 
 
 def test_criterion_2_normalization():
     result = _registry("normalization", 2, 0)
     _report(2, "2x2 unknot and both split 4x4 components give (tb, r) = (-1, 0);"
                " the positive Hopf grid has lk = +1 under nw-se and -1 under ne-sw",
-            (result.cases, result.failures) == (5, 0), f"{result.failures} failures")
+            (result["cases"], result["failures"]) == (5, 0), f"{result['failures']} failures")
 
 
 def test_criterion_3_stabilization_laws():
     result = _registry("stabilization_laws", 3, 400)
     _report(3, "stabilization laws exact on 200 seeded diagrams per sign",
-            (result.cases, result.failures) == (400, 0), f"{result.failures} failures")
+            (result["cases"], result["failures"]) == (400, 0), f"{result['failures']} failures")
 
 
 def test_criterion_4_isotopy_invariance():
     result = _registry("isotopy_invariance", 4, 500)
     _report(4, "500 random legal isotopy moves preserve (tb, r, sl) and the relative triple",
-            (result.cases, result.failures) == (500, 0), f"{result.failures} failures")
+            (result["cases"], result["failures"]) == (500, 0), f"{result['failures']} failures")
 
 
 def test_criterion_5_relative_algebra():
     result = _registry("relative_algebra", 5, 200)
     _report(5, "antisymmetry, additivity and orientation flips exact on 200 diagrams",
-            (result.cases, result.failures) == (200, 0), f"{result.failures} failures")
+            (result["cases"], result["failures"]) == (200, 0), f"{result['failures']} failures")
 
 
 def test_criterion_6_ledger():

@@ -1181,11 +1181,11 @@ class TestSelftest:
     def test_failed_check_exits_one_after_the_report(self, capsys, monkeypatch):
         import legrid.selftest as selftest_mod
 
-        broken = selftest_mod.CheckResult("broken", 2, 1)
+        broken = {"name": "broken", "cases": 2, "failures": 1, "passed": False}
         monkeypatch.setattr(selftest_mod, "CHECKS", (lambda rng, cases: broken,))
         code, out, err = run_cli(capsys, "selftest", "--cases", "2")
         assert (code, err) == (1, "")
-        assert json.loads(out)["checks"] == [broken.as_record()]
+        assert json.loads(out)["checks"] == [broken]
         code, out, err = run_cli(capsys, "selftest", "--cases", "2", "--pretty")
         assert (code, err) == (1, "")
         assert out.splitlines()[2].split() == ["broken", "2", "1", "FAIL"]
@@ -1204,10 +1204,10 @@ class TestSelftest:
         import legrid.grid as grid_mod
         import legrid.selftest as selftest_mod
 
-        assert selftest_mod._check_grid_invariants(random.Random(5), 40).failures == 0
+        assert selftest_mod._check_grid_invariants(random.Random(5), 40)["failures"] == 0
         real = grid_mod._trace
         monkeypatch.setattr(grid_mod, "_trace", lambda xs, o_col: trace(*real(xs, o_col)))
-        assert selftest_mod._check_grid_invariants(random.Random(5), 40).failures > 0
+        assert selftest_mod._check_grid_invariants(random.Random(5), 40)["failures"] > 0
 
     def test_byte_identical_reports(self):
         runs = [

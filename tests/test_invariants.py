@@ -26,6 +26,7 @@ from legrid import (
     tb_grid_oracle,
     to_front,
 )
+from legrid.grid import CuspCounts, FrontData
 from legrid.sampling import random_grid, random_knot, random_link
 
 from helpers import all_marker_lists, trace_components
@@ -272,6 +273,14 @@ class TestRotation:
             after = classical(reverse_component(g, c), c)
             assert after.r == -before.r
             assert after.tb == before.tb
+
+    def test_an_odd_cusp_count_raises(self):
+        # a closed front has an even number of cusps; an odd count is
+        # refused, not floored, on both routes that halve it
+        f = FrontData((0,), (CuspCounts(1, 0),))
+        for route in (tb_front, rot):
+            with pytest.raises(ParityViolation, match=r"^component 0 has an odd number of cusps \(1\)$"):
+                route(f, 0)
 
     def test_tb_plus_rot_is_odd_for_knots(self):
         rng = random.Random(8)

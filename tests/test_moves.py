@@ -27,6 +27,8 @@ from legrid import (
     tb_grid_oracle,
     to_front,
 )
+from legrid.grid import CuspCounts, FrontData
+from legrid.invariants import RelativeInvariants
 from legrid.moves import ISOTOPY_SUBTYPES, STAB_MINUS, STAB_PLUS, changes_cusps
 from legrid.sampling import random_grid, random_link
 
@@ -544,6 +546,31 @@ class TestApplyScript:
             ]
             assert len(set(triples)) == 1
 
+    def test_the_tracked_pair_stays_two_components(self):
+        # follow's image is a permutation, so the pair (0, 1) followed
+        # through any legal script never collapses to one component, and
+        # each step's relative triple is the one of its followed pair
+        rng = random.Random(35)
+        swapped = set()
+        for _ in range(60):
+            g = random_link(rng, rng.randint(4, 10))
+            moves = _legal_script(rng, g, 15)
+            result = apply_script(g, moves)
+            k, j = 0, 1
+            current = g
+            for step, move in zip(result.trace, (None,) + moves):
+                if move is not None:
+                    moved = apply_move(current, move)
+                    image = follow(current, move, moved)
+                    if (image[k] < image[j]) != (k < j):
+                        swapped.add((type(move), getattr(move, "axis", None)))
+                    k, j = image[k], image[j]
+                    current = moved
+                assert k != j
+                assert step.relative == RelativeInvariants.between(step.invariants[k], step.invariants[j])
+        # translations and column commutations both swap the pair's order
+        assert {(Translate, None), (Commute, "col")} <= swapped
+
     def test_single_positive_stabilization_shifts_trace(self):
         g = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
         result = apply_script(g, (LegendrianStab(0, 1),))
@@ -737,6 +764,21 @@ class TestKeyedInvariants:
         assert str(exc.value) == (
             "step 2, component 1 and its push-off cross an odd signed number of times (1)"
         )
+        assert (exc.value.step, exc.value.component) == (2, 1)
+
+    def test_odd_cusp_error_names_the_step_and_the_component(self, monkeypatch):
+        import legrid.invariants as inv_mod
+
+        def odd_on_three(g):
+            # Only the stabilized unknot has a 3x3 sub-grid.
+            f = to_front(g)
+            return FrontData(f.writhes, (CuspCounts(1, 2),)) if g.n == 3 else f
+
+        monkeypatch.setattr(inv_mod, "to_front", odd_on_three)
+        split = new_grid(4, [0, 1, 2, 3], [1, 0, 3, 2])
+        with pytest.raises(ParityViolation) as exc:
+            apply_script(split, (Translate("up"), LegendrianStab(1, 1)))
+        assert str(exc.value) == "step 2, component 1 has an odd number of cusps (3)"
         assert (exc.value.step, exc.value.component) == (2, 1)
 
 
