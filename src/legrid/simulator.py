@@ -159,9 +159,8 @@ def replay(s0: FramedPairState, events):
             indices.append(len(table))
             table.append(event)
             break
-        k = found.get(event)
-        if k is None:
-            k = found[event] = len(table)
+        k = found.setdefault(event, len(table))
+        if k == len(table):
             table.append(event)
         indices.append(k)
     return _replay(s0, table, indices)

@@ -1181,7 +1181,8 @@ class TestSelftest:
     def test_failed_check_exits_one_after_the_report(self, capsys, monkeypatch):
         import legrid.selftest as selftest_mod
 
-        broken = {"name": "broken", "cases": 2, "failures": 1, "passed": False}
+        broken = selftest_mod._record("broken", 2, 1)
+        assert broken == {"name": "broken", "cases": 2, "failures": 1, "passed": False}
         monkeypatch.setattr(selftest_mod, "CHECKS", (lambda rng, cases: broken,))
         code, out, err = run_cli(capsys, "selftest", "--cases", "2")
         assert (code, err) == (1, "")
