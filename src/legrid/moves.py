@@ -430,19 +430,28 @@ class ScriptResult(_Value):
         object.__setattr__(self, "trace", trace)
 
 
-def _intern(key, subs):
-    """The sub-grid of a component pattern ``key`` (see
-    :func:`component_patterns`): the component alone, as a
-    one-component grid.  Every self-crossing and cusp of a component
-    involves only its own segments, and rank compression keeps the
-    strict order of their ends, so the sub-grid has the component's tb
-    and r.  ``subs`` interns the sub-grids by their marker tuples for
-    one script run, so a repeated pattern costs a lookup and the front
-    and the oracle run once per distinct pattern."""
-    sub = subs.get(key)
-    if sub is None:
-        sub = subs[key] = new_grid(len(key[0]), *key)
-    return sub
+def _intern(key, facts, index, c):
+    """The facts of a component pattern ``key`` (see
+    :func:`component_patterns`): its classical triple and its cusp
+    counts, read off the component alone as a one-component grid.
+    Every self-crossing and cusp of a component involves only its own
+    segments, and rank compression keeps the strict order of their
+    ends, so that sub-grid has the component's tb, r and cusps.
+    ``facts`` interns them by pattern for one script run, so a repeated
+    pattern costs a lookup, and the front and the oracle run once per
+    distinct pattern; the sub-grid is dropped once they are read.  A
+    check that fails names step ``index`` and component ``c``."""
+    fact = facts.get(key)
+    if fact is None:
+        sub = new_grid(len(key[0]), *key)
+        try:
+            inv = classical(sub, 0)
+        except (OracleMismatch, ParityViolation) as e:
+            # the sub-grid numbers the component 0; name it as the grid does
+            detail = str(e).removeprefix("component 0")
+            raise type(e)(f"step {index}, component {c}{detail}", step=index, component=c) from None
+        fact = facts[key] = (inv, to_front(sub).cusps)
+    return fact
 
 
 def _carry(values, image):
@@ -454,21 +463,18 @@ def _carry(values, image):
     return out
 
 
-def _snapshot(parts, index, move, pair, flags):
-    """The trace step of a grid, read off its sub-grids ``parts``."""
-    invs = []
-    for c, sub in enumerate(parts):
-        try:
-            invs.append(classical(sub, 0))
-        except (OracleMismatch, ParityViolation) as e:
-            # the sub-grid numbers the component 0; name it as the grid does
-            detail = str(e).removeprefix("component 0")
-            raise type(e)(f"step {index}, component {c}{detail}", step=index, component=c) from None
+def _snapshot(parts, index, move, pair, flags, relatives):
+    """The trace step of a grid, read off its components' facts
+    ``parts``; ``relatives`` interns the pair's triple by its two
+    classical triples for one script run."""
+    invs = tuple(inv for inv, _ in parts)
     rel = None
     if pair is not None:
-        k, j = pair
-        rel = RelativeInvariants.between(invs[k], invs[j])
-    return TraceStep(index=index, move=move, invariants=tuple(invs), relative=rel, flags=flags)
+        key = (invs[pair[0]], invs[pair[1]])
+        rel = relatives.get(key)
+        if rel is None:
+            rel = relatives[key] = RelativeInvariants.between(*key)
+    return TraceStep(index=index, move=move, invariants=invs, relative=rel, flags=flags)
 
 
 def apply_script(g: GridDiagram, moves) -> ScriptResult:
@@ -484,22 +490,21 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
     ``cusp-change``.  The first illegal step aborts the run with its
     index.
 
-    Each component's invariants are read off its own sub-grid (see
-    :func:`_intern`), interned per distinct pattern for this call.
+    Each component's invariants and cusp counts are read once per
+    distinct pattern (see :func:`_intern`) and interned for this call.
     :func:`component_patterns` splits the starting grid once; after
     that a move changes the pattern of at most the component its
-    ``footprint`` names, so every other component carries its sub-grid
-    through ``follow``'s image, and only the named one is rebuilt from
-    its own columns and rows.  The sub-grids are the only per-component
-    record a step keeps: invariants are read off them through the
-    ``classical`` memo, so a carried component's are memo hits.  For the
-    same reason only the rebuilt component's cusp counts can change, so
-    the step calls :func:`changes_cusps` on that component alone.
+    ``footprint`` names, so every other component carries its facts
+    through ``follow``'s image, and only the named one is read from its
+    own columns and rows.  A step keeps, per component, the two facts
+    of its pattern and no grid.  For the same reason only the named
+    component's cusp counts can change, so the step calls
+    :func:`changes_cusps` on that component alone.
     """
     pair = (0, 1) if g.component_count >= 2 else None
-    subs = {}  # (xs, os) -> its sub-grid, for this run only
-    parts = [_intern(key, subs) for key in component_patterns(g)]
-    trace = [_snapshot(parts, 0, None, pair, ())]
+    facts, relatives = {}, {}  # pattern -> (triple, cusps); (triple, triple) -> relative triple
+    parts = [_intern(key, facts, 0, c) for c, key in enumerate(component_patterns(g))]
+    trace = [_snapshot(parts, 0, None, pair, (), relatives)]
     current = g
     for idx, move in enumerate(moves, start=1):
         try:
@@ -512,13 +517,13 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
         flags = ()
         if changed is not None:
             k = image[changed]
-            moved_parts[k] = _intern(_component_pattern(moved, k), subs)
+            moved_parts[k] = _intern(_component_pattern(moved, k), facts, idx, k)
             # only the footprint's pattern can change, so only its cusps
-            if changes_cusps(move, to_front(parts[changed]).cusps, to_front(moved_parts[k]).cusps, (0,)):
+            if changes_cusps(move, parts[changed][1], moved_parts[k][1], (0,)):
                 flags = ("cusp-change",)
         if pair is not None:
             pair = (image[pair[0]], image[pair[1]])
-        trace.append(_snapshot(moved_parts, idx, move, pair, flags))
+        trace.append(_snapshot(moved_parts, idx, move, pair, flags, relatives))
         current, parts = moved, moved_parts
     return ScriptResult(final=current, trace=tuple(trace))
 

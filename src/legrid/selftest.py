@@ -40,6 +40,7 @@ from .ledger import (
     twist_transfer,
 )
 from .moves import (
+    ISOTOPY_SUBTYPES,
     Commute,
     LegendrianStab,
     Stabilize,
@@ -183,7 +184,8 @@ def _random_isotopy_move(rng, g):
         return None
     else:
         marker = rng.choice(("X", "O"))
-        subtype = rng.choice(("NE", "SW"))
+        # sorted, as a set's order follows the per-process string hash
+        subtype = rng.choice(sorted(s for m, s in ISOTOPY_SUBTYPES if m == marker))
         move = Stabilize(marker, rng.randrange(g.n), subtype)
     return move, apply_move(g, move)
 

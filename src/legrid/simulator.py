@@ -35,7 +35,6 @@ __all__ = [
     "cross",
     "replay",
     "run_trace",
-    "parse_event_script",
 ]
 
 
@@ -215,25 +214,13 @@ def _parse_sign(token, error, at):
 _PATTERN_KEYS = ("circles", "ribbon", "bparallel", "clasps", "singular")
 
 
-def parse_event_script(text):
-    """Parse the one-event-per-line format: ``cross <+|->`` or
-    ``pattern circles=<n> ribbon=<n> bparallel=<n> clasps=<n>
-    singular=<+|-|none>``, each field exactly once.
-
-    Returns a tuple of the events, one shared object per value however
-    its lines spell it (see :func:`_parse_script`).  ``text`` is a str
-    or an iterable of whole-line blocks.  What grows with the script is
-    the tuple, one pointer per event, and the parser's 4-byte index per
-    event.
-    """
-    table, indices = _parse_script(text)
-    return tuple(map(table.__getitem__, indices))
-
-
 def _parse_script(text):
     """An event script as ``(table, indices)``: its distinct events in
     order of first use, and an ``array("I")`` of each event line's index
-    in ``table``, 4 bytes per event.
+    in ``table``, 4 bytes per event.  The format has one event per
+    line, ``cross <+|->`` or ``pattern circles=<n> ribbon=<n>
+    bparallel=<n> clasps=<n> singular=<+|-|none>`` with each field
+    exactly once; ``#`` starts a comment.
 
     Events are immutable, so each distinct raw line is parsed once, and
     lines of equal value share one entry, however they are spelled.

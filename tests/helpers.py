@@ -10,9 +10,11 @@ vertical strands cross over horizontal ones, and a crossing is +1 when
 (over direction, under direction) is a positively oriented frame.
 """
 
+import re
 from itertools import permutations
 
-from legrid import Convention, CrossingEvent, LegridError, apply_move, parse_move_script
+from legrid import Convention, CrossingEvent, IntersectionPattern, LegridError, apply_move, parse_move_script
+from legrid.simulator import _parse_script
 
 # Every attribute of a grid before a memo is set: the markers, their
 # inverse permutations, the owner table and the component count.
@@ -249,6 +251,46 @@ def event_to_text(event):
 
 def write_events(events):
     return "".join(event_to_text(event) + "\n" for event in events)
+
+
+def parse_events(text):
+    """The events of a script in line order, one shared object per
+    value: the event parser's table read through its indices, as the
+    CLI replays them."""
+    table, indices = _parse_script(text)
+    return tuple(map(table.__getitem__, indices))
+
+
+# the count fields of a pattern line, in IntersectionPattern's order
+_COUNT_FIELDS = ("circles", "ribbon", "bparallel", "clasps")
+_SINGULAR = {"none": (), "+": (1,), "-": (-1,)}
+
+
+def reference_events(text):
+    """The events of a script read from the format alone, sharing no
+    code with legrid's parser, or None when some line is no event.
+    Lines split as ``str.splitlines`` splits them and ``#`` starts a
+    comment; a pattern names each field once, in any order, and its
+    counts are non-negative ASCII integers with an optional sign."""
+    events = []
+    for line in text.splitlines():
+        words = line.split("#", 1)[0].split()
+        if not words:
+            continue
+        verb, *args = words
+        if verb == "cross" and len(args) == 1 and args[0] in ("+", "-"):
+            events.append(CrossingEvent(1 if args[0] == "+" else -1))
+            continue
+        fields = dict(arg.split("=", 1) for arg in args if "=" in arg)
+        if verb != "pattern" or len(fields) != len(args) or fields.keys() != {*_COUNT_FIELDS, "singular"}:
+            return None
+        counts = [fields[key] for key in _COUNT_FIELDS]
+        if not all(re.fullmatch(r"[+-]?[0-9]+", count) and int(count) >= 0 for count in counts):
+            return None
+        if fields["singular"] not in _SINGULAR:
+            return None
+        events.append(IntersectionPattern(*map(int, counts), _SINGULAR[fields["singular"]]))
+    return events
 
 
 # the kinds of move in a random legal script, with their weights

@@ -27,13 +27,12 @@ from legrid import (
     ParseError,
     Stabilize,
     Translate,
-    parse_event_script,
     parse_grid,
     parse_move_script,
 )
 from legrid.cli import main
 
-from helpers import write_events
+from helpers import parse_events, write_events
 
 COMMON = [" ", "\n", "#", "0", "1", "2", "3", "-1", ",", "=", "99999999999999999999"]
 JSON_TOKENS = ["{", "}", ":", "[", "]", "true", "false", "null"]
@@ -94,8 +93,8 @@ def test_parse_move_script_raises_only_legrid_errors(text):
 
 
 @given(text_near(EVENT_TOKENS))
-def test_parse_event_script_raises_only_legrid_errors(text):
-    _raises_only_legrid_errors(parse_event_script, text)
+def test_event_parser_raises_only_legrid_errors(text):
+    _raises_only_legrid_errors(parse_events, text)
 
 
 SUBTYPES = ("NE", "NW", "SE", "SW")
@@ -125,7 +124,7 @@ EVENTS = st.one_of(
 
 @given(st.lists(EVENTS, max_size=20))
 def test_event_text_round_trip(events):
-    assert parse_event_script(write_events(events)) == tuple(events)
+    assert parse_events(write_events(events)) == tuple(events)
 
 
 # -- every ParseError of a move script or a text grid names its token --------

@@ -435,7 +435,7 @@ class TestDerivedTables:
 class TestFootprint:
     """A move changes the pattern of at most the component its
     ``footprint`` names: the fact that lets apply_script carry every
-    other component's sub-grid through a step."""
+    other component's facts through a step."""
 
     @staticmethod
     def _every_legal_move(g):
@@ -627,8 +627,9 @@ class TestApplyScript:
 
 
 class TestKeyedInvariants:
-    """apply_script reads each component's invariants off its interned
-    sub-grid; these tests hold that route to the whole-grid one."""
+    """apply_script reads each component's invariants off its sub-grid,
+    once per distinct pattern, and keeps only the facts it read; these
+    tests hold that route to the whole-grid one."""
 
     def test_each_step_matches_the_whole_grid_route(self):
         rng = random.Random(21)
@@ -671,26 +672,65 @@ class TestKeyedInvariants:
     def test_each_step_reads_its_component_patterns(self, monkeypatch):
         import legrid.moves as moves_mod
 
-        snapshot = moves_mod._snapshot
-        seen = {}
+        intern, snapshot = moves_mod._intern, moves_mod._snapshot
+        origin, interned, seen = {}, {}, {}
+
+        def recording_intern(key, *args):
+            facts = intern(key, *args)
+            origin[id(facts)] = (len(key[0]), *key)
+            interned[key] = facts
+            return facts
 
         def recording(parts, index, *args):
-            seen[index] = [(sub.n, sub.xs, sub.os) for sub in parts]
+            seen[index] = list(parts)
             return snapshot(parts, index, *args)
 
+        monkeypatch.setattr(moves_mod, "_intern", recording_intern)
         monkeypatch.setattr(moves_mod, "_snapshot", recording)
         rng = random.Random(23)
         for _ in range(30):
             g = random_link(rng, rng.randint(4, 14))
             moves = _legal_script(rng, g, 15)
+            origin.clear()
+            interned.clear()
             seen.clear()
             apply_script(g, moves)
             current = g
             for index, move in enumerate((None,) + moves):
                 if move is not None:
                     current = apply_move(current, move)
-                expected = [(len(xs), xs, os) for xs, os in _component_patterns(current)]
-                assert seen[index] == expected
+                patterns = _component_patterns(current)
+                expected = [(len(xs), xs, os) for xs, os in patterns]
+                assert [origin[id(facts)] for facts in seen[index]] == expected
+                assert all(facts is interned[key] for facts, key in zip(seen[index], patterns, strict=True))
+
+    def test_no_sub_grid_outlives_its_first_read(self, monkeypatch):
+        import weakref
+
+        import legrid.moves as moves_mod
+
+        build, snapshot = moves_mod.new_grid, moves_mod._snapshot
+        subs, alive = [], []
+
+        def building(*args):
+            sub = build(*args)
+            subs.append(weakref.ref(sub))
+            return sub
+
+        def recording(parts, index, *args):
+            if index == len(moves):
+                alive.extend(ref for ref in subs if ref() is not None)
+            return snapshot(parts, index, *args)
+
+        monkeypatch.setattr(moves_mod, "new_grid", building)
+        monkeypatch.setattr(moves_mod, "_snapshot", recording)
+        rng = random.Random(26)
+        g = random_link(rng, 12, 2)
+        moves = (Translate("up"),) * g.n + _legal_script(rng, g, 60)
+        result = apply_script(g, moves)
+        assert len(result.trace) == len(moves) + 1
+        assert len(subs) > g.component_count
+        assert alive == []
 
     def test_one_grid_is_built_per_move_and_per_distinct_pattern(self, monkeypatch):
         rng = random.Random(25)
@@ -784,7 +824,7 @@ class TestKeyedInvariants:
 
 class TestChangesCusps:
     """The rule, on whole fronts under both readings and on
-    apply_script's sub-grid cusps, against a whole-front comparison
+    apply_script's per-pattern cusps, against a whole-front comparison
     written out."""
 
     @staticmethod

@@ -23,13 +23,14 @@ from legrid import (
     classical,
     cross,
     new_grid,
-    parse_event_script,
     relative_invariants,
     replay,
     run_trace,
 )
 from legrid.cli import main
 from legrid.grid import _text_lines
+
+from helpers import parse_events, reference_events
 
 states = st.builds(
     FramedPairState,
@@ -306,7 +307,7 @@ class TestReplay:
         lines = [valid[i % 4] for i in range(9000)] + [drifting] + valid * 10 + [drifting]
         text = "\n".join(lines) + "\n"
         message = "event 9000: relative triple moved from (0, 0, 0) to (1, 0, 0)"
-        events = parse_event_script(text)
+        events = parse_events(text)
         # the shared objects, and a generator of a fresh object per event
         for replayed in (events, map(copy.copy, events)):
             with pytest.raises(TripleDrift) as exc:
@@ -329,7 +330,7 @@ class TestEventParsing:
             "cross -\n"
             "pattern circles=0 ribbon=0 bparallel=0 clasps=0 singular=none\n"
         )
-        events = parse_event_script(text)
+        events = parse_events(text)
         assert events[0] == CrossingEvent(1)
         assert events[1] == IntersectionPattern(
             circles=2, ribbon_arcs=3, boundary_parallel_arcs=0, clasps=1, singular=(-1,)
@@ -339,10 +340,10 @@ class TestEventParsing:
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as exc:
-            parse_event_script("cross +\ncross *\n")
+            parse_events("cross +\ncross *\n")
         assert exc.value.line == 2
         with pytest.raises(ParseError) as exc:
-            parse_event_script("pattern circles=1\n")
+            parse_events("pattern circles=1\n")
         assert exc.value.line == 1
 
     @pytest.mark.parametrize(
@@ -354,15 +355,15 @@ class TestEventParsing:
     )
     def test_bad_pattern_fields(self, text, column, message):
         with pytest.raises(ParseError) as exc:
-            parse_event_script(text)
+            parse_events(text)
         assert (exc.value.line, exc.value.column, exc.value.message) == (1, column, message)
 
     def test_repeated_lines_share_one_event(self):
-        events = parse_event_script("cross +\n  cross +  # again\ncross -\ncross +\n")
+        events = parse_events("cross +\n  cross +  # again\ncross -\ncross +\n")
         assert events == (CrossingEvent(1), CrossingEvent(1), CrossingEvent(-1), CrossingEvent(1))
         assert events[0] is events[1] is events[3]
         # one object per value, however the line spells it
-        events = parse_event_script(
+        events = parse_events(
             "cross +\n"
             "cross  +\n"
             "pattern circles=1 ribbon=2 bparallel=0 clasps=0 singular=-\n"
@@ -373,15 +374,15 @@ class TestEventParsing:
         assert events[2] is events[3] is events[4]
         assert events[2] == IntersectionPattern(circles=1, ribbon_arcs=2, singular=(-1,))
         with pytest.raises(ParseError) as exc:
-            parse_event_script("cross +\ncross +\ncross *")
+            parse_events("cross +\ncross +\ncross *")
         assert exc.value.line == 3
         # a raw line seen before, with its comment, and repeated blank
         # and comment-only lines
-        events = parse_event_script("# note\n\ncross - # a\n# note\n\ncross - # a\n \ncross -\n")
+        events = parse_events("# note\n\ncross - # a\n# note\n\ncross - # a\n \ncross -\n")
         assert events == (CrossingEvent(-1),) * 3
         assert events[0] is events[1] is events[2]
         with pytest.raises(ParseError) as exc:
-            parse_event_script("cross + # a\ncross + # a\n\ncross * # a\ncross * # a\n")
+            parse_events("cross + # a\ncross + # a\n\ncross * # a\ncross * # a\n")
         assert (exc.value.line, exc.value.column) == (4, 7)
 
     @pytest.mark.parametrize("key", ["circles", "ribbon", "bparallel", "clasps"])
@@ -390,16 +391,16 @@ class TestEventParsing:
         fields[key] = "-1"
         line = "pattern " + " ".join(f"{k}={v}" for k, v in fields.items()) + " singular=none"
         with pytest.raises(ParseError) as exc:
-            parse_event_script("cross -\n\n" + line + "\n")
+            parse_events("cross -\n\n" + line + "\n")
         assert exc.value.line == 3
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"])
     def test_counts_are_ascii_digits(self, value):
         line = f"pattern circles=0 ribbon={value} bparallel=0 clasps=0 singular=none"
         with pytest.raises(ParseError) as exc:
-            parse_event_script("cross +\n" + line + "\n")
+            parse_events("cross +\n" + line + "\n")
         assert (exc.value.line, exc.value.column) == (2, len("pattern circles=0 ribbon=") + 1)
-        assert parse_event_script(line.replace(value, "+10"))[0].ribbon_arcs == 10
+        assert parse_events(line.replace(value, "+10"))[0].ribbon_arcs == 10
 
 
 _STATE_HEADERS = ["tw_K", "tw_J", "w_K", "w_J", "sK", "sJ", "tb_rel", "r_rel", "sl_rel"]
@@ -435,12 +436,12 @@ def event_texts(draw):
 
 
 def _reference_parse(text):
-    """parse_event_script run on each line alone: the events, or the
+    """The event parser run on each line alone: the events, or the
     (line, column, message) of the first error."""
     events = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         try:
-            events.extend(parse_event_script(raw))
+            events.extend(parse_events(raw))
         except ParseError as e:
             assert e.line == 1
             return None, (line_no, e.column, e.message)
@@ -490,13 +491,13 @@ class TestChunkedLines:
                 mp.setattr(grid_mod, "_CHUNK", chunk)
                 assert list(_text_lines(text)) == lines
                 if error is None:
-                    parsed = parse_event_script(text)
+                    parsed = parse_events(text)
                     assert parsed == tuple(events)
                     # one object per value
                     assert len(set(map(id, parsed))) == len(set(parsed))
                 else:
                     with pytest.raises(ParseError) as exc:
-                        parse_event_script(text)
+                        parse_events(text)
                     assert (exc.value.line, exc.value.column, exc.value.message) == error
         if error is not None:
             line, column, message = error
@@ -505,15 +506,21 @@ class TestChunkedLines:
     @settings(max_examples=100)
     @given(text=event_texts(), init=states)
     def test_cross_sim_matches_the_public_path(self, tmp_path_factory, text, init):
-        # the CLI replays the parser's table and indices; the public path
-        # replays the tuple of events
+        # the CLI replays the parser's table and indices; the public path,
+        # run_trace, replays the events that a reading of the format
+        # sharing no code with the parser gives.  A text that reading
+        # refuses, the parser must refuse with the record the CLI prints.
         path = tmp_path_factory.mktemp("events") / "events.txt"
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-        try:
-            trace = run_trace(init, parse_event_script(text))
+        events = reference_events(text)
+        if events is not None:
+            trace = run_trace(init, events)
             expected = json.dumps([dict(zip(_STATE_HEADERS, s + s.triple)) for s in trace]) + "\n", "", 0
-        except ParseError as e:
+        else:
+            with pytest.raises(ParseError) as exc:
+                parse_events(text)
+            e = exc.value
             record = {"type": "ParseError", "message": e.message, "line": e.line, "column": e.column}
             expected = "", json.dumps({"error": record}) + "\n", 1
         argv = ["cross-sim", str(path), "--init=" + ",".join(map(str, init))]
@@ -544,7 +551,7 @@ class TestChunkedLines:
     )
     def test_each_error_points_at_its_token(self, raw, column, message):
         with pytest.raises(ParseError) as exc:
-            parse_event_script("cross +\n\n" + raw + "\ncross -\n")
+            parse_events("cross +\n\n" + raw + "\ncross -\n")
         assert (exc.value.line, exc.value.column, exc.value.message) == (3, column, message)
         _check_error_token(raw, column, message)
 
@@ -567,7 +574,7 @@ class TestChunkedLines:
         text = "\n".join(lines) + "\n"
         tracemalloc.start()
         try:
-            events = parse_event_script(text)
+            events = parse_events(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
