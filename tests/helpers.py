@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to pin expected values, a
-cell-by-cell reference for (de)stabilization, an event-script writer,
-a random legal move script, and the CLI's outputs as it built them
+cell-by-cell reference for (de)stabilization, an event-script writer
+and a reader of its own, a random legal move script, and the CLI's outputs as it built them
 whole, before it wrote them in chunks.
 
 The oracles work straight from the raw marker lists so that they
@@ -255,8 +255,7 @@ def write_events(events):
 
 def parse_events(text):
     """The events of a script in line order, one shared object per
-    value: the event parser's table read through its indices, as the
-    CLI replays them."""
+    value: the event parser's table read through its indices."""
     table, indices = _parse_script(text)
     return tuple(map(table.__getitem__, indices))
 
@@ -285,9 +284,7 @@ def reference_events(text):
         if verb != "pattern" or len(fields) != len(args) or fields.keys() != {*_COUNT_FIELDS, "singular"}:
             return None
         counts = [fields[key] for key in _COUNT_FIELDS]
-        if not all(re.fullmatch(r"[+-]?[0-9]+", count) and int(count) >= 0 for count in counts):
-            return None
-        if fields["singular"] not in _SINGULAR:
+        if fields["singular"] not in _SINGULAR or not all(re.fullmatch(r"\+?[0-9]+|-0+", n) for n in counts):
             return None
         events.append(IntersectionPattern(*map(int, counts), _SINGULAR[fields["singular"]]))
     return events

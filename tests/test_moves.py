@@ -709,6 +709,9 @@ class TestKeyedInvariants:
 
         import legrid.moves as moves_mod
 
+        rng = random.Random(26)
+        g = random_link(rng, 12, 2)
+        moves = (Translate("up"),) * g.n + _legal_script(rng, g, 60)
         build, snapshot = moves_mod.new_grid, moves_mod._snapshot
         subs, alive = [], []
 
@@ -724,9 +727,6 @@ class TestKeyedInvariants:
 
         monkeypatch.setattr(moves_mod, "new_grid", building)
         monkeypatch.setattr(moves_mod, "_snapshot", recording)
-        rng = random.Random(26)
-        g = random_link(rng, 12, 2)
-        moves = (Translate("up"),) * g.n + _legal_script(rng, g, 60)
         result = apply_script(g, moves)
         assert len(result.trace) == len(moves) + 1
         assert len(subs) > g.component_count
