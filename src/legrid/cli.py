@@ -87,29 +87,20 @@ def _cases_arg(text):
 
 def _read_input(path):
     """The text of an input file, read as UTF-8 with universal newlines,
-    in blocks of whole lines: ``grid._CHUNK`` characters are read at a
-    time, and each block ends just after the last ``"\\n"`` read so far
-    (the last block may end without one).  Script parsers take the
-    blocks, so no whole script is held; other readers join them.
-
-    Bytes that are not UTF-8 are a ParseError at their line and column,
-    raised once every whole line before theirs has been yielded, so a
-    parser that reads line by line reports the first fault in file
-    order.  The file is read once, as a single stream, so a pipe works
-    like a regular file.  The file is opened when the first block is
-    asked for.  A path that no file can have (a NUL byte, a lone
-    surrogate) is an OSError like a missing file."""
+    in blocks of whole lines (see :func:`_line_blocks`).  Script parsers
+    take the blocks, so no whole script is held; other readers join
+    them.  A byte that is not UTF-8 is decoded through
+    ``surrogateescape``, and ``grid._text_lines`` or ``grid._load_json``
+    reports it where it stands.  The file is read once, as a single
+    stream, so a pipe works like a regular file.  The file is opened
+    when the first block is asked for.  A path that no file can have (a
+    NUL byte, a lone surrogate) is an OSError like a missing file."""
     try:
         handle = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
     except ValueError as e:
         raise OSError(f"cannot open {path!r}: {e}") from None
-    line = 1  # the number of the first line not yet yielded
     with handle:
-        for block in _line_blocks(handle):
-            if not block.isascii() and _ESCAPED.search(block):
-                yield from _undecodable(block, line)
-            yield block
-            line += block.count("\n")
+        yield from _line_blocks(handle)
 
 
 def _line_blocks(handle):
@@ -129,30 +120,6 @@ def _line_blocks(handle):
         rest.append(chunk[cut:])
     rest.append(chunk)  # what a short read returned, or ""
     yield "".join(rest)
-
-
-# A byte that is not UTF-8, as the "surrogateescape" error handler
-# decodes it; strict UTF-8 decodes no surrogate, so nothing else matches.
-_ESCAPED = re.compile("[\udc80-\udcff]")
-
-
-def _undecodable(block, line):
-    """The whole lines of ``block`` (whose first line is number ``line``)
-    before its first byte that is not UTF-8, then the ParseError at that
-    byte's line and column.  The message is that of a strict decode of
-    the byte's line, which fails where the stream's decode escaped it;
-    should the decode pass, the error still stands, without a reason."""
-    bad = _ESCAPED.search(block).start()
-    start = block.rfind("\n", 0, bad) + 1
-    if start:
-        yield block[:start]
-    end = block.find("\n", bad) + 1 or len(block)
-    message = "not UTF-8"
-    try:
-        block[start:end].encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as e:
-        message += f": {e.reason}"
-    raise ParseError(line + block.count("\n", 0, start), bad - start + 1, message)
 
 
 def parse_grid_file(path) -> GridDiagram:

@@ -18,6 +18,7 @@ unknot grid has tb = -1 and rotation number 0.
 from __future__ import annotations
 
 import json
+import re
 from enum import Enum
 from itertools import chain, compress
 from operator import countOf, eq
@@ -449,9 +450,47 @@ def _text_lines(text):
     first ``"\\n"`` at or beyond ``_CHUNK`` characters.  Each block is
     split on its own: a cut after ``"\\n"`` never divides a line break
     (``"\\r\\n"`` included), so the lines and their numbers are those of
-    the whole text, while only one block's lines are held at a time."""
+    the whole text, while only one block's lines are held at a time.
+
+    A byte that is not UTF-8, as ``surrogateescape`` decodes it, is a
+    ParseError at its line and column, raised once every line before
+    its line has been given, so a parser that reads line by line
+    reports the first fault in text order."""
+    counts = []  # the number of lines of each block split so far
+
+    def split(block):
+        if not block.isascii() and _ESCAPED.search(block):
+            return _undecodable(block, sum(counts))
+        lines = block.splitlines()
+        counts.append(len(lines))
+        return lines
+
     blocks = _chunks(text) if isinstance(text, str) else text
-    return enumerate(chain.from_iterable(map(str.splitlines, blocks)), start=1)
+    return enumerate(chain.from_iterable(map(split, blocks)), start=1)
+
+
+# A byte that is not UTF-8, as the "surrogateescape" error handler
+# decodes it; strict UTF-8 decodes no surrogate, so nothing else matches.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(block, count):
+    """The lines of ``block``, which follows ``count`` lines of text,
+    that come before its first line holding a byte that is not UTF-8, then
+    the ParseError at that byte.  The message is that of a strict
+    decode of the line with its line end, which fails where the
+    stream's decode escaped the byte; should it pass, the error still
+    stands, without a reason."""
+    for line_no, (line, whole) in enumerate(zip(block.splitlines(), block.splitlines(True)), count + 1):
+        if bad := _ESCAPED.search(line):
+            break
+        yield line
+    message = "not UTF-8"
+    try:
+        whole.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as e:
+        message += f": {e.reason}"
+    raise ParseError(line_no, bad.start() + 1, message)
 
 
 def _chunks(text):
@@ -494,7 +533,11 @@ def _int_token(text):
 def _load_json(text):
     """``json.loads`` with every failure as a ParseError: a syntax error
     at its position, and at 1:1 nesting too deep for the decoder or an
-    integer too long for the interpreter to convert."""
+    integer too long for the interpreter to convert.  A byte that is
+    not UTF-8 comes first, as the line splitter reports it."""
+    if not text.isascii():
+        for _ in _text_lines(text):
+            pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -569,16 +612,14 @@ def _int_list(line_no, line, key):
 
 def _parse_grid_text(text):
     content = []
-    last_line = 0
+    line_no = 0  # the number of the last line, once the loop ends
     for line_no, line in _text_lines(text):
-        last_line = line_no
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content.append((line_no, line))
+        if stripped and not stripped.startswith("#"):
+            content.append((line_no, line))
     if len(content) != 3:
         # at the first surplus line, or at the end when one is missing
-        line_no, line = content[3] if len(content) > 3 else (last_line or 1, "")
+        line_no, line = content[3] if len(content) > 3 else (line_no or 1, "")
         message = f"expected 3 content lines (n=, X=, O=), found {len(content)}"
         raise ParseError(line_no, _lead_column(line), message)
 

@@ -854,10 +854,12 @@ class TestInputFiles:
         assert _single_json_error(err)["type"] == "ParseError"
 
     def test_an_escaped_byte_that_decodes_is_still_a_parse_error(self, capsys, tmp_path, unknot_file, monkeypatch):
+        import legrid.grid as grid_mod
+
         # Only a byte that is not UTF-8 can match _ESCAPED; were an ordinary
         # character to match, the strict decode of its line would pass,
         # and the error would still be one JSON record.
-        monkeypatch.setattr(cli, "_ESCAPED", re.compile("\u00e9"))
+        monkeypatch.setattr(grid_mod, "_ESCAPED", re.compile("\u00e9"))
         path = tmp_path / "script.txt"
         path.write_text("translate up\n# caf\u00e9\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "moves", unknot_file, str(path))
@@ -899,11 +901,14 @@ def _edge_cases():
     return cases
 
 
-# Pieces of input files: ASCII, line ends, whole 2-, 3- and 4-byte
+# Pieces of input files: ASCII, line ends (those that str.splitlines
+# counts beyond "\n" and "\r" included), whole 2-, 3- and 4-byte
 # characters, and bytes that are not UTF-8 (a stray or cut-off lead byte,
 # an encoded surrogate).
 BYTE_PIECES = [
-    b"a", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9d\x84\x9e",
+    b"a", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+    b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9",
+    b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9d\x84\x9e",
     b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9d", b"\xed\xa0\x80",
 ]
 
@@ -974,6 +979,27 @@ class TestStreamedRead:
         utf8_error = run(bad_byte_line, bad_line)
         assert (utf8_error["message"], utf8_error["line"]) == ("not UTF-8: invalid start byte", lines_before + 1)
 
+    @pytest.mark.parametrize(
+        "verb, data, error",
+        [
+            ("cross-sim", b"cross +\f\xff\n", ("not UTF-8: invalid start byte", 2, 1)),
+            ("cross-sim", b"cross +\fcross -\n\xff\n", ("not UTF-8: invalid start byte", 3, 1)),
+            ("cross-sim", b"cross +\xc2\x85\xff\n", ("not UTF-8: invalid start byte", 2, 1)),
+            ("cross-sim", b"cross *\f\xff\n", ("expected + or -, got '*'", 1, 7)),
+            ("moves", b"translate up\ftranslate sideways\f\xff\n", ("unknown direction 'sideways'", 2, 11)),
+        ],
+    )
+    def test_a_bad_byte_is_numbered_by_every_line_break(self, capsys, tmp_path, unknot_file, verb, data, error):
+        # A form feed or U+0085 ends a line for the parsers, so it does for
+        # the bad byte too: the byte's line and column, or the parse error
+        # of a line before it, are those of str.splitlines.
+        path = tmp_path / "script"
+        path.write_bytes(data)
+        argv = ["moves", unknot_file, str(path)] if verb == "moves" else ["cross-sim", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert _single_json_error(err) == dict(zip(["type", "message", "line", "column"], ["ParseError", *error]))
+
     def test_a_line_with_a_bad_byte_is_undecodable_whatever_else_it_holds(self, capsys, tmp_path):
         path = tmp_path / "events.txt"
         path.write_bytes(b"cross +\ncrosx \xff\n")
@@ -990,26 +1016,26 @@ class TestStreamedRead:
     )
     def test_blocks_and_errors_are_those_of_the_whole_file(self, tmp_path_factory, data, chunk):
         # The whole file decoded at once, as a reader that holds it would:
-        # its text, or the line and column of its first bad byte.  Small
+        # its lines, or the lines before its first bad byte and that
+        # byte's line and column, all numbered by str.splitlines.  Small
         # blocks put every piece on a block edge somewhere.
         path = tmp_path_factory.mktemp("read") / "input"
         path.write_bytes(data)
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
-            whole = data.decode("utf-8")
+            whole = data.decode("utf-8").splitlines()
         except UnicodeDecodeError as e:
-            start = data.rfind(b"\n", 0, e.start) + 1
-            line = data.count(b"\n", 0, start) + 1
-            column = len(data[start:e.start].decode("utf-8")) + 1
-            whole = (data[:start].decode("utf-8"), (line, column, f"not UTF-8: {e.reason}"))
-        blocks = []
+            # "x" stands for the bad byte, which ends no line
+            *before, bad_line = (data[:e.start].decode("utf-8") + "x").splitlines()
+            whole = (before, (len(before) + 1, len(bad_line), f"not UTF-8: {e.reason}"))
+        lines = []
         with mock.patch("legrid.cli._CHUNK", chunk):
             try:
-                blocks.extend(_read_input(path))
+                lines.extend(line for _, line in _text_lines(_read_input(path)))
             except ParseError as e:
-                assert whole == ("".join(blocks), (e.line, e.column, e.message))
+                assert whole == (lines, (e.line, e.column, e.message))
             else:
-                assert whole == "".join(blocks)
+                assert whole == lines
 
     @staticmethod
     def _run_on_pipe(capsys, data, argv):
@@ -1178,6 +1204,20 @@ class TestSelftest:
         report = json.loads(out)
         assert report["all_passed"] is True
         assert report["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "cases, counts",
+        [
+            # normalization is always 5, stabilization-laws 2 * max(1, cases // 2),
+            # simulator-replay max(1, cases // 10), and every other check cases
+            (0, [5, 0, 0, 0, 2, 0, 0, 0, 1]),
+            (1, [5, 1, 1, 1, 2, 1, 1, 1, 1]),
+        ],
+    )
+    def test_case_counts(self, capsys, cases, counts):
+        code, out, _ = run_cli(capsys, "selftest", "--cases", str(cases))
+        assert code == 0
+        assert [check["cases"] for check in json.loads(out)["checks"]] == counts
 
     def test_failed_check_exits_one_after_the_report(self, capsys, monkeypatch):
         import legrid.selftest as selftest_mod

@@ -534,6 +534,25 @@ class TestSerialization:
         text = "# the minimal unknot\n\nn=2\nX=0,1\n# markers\nO=1,0\n\n"
         assert parse_grid(text) == new_grid(*UNKNOT)
 
+    def test_a_comment_is_a_whole_line(self):
+        # unlike a script line, a grid line keeps what follows "#"
+        with pytest.raises(ParseError) as exc:
+            parse_grid("n=2  # two\nX=0,1\nO=1,0\n")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, 3, "not an integer: '2  # two'")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("n=2\vX=0,1 \udcc3\nO=1,0\n", (2, 7, "not UTF-8: invalid continuation byte")),
+            ('{"n": 2,\f"x": [0, 1], "o": [1, 0]\udcff}', (2, 25, "not UTF-8: invalid start byte")),
+        ],
+    )
+    def test_a_str_is_checked_for_bytes_that_are_not_utf8(self, text, error):
+        # text and JSON alike, numbered by str.splitlines as a file is
+        with pytest.raises(ParseError) as exc:
+            parse_grid(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == error
+
     def test_json_round_trip_is_byte_identical(self):
         g = new_grid(*SPLIT)
         emitted = grid_to_json(g)

@@ -1109,6 +1109,18 @@ class TestScriptLines:
             parse_move_script("translate up\n" + line + "\n")
         assert str(exc.value) == f"line 2, column {column}: {message}"
 
+    def test_a_str_is_checked_for_bytes_that_are_not_utf8(self):
+        # a str holding a byte as surrogateescape decodes it, as a file does
+        with pytest.raises(ParseError) as exc:
+            parse_move_script("translate up\n# \udcff\n")
+        assert str(exc.value) == "line 2, column 3: not UTF-8: invalid start byte"
+
+    def test_an_escaped_byte_after_a_lone_surrogate_is_a_parse_error(self):
+        # the strict decode of the line cannot even encode it
+        with pytest.raises(ParseError) as exc:
+            parse_move_script("# \ud800\udcff\n")
+        assert str(exc.value) == "line 1, column 4: not UTF-8: surrogates not allowed"
+
     @pytest.mark.parametrize(
         "line, column, message",
         [
