@@ -18,7 +18,7 @@ import re
 import sys
 
 from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
-from .grid import _CHUNK, Convention, GridDiagram, _int_token, _read_json, parse_grid, reading
+from .grid import Convention, GridDiagram, _int_token, _read_input, _read_json, parse_grid, reading
 
 # Each verb imports its own modules when it runs, so a call loads only
 # what it uses.  Names are imported from their module: ``from . import
@@ -83,43 +83,6 @@ def _cases_arg(text):
     if cases < 0:
         raise _UsageError(f"--cases must be non-negative, got {cases}")
     return cases
-
-
-def _read_input(path):
-    """The text of an input file, read as UTF-8 with universal newlines,
-    in blocks of whole lines (see :func:`_line_blocks`).  Script parsers
-    take the blocks, so no whole script is held; other readers join
-    them.  A byte that is not UTF-8 is decoded through
-    ``surrogateescape``, and ``grid._text_lines`` or ``grid._load_json``
-    reports it where it stands.  The file is read once, as a single
-    stream, so a pipe works like a regular file.  The file is opened
-    when the first block is asked for.  A path that no file can have (a
-    NUL byte, a lone surrogate) is an OSError like a missing file."""
-    try:
-        handle = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
-    except ValueError as e:
-        raise OSError(f"cannot open {path!r}: {e}") from None
-    with handle:
-        yield from _line_blocks(handle)
-
-
-def _line_blocks(handle):
-    """The text of ``handle`` in blocks that end just after their last
-    ``"\\n"``, read ``grid._CHUNK`` characters at a time.  A read that
-    returns fewer is the end of the file, so its text ends the last
-    block, and a file shorter than ``_CHUNK`` is one read and one
-    block."""
-    rest = []  # the text read after the last "\n"
-    while chunk := handle.read(_CHUNK):
-        if len(chunk) < _CHUNK:
-            break
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield "".join(rest) + chunk[:cut]
-            rest.clear()
-        rest.append(chunk[cut:])
-    rest.append(chunk)  # what a short read returned, or ""
-    yield "".join(rest)
 
 
 def parse_grid_file(path) -> GridDiagram:

@@ -435,19 +435,46 @@ def parse_grid(text: str) -> GridDiagram:
     return _parse_grid_text(text)
 
 
-# text is split into lines, and input files are read, about this many
-# characters at a time, so no list of all its lines is ever held
+# Text is split into lines, and input files are read, in blocks: the
+# next _CHUNK characters, completed through the next "\n" (if any), so
+# every block but the last ends just after a "\n" and no list of all the
+# lines is ever held.  _read_input cuts a file and _chunks a str by it.
 _CHUNK = 1 << 16
+
+
+def _read_input(path):
+    """The blocks of an input file's text, read as UTF-8 with universal
+    newlines (``"\\r"`` and ``"\\r\\n"`` come as ``"\\n"``), so they are
+    the ``_chunks`` of that text.  A byte that is not UTF-8 is decoded
+    through ``surrogateescape``, and ``_text_lines`` or ``_load_json``
+    reports it where it stands.  The file is opened when the first
+    block is asked for and read once, as one stream, so a pipe works
+    like a regular file.  A path that no file can have (a NUL byte, a
+    lone surrogate) is an OSError like a missing file."""
+    try:
+        handle = open(path, encoding="utf-8", errors="surrogateescape", newline=None)
+    except ValueError as e:
+        raise OSError(f"cannot open {path!r}: {e}") from None
+    with handle:
+        while block := handle.read(_CHUNK) + handle.readline():
+            yield block
+
+
+def _chunks(text):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _text_lines(text):
     """``(line_no, line)`` for each line of ``text``, numbered from 1,
     exactly as ``enumerate(text.splitlines(), start=1)`` gives them: the
-    one line splitter of every text format.  ``text`` is a str, or an
-    iterable of blocks whose concatenation is the text, each ending
-    just after a ``"\\n"`` but perhaps the last (as the CLI reads a
-    file).  A str is cut into such blocks, each ending just after the
-    first ``"\\n"`` at or beyond ``_CHUNK`` characters.  Each block is
+    one line splitter of every text format.  ``text`` is a str, which is
+    cut into blocks by ``_chunks``, or an iterable of blocks whose
+    concatenation is the text, each ending just after a ``"\\n"`` but
+    perhaps the last (as ``_read_input`` gives them).  Each block is
     split on its own: a cut after ``"\\n"`` never divides a line break
     (``"\\r\\n"`` included), so the lines and their numbers are those of
     the whole text, while only one block's lines are held at a time.
@@ -491,14 +518,6 @@ def _undecodable(block, count):
     except UnicodeError as e:
         message += f": {e.reason}"
     raise ParseError(line_no, bad.start() + 1, message)
-
-
-def _chunks(text):
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
 
 
 def _token_column(raw, tokens, index):

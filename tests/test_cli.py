@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -14,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import legrid.cli as cli
 from legrid.cli import _read_input, main, parse_grid_file
-from legrid.grid import _CHUNK, _text_lines
+from legrid.grid import _CHUNK, CuspCounts, _chunks, _text_lines
 from legrid.sampling import random_knot, random_link
 from legrid import (
-    CrossingEvent, FramedPairState, IntersectionPattern, NotAPermutation, ParityViolation, ParseError,
+    CrossingEvent, FramedPairState, IntersectionPattern, LegridError, NotAPermutation, ParityViolation, ParseError,
     apply_script, grid_to_text, parse_grid, parse_move_script, run_trace
 )
 
@@ -886,9 +888,15 @@ def _edge_cases():
         data = filler + b"x" * (7 + at) + b"\r\ncross -\r\n" * 3
         assert data[_CHUNK - 1 + at:_CHUNK + 1 + at] == b"\r\n"
         cases.append(pytest.param(data, id=f"crlf{at:+d}"))
+    for at in (-1, 0, 1):
+        # a "\n" at character _CHUNK, plus `at`
+        data = filler + b"#" * (8 + at) + b"\ncross -\n" * 3
+        assert data[_CHUNK + at:_CHUNK + at + 1] == b"\n"
+        cases.append(pytest.param(data, id=f"lf{at:+d}"))
     cases.append(pytest.param(b"cross +\r" * (3 * _CHUNK // 8) + b"cross -\r", id="lone-cr"))
     cases.append(pytest.param(filler + b"cross +\n" * 100 + b"cross -", id="no-final-break"))
     cases.append(pytest.param(b"x" * (2 * _CHUNK + 5), id="one-long-line"))
+    cases.append(pytest.param(filler + b"# " + b"x" * (_CHUNK + 5), id="long-last-line"))
     for char in ("\u00e9", "\u20ac", "\U0001d11e"):
         encoded = char.encode()
         for at in (-1, 0, 1):
@@ -913,9 +921,34 @@ BYTE_PIECES = [
 ]
 
 
+def _as_read(data):
+    """The text a file of ``data`` is read as: ``"\\r\\n"`` and ``"\\r"``
+    as ``"\\n"``, and a byte that is not UTF-8 escaped."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8", "surrogateescape")
+
+
 class TestStreamedRead:
     """Input files are read in blocks of whole lines; the lines and the
     errors are those of the whole text, whatever falls on a block edge."""
+
+    @pytest.mark.parametrize("data", _edge_cases())
+    def test_file_blocks_are_the_chunks_of_its_text(self, tmp_path, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        assert list(_read_input(path)) == list(_chunks(_as_read(data)))
+
+    @settings(max_examples=300)
+    @given(
+        data=st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join),
+        chunk=st.integers(1, 9),
+    )
+    def test_a_file_is_cut_as_its_text_is(self, tmp_path_factory, data, chunk):
+        # one block rule: small blocks put every piece, a line end or a
+        # bad byte, on a block edge somewhere
+        path = tmp_path_factory.mktemp("blocks") / "input"
+        path.write_bytes(data)
+        with mock.patch("legrid.grid._CHUNK", chunk):
+            assert list(_read_input(path)) == list(_chunks(_as_read(data)))
 
     @pytest.mark.parametrize("data", _edge_cases())
     def test_blocks_give_the_lines_of_the_whole_text(self, tmp_path, data):
@@ -1029,7 +1062,7 @@ class TestStreamedRead:
             *before, bad_line = (data[:e.start].decode("utf-8") + "x").splitlines()
             whole = (before, (len(before) + 1, len(bad_line), f"not UTF-8: {e.reason}"))
         lines = []
-        with mock.patch("legrid.cli._CHUNK", chunk):
+        with mock.patch("legrid.grid._CHUNK", chunk):
             try:
                 lines.extend(line for _, line in _text_lines(_read_input(path)))
             except ParseError as e:
@@ -1077,6 +1110,35 @@ class TestStreamedRead:
         code, out, err = self._run_on_pipe(capsys, data, argv)
         assert (code, out) == (1, "")
         assert _single_json_error(err) == dict(zip(["type", "message", "line", "column"], ["ParseError", *error]))
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["inv", "{}"], 1, "",
+             '{"error": {"type": "ParseError", "message": "expected 3 content lines (n=, X=, O=), found 0", '
+             '"line": 1, "column": 1}}\n'),
+            (["ledger", "{}"], 1, "",
+             '{"error": {"type": "ParseError", "message": "Expecting value", "line": 1, "column": 1}}\n'),
+            (["cross-sim", "{}"], 0,
+             '[{"tw_K": 0, "tw_J": 0, "w_K": 0, "w_J": 0, "sK": 0, "sJ": 0, "tb_rel": 0, "r_rel": 0, "sl_rel": 0}]\n',
+             ""),
+            (["moves", "GRID", "{}"], 0,
+             '{"final": {"n": 2, "x": [0, 1], "o": [1, 0]}, "trace": [{"step": 0, "move": null, "components": '
+             '[{"component": 0, "tb": -1, "r": 0, "sl_pos": -1, "sl_neg": -1}], "relative": null, "flags": []}]}\n',
+             ""),
+        ],
+        ids=["inv", "ledger", "cross-sim", "moves"],
+    )
+    def test_an_empty_input(self, capsys, tmp_path, unknot_file, source, argv, code, out, err):
+        # an empty file gives no block at all
+        argv = [unknot_file if arg == "GRID" else arg for arg in argv]
+        if source == "pipe":
+            assert self._run_on_pipe(capsys, b"", argv) == (code, out, err)
+        else:
+            path = tmp_path / "empty"
+            path.write_bytes(b"")
+            assert run_cli(capsys, *[str(path) if arg == "{}" else arg for arg in argv]) == (code, out, err)
 
     def test_a_script_on_a_pipe_runs_as_from_a_file(self, capsys, tmp_path):
         data = b"cross +\r\n" * 9000 + b"# caf\xc3\xa9\rcross -\n" * 100
@@ -1197,6 +1259,103 @@ class TestIntegerArguments:
         assert run_cli(capsys, *(swap.get(arg, arg) for arg in ascii_argv))[0] == 0
 
 
+def _bumped(value, field):
+    """The value of ``value``'s class with 1 added to its ``field``."""
+    fields = {name: getattr(value, name) for name in value._fields}
+    fields[field] += 1
+    return type(value)(**fields)
+
+
+def _changed_on_call(which, every, change):
+    """A wrapper of a function whose calls ``which``, ``which + every``,
+    ... (counted from 0) return ``change`` of their value."""
+
+    def wrap(real):
+        calls = itertools.count()
+
+        def wrapped(*args):
+            value = real(*args)
+            return change(value) if next(calls) % every == which else value
+
+        return wrapped
+
+    return wrap
+
+
+def _refuse(*args):
+    raise LegridError("refused")
+
+
+# Each check with the names of legrid.selftest that break one of its
+# comparisons, each mapped to a function of the real one that gives the
+# broken one, so that the check's every failure branch runs.
+_BROKEN_CHECKS = [
+    pytest.param("_check_normalization", {
+        "classical": lambda real: lambda g, c: _bumped(real(g, c), "tb") if g.n == 2 else real(g, c)
+    }, id="normalization-unknot"),
+    pytest.param("_check_normalization", {
+        "classical": lambda real: lambda g, c: _bumped(real(g, c), "tb") if g.n == 4 else real(g, c)
+    }, id="normalization-split"),
+    pytest.param("_check_normalization", {"linking_number": lambda real: lambda g, a, b: 0},
+                 id="normalization-hopf"),
+    pytest.param("_check_route_equality", {"tb_grid_oracle": lambda real: lambda g, c: real(g, c) + 1},
+                 id="route-equality"),
+    pytest.param("_check_grid_invariants", {
+        "to_front": lambda real: lambda g: SimpleNamespace(cusps=[CuspCounts(1, 0)])
+    }, id="grid-invariants-odd-cusps"),
+    pytest.param("_check_grid_invariants", {"parse_grid": lambda real: lambda text: None},
+                 id="grid-invariants-round-trip"),
+    pytest.param("_check_linking", {
+        "linking_number": lambda real: lambda g, a, b: real(g, a, b) * (1 if a < b else 2)
+    }, id="linking-symmetry"),
+    pytest.param("_check_linking", {"reverse_component": lambda real: lambda g, c: g}, id="linking-reversal"),
+    pytest.param("_check_stabilization_laws", {"new_grid": lambda real: _refuse},
+                 id="stabilization-tables-refused"),
+    pytest.param("_check_stabilization_laws", {
+        "classical": _changed_on_call(1, 2, lambda v: _bumped(v, "tb"))
+    }, id="stabilization-classical"),
+    pytest.param("_check_stabilization_laws", {
+        "relative_invariants": _changed_on_call(1, 3, lambda v: _bumped(v, "r_rel"))
+    }, id="stabilization-r-rel"),
+    pytest.param("_check_stabilization_laws", {
+        "relative_invariants": _changed_on_call(1, 3, lambda v: _bumped(v, "tb_rel"))
+    }, id="stabilization-tb-rel"),
+    pytest.param("_check_stabilization_laws", {
+        "relative_invariants": _changed_on_call(2, 3, lambda v: _bumped(v, "tb_rel"))
+    }, id="stabilization-tb-rel-recovers"),
+    pytest.param("_check_isotopy_invariance", {
+        "relative_invariants": _changed_on_call(1, 2, lambda v: _bumped(v, "tb_rel"))
+    }, id="isotopy-relative"),
+    pytest.param("_check_relative_algebra", {
+        "relative_invariants": _changed_on_call(1, 5, lambda v: _bumped(v, "tb_rel"))
+    }, id="relative-antisymmetry"),
+    pytest.param("_check_relative_algebra", {
+        "relative_invariants": _changed_on_call(2, 5, lambda v: _bumped(v, "tb_rel"))
+    }, id="relative-additivity"),
+    pytest.param("_check_relative_algebra", {
+        "relative_invariants": _changed_on_call(4, 5, lambda v: _bumped(v, "tb_rel"))
+    }, id="relative-flip"),
+    pytest.param("_check_ledger", {"tb_diff": lambda real: lambda *args: 1}, id="ledger-tb"),
+    pytest.param("_check_ledger", {"sl_diff": lambda real: lambda *args: real(*args) + 1}, id="ledger-sl"),
+    pytest.param("_check_ledger", {
+        "rot_diff": lambda real: lambda *args: 2 * real(*args),
+        "sl_diff": lambda real: lambda *args: 2 * real(*args),
+    }, id="ledger-rot"),
+    pytest.param("_check_ledger", {"ambiguity": lambda real: lambda m: 1 if m.tight else real(m)},
+                 id="ledger-tight"),
+    pytest.param("_check_ledger", {"ambiguity": lambda real: lambda m: 0}, id="ledger-ambiguity"),
+    pytest.param("_check_ledger", {"twist_transfer": lambda real: lambda *args: (0, 1)}, id="ledger-twist"),
+    pytest.param("_check_simulator", {
+        "run_trace": lambda real: lambda s0, events: (_bumped(s0, "tw_K"), *real(s0, events))
+    }, id="simulator-triple"),
+    pytest.param("_check_simulator", {
+        "run_trace": _changed_on_call(1, 2, lambda trace: (*trace[:-1], _bumped(trace[-1], "tw_K")))
+    }, id="simulator-order"),
+    pytest.param("_check_simulator", {"cross": lambda real: lambda s, event: real(s, CrossingEvent(1))},
+                 id="simulator-inverse"),
+]
+
+
 class TestSelftest:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "3", "--cases", "10")
@@ -1250,6 +1409,15 @@ class TestSelftest:
         real = grid_mod._trace
         monkeypatch.setattr(grid_mod, "_trace", lambda xs, o_col: trace(*real(xs, o_col)))
         assert selftest_mod._check_grid_invariants(random.Random(5), 40)["failures"] > 0
+
+    @pytest.mark.parametrize("check, broken", _BROKEN_CHECKS)
+    def test_every_failure_is_counted(self, monkeypatch, check, broken):
+        import legrid.selftest as selftest_mod
+
+        for name, make in broken.items():
+            monkeypatch.setattr(selftest_mod, name, make(getattr(selftest_mod, name)))
+        record = getattr(selftest_mod, check)(random.Random(5), 20)
+        assert record["failures"] > 0 and record["passed"] is False
 
     def test_byte_identical_reports(self):
         runs = [

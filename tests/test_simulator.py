@@ -10,7 +10,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import legrid.cli as cli_mod
 import legrid.grid as grid_mod
 
 from legrid import (
@@ -528,7 +527,6 @@ class TestChunkedLines:
             out, err = io.StringIO(), io.StringIO()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(grid_mod, "_CHUNK", chunk)
-                mp.setattr(cli_mod, "_CHUNK", chunk)
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
             assert (out.getvalue(), err.getvalue(), code) == expected
