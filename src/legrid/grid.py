@@ -531,6 +531,84 @@ def _token_column(raw, tokens, index):
     return start + 1
 
 
+def _read_script(text, parse):
+    """A script of one item per line as ``(table, indices)``: its
+    distinct items in order of first use, and an ``array("I")`` of each
+    item line's index in ``table``, 4 bytes per item.  ``#`` starts a
+    comment and blank lines are skipped: the one reader of the move and
+    event scripts, each of which passes only its grammar, ``parse``.
+
+    ``text`` is split by ``_text_lines``, so no list of all its lines is
+    held.  ``parse(line_no, raw, words)`` returns the immutable item of
+    one line, where ``words`` are the whitespace-separated words of
+    ``raw`` before its comment, or raises the ParseError of that line
+    (see ``_word_error``).  It runs once per distinct raw line, and
+    lines of equal value share one entry, however they are spelled.  A
+    raw line is cached only once it has parsed, and blank lines never.
+    """
+    from array import array  # here, not at import: selftest reads no script
+
+    table = []
+    seen = {}  # raw line -> its item's index in table
+    shared = {}  # item -> its index in table
+    indices = array("I")
+    append = indices.append
+    for line_no, raw in _text_lines(text):
+        k = seen.get(raw)
+        if k is None:
+            words = raw.split("#", 1)[0].split()
+            if not words:
+                continue
+            item = parse(line_no, raw, words)
+            k = shared.get(item)
+            if k is None:
+                k = shared[item] = len(table)
+                table.append(item)
+            seen[raw] = k
+        append(k)
+    return table, indices
+
+
+def _word_error(line_no, raw, words, index, message, skip=0):
+    """The ParseError ``message`` of line ``line_no``, ``raw``, at
+    ``skip`` characters into ``words[index]`` (see ``_read_script``):
+    the one way a script names its token at fault, whose column is
+    found only then."""
+    return ParseError(line_no, _token_column(raw, words, index) + skip, message)
+
+
+def _unrecognized(line_no, raw, words, kind):
+    """The ParseError of a line that is no ``kind`` of item: at its
+    first word, quoting the line before its comment."""
+    line = raw.split("#", 1)[0].strip()
+    return _word_error(line_no, raw, words, 0, f"unrecognized {kind}: {line!r}")
+
+
+def _int_word(line_no, raw, words, index, message, skip=0):
+    """The integer that ``words[index]`` writes past its first ``skip``
+    characters (see ``_int_token``); else the ParseError ``message``,
+    formatted with that text, at the text, or at the word when the text
+    is empty."""
+    text = words[index][skip:]
+    try:
+        return _int_token(text)
+    except ValueError:
+        raise _word_error(line_no, raw, words, index, message.format(text), skip if text else 0) from None
+
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _sign_word(line_no, raw, words, index, message, skip=0):
+    """The sign, 1 or -1, that ``words[index]`` writes past its first
+    ``skip`` characters, ``+`` or ``-``; else the ParseError as
+    ``_int_word`` gives it."""
+    text = words[index][skip:]
+    if text not in _SIGNS:
+        raise _word_error(line_no, raw, words, index, message.format(text), skip if text else 0)
+    return _SIGNS[text]
+
+
 def _lead_column(line):
     """The 1-based column of the first token of ``line``."""
     return len(line) - len(line.lstrip()) + 1

@@ -61,7 +61,6 @@ from .errors import (
     LegridError,
     OracleMismatch,
     ParityViolation,
-    ParseError,
     ScriptStepError,
     _check_int,
     _check_sign,
@@ -70,10 +69,12 @@ from .errors import (
 from .grid import (
     GridDiagram,
     _check_component,
-    _int_token,
+    _int_word,
     _moved,
-    _text_lines,
-    _token_column,
+    _read_script,
+    _sign_word,
+    _unrecognized,
+    _word_error,
     new_grid,
     to_front,
 )
@@ -534,12 +535,29 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
 _WORD_TOKENS = {"direction": 1, "axis": 1, "marker": 1, "subtype": 3}
 
 
-def _parse_int(line_no, raw, tokens, index, what):
+def _parse_move(line_no, raw, words):
+    """The move of one line, whose words before its comment are
+    ``words``: its integers are read in line order, then the move it
+    builds checks its words, and a BadCell it raises is the ParseError
+    of the word it names."""
+    verb, *args = words
     try:
-        return _int_token(tokens[index])
-    except ValueError:
-        message = f"{what} must be an integer, got {tokens[index]!r}"
-        raise ParseError(line_no, _token_column(raw, tokens, index), message) from None
+        if verb == "translate" and len(args) == 1:
+            return Translate(args[0])
+        if verb == "commute" and len(args) == 2:
+            return Commute(args[0], _int_word(line_no, raw, words, 2, "index must be an integer, got {!r}"))
+        if verb == "stab" and len(args) == 3:
+            return Stabilize(args[0], _int_word(line_no, raw, words, 2, "column must be an integer, got {!r}"), args[2])
+        if verb == "destab" and len(args) in (1, 2):
+            column = _int_word(line_no, raw, words, 1, "column must be an integer, got {!r}")
+            row = _int_word(line_no, raw, words, 2, "row must be an integer, got {!r}") if len(args) == 2 else None
+            return Destabilize(column, row)
+        if verb == "lstab" and len(args) == 2:
+            component = _int_word(line_no, raw, words, 1, "component must be an integer, got {!r}")
+            return LegendrianStab(component, _sign_word(line_no, raw, words, 2, "sign must be + or -, got {!r}"))
+    except BadCell as e:
+        raise _word_error(line_no, raw, words, _WORD_TOKENS[e.field], str(e)) from None
+    raise _unrecognized(line_no, raw, words, "move")
 
 
 def parse_move_script(text) -> tuple[GridMove, ...]:
@@ -547,39 +565,12 @@ def parse_move_script(text) -> tuple[GridMove, ...]:
     moves, in script order; ``#`` comments and blank lines are ignored.
     ``text`` is a str or an iterable of whole-line blocks (see
     ``grid._text_lines``).
-    A line's integers are read first; the move it builds then checks
-    its words, and a BadCell it raises is the ParseError of that line.
-    Every ParseError names the 1-based column of the token at fault:
-    the verb of an unrecognized move, or the index, sign or word
-    refused.  The moves go straight into the tuple; no list of them is
-    held."""
-
-    def parsed():
-        for line_no, raw in _text_lines(text):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            verb, *args = tokens = line.split()
-            try:
-                if verb == "translate" and len(args) == 1:
-                    move = Translate(args[0])
-                elif verb == "commute" and len(args) == 2:
-                    move = Commute(args[0], _parse_int(line_no, raw, tokens, 2, "index"))
-                elif verb == "stab" and len(args) == 3:
-                    move = Stabilize(args[0], _parse_int(line_no, raw, tokens, 2, "column"), args[2])
-                elif verb == "destab" and len(args) in (1, 2):
-                    row = _parse_int(line_no, raw, tokens, 2, "row") if len(args) == 2 else None
-                    move = Destabilize(_parse_int(line_no, raw, tokens, 1, "column"), row)
-                elif verb == "lstab" and len(args) == 2:
-                    component = _parse_int(line_no, raw, tokens, 1, "component")
-                    if args[1] not in ("+", "-"):
-                        message = f"sign must be + or -, got {args[1]!r}"
-                        raise ParseError(line_no, _token_column(raw, tokens, 2), message)
-                    move = LegendrianStab(component, 1 if args[1] == "+" else -1)
-                else:
-                    raise ParseError(line_no, _token_column(raw, tokens, 0), f"unrecognized move: {line!r}")
-            except BadCell as e:
-                raise ParseError(line_no, _token_column(raw, tokens, _WORD_TOKENS[e.field]), str(e)) from None
-            yield move
-
-    return tuple(parsed())
+    A line's integers are read first, in line order; the move it builds
+    then checks its words, and a BadCell it raises is the ParseError of
+    that line.  Every ParseError names the 1-based column of the token
+    at fault: the verb of an unrecognized move, or the index, sign or
+    word refused.  The script is read by ``grid._read_script``, so each
+    distinct line is parsed once and equal moves are one object, however
+    their lines are spelled."""
+    table, indices = _read_script(text, _parse_move)
+    return tuple(map(table.__getitem__, indices))

@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add
 
-from .errors import MultipleSingularClasps, ParseError, TripleDrift, _Value, _check_sign
-from .grid import _int_token, _text_lines, _token_column
+from .errors import MultipleSingularClasps, TripleDrift, _Value, _check_sign
+from .grid import _int_word, _read_script, _sign_word, _unrecognized, _word_error
 
 __all__ = [
     "FramedPairState",
@@ -203,100 +203,49 @@ def run_trace(s0: FramedPairState, events) -> tuple[FramedPairState, ...]:
     return tuple(map(FramedPairState._make, replay(s0, events)))
 
 
-def _parse_sign(token, error, at):
-    if token == "+":
-        return 1
-    if token == "-":
-        return -1
-    raise error(f"expected + or -, got {token!r}", at)
-
-
 _PATTERN_KEYS = ("circles", "ribbon", "bparallel", "clasps", "singular")
+_SIGN_MESSAGE = "expected + or -, got {!r}"
 
 
 def _parse_script(text):
-    """An event script as ``(table, indices)``: its distinct events in
-    order of first use, and an ``array("I")`` of each event line's index
-    in ``table``, 4 bytes per event.  The format has one event per
-    line, ``cross <+|->`` or ``pattern circles=<n> ribbon=<n>
-    bparallel=<n> clasps=<n> singular=<+|-|none>`` with each field
-    exactly once; ``#`` starts a comment.
-
-    Events are immutable, so each distinct raw line is parsed once, and
-    lines of equal value share one entry, however they are spelled.
-    Blank lines are never cached, and a raw line is cached only once it
-    has parsed.  ``text`` is split into lines a block at a time (see
-    ``grid._text_lines``), so no list of all its lines or events is
-    held.
-    """
-    from array import array  # here, not at import: selftest imports this module but parses no script
-
-    table = []
-    seen = {}  # raw line -> its event's index in table
-    shared = {}  # event -> its index in table
-    indices = array("I")
-    append = indices.append
-    for line_no, raw in _text_lines(text):
-        k = seen.get(raw)
-        if k is None:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            event = _parse_event(raw, line, line_no)
-            k = shared.get(event)
-            if k is None:
-                k = shared[event] = len(table)
-                table.append(event)
-            seen[raw] = k
-        append(k)
-    return table, indices
+    """An event script as ``(table, indices)`` (see
+    ``grid._read_script``).  The format has one event per line,
+    ``cross <+|->`` or ``pattern circles=<n> ribbon=<n> bparallel=<n>
+    clasps=<n> singular=<+|-|none>`` with each field exactly once;
+    ``#`` starts a comment."""
+    return _read_script(text, _parse_event)
 
 
-def _parse_event(raw, line, line_no):
-    """The event of one line; ``line`` is ``raw`` without its comment
-    and outer whitespace.  A ParseError names the 1-based column in
-    ``raw`` of the token at fault."""
-    parts = line.split()
-
-    def error(message, at=0):
-        # at parts[at], or at the value of field `at` when `at` is a key
-        # (at its key=value part when the value is empty)
-        index = at if type(at) is int else next(i for i, p in enumerate(parts) if p.startswith(at + "="))
-        column = _token_column(raw, parts, index)
-        if type(at) is str and len(parts[index]) > len(at) + 1:
-            column += len(at) + 1
-        return ParseError(line_no, column, message)
-
-    if parts[0] == "cross" and len(parts) == 2:
-        return CrossingEvent(_parse_sign(parts[1], error, 1))
-    if parts[0] != "pattern":
-        raise error(f"unrecognized event: {line!r}")
-    fields = {}
-    for i, part in enumerate(parts[1:], start=1):
-        if "=" not in part:
-            raise error(f"expected key=value, got {part!r}", i)
-        key, value = part.split("=", 1)
+def _parse_event(line_no, raw, words):
+    """The event of one line, whose words before its comment are
+    ``words``.  A ParseError names the 1-based column in ``raw`` of the
+    token at fault: the value of a field, or its key=value word when
+    the value is empty."""
+    if words[0] == "cross" and len(words) == 2:
+        return CrossingEvent(_sign_word(line_no, raw, words, 1, _SIGN_MESSAGE))
+    if words[0] != "pattern":
+        raise _unrecognized(line_no, raw, words, "event")
+    at = {}  # key -> the index of its word
+    for i, word in enumerate(words[1:], start=1):
+        key, eq, _ = word.partition("=")
+        if not eq:
+            raise _word_error(line_no, raw, words, i, f"expected key=value, got {word!r}")
         if key not in _PATTERN_KEYS:
-            raise error(f"unknown pattern field {key!r}", i)
-        if key in fields:
-            raise error(f"repeated pattern field {key!r}", i)
-        fields[key] = value
-    missing = [k for k in _PATTERN_KEYS if k not in fields]
+            raise _word_error(line_no, raw, words, i, f"unknown pattern field {key!r}")
+        if key in at:
+            raise _word_error(line_no, raw, words, i, f"repeated pattern field {key!r}")
+        at[key] = i
+    missing = [key for key in _PATTERN_KEYS if key not in at]
     if missing:
-        raise error(f"pattern is missing {', '.join(missing)}")
-    counts = {}
+        raise _word_error(line_no, raw, words, 0, f"pattern is missing {', '.join(missing)}")
+    counts = []
     for key in _PATTERN_KEYS[:-1]:
-        try:
-            counts[key] = _int_token(fields[key])
-        except ValueError:
-            raise error(f"{key} must be an integer", key) from None
-        if counts[key] < 0:
-            raise error(f"{key} must be non-negative, got {counts[key]}", key)
-    singular = fields["singular"]
-    return IntersectionPattern(
-        circles=counts["circles"],
-        ribbon_arcs=counts["ribbon"],
-        boundary_parallel_arcs=counts["bparallel"],
-        clasps=counts["clasps"],
-        singular=() if singular == "none" else (_parse_sign(singular, error, "singular"),),
-    )
+        i, skip = at[key], len(key) + 1
+        count = _int_word(line_no, raw, words, i, key + " must be an integer", skip)
+        if count < 0:
+            raise _word_error(line_no, raw, words, i, f"{key} must be non-negative, got {count}", skip)
+        counts.append(count)
+    i = at["singular"]
+    none = words[i] == "singular=none"
+    singular = () if none else (_sign_word(line_no, raw, words, i, _SIGN_MESSAGE, len("singular=")),)
+    return IntersectionPattern(*counts, singular)

@@ -291,7 +291,7 @@ class TestMoves:
             finally:
                 tracemalloc.stop()
         assert code == 0
-        assert peak / steps < 750
+        assert peak / steps < 620
 
     def test_invariant_error_outside_a_script_has_no_step(self, capsys, split_file, monkeypatch):
         import legrid.invariants as inv_mod

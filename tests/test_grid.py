@@ -27,12 +27,16 @@ from legrid import (
     linking_number,
     new_grid,
     parse_grid,
+    parse_move_script,
     reading,
     reverse_component,
     to_front,
 )
 from legrid import sampling
-from legrid.grid import _int_token, _read_json, _sweep
+from legrid import grid as grid_mod
+from legrid.grid import _int_token, _read_json, _read_script, _sweep
+from legrid.moves import _parse_move
+from legrid.simulator import _parse_event
 from legrid.sampling import random_grid, random_knot, random_link
 
 from helpers import (
@@ -43,6 +47,7 @@ from helpers import (
     brute_linking,
     brute_writhe,
     crossings_and_seifert_circles,
+    parse_events,
     trace_components,
 )
 
@@ -896,3 +901,86 @@ class TestSampling:
             "O=29,42,37,0,25,45,16,4,2,43,38,40,24,33,19,20,28,18,44,30,32,23,48,34,22,"
             "49,17,14,3,8,47,1,7,12,13,31,46,5,36,41,27,6,39,10,11,35,26,15,21,9\n",
         ]
+
+
+# Each script format: its line grammar, the public parse of one line
+# alone, and spellings of its items, several of each value.
+_SCRIPT_FORMATS = {
+    "moves": (
+        _parse_move,
+        lambda line: parse_move_script(line)[0],
+        [
+            "translate up", "translate  up # again", "\ttranslate up", "translate up#",
+            "translate left", "commute col 2", "commute col +2", "  commute  col 02  # two",
+            "stab X 1 NW", "stab X 01 NW", "destab 1", "destab +1  ", "destab 1 0",
+            "destab 1 -0", "lstab 0 -", "lstab 0 - # negative", "lstab 1 +",
+        ],
+    ),
+    "events": (
+        _parse_event,
+        lambda line: parse_events(line)[0],
+        [
+            "cross +", "cross  + # again", "\tcross +", "cross +#", "cross -",
+            "pattern circles=0 ribbon=1 bparallel=0 clasps=2 singular=+",
+            "pattern singular=+ clasps=2 bparallel=0 ribbon=1 circles=0  # the same",
+            "pattern circles=0 ribbon=+1 bparallel=00 clasps=2 singular=+",
+            "pattern circles=3 ribbon=0 bparallel=1 clasps=0 singular=none",
+        ],
+    ),
+}
+# lines that hold no item
+_FILLER = ["", "  ", "\t", "# note", "#", "  # cross + and translate up"]
+
+
+class TestScriptReader:
+    """``grid._read_script`` is the one reader of move and event
+    scripts: one value table and one index per item line, whatever the
+    format."""
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("moves", "translate up\ntranslate  up # again\ntranslate up\n"),
+            ("moves", "destab 1 0\r\n  destab 01 -0\r\n\ndestab 1 0 # again\r\n"),
+            ("events", "cross +\ncross  + # again\r\n\tcross +\r"),
+        ],
+    )
+    def test_equal_lines_share_one_entry(self, fmt, text):
+        parse = _SCRIPT_FORMATS[fmt][0]
+        table, indices = _read_script(text, parse)
+        assert len(table) == 1 and list(indices) == [0, 0, 0]
+        if fmt == "moves":
+            moves = parse_move_script(text)
+            assert moves[0] is moves[1] is moves[2]
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    @pytest.mark.parametrize("fmt", sorted(_SCRIPT_FORMATS))
+    def test_the_table_holds_each_value_once(self, fmt, data):
+        parse, alone, spellings = _SCRIPT_FORMATS[fmt]
+        lines = data.draw(st.lists(st.sampled_from(spellings + _FILLER), max_size=30))
+        breaks = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+        text = "".join(map(str.__add__, lines, breaks))
+        with pytest.MonkeyPatch.context() as mp:
+            # columns are found only when a line fails
+            mp.setattr(grid_mod, "_token_column", None)
+            table, indices = _read_script(text, parse)
+        items = [line for line in lines if line.split("#", 1)[0].strip()]
+        assert [table[k] for k in indices] == list(map(alone, items))
+        assert table == list(dict.fromkeys(table[k] for k in indices))
+        if fmt == "moves":
+            moves = parse_move_script(text)
+            assert len(set(map(id, moves))) == len(table)
+
+    @pytest.mark.parametrize(
+        "fmt, good, bad, column, message",
+        [
+            ("moves", "translate up # a", "  stab X x NE # a", 10, "column must be an integer, got 'x'"),
+            ("events", "cross + # a", "  cross * # a", 9, "expected + or -, got '*'"),
+        ],
+    )
+    def test_a_bad_line_after_cached_repeats_is_named(self, fmt, good, bad, column, message):
+        text = (good + "\n") * 10_000 + "\n" + bad + "\n" + good + "\n"
+        with pytest.raises(ParseError) as exc:
+            _read_script(text, _SCRIPT_FORMATS[fmt][0])
+        assert (exc.value.line, exc.value.column, exc.value.message) == (10_002, column, message)

@@ -1101,7 +1101,9 @@ class TestScriptLines:
             ("stab Y x NE", 8, "column must be an integer, got 'x'"),
             ("stab X x N", 8, "column must be an integer, got 'x'"),
             ("lstab x ?", 7, "component must be an integer, got 'x'"),
-            ("destab x y", 10, "row must be an integer, got 'y'"),
+            # integers are read in line order
+            ("destab x y", 8, "column must be an integer, got 'x'"),
+            ("destab 1 y", 10, "row must be an integer, got 'y'"),
         ],
     )
     def test_a_line_reports_its_bad_integer_before_its_words(self, line, column, message):
