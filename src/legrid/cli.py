@@ -18,7 +18,7 @@ import re
 import sys
 
 from .errors import LegridError, OracleMismatch, ParityViolation, ParseError, ScriptStepError
-from .grid import Convention, GridDiagram, _int_token, _read_input, _read_json, parse_grid, reading
+from .grid import Convention, GridDiagram, _int_token, _read_input, _read_json, grid_to_json, parse_grid, reading
 
 # Each verb imports its own modules when it runs, so a call loads only
 # what it uses.  Names are imported from their module: ``from . import
@@ -169,7 +169,7 @@ def _cmd_moves(args):
                 ",".join(step.flags) or "-",
             )
 
-    head = '{"final": %s, "trace": [' % json.dumps({"n": final.n, "x": list(final.xs), "o": list(final.os)})
+    head = '{"final": %s, "trace": [' % grid_to_json(final)
     headers = ["step", "move", "per-component (tb, r)", "relative", "flags"]
     footer = f"\nfinal: n={final.n} X={list(final.xs)} O={list(final.os)}"
     return (head, map(_step_fields, trace), _STEP, ", ", "]}\n"), lambda: _table(rows, headers, footer)

@@ -136,9 +136,9 @@ class GridDiagram(_Value, fields=("n", "xs", "os")):
     The owner table is the grid's only record of its components.  The
     tables, like the memos of :func:`to_front` and ``classical``, sit
     in the grid's ``__dict__`` beside the three fields, and equality
-    and hashing read only ``(n, xs, os)``.  A grid move skips the
-    checks: it derives the tables of the grid it makes from its markers
-    and its parent's owner table (see :func:`_moved`).
+    and hashing read only ``(n, xs, os)``.  A grid move writes only the
+    moved markers and skips the checks (see :meth:`_derived`); its tables
+    are read off the markers as here.
 
     >>> g = new_grid(2, [0, 1], [1, 0])
     >>> g.component_count
@@ -163,25 +163,31 @@ class GridDiagram(_Value, fields=("n", "xs", "os")):
         c = next(compress(rows, map(eq, xs, os)), None)
         if c is not None:
             raise SharedCell(f"column {c} holds X and O in the same cell", column=c)
+        self._derive(xs, os)
+
+    @classmethod
+    def _derived(cls, xs, os):
+        """The grid of the marker tuples ``xs`` and ``os``, which a move
+        wrote: its tables are derived as ``__init__`` derives them, and
+        only the checks are skipped, as a move maps a valid grid to a
+        valid grid.  ``tests/test_moves.py::TestDerivedTables`` proves
+        every move's grid equal, table for table, to a fresh
+        construction's."""
+        g = object.__new__(cls)
+        g._derive(xs, os)
+        return g
+
+    def _derive(self, xs, os):
+        """Store the valid marker tuples ``xs`` and ``os`` and the tables
+        read off them: the one derivation, shared by ``__init__`` and
+        :meth:`_derived`."""
         x_col, o_col = _inverses(xs, os)
         owner, count = _trace(xs, o_col)
         # the fields, then the tables in the order of _TABLES
         vars(self).update(
-            n=n, xs=xs, os=os, x_col_by_row=x_col, o_col_by_row=o_col,
+            n=len(xs), xs=xs, os=os, x_col_by_row=x_col, o_col_by_row=o_col,
             component_by_column=owner, component_count=count,
         )
-
-    @classmethod
-    def _derived(cls, n, xs, os, *tables):
-        """A grid whose markers and tables, all tuples and the tables in
-        the order of ``_TABLES``, are given: the one path that skips
-        ``__init__`` and its checks, and its one caller is
-        :func:`_moved`.  ``tests/test_moves.py::TestDerivedTables``
-        proves every move's tables equal to a fresh construction's."""
-        g = object.__new__(cls)
-        vars(g).update(n=n, xs=xs, os=os)
-        vars(g).update(zip(_TABLES, tables))
-        return g
 
 
 def _lines(g, c):
@@ -215,8 +221,7 @@ def _trace(xs, o_col):
 
 def _inverses(xs, os):
     """``x_col_by_row`` and ``o_col_by_row`` of valid markers, read off
-    them in one pass: the one inversion, shared by ``__init__`` and
-    :func:`_moved`."""
+    them in one pass: the one inversion."""
     n = len(xs)
     x_col = [0] * n
     o_col = [0] * n
@@ -225,34 +230,6 @@ def _inverses(xs, os):
         x_col[xs[c]] = c
         o_col[os[c]] = c
     return tuple(x_col), tuple(o_col)
-
-
-def _numbered(owner):
-    """The owner table ``owner`` numbered as ``__init__`` numbers
-    it: by lowest column, the order in which ``owner`` first names the
-    components."""
-    order = list(dict.fromkeys(owner))
-    if order == sorted(order):
-        return owner
-    label = [0] * len(order)
-    for k, old in enumerate(order):
-        label[old] = k
-    return tuple(map(label.__getitem__, owner))
-
-
-def _moved(g, xs, os, owner) -> GridDiagram:
-    """The grid a move takes ``g`` to, from the moved markers ``xs`` and
-    ``os`` and ``g``'s owner table carried along the move's columns, all
-    tuples.  A move maps a valid grid to a valid grid and keeps the
-    link, so the markers are not checked and the component count is
-    ``g``'s: the inverse tables are read off the markers and the owner
-    table is renumbered by lowest column, unless it is ``g``'s own
-    table, which a row commutation and an up or down translation pass
-    on unmoved and which is numbered already."""
-    x_col, o_col = _inverses(xs, os)
-    if owner is not g.component_by_column:
-        owner = _numbered(owner)
-    return GridDiagram._derived(len(xs), xs, os, x_col, o_col, owner, g.component_count)
 
 
 def new_grid(n, xs, os) -> GridDiagram:

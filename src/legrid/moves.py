@@ -41,9 +41,9 @@ Every move checks its own fields when it is built, directly or by
 :func:`parse_move_script`, and raises BadCell; ``apply`` keeps only the
 checks that need the grid.
 
-Every move maps a valid grid to a valid grid, so ``apply`` writes the
-moved markers and carries the owner table along its columns, and
-``grid._moved`` derives the rest without the marker checks.
+Every move maps a valid grid to a valid grid, so ``apply`` writes only
+the moved markers and ``GridDiagram._derived`` reads every table off
+them as a checked construction does, without the marker checks.
 ``tests/test_moves.py::TestDerivedTables`` proves the derived tables
 equal to a fresh construction's.
 
@@ -70,7 +70,6 @@ from .grid import (
     GridDiagram,
     _check_component,
     _int_word,
-    _moved,
     _read_script,
     _sign_word,
     _unrecognized,
@@ -154,17 +153,16 @@ class Translate(_Value):
 
     def apply(self, g: GridDiagram) -> GridDiagram:
         """Cyclically shift all markers one step in the given direction:
-        a column shift rotates the tables indexed by column, and a row
-        shift maps every marker's row through one shift table."""
+        a column shift rotates both marker tuples, and a row shift maps
+        every marker's row through one shift table."""
         dc, dr = _STEPS[self.direction]
-        owner = g.component_by_column
         if dc:  # entry c moves to entry (c + dc) % n
-            xs, os, owner = (t[-dc:] + t[:-dc] for t in (g.xs, g.os, owner))
+            xs, os = (t[-dc:] + t[:-dc] for t in (g.xs, g.os))
         else:
             rows = tuple(range(g.n))
             shift = (rows[dr:] + rows[:dr]).__getitem__  # row r -> (r + dr) % n
             xs, os = tuple(map(shift, g.xs)), tuple(map(shift, g.os))
-        return _moved(g, xs, os, owner)
+        return GridDiagram._derived(xs, os)
 
     def column_map(self, g: GridDiagram):
         dc = _STEPS[self.direction][0]
@@ -208,12 +206,11 @@ class Commute(_Value):
         x_at, o_at = (g.xs, g.os) if by_col else (g.x_col_by_row, g.o_col_by_row)
         if _interleaving((x_at[i], o_at[i]), (x_at[i + 1], o_at[i + 1])):
             raise InterleavingSpans(f"{'columns' if by_col else 'rows'} {i} and {i + 1} interleave")
-        owner = g.component_by_column
         if by_col:
-            xs, os, owner = (_exchange(t, i, i + 1) for t in (g.xs, g.os, owner))
+            xs, os = (_exchange(t, i, i + 1) for t in (g.xs, g.os))
         else:  # the two columns that hold rows i and i + 1 exchange them
             xs, os = (_exchange(t, at[i], at[i + 1]) for t, at in ((g.xs, x_at), (g.os, o_at)))
-        return _moved(g, xs, os, owner)
+        return GridDiagram._derived(xs, os)
 
     def column_map(self, g: GridDiagram):
         return _swap(self.index) if self.axis == "col" else lambda col: col
@@ -271,8 +268,7 @@ class Stabilize(_Value):
         # copy of each kind then moves to row r + north.
         same[c + 1 - east] = other[c + east] = r + north
         xs, os = (same, other) if marker == "X" else (other, same)
-        owner = g.component_by_column
-        return _moved(g, tuple(xs), tuple(os), owner[: c + 1] + owner[c:])
+        return GridDiagram._derived(tuple(xs), tuple(os))
 
     def column_map(self, g: GridDiagram):
         c = self.column
@@ -325,8 +321,7 @@ class Destabilize(_Value):
                 def merged(rows):  # column ``full`` deleted, rows rr and rr + 1 merged
                     return tuple(v if v <= rr else v - 1 for v in rows[:full] + rows[full + 1 :])
 
-                owner = g.component_by_column
-                return _moved(g, merged(xs), merged(os), owner[:full] + owner[full + 1 :])
+                return GridDiagram._derived(merged(xs), merged(os))
         raise BadCell(f"no destabilizable L-block in columns {c},{c + 1}")
 
     def column_map(self, g: GridDiagram):
@@ -440,8 +435,10 @@ def _intern(key, facts, index, c):
     ends, so that sub-grid has the component's tb, r and cusps.
     ``facts`` interns them by pattern for one script run, so a repeated
     pattern costs a lookup, and the front and the oracle run once per
-    distinct pattern; the sub-grid is dropped once they are read.  A
-    check that fails names step ``index`` and component ``c``."""
+    distinct pattern; the sub-grid is dropped once they are read.  The
+    same table interns the facts by value, so patterns with equal facts
+    share one object.  A check that fails names step ``index`` and
+    component ``c``."""
     fact = facts.get(key)
     if fact is None:
         sub = new_grid(len(key[0]), *key)
@@ -451,7 +448,8 @@ def _intern(key, facts, index, c):
             # the sub-grid numbers the component 0; name it as the grid does
             detail = str(e).removeprefix("component 0")
             raise type(e)(f"step {index}, component {c}{detail}", step=index, component=c) from None
-        fact = facts[key] = (inv, to_front(sub).cusps)
+        fact = (inv, to_front(sub).cusps)
+        fact = facts[key] = facts.setdefault(fact, fact)
     return fact
 
 
@@ -503,7 +501,7 @@ def apply_script(g: GridDiagram, moves) -> ScriptResult:
     :func:`changes_cusps` on that component alone.
     """
     pair = (0, 1) if g.component_count >= 2 else None
-    facts, relatives = {}, {}  # pattern -> (triple, cusps); (triple, triple) -> relative triple
+    facts, relatives = {}, {}  # pattern -> (triple, cusps), interned by value; (triple, triple) -> relative triple
     parts = [_intern(key, facts, 0, c) for c, key in enumerate(component_patterns(g))]
     trace = [_snapshot(parts, 0, None, pair, (), relatives)]
     current = g

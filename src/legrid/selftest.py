@@ -127,8 +127,9 @@ def _check_linking(rng, cases):
 
 def _tables_differ(moved):
     """Whether a moved grid's tables differ from those of a fresh
-    construction from its markers, which must pass every check: the
-    guard on the path by which a move derives its grid."""
+    construction from its markers, which must pass every check: a move
+    derives its tables as construction does but skips the checks, so
+    this is the guard that every move writes valid markers."""
     try:
         fresh = new_grid(moved.n, moved.xs, moved.os)
     except LegridError:

@@ -340,9 +340,10 @@ class TestFollow:
 
 
 class TestDerivedTables:
-    """Every move derives the moved grid's tables from its markers and
-    the parent's owner table instead of building it afresh; every table
-    must be the one a fresh construction gives."""
+    """Every move writes only the moved grid's markers, and the moved
+    grid's tables are read off them as a checked construction reads
+    them, without the checks: every table must be the one a fresh
+    construction gives, whatever the parent's tables hold."""
 
     @staticmethod
     def _moves(g):
@@ -406,30 +407,26 @@ class TestDerivedTables:
         assert any(text.startswith("commute col") for text in renumbered)
         assert not any(text.startswith(("commute row", "translate up", "translate down")) for text in renumbered)
 
-    def test_an_unmoved_owner_table_is_not_renumbered(self, monkeypatch):
-        # a row commutation and an up or down translation pass the parent's
-        # owner table on as it is; every other move carries it along its
-        # columns and renumbers it once
-        import legrid.grid as grid_mod
-
-        calls = []
-        numbered = grid_mod._numbered
-        monkeypatch.setattr(grid_mod, "_numbered", lambda owner: calls.append(owner) or numbered(owner))
-        made = {}
+    def test_the_tables_come_from_the_markers_alone(self):
+        # a parent whose owner table puts one column in the other
+        # component: no move may carry that table to the grid it makes
         rng = random.Random(29)
+        applied = set()
         for _ in range(20):
             g = random_link(rng, rng.randint(4, 12))
-            for move in self._moves(g):
-                calls.clear()
+            forged = new_grid(g.n, g.xs, g.os)
+            owner = list(g.component_by_column)
+            owner[-1] = 0 if owner[-1] else 1
+            vars(forged)["component_by_column"] = tuple(owner)
+            for move in self._moves(forged):
                 try:
-                    apply_move(g, move)
+                    moved = apply_move(forged, move)
                 except (BadCell, InterleavingSpans):
                     continue
-                made.setdefault(self._variant(move)[:2], set()).add(len(calls))
-        unmoved = [("commute", "row"), ("translate", "up"), ("translate", "down")]
-        moved = [("commute", "col"), ("translate", "left"), ("translate", "right")]
-        moved += [("stab", "X"), ("stab", "O"), ("destab", "#"), ("lstab", "#")]
-        assert made == {**dict.fromkeys(unmoved, {0}), **dict.fromkeys(moved, {1})}
+                applied.add(self._variant(move))
+                fresh = GridDiagram(moved.n, moved.xs, moved.os)
+                assert vars(moved) == vars(fresh), (g, move)
+        self._assert_every_variant(applied)
 
 
 class TestFootprint:
@@ -676,10 +673,13 @@ class TestKeyedInvariants:
         origin, interned, seen = {}, {}, {}
 
         def recording_intern(key, *args):
+            # patterns with equal facts share one object, so each call
+            # returns a fresh copy, mapped to its pattern and its original
             facts = intern(key, *args)
-            origin[id(facts)] = (len(key[0]), *key)
+            copy = (*facts,)
+            origin[id(copy)] = (len(key[0]), *key), facts
             interned[key] = facts
-            return facts
+            return copy
 
         def recording(parts, index, *args):
             seen[index] = list(parts)
@@ -701,8 +701,10 @@ class TestKeyedInvariants:
                     current = apply_move(current, move)
                 patterns = _component_patterns(current)
                 expected = [(len(xs), xs, os) for xs, os in patterns]
-                assert [origin[id(facts)] for facts in seen[index]] == expected
-                assert all(facts is interned[key] for facts, key in zip(seen[index], patterns, strict=True))
+                assert [origin[id(copy)][0] for copy in seen[index]] == expected
+                assert all(
+                    origin[id(copy)][1] is interned[key] for copy, key in zip(seen[index], patterns, strict=True)
+                )
 
     def test_no_sub_grid_outlives_its_first_read(self, monkeypatch):
         import weakref
